@@ -44,11 +44,10 @@ _TASK_PARAMS = {
     "criteria": frozenset({"samples", "include_transient"}),
     "evolve": frozenset({"engine", "t_max", "samples", "method", "dt", "stride"}),
     "oracle": frozenset({"t_max", "dt", "stride"}),
-    "loop": frozenset({"t_max", "schedule", "trajectories", "workers",
-                       "record_stride"}),
-    "scan": frozenset({"eta_min", "eta_max", "steps", "workers"}),
+    "loop": frozenset({"t_max", "schedule", "trajectories", "record_stride"}),
+    "scan": frozenset({"eta_min", "eta_max", "steps"}),
     "search": frozenset({"m", "family", "restarts", "max_iter", "tol",
-                         "workers", "state_out"}),
+                         "state_out"}),
 }
 
 _MOMENT_HEADER = [
@@ -304,12 +303,8 @@ def _sig15(value: float) -> float:
 
 
 def scan_eta(trap: TrapConfig, zeta: float, eta_min: float, eta_max: float,
-             steps: int, workers: int = 1) -> list[dict]:
-    """Regime table over a geometric eta grid at fixed trap and shift rate.
-
-    Points are independent; rows come back in grid order whatever the
-    worker count.
-    """
+             steps: int) -> list[dict]:
+    """Regime table over a geometric eta grid at fixed trap and shift rate."""
     steps = _as_int(steps, "steps")
     if steps < 2:
         raise ConfigError(f"steps must be >= 2, got {steps!r}")
@@ -327,12 +322,7 @@ def scan_eta(trap: TrapConfig, zeta: float, eta_min: float, eta_max: float,
         return {"eta": s.eta, "dX0": s.dX0, "dx0": s.dx0, "DXs": s.DXs,
                 "regime": regime.kind.value}
 
-    grid = [float(v) for v in np.geomspace(eta_min, eta_max, steps)]
-    if workers <= 1:
-        return [point(eta) for eta in grid]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(point, grid))
+    return [point(float(eta)) for eta in np.geomspace(eta_min, eta_max, steps)]
 
 
 def breathing_curve(state, basis, trap: TrapConfig, fb: FeedbackConfig,
@@ -472,7 +462,6 @@ def _cmd_loop(cfg: RunConfig) -> int:
     init = moments.init_moments(state, basis)
     traj = loop.run_ensemble(
         init, lcfg, cfg.trap, _as_float(t_max, "t_max"),
-        workers=_as_int(cfg.param("workers", 1), "workers"),
         record_stride=_as_int(cfg.param("record_stride", 1), "record_stride"),
     )
     rows = [
@@ -493,7 +482,6 @@ def _cmd_scan(cfg: RunConfig) -> int:
         _as_float(cfg.param("eta_min", 1e-2), "eta_min"),
         _as_float(cfg.param("eta_max", 1e2), "eta_max"),
         cfg.param("steps", 25),
-        workers=_as_int(cfg.param("workers", 1), "workers"),
     )
     write_csv(cfg.out, ["eta", "dX0", "dx0", "DXs", "regime"],
               [(r["eta"], r["dX0"], r["dx0"], r["DXs"], r["regime"]) for r in rows])
@@ -510,9 +498,7 @@ def _cmd_search(cfg: RunConfig) -> int:
         tol=_as_float(cfg.param("tol", 1e-9), "tol"),
         seed=cfg.seed,
     )
-    state, value, report = search.search_state(
-        spec, cfg.trap, cfg.feedback,
-        workers=_as_int(cfg.param("workers", 1), "workers"))
+    state, value, report = search.search_state(spec, cfg.trap, cfg.feedback)
     write_csv(cfg.out,
               ["restart", "start_value", "final_value", "iterations", "converged"],
               [(r["restart"], r["start_value"], r["final_value"], r["iterations"],

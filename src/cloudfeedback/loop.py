@@ -6,29 +6,32 @@ then a rigid shift of the cloud by -zeta0 * X_m.  Event rate gamma ties the
 discrete parameters to the continuous ones via sigma = sigma0/sqrt(gamma),
 zeta = zeta0*gamma.
 
-Everything here is Gaussian: measurement outcomes are linear in the state
-plus Gaussian noise, so conditional covariances follow a deterministic
-Kalman recursion and only the conditional means are stochastic.  Trajectory
-i always draws from its own stream (spawn key = trajectory index), and
-chunk reductions happen in fixed index order, so results are bitwise
-reproducible for any worker count.
+Measurement, kick and back-action act on the collective pair (X_tot, P_tot)
+only, and that pair is a harmonic oscillator of mass N m at every N, so the
+loop filters the pair alone.  In it the measured row is h = (1, 0), the kick
+direction s = (1, 0) and the back-action direction u = (0, 1).  Everything
+is Gaussian: the conditional covariance follows a deterministic Kalman
+recursion and only the conditional means are stochastic.  Trajectory i
+always draws from its own stream (spawn key = trajectory index), so results
+do not depend on how the draws are blocked.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
-from .errors import ConfigError, MinResolution, NonConvergence, TimescaleViolation
-from .moments import JointMoments
+from .errors import ConfigError, MinResolution, SingularLyapunov, TimescaleViolation
+from .moments import JointMoments, project_collective
 from .scales import FeedbackConfig, TrapConfig
 
-_CHUNK = 1024
+# bound on the floats one batch keeps in each draw buffer (8 MB)
+_DRAW_FLOATS = 2**20
 
 
 @dataclass(frozen=True)
@@ -61,135 +64,98 @@ class LoopConfig:
         )
 
 
-def _vectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cm row h, back-action direction u, kick direction s) for dim 2 or 4."""
-    if n == 1:
-        return np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])
-    h = np.array([1.0 / n, 0.0, (n - 1.0) / n, 0.0])
-    u = np.array([0.0, 1.0 / n, 0.0, (n - 1.0) / n])
-    s = np.array([1.0, 0.0, 1.0, 0.0])
-    return h, u, s
+class _Pair(NamedTuple):
+    """Filter state of (X_tot, P_tot) for a batch of trajectories.
 
-
-def _rotation(trap: TrapConfig, dim: int, t: float) -> np.ndarray:
-    w, m = trap.trap_freq, trap.mass
-    c, sn = math.cos(w * t), math.sin(w * t)
-    block = np.array([[c, sn / (m * w)], [-m * w * sn, c]])
-    out = np.zeros((dim, dim))
-    for k in range(0, dim, 2):
-        out[k:k + 2, k:k + 2] = block
-    return out
-
-
-@dataclass(frozen=True)
-class ConditionalGaussianState:
-    """Gaussian filter state over (x, p) for N=1 or (x, p, Xbar, Pbar)."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    n: int
-    trap: TrapConfig
-
-    def __post_init__(self):
-        dim = 2 if self.n == 1 else 4
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.shape != (dim,) or cov.shape != (dim, dim):
-            raise ConfigError(f"state for n={self.n} needs dim {dim}")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - cov.T)) > 1e-8 * scale:
-            raise ConfigError("covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))) < -1e-10 * scale:
-            raise ConfigError("covariance must be PSD")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
-
-    @classmethod
-    def from_moments(cls, m: JointMoments, trap: TrapConfig) -> "ConditionalGaussianState":
-        return cls(mean=m.mean.copy(), cov=m.cov.copy(), n=m.n, trap=trap)
-
-    def rotate(self, t: float) -> "ConditionalGaussianState":
-        r = _rotation(self.trap, self.mean.shape[0], t)
-        return replace(self, mean=r @ self.mean, cov=r @ self.cov @ r.T)
-
-    def cm_position(self) -> tuple[float, float]:
-        """(mean, variance) of the measured cm coordinate."""
-        h, _, _ = _vectors(self.n)
-        return float(h @ self.mean), float(h @ self.cov @ h)
-
-
-def _check_resolution(sigma0: float, prior_var: float):
-    if not sigma0 > 0:
-        raise ConfigError(f"sigma0 must be > 0, got {sigma0!r}")
-    if prior_var > 0 and sigma0 < 1e-7 * math.sqrt(prior_var):
-        raise MinResolution(
-            f"sigma0 {sigma0!r} below machine-meaningful resolution for variance {prior_var!r}"
-        )
-
-
-def sample_measurement(state: ConditionalGaussianState, sigma0: float,
-                       rng: np.random.Generator) -> float:
-    mean, var = state.cm_position()
-    _check_resolution(sigma0, var)
-    return float(rng.normal(mean, math.sqrt(var + sigma0**2)))
-
-
-def measurement_update(state: ConditionalGaussianState, x_m: float,
-                       sigma0: float) -> ConditionalGaussianState:
-    """Gaussian conditioning on the outcome plus per-shot back-action.
-
-    Back-action enters as a deterministic momentum-variance increment
-    hbar^2/(4 sigma0^2) along the collective direction; this is the exact
-    unconditional effect of the Gaussian position channel and keeps the
-    filter closed without sampling a momentum kick.
+    x and p hold the conditional means, one per trajectory; xx, xp and pp the
+    conditional covariance, either one value the batch shares or one per
+    trajectory.
     """
-    h, u, _ = _vectors(state.n)
-    prior_var = float(h @ state.cov @ h)
-    _check_resolution(sigma0, prior_var)
-    if math.isinf(sigma0):
-        return state
-    innov_var = prior_var + sigma0**2
-    gain = (state.cov @ h) / innov_var
-    mean = state.mean + gain * (x_m - float(h @ state.mean))
-    cov = state.cov - np.outer(gain, state.cov @ h)
-    cov = cov + (state.trap.hbar**2 / (4.0 * sigma0**2)) * np.outer(u, u)
-    return replace(state, mean=mean, cov=cov)
+
+    x: np.ndarray
+    p: np.ndarray
+    xx: float | np.ndarray
+    xp: float | np.ndarray
+    pp: float | np.ndarray
 
 
-def kick(state: ConditionalGaussianState, x_m: float, zeta0: float) -> ConditionalGaussianState:
-    _, _, s = _vectors(state.n)
-    return replace(state, mean=state.mean - zeta0 * x_m * s)
+def _rotation(trap: TrapConfig, dt) -> tuple:
+    """Entries (c, a, b) of the pair's free evolution R = [[c, a], [-b, c]].
+
+    dt is one time or an array of them, one per trajectory.
+    """
+    mw = trap.atom_count * trap.mass * trap.trap_freq
+    sn = np.sin(trap.trap_freq * dt)
+    return np.cos(trap.trap_freq * dt), sn / mw, mw * sn
 
 
-def posterior_means(state: ConditionalGaussianState, x_m: np.ndarray,
-                    sigma0: float) -> np.ndarray:
-    """Vectorized conditional means for an array of outcomes (verification aid)."""
-    h, _, _ = _vectors(state.n)
-    prior_var = float(h @ state.cov @ h)
-    _check_resolution(sigma0, prior_var)
-    gain = (state.cov @ h) / (prior_var + sigma0**2)
-    innov = np.asarray(x_m, dtype=float) - float(h @ state.mean)
-    return state.mean[None, :] + innov[:, None] * gain[None, :]
+def _rotate(st: _Pair, rot: tuple) -> _Pair:
+    c, a, b = rot
+    return _Pair(c * st.x + a * st.p, c * st.p - b * st.x,
+                 c * c * st.xx + 2.0 * c * a * st.xp + a * a * st.pp,
+                 c * (a * st.pp - b * st.xx) + (c * c - a * b) * st.xp,
+                 b * b * st.xx - 2.0 * c * b * st.xp + c * c * st.pp)
+
+
+def _filter_event(st: _Pair, rot: tuple, z, sigma0: float, zeta0: float,
+                  hbar: float) -> tuple[_Pair, np.ndarray]:
+    """One loop event for a batch: rotate by rot, measure X, kick, back-action.
+
+    The outcome is x_m = X + sqrt(Var X + sigma0^2) z for standard normal z.
+    The pair is conditioned on it (Doherty & Jacobs, PRA 60:2700, 1999), X is
+    kicked by -zeta0 x_m, and Var P gains hbar^2/(4 sigma0^2).  That increment
+    is the exact unconditional effect of the Gaussian position channel and
+    keeps the filter closed without sampling a momentum kick.  Returns the
+    new state and the outcomes.
+    """
+    x, p, xx, xp, pp = _rotate(st, rot)
+    innov = xx + sigma0**2
+    e = np.sqrt(innov) * z
+    x_m = x + e
+    gx, gp = xx / innov, xp / innov
+    return _Pair(x + gx * e - zeta0 * x_m, p + gp * e,
+                 xx - gx * xx, xp - gx * xp,
+                 pp - gp * xp + hbar**2 / (4.0 * sigma0**2)), x_m
+
+
+def _check_stable(trap: TrapConfig, cfg: LoopConfig) -> float:
+    """Spectral radius of the event-to-event mean map R (I - zeta0 s h^T).
+
+    R has determinant one, so the map has trace cos(omega/gamma)(2 - zeta0)
+    and determinant 1 - zeta0; at zeta0 = 0 the radius is exactly 1.  Raises
+    ConfigError above 1, where the means grow without bound.
+    """
+    tr = math.cos(trap.trap_freq / cfg.gamma) * (2.0 - cfg.zeta0)
+    det = 1.0 - cfg.zeta0
+    disc = tr * tr - 4.0 * det
+    radius = math.sqrt(det) if disc < 0.0 else 0.5 * (abs(tr) + math.sqrt(disc))
+    if radius > 1.0:
+        raise ConfigError(
+            f"zeta0 {cfg.zeta0!r} makes the loop unstable: the mean map has "
+            f"spectral radius {radius!r} > 1")
+    return radius
 
 
 def stationary_discrete(trap: TrapConfig, cfg: LoopConfig) -> np.ndarray:
-    """Exact post-event fixed point of the unconditional covariance map.
+    """Fixed point of the unconditional (X_tot, P_tot) covariance just after an event.
 
-    One period of the map: measure (identity on unconditional moments),
-    kick by -zeta0*X_m (which injects sigma0 noise through the outcome),
-    add back-action, rotate by 1/gamma.
+    That is where `run_ensemble` records, so its late var_X approaches the
+    [0, 0] entry.  Over one period the covariance maps as S -> A S A^T + Q,
+    and both are read off the filter kernel: A is its mean map without
+    noise, Q its output from a sharp state at the origin (the conditional
+    covariance plus the response of the means to a unit innovation).
     """
-    n = trap.atom_count
-    h, u, s = _vectors(n)
-    dim = h.shape[0]
-    r = _rotation(trap, dim, 1.0 / cfg.gamma)
-    m = np.eye(dim) - cfg.zeta0 * np.outer(s, h)
-    a = r @ m
-    q = r @ (
-        cfg.zeta0**2 * cfg.sigma0**2 * np.outer(s, s)
-        + (trap.hbar**2 / (4.0 * cfg.sigma0**2)) * np.outer(u, u)
-    ) @ r.T
-    return solve_discrete_lyapunov(a, q)
+    if _check_stable(trap, cfg) >= 1.0:
+        raise SingularLyapunov("no stationary loop state: the mean map has spectral radius 1")
+    rot = _rotation(trap, 1.0 / cfg.gamma)
+    basis = _Pair(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 0.0, 0.0)
+    unit, _ = _filter_event(basis, rot, 0.0, cfg.sigma0, cfg.zeta0, trap.hbar)
+    noise, _ = _filter_event(_Pair(0.0, 0.0, 0.0, 0.0, 0.0), rot, 1.0,
+                             cfg.sigma0, cfg.zeta0, trap.hbar)
+    w = np.array([noise.x, noise.p])
+    q = np.array([[noise.xx, noise.xp], [noise.xp, noise.pp]]) + np.outer(w, w)
+    s = solve_discrete_lyapunov(np.array([unit.x, unit.p]), q)
+    return 0.5 * (s + s.T)
 
 
 @dataclass(frozen=True)
@@ -213,117 +179,57 @@ class LoopTrajectory:
         }
 
 
-def _chunk_bounds(k: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK, k)) for lo in range(0, k, _CHUNK)]
+class _Streams:
+    """Per-trajectory random streams, read `block` events at a time.
 
+    Trajectory i owns the stream with spawn key i.  A refill fills one block
+    from each named Generator method in turn (standard_normal,
+    standard_exponential), so the numbers a trajectory sees do not depend on
+    the batch, and with a single method they equal one long draw.  Read a
+    batch either in lockstep or with `take`, not both.
+    """
 
-def _traj_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(index,)))
+    def __init__(self, seed: int, k: int, block: int, methods: tuple[str, ...]):
+        self._rngs = [
+            np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(i,)))
+            for i in range(k)
+        ]
+        self._methods = methods
+        self._buf = np.empty((len(methods), k, block))
+        self._used = np.full(k, block)
 
+    def _refill(self, idx):
+        for i in idx:
+            for buf, method in zip(self._buf, self._methods):
+                getattr(self._rngs[i], method)(out=buf[i])
 
-def _run_regular_chunk(lo, hi, seed, n_events, mean0, rot, gains, innov_sd,
-                       h, hp, zeta0, s_dir, stride):
-    """Means for trajectories [lo, hi); returns per-record sums and sq-sums."""
-    k = hi - lo
-    z = np.empty((k, n_events))
-    for i in range(k):
-        z[i] = _traj_rng(seed, lo + i).normal(size=n_events)
-    means = np.tile(mean0, (k, 1))
-    n_rec = n_events // stride + 1
-    out = np.zeros((n_rec, 4))
-
-    def record(row, m):
-        cm = m @ h
-        pt = m @ hp
-        out[row] = (cm.sum(), (cm**2).sum(), pt.sum(), (pt**2).sum())
-
-    record(0, means)
-    row = 1
-    for ev in range(n_events):
-        means = means @ rot.T
-        innov = innov_sd[ev] * z[:, ev]
-        x_m = means @ h + innov
-        means = means + np.outer(innov, gains[ev])
-        means = means - zeta0 * np.outer(x_m, s_dir)
-        if (ev + 1) % stride == 0:
-            record(row, means)
-            row += 1
-    return out
-
-
-def _run_poisson_chunk(lo, hi, seed, gamma, n_grid, dt_grid, mean0, cov0, trap,
-                       sigma0, zeta0, h, u, s_dir, hp, buffer_len):
-    """Per-trajectory covariances: events at exponential gaps, masked batch."""
-    k = hi - lo
-    w, ms, hbar = trap.trap_freq, trap.mass, trap.hbar
-    dim = mean0.shape[0]
-    gaps = np.empty((k, buffer_len))
-    z = np.empty((k, buffer_len))
-    for i in range(k):
-        rng = _traj_rng(seed, lo + i)
-        gaps[i] = rng.exponential(scale=1.0 / gamma, size=buffer_len)
-        z[i] = rng.normal(size=buffer_len)
-    times = np.cumsum(gaps, axis=1)
-    if np.any(times[:, -1] <= n_grid * dt_grid):
-        raise NonConvergence(f"event buffer {buffer_len} exhausted before t_max")
-
-    means = np.tile(mean0, (k, 1))
-    covs = np.tile(cov0, (k, 1, 1))
-    t_now = np.zeros(k)
-    ptr = np.zeros(k, dtype=int)
-    back = hbar**2 / (4.0 * sigma0**2)
-    out = np.zeros((n_grid + 1, 5))
-
-    def batched_rotate(mask, dt):
-        if not np.any(mask):
-            return
-        c, sn = np.cos(w * dt[mask]), np.sin(w * dt[mask])
-        r = np.zeros((mask.sum(), dim, dim))
-        for b in range(0, dim, 2):
-            r[:, b, b] = c
-            r[:, b, b + 1] = sn / (ms * w)
-            r[:, b + 1, b] = -ms * w * sn
-            r[:, b + 1, b + 1] = c
-        means[mask] = np.einsum("ijk,ik->ij", r, means[mask])
-        covs[mask] = np.einsum("ijk,ikl,iml->ijm", r, covs[mask], r)
-
-    def record(row):
-        cm = means @ h
-        pt = means @ hp
-        cv = np.einsum("j,ijk,k->i", h, covs, h)
-        pv = np.einsum("j,ijk,k->i", hp, covs, hp)
-        out[row] = (cm.sum(), (cm**2).sum() + cv.sum(),
-                    pt.sum(), (pt**2).sum() + pv.sum(), ptr.sum())
-
-    record(0)
-    for g in range(1, n_grid + 1):
-        t_edge = g * dt_grid
+    def lockstep(self):
+        """Draws for the whole batch, event after event, each (methods, k)."""
         while True:
-            next_t = times[np.arange(k), np.minimum(ptr, buffer_len - 1)]
-            active = (ptr < buffer_len) & (next_t <= t_edge)
-            if not np.any(active):
-                break
-            batched_rotate(active, next_t - t_now)
-            t_now[active] = next_t[active]
-            idx = np.flatnonzero(active)
-            hc = np.einsum("ijk,k->ij", covs[idx], h)
-            prior = np.einsum("ij,j->i", hc, h)
-            innov = prior + sigma0**2
-            x_m = means[idx] @ h + np.sqrt(innov) * z[idx, ptr[idx]]
-            gain = hc / innov[:, None]
-            means[idx] += gain * (x_m - means[idx] @ h)[:, None]
-            covs[idx] -= np.einsum("ij,ik->ijk", gain, hc)
-            covs[idx] += back * np.outer(u, u)[None, :, :]
-            means[idx] -= zeta0 * np.outer(x_m, s_dir)
-            ptr[idx] += 1
-        batched_rotate(np.ones(k, dtype=bool), t_edge - t_now)
-        t_now[:] = t_edge
-        record(g)
-    return out
+            self._refill(range(len(self._rngs)))
+            for j in range(self._buf.shape[2]):
+                yield self._buf[:, :, j]
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        """Next draw of each method for trajectories idx, shape (methods, len(idx))."""
+        stale = idx[self._used[idx] == self._buf.shape[2]]
+        self._refill(stale)
+        self._used[stale] = 0
+        used = self._used[idx]
+        self._used[idx] = used + 1
+        return self._buf[:, idx, used]
+
+
+def _ensemble_moments(st: _Pair) -> tuple:
+    """(mean X, Var X, mean P, Var P): conditional variance plus spread of means."""
+    k = st.x.shape[0]
+    mx, mp = st.x.sum() / k, st.p.sum() / k
+    return (mx, np.mean(st.xx) + ((st.x**2).sum() / k - mx**2),
+            mp, np.mean(st.pp) + ((st.p**2).sum() / k - mp**2))
 
 
 def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
-                 t_max: float, workers: int = 1, record_stride: int = 1) -> LoopTrajectory:
+                 t_max: float, record_stride: int = 1) -> LoopTrajectory:
     """Ensemble-averaged loop trajectory recorded every record_stride events.
 
     Records are taken just after the event at t = k/gamma (the first event
@@ -345,82 +251,63 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
                 "relative to the trap"
             )
         )
-    n = trap.atom_count
-    h, u, s_dir = _vectors(n)
-    hp = np.array([0.0, 1.0]) if n == 1 else np.array([0.0, 1.0, 0.0, 1.0])
-    kk = cfg.trajectories
     n_events = int(round(t_max * cfg.gamma))
     if n_events < 1:
         raise ConfigError("t_max shorter than one loop period")
-    _check_resolution(cfg.sigma0, float(h @ init.cov @ h))
+    _check_stable(trap, cfg)
+    mean0, cov0 = project_collective(init)
+    if cfg.sigma0 < 1e-7 * math.sqrt(max(cov0[0, 0], 0.0)):
+        raise MinResolution(
+            f"sigma0 {cfg.sigma0!r} below machine-meaningful resolution for "
+            f"variance {cov0[0, 0]!r}")
 
-    chunks = _chunk_bounds(kk)
-    if cfg.schedule == "regular":
-        rot = _rotation(trap, h.shape[0], 1.0 / cfg.gamma)
-        # shared conditional covariance path, recorded at stride boundaries
-        cov = init.cov.copy()
-        back = trap.hbar**2 / (4.0 * cfg.sigma0**2)
-        gains = np.empty((n_events, h.shape[0]))
-        innov_sd = np.empty(n_events)
-        rec_cov = [(float(h @ cov @ h), float(hp @ cov @ hp))]
-        for ev in range(n_events):
-            cov = rot @ cov @ rot.T
-            hc = cov @ h
-            innov = float(h @ hc) + cfg.sigma0**2
-            gains[ev] = hc / innov
-            innov_sd[ev] = math.sqrt(innov)
-            cov = cov - np.outer(gains[ev], hc) + back * np.outer(u, u)
+    k = cfg.trajectories
+    shared = cfg.schedule == "regular"
+    st = _Pair(np.full(k, mean0[0]), np.full(k, mean0[1]),
+               *(v if shared else np.full(k, v) for v in (cov0[0, 0], cov0[0, 1], cov0[1, 1])))
+    block = max(16, min(n_events, _DRAW_FLOATS // k))
+    physics = (cfg.sigma0, cfg.zeta0, trap.hbar)
+    records = [_ensemble_moments(st)]
+    if shared:
+        rot = _rotation(trap, 1.0 / cfg.gamma)
+        draws = _Streams(cfg.rng_seed, k, block, ("standard_normal",)).lockstep()
+        for ev, (z,) in zip(range(n_events), draws):
+            st, _ = _filter_event(st, rot, z, *physics)
             if (ev + 1) % record_stride == 0:
-                rec_cov.append((float(h @ cov @ h), float(hp @ cov @ hp)))
-
-        def job(bounds):
-            lo, hi = bounds
-            return _run_regular_chunk(lo, hi, cfg.rng_seed, n_events, init.mean,
-                                      rot, gains, innov_sd, h, hp, cfg.zeta0,
-                                      s_dir, record_stride)
-
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            partials = list(pool.map(job, chunks))
-        sums = np.zeros_like(partials[0])
-        for p in partials:
-            sums += p
-        n_rec = sums.shape[0]
-        times = np.arange(n_rec) * (record_stride / cfg.gamma)
-        mean_x = sums[:, 0] / kk
-        mean_p = sums[:, 2] / kk
-        spread_x = sums[:, 1] / kk - mean_x**2
-        spread_p = sums[:, 3] / kk - mean_p**2
-        cond = np.array(rec_cov)
-        var_x = cond[:, 0] + spread_x
-        var_p = cond[:, 1] + spread_p
-        events = np.arange(n_rec, dtype=float) * record_stride
+                records.append(_ensemble_moments(st))
+        events = np.arange(len(records), dtype=float) * record_stride
     else:
-        n_grid = n_events // record_stride
+        # event gaps in units of the mean spacing 1/gamma
+        draws = _Streams(cfg.rng_seed, k, block, ("standard_exponential", "standard_normal"))
+        gaps, z = draws.take(np.arange(k))
+        t_next = gaps / cfg.gamma
+        t_last = np.zeros(k)
+        fired = np.zeros(k)
+        counts = [0.0]
         dt_grid = record_stride / cfg.gamma
-        lam = t_max * cfg.gamma
-        buffer_len = int(lam + 8.0 * math.sqrt(lam) + 16)
+        for g in range(1, n_events // record_stride + 1):
+            t_edge = g * dt_grid
+            while True:
+                idx = np.flatnonzero(t_next <= t_edge)
+                if idx.size == 0:
+                    break
+                sub, _ = _filter_event(_Pair(*(f[idx] for f in st)),
+                                       _rotation(trap, t_next[idx] - t_last[idx]),
+                                       z[idx], *physics)
+                for field, value in zip(st, sub):
+                    field[idx] = value
+                t_last[idx] = t_next[idx]
+                fired[idx] += 1.0
+                gaps, z[idx] = draws.take(idx)
+                t_next[idx] += gaps / cfg.gamma
+            records.append(_ensemble_moments(_rotate(st, _rotation(trap, t_edge - t_last))))
+            counts.append(fired.sum() / k)
+        events = np.array(counts)
 
-        def job(bounds):
-            lo, hi = bounds
-            return _run_poisson_chunk(lo, hi, cfg.rng_seed, cfg.gamma, n_grid,
-                                      dt_grid, init.mean, init.cov, trap,
-                                      cfg.sigma0, cfg.zeta0, h, u, s_dir, hp,
-                                      buffer_len)
-
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            partials = list(pool.map(job, chunks))
-        sums = np.zeros_like(partials[0])
-        for p in partials:
-            sums += p
-        times = np.arange(n_grid + 1) * dt_grid
-        mean_x = sums[:, 0] / kk
-        mean_p = sums[:, 2] / kk
-        var_x = sums[:, 1] / kk - mean_x**2
-        var_p = sums[:, 3] / kk - mean_p**2
-        events = sums[:, 4] / kk
-
+    rec = np.array(records)
     return LoopTrajectory(
-        times=times, mean_X=mean_x, var_X=var_x, mean_P=mean_p, var_P=var_p,
+        times=np.arange(len(records)) * (record_stride / cfg.gamma),
+        mean_X=rec[:, 0], var_X=rec[:, 1], mean_P=rec[:, 2], var_P=rec[:, 3],
         n_events=events, config=cfg, trap=trap,
     )
 

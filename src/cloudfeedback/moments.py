@@ -100,7 +100,10 @@ def build_generators(trap: TrapConfig, fb: FeedbackConfig) -> DriftDiffusion:
         D = 0.5 * np.array([[kick, 0.0], [0.0, back]])
         return DriftDiffusion(A=A, D=D, n=1, trap=trap, fb=fb)
 
-    drag = np.array([1.0 / n, 0.0, (n - 1) / n, 0.0])
+    # drag along the measured row, kicks along the section's position column,
+    # back-action along its momentum column
+    contract, section = _collective_maps(n)
+    drag, v, u = contract[0], section[:, 0], section[:, 1]
     A = np.zeros((4, 4))
     A[0] = -zeta * drag
     A[0, 1] = 1.0 / m
@@ -109,14 +112,17 @@ def build_generators(trap: TrapConfig, fb: FeedbackConfig) -> DriftDiffusion:
     A[2, 3] = 1.0 / ((n - 1) * m)
     A[3, 2] = -(n - 1) * m * w**2
 
-    v = np.array([1.0, 0.0, 1.0, 0.0])
-    u = np.array([0.0, 1.0 / n, 0.0, (n - 1) / n])
     D = 0.5 * (kick * np.outer(v, v) + back * np.outer(u, u))
     return DriftDiffusion(A=A, D=D, n=n, trap=trap, fb=fb)
 
 
 def _collective_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Contraction C to (X_tot, P_tot) and a section S with C S = I."""
+    """Contraction C to (X_tot, P_tot) and a section S with C S = I.
+
+    The single definition of the collective vectors: C's first row is the
+    measured cm row, S's columns are the kick direction (every position) and
+    the back-action direction (momenta in proportion to the atoms carried).
+    """
     if n == 1:
         eye = np.eye(2)
         return eye, eye

@@ -17,7 +17,6 @@ by the enlarged basis).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,8 +193,7 @@ def _restart_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def search_state(spec: SearchSpec, trap: TrapConfig, fb=None,
-                 workers: int = 1):
+def search_state(spec: SearchSpec, trap: TrapConfig, fb=None):
     """Restarted Nelder-Mead over the family; returns (state, value, report).
 
     The reported value is the best objective seen anywhere, start points
@@ -270,8 +268,7 @@ def search_state(spec: SearchSpec, trap: TrapConfig, fb=None,
         best_vec, best_val = (res.x, float(res.fun)) if res.fun <= start else (x0, float(start))
         return row, best_vec, best_val
 
-    with ThreadPoolExecutor(max_workers=max(1, int(workers))) as pool:
-        results = list(pool.map(run_restart, range(spec.restarts)))
+    results = [run_restart(k) for k in range(spec.restarts)]
 
     rows = [r[0] for r in results]
     best_idx = min(range(len(results)), key=lambda i: results[i][2])

@@ -50,6 +50,10 @@ def test_config_rejects_stray_task_keys():
     with pytest.raises(ConfigError, match="stride"):
         driver.RunConfig("scan", {"zeta": 0.2, "sigma": 0.5,
                                   "task": {"name": "scan", "stride": 4}}, {})
+    # every run is single-threaded; a leftover worker count is a typo, not a hint
+    for task in ("loop", "scan", "search"):
+        with pytest.raises(ConfigError, match="workers"):
+            driver.RunConfig(task, {"task": {"name": task, "workers": 2}}, {})
     # the oracle engine keys stay legal on evolve, which forwards them
     cfg = driver.RunConfig("evolve", {"zeta": 0.2, "sigma": 0.5,
                                       "task": {"name": "evolve",
@@ -435,8 +439,7 @@ def test_cli_loop_rerun_is_byte_identical(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "n": 1, "gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002,
-        "task": {"name": "loop", "t_max": 1.0, "trajectories": 128,
-                 "workers": 3}}))
+        "task": {"name": "loop", "t_max": 1.0, "trajectories": 128}}))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     code, _, err1 = run_cli(["loop", "--config", str(cfg), "--seed", "9",
                              "--out", str(a)])
@@ -452,6 +455,24 @@ def test_cli_loop_rerun_is_byte_identical(tmp_path):
     c = tmp_path / "c.csv"
     run_cli(["loop", "--config", str(cfg), "--seed", "10", "--out", str(c)])
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_cli_loop_unstable_map_exits_2(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": 1, "gamma": 50.0, "sigma0": 5.0, "zeta0": 100.0,
+        "task": {"name": "loop", "t_max": 1.0, "trajectories": 16}}))
+    out = tmp_path / "loop.csv"
+    code, _, err = run_cli(["loop", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert "spectral radius" in doc["detail"]
+    assert not out.exists()
+    # without gain the map is a pure rotation, radius exactly 1, still allowed
+    code, _, _ = run_cli(["loop", "--config", str(cfg), "--zeta0", "0",
+                          "--out", str(out)])
+    assert code == 0
 
 
 def test_cli_loop_without_discrete_triple_exits_2():
@@ -478,7 +499,7 @@ def test_cli_search_rerun_is_byte_identical(tmp_path):
     cfg.write_text(json.dumps({
         "n": 2,
         "task": {"name": "search", "family": "fixed_N_pure", "m": 3,
-                 "restarts": 3, "workers": 2}}))
+                 "restarts": 3}}))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
         code, _, err = run_cli(["search", "--config", str(cfg), "--seed", "5",

@@ -19,11 +19,17 @@ def loop_for(trap, zeta, eta, gamma, **kw):
                            zeta0=zeta / gamma, **kw)
 
 
-def gaussian_state(n, mean, cov):
-    return loop.ConditionalGaussianState(
-        mean=np.array(mean, dtype=float), cov=np.array(cov, dtype=float),
-        n=n, trap=trap_for(n),
-    )
+def pair_state(mean, cov, k=None):
+    """Collective-pair filter state; k copies of the means when k is given."""
+    x, p = mean if k is None else (np.full(k, mean[0]), np.full(k, mean[1]))
+    return loop._Pair(x, p, cov[0][0], cov[0][1], cov[1][1])
+
+
+def event(st, z, sigma0, zeta0=0.0, dt=0.0, n=1):
+    """One kernel event on the n-atom pair, rotating by dt first."""
+    trap = trap_for(n)
+    return loop._filter_event(st, loop._rotation(trap, dt), z, sigma0, zeta0,
+                              trap.hbar)
 
 
 def ground_moments(n):
@@ -52,67 +58,60 @@ def test_loop_config_validation_and_continuous_map():
 
 
 def test_rotation_is_exact_symplectic_orbit():
-    st = gaussian_state(1, [1.0, 0.5], [[0.7, 0.1], [0.1, 0.9]])
-    quarter = st.rotate(math.pi / 2)
-    assert quarter.mean[0] == pytest.approx(0.5, abs=1e-12)
-    assert quarter.mean[1] == pytest.approx(-1.0, abs=1e-12)
-    full = st.rotate(2 * math.pi)
-    assert np.allclose(full.mean, st.mean, atol=1e-12)
-    assert np.allclose(full.cov, st.cov, atol=1e-12)
-
-
-def test_state_validation_rejects_bad_covariance():
-    with pytest.raises(ConfigError):
-        gaussian_state(1, [0.0, 0.0], [[1.0, 0.0], [0.5, 1.0]])
-    with pytest.raises(ConfigError):
-        gaussian_state(1, [0.0, 0.0], [[-0.2, 0.0], [0.0, 1.0]])
-    with pytest.raises(ConfigError):
-        gaussian_state(2, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+    cov = [[0.7, 0.1], [0.1, 0.9]]
+    for n in (1, 3):
+        # the pair oscillates with the collective mass n m
+        mw = n * 1.0 * 1.0
+        st = pair_state([1.0, 0.5], cov)
+        quarter = loop._rotate(st, loop._rotation(trap_for(n), math.pi / 2))
+        assert quarter.x == pytest.approx(0.5 / mw, abs=1e-12)
+        assert quarter.p == pytest.approx(-1.0 * mw, abs=1e-12)
+        full = loop._rotate(st, loop._rotation(trap_for(n), 2 * math.pi))
+        assert np.allclose(full, st, atol=1e-12)
 
 
 def test_sample_measurement_statistics():
     rng = np.random.default_rng(7)
-    sharp = gaussian_state(1, [1.3, 0.0], [[1e-16, 0.0], [0.0, 0.5]])
-    draws = np.array([loop.sample_measurement(sharp, 0.4, rng) for _ in range(3000)])
+    sharp = pair_state([1.3, 0.0], [[1e-16, 0.0], [0.0, 0.5]], k=3000)
+    _, draws = event(sharp, rng.normal(size=3000), 0.4)
     assert draws.mean() == pytest.approx(1.3, abs=4 * 0.4 / math.sqrt(3000))
 
-    st = gaussian_state(1, [0.2, 0.0], [[0.5, 0.0], [0.0, 0.5]])
     n_samp = 100_000
-    mean, var = st.cm_position()
+    st = pair_state([0.2, 0.0], [[0.5, 0.0], [0.0, 0.5]], k=n_samp)
+    var = st.xx
     target = var + 0.3**2
-    draws = np.array([loop.sample_measurement(st, 0.3, rng) for _ in range(n_samp)])
+    _, draws = event(st, rng.normal(size=n_samp), 0.3)
     stat = 3.0 * target * math.sqrt(2.0 / n_samp)
     assert abs(np.var(draws) - target) < stat
     # uninformative limit: outcome variance ~ sigma0^2
-    wide = np.array([loop.sample_measurement(st, 50.0, rng) for _ in range(20_000)])
+    st = pair_state([0.2, 0.0], [[0.5, 0.0], [0.0, 0.5]], k=20_000)
+    _, wide = event(st, rng.normal(size=20_000), 50.0)
     assert np.var(wide) == pytest.approx(50.0**2 + var, rel=0.05)
 
 
 def test_measurement_update_conditioning_formulas():
     v = 0.8
-    st = gaussian_state(1, [0.4, -0.2], [[v, 0.05], [0.05, 0.6]])
-    post = loop.measurement_update(st, 1.0, math.sqrt(v))
-    _, post_var = post.cm_position()
-    assert post_var == pytest.approx(v / 2.0, abs=1e-12)
+    st = pair_state([0.4, -0.2], [[v, 0.05], [0.05, 0.6]])
+    # the unit-normal draw that lands the outcome on 1.0
+    z = (1.0 - 0.4) / math.sqrt(v + v)
+    post, x_m = event(st, z, math.sqrt(v))
+    assert x_m == pytest.approx(1.0, abs=1e-12)
+    assert post.xx == pytest.approx(v / 2.0, abs=1e-12)
     k = v / (v + v)
-    assert post.mean[0] == pytest.approx(0.4 + k * (1.0 - 0.4), abs=1e-12)
-    # infinite resolution: no update, no back-action
-    same = loop.measurement_update(st, 12.0, math.inf)
-    assert np.allclose(same.mean, st.mean)
-    assert np.allclose(same.cov, st.cov)
+    assert post.x == pytest.approx(0.4 + k * (1.0 - 0.4), abs=1e-12)
 
 
 def test_measurement_update_never_increases_cm_variance():
     rng = np.random.default_rng(42)
     for n in (1, 2):
-        dim = 2 if n == 1 else 4
         for _ in range(100):
-            a = rng.normal(size=(dim, dim))
-            st = gaussian_state(n, rng.normal(size=dim), a @ a.T + 1e-6 * np.eye(dim))
-            _, before = st.cm_position()
-            post = loop.measurement_update(st, rng.normal(), 10**rng.uniform(-1, 1))
-            _, after = post.cm_position()
-            assert after <= before + 1e-12
+            a = rng.normal(size=(2, 2))
+            cov = a @ a.T + 1e-6 * np.eye(2)
+            st = pair_state(rng.normal(size=2), cov)
+            dt = rng.uniform(0.0, 1.0)
+            before = loop._rotate(st, loop._rotation(trap_for(n), dt)).xx
+            post, _ = event(st, rng.normal(), 10**rng.uniform(-1, 1), dt=dt, n=n)
+            assert post.xx <= before + 1e-12
 
 
 def test_no_signalling_of_the_average():
@@ -123,54 +122,51 @@ def test_no_signalling_of_the_average():
         [0.2, 0.0, 0.5, 0.05],
         [0.0, 0.1, 0.05, 0.8],
     ])
-    st = gaussian_state(2, [0.3, -0.1, 0.2, 0.4], cov)
+    mean, pair_cov = moments.project_collective(moments.JointMoments(
+        mean=np.array([0.3, -0.1, 0.2, 0.4]), cov=cov, n=2))
     sigma0 = 0.6
-    mean_cm, var_cm = st.cm_position()
     rng = np.random.default_rng(99)
     n_samp = 1_000_000
-    x_m = rng.normal(mean_cm, math.sqrt(var_cm + sigma0**2), size=n_samp)
+    z = rng.normal(size=n_samp)
 
-    post = loop.posterior_means(st, x_m, sigma0)
+    batch, _ = event(pair_state(mean, pair_cov, k=n_samp), z, sigma0, n=2)
+    post = np.stack([batch.x, batch.p], axis=1)
     for j in range(5):
-        single = loop.measurement_update(st, float(x_m[j]), sigma0)
-        assert np.allclose(post[j], single.mean, atol=1e-12)
+        single, _ = event(pair_state(mean, pair_cov), float(z[j]), sigma0, n=2)
+        assert np.allclose(post[j], [single.x, single.p], atol=1e-12)
 
     # averaged conditional mean returns the prior mean
     se = np.std(post, axis=0) / math.sqrt(n_samp)
-    assert np.all(np.abs(post.mean(axis=0) - st.mean) < 3.0 * se + 1e-12)
+    assert np.all(np.abs(post.mean(axis=0) - mean) < 3.0 * se + 1e-12)
 
     # spread of conditional means + conditional covariance = prior + back-action
-    post_cov = loop.measurement_update(st, float(x_m[0]), sigma0).cov
+    post_cov = np.array([[batch.xx, batch.xp], [batch.xp, batch.pp]])
     spread = np.cov(post.T, bias=True)
-    h, u, _ = loop._vectors(2)
-    expected = st.cov + (trap.hbar**2 / (4.0 * sigma0**2)) * np.outer(u, u)
+    u = np.array([0.0, 1.0])
+    expected = pair_cov + (trap.hbar**2 / (4.0 * sigma0**2)) * np.outer(u, u)
     recon = spread + post_cov
     assert np.max(np.abs(recon - expected)) < 0.005 * np.max(np.abs(expected))
 
 
 def test_kick_shifts_positions_only():
-    st = gaussian_state(2, [0.5, 0.1, 0.5, -0.2], np.diag([0.3, 0.4, 0.5, 0.6]))
-    same = loop.kick(st, 0.7, 0.0)
-    assert np.allclose(same.mean, st.mean)
-    shifted = loop.kick(st, 0.7, 1.0)
-    assert shifted.mean[0] == pytest.approx(0.5 - 0.7)
-    assert shifted.mean[2] == pytest.approx(0.5 - 0.7)
-    assert shifted.mean[1] == pytest.approx(0.1)
-    assert shifted.mean[3] == pytest.approx(-0.2)
-    assert np.allclose(shifted.cov, st.cov)
+    st = pair_state([0.5, 0.1], [[0.3, 0.0], [0.0, 0.6]])
+    free, x_m = event(st, 0.7, 0.8)
+    shifted, kicked_at = event(st, 0.7, 0.8, zeta0=1.0)
+    assert kicked_at == x_m
+    assert shifted.x == pytest.approx(free.x - x_m)
+    assert shifted.p == pytest.approx(free.p)
+    assert (shifted.xx, shifted.xp, shifted.pp) == (free.xx, free.xp, free.pp)
     # perfectly known cm, unit gain: exact cancellation
-    sharp = gaussian_state(1, [0.9, 0.0], [[1e-18, 0.0], [0.0, 0.5]])
-    zeroed = loop.kick(sharp, 0.9, 1.0)
-    assert zeroed.mean[0] == pytest.approx(0.0, abs=1e-15)
+    sharp = pair_state([0.9, 0.0], [[1e-18, 0.0], [0.0, 0.5]])
+    zeroed, _ = event(sharp, 0.0, 1.0, zeta0=1.0)
+    assert zeroed.x == pytest.approx(0.0, abs=1e-15)
 
 
 def test_min_resolution_guard():
-    st = gaussian_state(1, [0.0, 0.0], [[0.5, 0.0], [0.0, 0.5]])
-    rng = np.random.default_rng(0)
+    trap = trap_for(1)
+    cfg = loop.LoopConfig(gamma=100.0, sigma0=1e-9, zeta0=0.0, trajectories=4)
     with pytest.raises(MinResolution):
-        loop.sample_measurement(st, 1e-9, rng)
-    with pytest.raises(MinResolution):
-        loop.measurement_update(st, 0.0, 1e-9)
+        loop.run_ensemble(ground_moments(1), cfg, trap, 1.0)
 
 
 def test_timescale_warning_below_twenty_omega():
@@ -213,26 +209,32 @@ def test_full_loop_mean_matches_continuous_prediction():
 
 
 def test_stationary_variance_matches_discrete_fixed_point():
-    trap = trap_for(1)
     zeta = 0.5
-    target = derive_scales(trap, FeedbackConfig(
-        shift_rate=zeta, meas_resolution=math.sqrt(0.5 / zeta))).DXs ** 2
-    errs = []
-    for gamma in (25.0, 100.0):
-        cfg = loop_for(trap, zeta=zeta, eta=1.0, gamma=gamma,
-                       rng_seed=3, trajectories=6000)
-        h, _, _ = loop._vectors(1)
-        fixed = loop.stationary_discrete(trap, cfg)
-        fixed_var = float(h @ fixed @ h)
-        traj = loop.run_ensemble(ground_moments(1), cfg, trap, 30.0,
-                                 record_stride=5)
-        late = traj.times > 20.0
-        mc = float(np.mean(traj.var_X[late]))
-        assert mc == pytest.approx(fixed_var, rel=0.05)
-        errs.append(abs(fixed_var - target))
-    # discrete-map bias shrinks like 1/gamma
-    assert errs[1] < errs[0]
-    assert errs[1] < 4.0 * target / 100.0
+    for n in (1, 3):
+        trap = trap_for(n)
+        target = derive_scales(trap, FeedbackConfig(
+            shift_rate=zeta, meas_resolution=math.sqrt(0.5 / (n * zeta)))).DXs ** 2
+        errs = []
+        for gamma in (25.0, 100.0):
+            cfg = loop_for(trap, zeta=zeta, eta=1.0, gamma=gamma,
+                           rng_seed=3, trajectories=6000)
+            fixed_var = float(loop.stationary_discrete(trap, cfg)[0, 0])
+            traj = loop.run_ensemble(ground_moments(n), cfg, trap, 30.0,
+                                     record_stride=5)
+            late = traj.times > 20.0
+            mc = float(np.mean(traj.var_X[late]))
+            assert mc == pytest.approx(fixed_var, rel=0.05)
+            errs.append(abs(fixed_var - target))
+        # discrete-map bias shrinks like 1/gamma
+        assert errs[1] < errs[0]
+        assert errs[1] < 4.0 * target / 100.0
+    # the fixed point lives on the collective pair, so it is well posed at any n
+    for n in (2, 5):
+        trap = trap_for(n)
+        fixed = loop.stationary_discrete(trap, loop_for(trap, zeta=zeta, eta=1.0,
+                                                        gamma=50.0))
+        assert np.all(np.isfinite(fixed))
+        assert np.array_equal(fixed, fixed.T)
 
 
 def test_regular_and_poisson_schedules_share_the_limit():
@@ -257,14 +259,13 @@ def test_regular_and_poisson_schedules_share_the_limit():
     assert diffs[1] < 3.0 / 100.0 + 0.06
 
 
-def test_ensemble_is_deterministic_across_workers():
+def test_ensemble_rerun_is_deterministic():
     trap = trap_for(1)
     runs = []
-    for workers in (1, 4):
+    for _ in range(2):
         cfg = loop_for(trap, zeta=0.5, eta=1.0, gamma=60.0,
                        rng_seed=123, trajectories=2500)
-        runs.append(loop.run_ensemble(ground_moments(1), cfg, trap, 4.0,
-                                      workers=workers))
+        runs.append(loop.run_ensemble(ground_moments(1), cfg, trap, 4.0))
     for field in ("times", "mean_X", "var_X", "mean_P", "var_P", "n_events"):
         a, b = getattr(runs[0], field), getattr(runs[1], field)
         assert np.array_equal(a, b)
@@ -276,11 +277,11 @@ def test_ensemble_is_deterministic_across_workers():
     assert not np.array_equal(other.mean_X, runs[0].mean_X)
 
     poisson = []
-    for workers in (1, 3):
+    for _ in range(2):
         cfg = loop_for(trap, zeta=0.5, eta=1.0, gamma=40.0, rng_seed=9,
                        trajectories=1500, schedule="poisson")
         poisson.append(loop.run_ensemble(ground_moments(1), cfg, trap, 3.0,
-                                         workers=workers, record_stride=4))
+                                         record_stride=4))
     assert np.array_equal(poisson[0].var_X, poisson[1].var_X)
 
 
@@ -291,16 +292,14 @@ def test_kraus_sample_follows_predictive_distribution():
         trap, FeedbackConfig(shift_rate=0.0, meas_resolution=math.inf), basis)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.6), 1)
     rho = oracle.DensityMatrix.from_state(state, basis).matrix
-    filt = loop.ConditionalGaussianState.from_moments(
-        moments.init_moments(state, basis), trap)
+    mean, cov = moments.project_collective(moments.init_moments(state, basis))
     sigma0 = 1.5
     rng = np.random.default_rng(2)
     n_samp = 40_000
     draws = np.array([loop.kraus_sample(rho, gen.x_hat, sigma0, rng)
                       for _ in range(n_samp)])
-    mean, var = filt.cm_position()
-    target = var + sigma0**2
-    assert draws.mean() == pytest.approx(mean, abs=4 * math.sqrt(target / n_samp))
+    target = cov[0, 0] + sigma0**2
+    assert draws.mean() == pytest.approx(mean[0], abs=4 * math.sqrt(target / n_samp))
     assert np.var(draws) == pytest.approx(target, rel=4 * math.sqrt(2.0 / n_samp))
 
 
@@ -325,8 +324,7 @@ def test_kraus_backend_agrees_with_gaussian_filter():
         trap, FeedbackConfig(shift_rate=0.0, meas_resolution=math.inf), basis)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.4), 1)
     rho = oracle.DensityMatrix.from_state(state, basis).matrix
-    filt = loop.ConditionalGaussianState.from_moments(
-        moments.init_moments(state, basis), trap)
+    filt = pair_state(*moments.project_collective(moments.init_moments(state, basis)))
 
     sigma0, zeta0, dt = 2.5, 0.05, 0.05
     x_hat, p_hat = gen.x_hat, gen.p_hat
@@ -334,17 +332,15 @@ def test_kraus_backend_agrees_with_gaussian_filter():
     rng = np.random.default_rng(31)
     for _ in range(40):
         rho = (phases[:, None] * rho) * phases.conj()[None, :]
-        filt = filt.rotate(dt)
-        x_m = loop.sample_measurement(filt, sigma0, rng)
+        filt, x_m = event(filt, rng.normal(), sigma0, zeta0=zeta0, dt=dt)
         rho = loop.kraus_measure(rho, x_hat, x_m, sigma0)
         rho = loop.kraus_kick(rho, p_hat, x_m, zeta0, trap.hbar)
-        filt = loop.kick(loop.measurement_update(filt, x_m, sigma0), x_m, zeta0)
 
         mean_x = float(np.trace(x_hat @ rho).real)
         mean_p = float(np.trace(p_hat @ rho).real)
         var_x = float(np.trace(x_hat @ x_hat @ rho).real) - mean_x**2
         var_p = float(np.trace(p_hat @ p_hat @ rho).real) - mean_p**2
-        assert mean_x == pytest.approx(filt.mean[0], abs=1e-7)
-        assert mean_p == pytest.approx(filt.mean[1], abs=1e-7)
-        assert var_x == pytest.approx(filt.cov[0, 0], abs=1e-7)
-        assert var_p == pytest.approx(filt.cov[1, 1], abs=1e-7)
+        assert mean_x == pytest.approx(filt.x, abs=1e-7)
+        assert mean_p == pytest.approx(filt.p, abs=1e-7)
+        assert var_x == pytest.approx(filt.xx, abs=1e-7)
+        assert var_p == pytest.approx(filt.pp, abs=1e-7)
