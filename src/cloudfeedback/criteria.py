@@ -10,6 +10,7 @@ the toolkit is built to map out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +29,13 @@ class QuadratureHarmonics:
     B: float
     C: float
     omega: float
+
+    @classmethod
+    def from_samples(cls, s0: float, s45: float, s90: float,
+                     omega: float) -> "QuadratureHarmonics":
+        """Exact reconstruction from samples at t = 0, pi/4w and pi/2w."""
+        a = 0.5 * (s0 + s90)
+        return cls(A=a, B=0.5 * (s0 - s90), C=s45 - a, omega=omega)
 
     def value(self, t: float) -> float:
         th = 2.0 * self.omega * t
@@ -65,6 +73,20 @@ class CriterionReport:
         }
 
 
+@functools.lru_cache(maxsize=8)
+def quadrature_pairs(basis: fock.OrbitalBasis) -> tuple:
+    """(q(t), q^2(t)) at the three sample times t = 0, pi/4w, pi/2w."""
+    w = basis.trap.trap_freq
+    return tuple((fock.quadrature_matrix(basis, t), fock.quadrature_sq_matrix(basis, t))
+                 for t in (0.0, math.pi / (4.0 * w), math.pi / (2.0 * w)))
+
+
+def _sigma(state, q: fock.OneBodyOperator, q2: fock.OneBodyOperator,
+           leak_tol: float) -> float:
+    return (fock.few_body_expectation(state, [q2], leak_tol=leak_tol).real / state.n
+            - fock.few_body_expectation(state, [q, q], leak_tol=leak_tol).real / state.n**2)
+
+
 def sigma_q_sq(state: fock.FockState | fock.StateEnsemble,
                basis: fock.OrbitalBasis, t: float, *,
                leak_tol: float = 1e-10) -> float:
@@ -73,24 +95,16 @@ def sigma_q_sq(state: fock.FockState | fock.StateEnsemble,
     Linear in the density operator, so mixtures average the two terms, not
     per-member values.
     """
-    n = state.n
-    q = fock.quadrature_matrix(basis, t)
-    q2 = fock.quadrature_sq_matrix(basis, t)
-    one_body = fock.few_body_expectation(state, [q2], leak_tol=leak_tol).real
-    collective = fock.few_body_expectation(state, [q, q], leak_tol=leak_tol).real
-    return one_body / n - collective / n**2
+    return _sigma(state, fock.quadrature_matrix(basis, t),
+                  fock.quadrature_sq_matrix(basis, t), leak_tol)
 
 
 def quadrature_harmonics(state: fock.FockState | fock.StateEnsemble,
                          basis: fock.OrbitalBasis, *,
                          leak_tol: float = 1e-10) -> QuadratureHarmonics:
     """Exact three-point reconstruction of the pure second-harmonic signal."""
-    w = basis.trap.trap_freq
-    s0 = sigma_q_sq(state, basis, 0.0, leak_tol=leak_tol)
-    s90 = sigma_q_sq(state, basis, math.pi / (2.0 * w), leak_tol=leak_tol)
-    s45 = sigma_q_sq(state, basis, math.pi / (4.0 * w), leak_tol=leak_tol)
-    a = 0.5 * (s0 + s90)
-    return QuadratureHarmonics(A=a, B=0.5 * (s0 - s90), C=s45 - a, omega=w)
+    samples = [_sigma(state, q, q2, leak_tol) for q, q2 in quadrature_pairs(basis)]
+    return QuadratureHarmonics.from_samples(*samples, omega=basis.trap.trap_freq)
 
 
 def asymptotic_cloud_size(scales: DerivedScales, h: QuadratureHarmonics,

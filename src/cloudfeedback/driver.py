@@ -91,6 +91,23 @@ def _as_float(value, key: str) -> float:
     return float(value)
 
 
+def _as_occupation(occ, m: int | None, trap: TrapConfig) -> list:
+    """A list of nonnegative integers holding the trap's atoms (m of them if given)."""
+    if (not isinstance(occ, list) or not occ or (m is not None and len(occ) != m)
+            or not all(isinstance(v, int) and v >= 0 for v in occ)):
+        raise ConfigError(f"occupation must list nonnegative integers ({m or 'any'} of them), "
+                          f"got {occ!r}")
+    if sum(occ) != trap.atom_count:
+        raise ConfigError(f"occupation holds {sum(occ)} atoms but the trap has {trap.atom_count}")
+    return occ
+
+
+def _as_complex(pair, key: str) -> complex:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ConfigError(f"{key} must be an [re, im] pair, got {pair!r}")
+    return complex(_as_float(pair[0], key), _as_float(pair[1], key))
+
+
 class RunConfig:
     """Validated run description: trap, optional feedback forms, state, task."""
 
@@ -190,15 +207,8 @@ def build_state(doc: dict | None, trap: TrapConfig):
         raise ConfigError(f"unknown state keys for kind {kind!r}: {sorted(unknown)}")
 
     if kind == "occupation":
-        occ = doc.get("occupation")
-        if not isinstance(occ, list) or not occ or not all(
-                isinstance(v, int) and v >= 0 for v in occ):
-            raise ConfigError(f"occupation must be a list of nonnegative integers, got {occ!r}")
-        if sum(occ) != trap.atom_count:
-            raise ConfigError(
-                f"occupation holds {sum(occ)} atoms but the trap has {trap.atom_count}")
-        basis = fock.OrbitalBasis(mode_count=len(occ), trap=trap)
-        return fock.basis_state(tuple(occ)), basis
+        occ = _as_occupation(doc.get("occupation"), None, trap)
+        return fock.basis_state(occ), fock.OrbitalBasis(mode_count=len(occ), trap=trap)
 
     m = _as_int(doc.get("m", 6), "state.m")
     basis = fock.OrbitalBasis(mode_count=m, trap=trap)
@@ -215,7 +225,7 @@ def build_state(doc: dict | None, trap: TrapConfig):
             pairs = doc["orbital"]
             if not isinstance(pairs, list) or len(pairs) != m:
                 raise ConfigError(f"orbital must list {m} [re, im] pairs")
-            orb = np.array([complex(p[0], p[1]) for p in pairs])
+            orb = np.array([_as_complex(p, "orbital entry") for p in pairs])
             norm = np.linalg.norm(orb)
             if norm < 1e-12:
                 raise ConfigError("orbital vector has zero norm")
@@ -231,22 +241,15 @@ def build_state(doc: dict | None, trap: TrapConfig):
             raise ConfigError("superposition needs a nonempty terms list")
         amp = {}
         for term in terms:
-            occ = term.get("occupation")
-            pair = term.get("amp")
-            if (not isinstance(occ, list) or len(occ) != m
-                    or not all(isinstance(v, int) and v >= 0 for v in occ)):
-                raise ConfigError(f"term occupation must list {m} nonnegative integers")
-            if sum(occ) != trap.atom_count:
-                raise ConfigError(
-                    f"term holds {sum(occ)} atoms but the trap has {trap.atom_count}")
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError("term amp must be an [re, im] pair")
-            amp[tuple(occ)] = amp.get(tuple(occ), 0.0) + complex(pair[0], pair[1])
+            if not isinstance(term, dict):
+                raise ConfigError(f"superposition term must be an object, got {term!r}")
+            occ = tuple(_as_occupation(term.get("occupation"), m, trap))
+            amp[occ] = amp.get(occ, 0.0) + _as_complex(term.get("amp"), "term amp")
         total = math.sqrt(sum(abs(v) ** 2 for v in amp.values()))
         if total < 1e-12:
             raise ConfigError("superposition terms cancel to zero")
-        amp = {occ: v / total for occ, v in amp.items()}
-        return fock.FockState(n=trap.atom_count, m=m, amp=amp), basis
+        return fock.FockState(n=trap.atom_count, m=m, occ=list(amp),
+                              amp=[v / total for v in amp.values()]), basis
 
     temperature = doc.get("temperature")
     if temperature is None:
@@ -333,11 +336,16 @@ def breathing_curve(state, basis, trap: TrapConfig, fb: FeedbackConfig,
     transient included, a final dx column holds the full moments evolution
     from t = 0 on the same grid.
     """
+    return _curve(criteria.quadrature_harmonics(state, basis), state, basis, trap, fb,
+                  samples, include_transient)
+
+
+def _curve(h: criteria.QuadratureHarmonics, state, basis, trap: TrapConfig,
+           fb: FeedbackConfig, samples, include_transient: bool):
     samples = _as_int(samples, "samples")
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples!r}")
     s = derive_scales(trap, fb)
-    h = criteria.quadrature_harmonics(state, basis)
     times = np.linspace(0.0, math.pi / trap.trap_freq, samples)
 
     header = ["t", "sigma_q_sq", "dxa", "dx0", "DXs"]
@@ -372,14 +380,13 @@ def _cmd_scales(cfg: RunConfig) -> int:
 def _cmd_criteria(cfg: RunConfig) -> int:
     fb = cfg.require_feedback()
     state, basis = build_state(cfg.state_doc, cfg.trap)
-    header, rows = breathing_curve(
-        state, basis, cfg.trap, fb,
+    h = criteria.quadrature_harmonics(state, basis)
+    header, rows = _curve(
+        h, state, basis, cfg.trap, fb,
         samples=cfg.param("samples", 129),
         include_transient=bool(cfg.param("include_transient", False)))
     write_csv(cfg.out, header, rows)
-    report = criteria.evaluate_criteria(
-        derive_scales(cfg.trap, fb),
-        criteria.quadrature_harmonics(state, basis))
+    report = criteria.evaluate_criteria(derive_scales(cfg.trap, fb), h)
     doc = report.to_dict()
     doc["min_sigma_q_sq"] = report.min_sigma_q_sq
     doc["notes"] = list(report.notes)

@@ -1,9 +1,15 @@
 """N-boson states over the first M harmonic-oscillator orbitals.
 
 Exact finite representation: occupation-number states with fixed total N,
-one-body operators as M x M matrices in the orbital basis, few-body
-expectation values by sparse operator application, and real-space densities
-via the stable Hermite-function recurrence.
+one-body operators as M x M matrices in the orbital basis, and real-space
+densities via the stable Hermite-function recurrence.
+
+A state's support is a (k, M) integer array of occupation rows sorted by
+exact lexicographic sector rank, with the amplitudes beside it.  One kernel,
+`one_body_coo`, gives the COO triplets of sum_ij A_ij a+_i a_j on any rows;
+every expectation, density and dense sector matrix comes from it.  Every
+enumeration of occupation rows is checked against one row budget before it
+starts, and operators are applied in row chunks of bounded size.
 
 Analytic matrix kinds exist for x^2, p^2, sym(xp) and q^2(t) because squaring
 the truncated x matrix loses the top diagonal elements; diagonal second
@@ -12,8 +18,11 @@ moments must be truncation-exact.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +36,17 @@ from .errors import (
 from .scales import TrapConfig
 
 _NORM_TOL = 1e-12
+# most occupation rows (M int64 each, with a key and an amplitude beside
+# them) that one sector, state support, applied vector or rank table may
+# hold, about 100 MB at M = 8; also the most dense complex entries, and the
+# most triplets, that pair_distribution builds
+_ROW_BUDGET = 1_000_000
+# most COO entries one_body_chunks asks of one_body_coo at once:
+# one_body_density on a 33,649-row state (N = 18, M = 6), chunk by chunk,
+# peaks at 44 MB under tracemalloc
+_ENTRY_BUDGET = 2**18
+# sector ranks, and the member-labelled keys of ensembles, stay below this
+_RANK_LIMIT = 2**62
 
 
 @dataclass(frozen=True)
@@ -53,9 +73,10 @@ class OneBodyOperator:
     kind: str = "custom"
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError(f"one-body matrix must be square, got shape {m.shape}")
+        m.setflags(write=False)  # frozen like the operator, so caches may share it
         object.__setattr__(self, "matrix", m)
         if self.hermitian and np.max(np.abs(m - m.conj().T)) > 1e-14 * max(1.0, np.max(np.abs(m))):
             raise ConfigError(f"operator tagged hermitian is not (kind={self.kind})")
@@ -155,44 +176,142 @@ def quadrature_sq_matrix(basis: OrbitalBasis, t: float) -> OneBodyOperator:
 # occupation basis
 
 
-def occupations(n: int, m: int) -> list[tuple[int, ...]]:
-    """All length-m occupation vectors summing to n, lexicographic order."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + (k,), remaining - k, slots - 1)
-
-    rec((), n, m)
-    return out
+def _check_rows(count: int, what: str, budget: int = _ROW_BUDGET) -> None:
+    if count > budget:
+        raise ConfigError(f"{what}: {count} over the budget of {budget}")
 
 
 def sector_dimension(n: int, m: int) -> int:
     return math.comb(n + m - 1, n)
 
 
-@dataclass(frozen=True)
+def occupations(n: int, m: int) -> np.ndarray:
+    """All length-m occupation vectors summing to n, (dim, m), row k of rank k."""
+    dim = sector_dimension(n, m)
+    _check_rows(dim, f"the (n={n}, m={m}) sector")
+    # stars and bars: the m - 1 bar positions among n + m - 1 slots
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n + m - 1), m - 1)), dtype=np.int64, count=dim * (m - 1))
+    return np.diff(bars.reshape(dim, m - 1), axis=1, prepend=-1, append=n + m - 1) - 1
+
+
+def occupation_energies(occ: np.ndarray, trap: TrapConfig) -> np.ndarray:
+    """sum_j n_j hbar w (j + 1/2) for each occupation row."""
+    hw = trap.hbar * trap.trap_freq
+    energy = np.zeros(len(occ))
+    for j in range(occ.shape[1]):
+        energy = energy + occ[:, j] * hw * (j + 0.5)
+    return energy
+
+
+@functools.lru_cache(maxsize=16)
+def _binomials(n: int, m: int) -> np.ndarray:
+    """table[r, l] = C(r + l, l) for r <= n, l < m: the sector-rank weights."""
+    dim = sector_dimension(n, m)
+    if dim >= _RANK_LIMIT:
+        raise ConfigError(f"the (n={n}, m={m}) sector has {dim} states, too many to rank")
+    _check_rows(n + 1, f"the (n={n}, m={m}) rank table")
+    table = np.ones((n + 1, m), dtype=np.int64)
+    for col in range(1, m):
+        table[:, col] = np.cumsum(table[:, col - 1])
+    table.setflags(write=False)  # every caller shares the cached table
+    return table
+
+
+def _suffix(occ: np.ndarray) -> np.ndarray:
+    """r[:, l] = atoms in orbitals l..m-1."""
+    return np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+
+
+def _rank(occ: np.ndarray, table: np.ndarray) -> np.ndarray:
+    # dim - 1 - rank counts the larger vectors: for each l >= 1, those that
+    # agree before orbital l-1 and leave fewer than r_l atoms for orbitals
+    # l.., C(r_l - 1 + m-l, m-l) of them
+    m = occ.shape[1]
+    r = _suffix(occ)[:, 1:]
+    later = np.where(r > 0, table[np.maximum(r - 1, 0), m - np.arange(1, m)], 0)
+    return table[-1, -1] - 1 - later.sum(axis=1)
+
+
+def one_body_coo(occ: np.ndarray, matrix: np.ndarray):
+    """COO triplets of T_A = sum_ij A[i][j] a+_i a_j on the rows of `occ`.
+
+    occ holds (k, m) int64 occupation rows of one fixed-N sector.  Returns
+    (src, tgt, val, i, j), one entry per row and nonzero A[i][j] with orbital
+    j occupied: source row, exact sector rank of the target row (one atom
+    moved from j to i), <tgt|T_A|src> and the orbital pair.  Entries come row
+    by row, then in the matrix's row-major order.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    k, m = occ.shape
+    table = _binomials(int(occ[0].sum()) if k else 0, m)
+    nz_i, nz_j = np.nonzero(matrix)
+    src, pair = np.nonzero(occ[:, nz_j] > 0)
+    i, j = nz_i[pair], nz_j[pair]
+    nj, ni = occ[src, j], occ[src, i]
+    val = matrix[i, j] * np.where(i == j, nj, np.sqrt(nj * (ni + 1)))
+
+    # moving one atom from j to i shifts the suffix counts r_l for l between
+    # them by one, and the rank by a binomial per shifted orbital; the running
+    # sums may wrap in int64, their differences (below dim) come out exact
+    r = _suffix(occ)
+    cols = m - 1 - np.arange(m)
+    down = np.cumsum(np.where(r > 0, table[np.maximum(r - 1, 0), cols], 0), axis=1)
+    up = np.cumsum(table[r, cols], axis=1)
+    shift = np.where(i < j, down[src, j] - down[src, i], up[src, j] - up[src, i])
+    return src, _rank(occ, table)[src] + shift, val, i, j
+
+
+def one_body_chunks(occ: np.ndarray, matrix: np.ndarray):
+    """one_body_coo over row chunks of at most _ENTRY_BUDGET entries each.
+
+    Yields the same triplets in the same order, source rows numbered over
+    all of occ; every caller that may meet a large row set goes through here.
+    """
+    step = max(1, _ENTRY_BUDGET // max(1, np.count_nonzero(matrix)))
+    for start in range(0, len(occ), step):
+        src, tgt, val, i, j = one_body_coo(occ[start:start + step], matrix)
+        yield src + start, tgt, val, i, j
+
+
+# ---------------------------------------------------------------------------
+# states
+
+
+@dataclass(frozen=True, eq=False)
 class FockState:
-    """Sparse fixed-N state: occupation vector -> complex amplitude."""
+    """Fixed-N pure state: occupation rows with one amplitude each.
+
+    occ is a (k, m) integer array and amp the k complex amplitudes beside
+    it.  The constructor sorts both by exact sector rank (kept in `rank`)
+    and rejects repeated rows.
+    """
 
     n: int
     m: int
-    amp: dict[tuple[int, ...], complex]
+    occ: np.ndarray
+    amp: np.ndarray
+    rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        norm_sq = 0.0
-        for occ, a in self.amp.items():
-            if len(occ) != self.m or any(k < 0 for k in occ) or sum(occ) != self.n:
-                raise ConfigError(f"occupation {occ} invalid for (n={self.n}, m={self.m})")
-            norm_sq += abs(a) ** 2
+        occ = np.asarray(self.occ, dtype=np.int64)
+        amp = np.asarray(self.amp, dtype=complex).reshape(-1)
+        if (occ.ndim != 2 or occ.shape != (len(amp), self.m) or np.any(occ < 0)
+                or np.any(occ.sum(axis=1) != self.n)):
+            raise ConfigError(f"{occ.shape} occupation rows invalid for (n={self.n}, "
+                              f"m={self.m}) with {len(amp)} amplitudes")
+        rank, order = np.unique(_rank(occ, _binomials(self.n, self.m)), return_index=True)
+        if len(rank) < len(amp):
+            raise ConfigError("occupation rows repeat")
+        norm_sq = float(np.sum(np.abs(amp) ** 2))
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise NotNormalized(f"state norm^2 = {norm_sq!r}")
+        object.__setattr__(self, "occ", occ[order])
+        object.__setattr__(self, "amp", amp[order])
+        object.__setattr__(self, "rank", rank)
 
     def top_orbital_weight(self) -> float:
-        return sum(abs(a) ** 2 for occ, a in self.amp.items() if occ[self.m - 1] > 0)
+        return float(np.sum(np.abs(self.amp[self.occ[:, -1] > 0]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -225,6 +344,31 @@ class StateEnsemble:
         return self.members[0][1].m
 
 
+class StateRows(NamedTuple):
+    """A pure state or an ensemble as one batch of occupation rows.
+
+    key = label * dim + rank ascends, label numbering the members of positive
+    weight; weight holds one entry per label."""
+
+    key: np.ndarray
+    occ: np.ndarray
+    amp: np.ndarray
+    weight: np.ndarray
+    dim: int
+
+
+def state_rows(state: FockState | StateEnsemble) -> StateRows:
+    dim = sector_dimension(state.n, state.m)
+    members = ([(1.0, state)] if isinstance(state, FockState)
+               else [(w, st) for w, st in state.members if w > 0])
+    if len(members) * dim >= _RANK_LIMIT:
+        raise ConfigError(f"{len(members)} members of a {dim}-state sector are too many to key")
+    return StateRows(np.concatenate([label * dim + st.rank for label, (_, st) in enumerate(members)]),
+                     np.concatenate([st.occ for _, st in members]),
+                     np.concatenate([st.amp for _, st in members]),
+                     np.array([w for w, _ in members]), dim)
+
+
 @dataclass(frozen=True)
 class OneBodyDensity:
     """rho1[n][m] = <a+_m a_n>; trace N."""
@@ -238,36 +382,43 @@ class OneBodyDensity:
 
 
 def basis_state(occ: tuple[int, ...] | list[int]) -> FockState:
-    occ = tuple(int(k) for k in occ)
-    return FockState(n=sum(occ), m=len(occ), amp={occ: 1.0 + 0.0j})
+    occ = [int(k) for k in occ]
+    return FockState(n=sum(occ), m=len(occ), occ=[occ], amp=[1.0])
 
 
 def state_from_amplitudes(n: int, m: int, vec: np.ndarray) -> FockState:
-    """Dense coefficient vector over occupations(n, m) -> sparse state."""
+    """Dense coefficient vector over occupations(n, m) -> state on its support."""
     occs = occupations(n, m)
+    vec = np.asarray(vec, dtype=complex)
     if len(vec) != len(occs):
         raise ConfigError(f"expected {len(occs)} amplitudes, got {len(vec)}")
-    amp = {occ: complex(a) for occ, a in zip(occs, vec) if a != 0}
-    return FockState(n=n, m=m, amp=amp)
+    live = vec != 0
+    return FockState(n=n, m=m, occ=occs[live], amp=vec[live])
 
 
 def condensate_state(orbital: np.ndarray, n: int) -> FockState:
-    """All n atoms in one orbital: (sum_k c_k a+_k)^n |vac> / sqrt(n!)."""
+    """All n atoms in one orbital: (sum_k c_k a+_k)^n |vac> / sqrt(n!).
+
+    Only occupations of the orbital's nonzero modes are enumerated, so the
+    ground condensate is a single row at any n.
+    """
     c = np.asarray(orbital, dtype=complex)
     if abs(np.vdot(c, c).real - 1.0) > _NORM_TOL:
         raise NotNormalized(f"orbital norm^2 = {np.vdot(c, c).real!r}")
-    m = len(c)
-    amp = {}
-    for occ in occupations(n, m):
-        # multinomial amplitude sqrt(n!/prod k!) prod c^k
-        coeff = math.sqrt(math.factorial(n) / math.prod(math.factorial(k) for k in occ))
-        a = coeff
-        for ck, k in zip(c, occ):
-            if k:
-                a = a * ck ** k
-        if a != 0:
-            amp[occ] = complex(a)
-    return FockState(n=n, m=m, amp=amp)
+    live = np.flatnonzero(c)
+    sub = occupations(n, len(live))
+    # multinomial amplitude sqrt(n!/prod k!) prod c^k, the multinomial exact
+    fact = np.frompyfunc(math.factorial, 1, 1)
+    try:
+        amp = np.sqrt((fact(n) // np.prod(fact(sub), axis=1)).astype(float)).astype(complex)
+    except OverflowError:
+        raise ConfigError(f"multinomials of {n} atoms over {len(live)} modes overflow") from None
+    for k, ck in zip(sub.T, c[live]):
+        amp = np.where(k > 0, amp * ck ** k, amp)
+    keep = amp != 0
+    occ = np.zeros((int(keep.sum()), len(c)), dtype=np.int64)
+    occ[:, live] = sub[keep]
+    return FockState(n=n, m=len(c), occ=occ, amp=amp[keep])
 
 
 def displaced_orbital(basis: OrbitalBasis, d: float) -> np.ndarray:
@@ -311,18 +462,17 @@ def thermal_ensemble(basis: OrbitalBasis, temperature: float, n: int,
     t = basis.trap
     hw = t.hbar * t.trap_freq
     e0 = n * hw / 2.0
-    ground = tuple([n] + [0] * (basis.mode_count - 1))
+    ground = [n] + [0] * (basis.mode_count - 1)
     if e0 > energy_cutoff:
         raise CutoffTooTight(f"cutoff {energy_cutoff!r} below ground energy {e0!r}")
     if temperature == 0:
         return StateEnsemble(members=((1.0, basis_state(ground)),), truncation_loss=0.0)
 
     beta = 1.0 / (kB * temperature)
-    kept = []
-    for occ in occupations(n, basis.mode_count):
-        e = sum(k_occ * hw * (j + 0.5) for j, k_occ in enumerate(occ))
-        if e <= energy_cutoff:
-            kept.append((occ, math.exp(-beta * (e - e0))))
+    occs = occupations(n, basis.mode_count)
+    energy = occupation_energies(occs, t)
+    inside = energy <= energy_cutoff
+    kept = [math.exp(-beta * (e - e0)) for e in energy[inside]]
 
     # exact Z * e^{beta e0} by the canonical boson recursion, overflow-free
     z = [1.0]
@@ -334,49 +484,60 @@ def thermal_ensemble(basis: OrbitalBasis, temperature: float, n: int,
         z.append(acc / j)
     z_exact = z[n]
 
-    retained = sum(w for _, w in kept) / z_exact
+    retained = sum(kept) / z_exact
     if retained < 0.999:
         raise CutoffTooTight(f"retained weight {retained:.6f} < 0.999")
-    tot = sum(w for _, w in kept)
-    members = tuple((w / tot, basis_state(occ)) for occ, w in kept)
+    tot = sum(kept)
+    members = tuple((w / tot, basis_state(occ)) for occ, w in zip(occs[inside], kept))
     return StateEnsemble(members=members, truncation_loss=1.0 - retained)
 
 
 # ---------------------------------------------------------------------------
-# expectations
+# expectations: every one goes through one_body_coo on a StateRows batch
 
 
-def _apply_one_body(matrix: np.ndarray, vec: dict) -> dict:
-    """Apply sum_ij A[i][j] a+_i a_j to a sparse amplitude map."""
-    rows, cols = np.nonzero(matrix)
-    out: dict = {}
-    for occ, c in vec.items():
-        for i, j in zip(rows, cols):
-            nj = occ[j]
-            if nj == 0:
-                continue
-            if i == j:
-                coeff = matrix[i, j] * nj
-                new_occ = occ
-            else:
-                coeff = matrix[i, j] * math.sqrt(nj * (occ[i] + 1))
-                lst = list(occ)
-                lst[j] -= 1
-                lst[i] += 1
-                new_occ = tuple(lst)
-            out[new_occ] = out.get(new_occ, 0.0) + coeff * c
+def _sum_by(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(index, values.real, size)
+    out.imag = np.bincount(index, values.imag, size)
     return out
 
 
-def _inner(a: dict, b: dict) -> complex:
-    """<a|b> over sparse amplitude maps."""
-    if len(a) > len(b):
-        return complex(np.conj(_inner(b, a)))
-    return complex(sum(np.conj(c) * b[occ] for occ, c in a.items() if occ in b))
+def _hops(rows: StateRows, matrix: np.ndarray):
+    """one_body_chunks on a batch, with targets keyed like the batch rows."""
+    for src, tgt, val, i, j in one_body_chunks(rows.occ, matrix):
+        yield src, rows.key[src] - rows.key[src] % rows.dim + tgt, val, i, j
 
 
-def _top_weight(vec: dict, m: int) -> float:
-    return sum(abs(c) ** 2 for occ, c in vec.items() if occ[m - 1] > 0)
+def _apply(rows: StateRows, matrix: np.ndarray) -> StateRows:
+    out = rows._replace(key=rows.key[:0], occ=rows.occ[:0], amp=rows.amp[:0])
+    for src, key, val, i, j in _hops(rows, matrix):
+        # each chunk's targets, merged into those of the earlier chunks
+        key, first, inv = np.unique(np.concatenate([out.key, key]),
+                                    return_index=True, return_inverse=True)
+        _check_rows(len(key), "an applied vector")
+        fresh = first >= len(out.key)
+        hop = first[fresh] - len(out.key)
+        occ = rows.occ[src[hop]]
+        at = np.arange(len(hop))
+        occ[at, j[hop]] -= 1
+        occ[at, i[hop]] += 1
+        first[fresh] = len(out.key) + at
+        occ = np.concatenate([out.occ, occ])[first]
+        amp = _sum_by(inv, np.concatenate([out.amp, val * rows.amp[src]]), len(key))
+        out = out._replace(key=key, occ=occ, amp=amp)
+    return out
+
+
+def _check_leak(rows: StateRows, leak_tol: float, where: str) -> None:
+    """Top-orbital weight over norm, per member, must stay within leak_tol."""
+    label = rows.key // rows.dim
+    p = np.abs(rows.amp) ** 2
+    top = np.bincount(label, p * (rows.occ[:, -1] > 0), len(rows.weight))
+    norm = np.bincount(label, p, len(rows.weight))
+    worst = float(np.max(np.divide(top, norm, out=np.zeros_like(top), where=norm > 0)))
+    if worst > leak_tol:
+        raise TruncationLeak(f"top-orbital weight {worst:.3e} {where}")
 
 
 def few_body_expectation(state: FockState | StateEnsemble,
@@ -389,55 +550,37 @@ def few_body_expectation(state: FockState | StateEnsemble,
     its input.  The loss matters when later applications can fold it back
     inside; the final application's out-flow is annihilated by the truncated
     bra.  Hence every application except the last requires its input to be
-    clean at the top orbital (weight <= leak_tol, normalized).
+    clean at the top orbital (weight <= leak_tol, normalized, per member).
     """
     if not 1 <= len(ops) <= 3:
         raise ConfigError(f"ops list must have 1..3 entries, got {len(ops)}")
-    if isinstance(state, StateEnsemble):
-        return sum(w * few_body_expectation(st, ops, leak_tol=leak_tol)
-                   for w, st in state.members if w > 0)
     for op in ops:
         if op.matrix.shape[0] != state.m:
             raise ConfigError("operator dimension does not match state mode count")
-    vec = state.amp
+    rows = vec = state_rows(state)
     for step, op in enumerate(reversed(ops)):
         if step < len(ops) - 1:
-            w = _top_weight(vec, state.m)
-            norm = sum(abs(c) ** 2 for c in vec.values())
-            if norm > 0 and w > leak_tol * norm:
-                raise TruncationLeak(
-                    f"top-orbital weight {w / norm:.3e} before application {step + 1}"
-                )
-        vec = _apply_one_body(op.matrix, vec)
-    return complex(_inner(state.amp, vec))
+            _check_leak(vec, leak_tol, f"before application {step + 1}")
+        vec = _apply(vec, op.matrix)
+    hit = np.isin(rows.key, vec.key)
+    pos = np.searchsorted(vec.key, rows.key[hit])
+    overlap = _sum_by(rows.key[hit] // rows.dim, np.conj(rows.amp[hit]) * vec.amp[pos],
+                      len(rows.weight))
+    return complex(rows.weight @ overlap)
 
 
 def one_body_density(state: FockState | StateEnsemble) -> OneBodyDensity:
     """rho1[n][m] = <a+_m a_n>, ensemble-averaged for mixtures."""
-    if isinstance(state, StateEnsemble):
-        acc = np.zeros((state.m, state.m), dtype=complex)
-        for w, st in state.members:
-            if w > 0:
-                acc += w * one_body_density(st).matrix
-        return OneBodyDensity(matrix=acc, n=state.n)
+    rows = state_rows(state)
     m = state.m
-    rho = np.zeros((m, m), dtype=complex)
-    for occ, c in state.amp.items():
-        for nn in range(m):
-            if occ[nn] == 0:
-                continue
-            for mm in range(m):
-                if mm == nn:
-                    rho[nn, mm] += occ[nn] * abs(c) ** 2
-                    continue
-                lst = list(occ)
-                lst[nn] -= 1
-                lst[mm] += 1
-                other = state.amp.get(tuple(lst))
-                if other is not None:
-                    # <a+_mm a_nn>: annihilate nn, create mm, overlap bra side
-                    rho[nn, mm] += np.conj(other) * math.sqrt(occ[nn] * (occ[mm] + 1)) * c
-    return OneBodyDensity(matrix=rho, n=state.n)
+    rho = np.zeros(m * m, dtype=complex)
+    for src, key, val, i, j in _hops(rows, np.ones((m, m))):
+        hit = np.isin(key, rows.key)
+        pos, src = np.searchsorted(rows.key, key[hit]), src[hit]
+        terms = (rows.weight[rows.key[src] // rows.dim] * np.conj(rows.amp[pos])
+                 * val[hit] * rows.amp[src])
+        rho += _sum_by(j[hit] * m + i[hit], terms, m * m)
+    return OneBodyDensity(matrix=rho.reshape(m, m), n=state.n)
 
 
 # ---------------------------------------------------------------------------
@@ -485,67 +628,32 @@ def pair_distribution(state: FockState, grid: np.ndarray, basis: OrbitalBasis,
     """P(x, x') = <n(x) n(x')>/N^2 with n(x) the density kernel at x.
 
     The grid kernel K(x)[n][m] = psi_n(x) psi_m(x) is a one-body operator, so
-    P(x, x') = <K(x) K(x')> / N^2; evaluated through the same sparse
-    application path as few_body_expectation, factored as inner products of
-    K(x)|state> vectors (K is real symmetric).
+    P(x, x') = <K(x) K(x')> / N^2, the inner products of the K(x)|state>
+    vectors (K is real symmetric), which mix the a+_i a_j |state> vectors.
     """
     grid = _check_grid(grid)
-    w0 = _top_weight(state.amp, state.m)
+    w0 = state.top_orbital_weight()
     if w0 > leak_tol:
         raise TruncationLeak(f"state top-orbital weight {w0:.3e}")
-    psi = hermite_functions(grid, state.m, basis)
-    applied = []
-    for g in range(len(grid)):
-        kernel = np.outer(psi[g], psi[g]).astype(complex)
-        applied.append(_apply_one_body(kernel, state.amp))
-    out = np.zeros((len(grid), len(grid)))
-    for a in range(len(grid)):
-        va = applied[a]
-        for b in range(a, len(grid)):
-            val = _inner(va, applied[b]).real
-            out[a, b] = val
-            out[b, a] = val
-    return out / state.n ** 2
+    m = state.m
+    psi = hermite_functions(grid, m, basis)
+    # the dense a+_i a_j |state> vectors and their grid mixtures: each source
+    # row is its own target, so k m^2 bounds the triplets before they are built
+    _check_rows(m * m * len(state.occ), "the pair-distribution vectors")
+    src, tgt, val, i, j = one_body_coo(state.occ, np.ones((m, m)))
+    tgt, col = np.unique(tgt, return_inverse=True)
+    _check_rows((m * m + len(grid)) * len(tgt), "the pair-distribution vectors")
+    pairs = _sum_by((i * m + j) * len(tgt) + col, val * state.amp[src], m * m * len(tgt))
+    applied = (psi[:, :, None] * psi[:, None, :]).reshape(len(grid), m * m) \
+        @ pairs.reshape(m * m, len(tgt))
+    return (applied.conj() @ applied.T).real / state.n ** 2
 
 
 # ---------------------------------------------------------------------------
-# serialization (state files)
+# serialization (the JSON boundary)
 
 
 def state_to_dict(state: FockState) -> dict:
-    terms = [{"occ": list(occ), "re": complex(a).real, "im": complex(a).imag}
-             for occ, a in sorted(state.amp.items())]
+    terms = [{"occ": occ, "re": a.real, "im": a.imag}
+             for occ, a in zip(state.occ.tolist(), state.amp.tolist())]
     return {"n": state.n, "m": state.m, "terms": terms}
-
-
-def state_from_dict(doc: dict) -> FockState:
-    try:
-        n, m = int(doc["n"]), int(doc["m"])
-        amp = {tuple(int(k) for k in t["occ"]): complex(t["re"], t.get("im", 0.0))
-               for t in doc["terms"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed state document: {exc}") from exc
-    return FockState(n=n, m=m, amp=amp)
-
-
-def ensemble_to_dict(ens: StateEnsemble) -> dict:
-    return {
-        "n": ens.n,
-        "m": ens.m,
-        "members": [{"weight": w, "terms": state_to_dict(st)["terms"]}
-                    for w, st in ens.members],
-        "truncation_loss": ens.truncation_loss,
-    }
-
-
-def ensemble_from_dict(doc: dict) -> StateEnsemble:
-    try:
-        n, m = int(doc["n"]), int(doc["m"])
-        members = tuple(
-            (float(mem["weight"]),
-             state_from_dict({"n": n, "m": m, "terms": mem["terms"]}))
-            for mem in doc["members"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed ensemble document: {exc}") from exc
-    return StateEnsemble(members=members, truncation_loss=float(doc.get("truncation_loss", 0.0)))

@@ -32,6 +32,8 @@ from .scales import FeedbackConfig, TrapConfig
 
 # bound on the floats one batch keeps in each draw buffer (8 MB)
 _DRAW_FLOATS = 2**20
+# each trajectory keeps its own Generator (about 1 KB) alive for the whole run
+_MAX_TRAJECTORIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,9 @@ class LoopConfig:
             raise ConfigError(f"zeta0 must be finite and >= 0, got {self.zeta0!r}")
         if self.schedule not in ("regular", "poisson"):
             raise ConfigError(f"schedule must be regular or poisson, got {self.schedule!r}")
-        if self.trajectories < 1:
-            raise ConfigError(f"trajectories must be >= 1, got {self.trajectories!r}")
+        if not 1 <= self.trajectories <= _MAX_TRAJECTORIES:
+            raise ConfigError(
+                f"trajectories must be in [1, {_MAX_TRAJECTORIES}], got {self.trajectories!r}")
         if not (0 <= int(self.rng_seed) < 2**64):
             raise ConfigError(f"rng_seed must fit in 64 bits, got {self.rng_seed!r}")
 

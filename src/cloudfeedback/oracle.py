@@ -41,13 +41,9 @@ _DIM_CAP = 10_000
 def sector_operator(basis: fock.OrbitalBasis, n: int, matrix: np.ndarray) -> np.ndarray:
     """Dense matrix of sum_ij A[i][j] a+_i a_j on the fixed-N sector."""
     occs = fock.occupations(n, basis.mode_count)
-    index = {occ: k for k, occ in enumerate(occs)}
-    dim = len(occs)
-    out = np.zeros((dim, dim), dtype=complex)
-    for j, occ in enumerate(occs):
-        applied = fock._apply_one_body(np.asarray(matrix, dtype=complex), {occ: 1.0})
-        for new_occ, val in applied.items():
-            out[index[new_occ], j] = val
+    out = np.zeros((len(occs), len(occs)), dtype=complex)
+    for src, tgt, val, _, _ in fock.one_body_chunks(occs, matrix):
+        np.add.at(out, (tgt, src), val)
     return out
 
 
@@ -57,7 +53,6 @@ class SectorObservables:
 
     basis: fock.OrbitalBasis
     n: int
-    occs: tuple
     t_x: np.ndarray
     t_p: np.ndarray
     t_x2: np.ndarray
@@ -76,32 +71,23 @@ class SectorObservables:
 
     @classmethod
     def build(cls, basis: fock.OrbitalBasis, n: int) -> "SectorObservables":
-        occs = tuple(fock.occupations(n, basis.mode_count))
-        index = {occ: k for k, occ in enumerate(occs)}
         m = basis.mode_count
-        slots, rows, cols, vals = [], [], [], []
-        for mm in range(m):
-            for nn in range(m):
-                e = np.zeros((m, m))
-                e[mm, nn] = 1.0
-                for j, occ in enumerate(occs):
-                    for new_occ, val in fock._apply_one_body(e, {occ: 1.0}).items():
-                        slots.append(nn * m + mm)  # rho1[nn][mm] = <a+_mm a_nn>
-                        rows.append(index[new_occ])
-                        cols.append(j)
-                        vals.append(val.real)
+        occs = fock.occupations(n, m)
+        # every a+_i a_j at once, gathered in (i, j, source) order
+        src, tgt, val, i, j = map(np.concatenate,
+                                  zip(*fock.one_body_chunks(occs, np.ones((m, m)))))
+        order = np.argsort(i * m + j, kind="stable")
         t_x = sector_operator(basis, n, fock.position_matrix(basis).matrix)
         t_p = sector_operator(basis, n, fock.momentum_matrix(basis).matrix)
         return cls(
             basis=basis,
             n=n,
-            occs=occs,
             t_x=t_x,
             t_p=t_p,
             t_x2=sector_operator(basis, n, fock.position_sq_matrix(basis).matrix),
             t_p2=sector_operator(basis, n, fock.momentum_sq_matrix(basis).matrix),
             t_sxp=sector_operator(basis, n, fock.sym_xp_matrix(basis).matrix),
-            top_number=np.array([occ[m - 1] for occ in occs], dtype=float),
+            top_number=occs[:, m - 1].astype(float),
             one_body={
                 "x": fock.position_matrix(basis).matrix,
                 "p": fock.momentum_matrix(basis).matrix,
@@ -109,10 +95,10 @@ class SectorObservables:
                 "p2": fock.momentum_sq_matrix(basis).matrix,
                 "sxp": fock.sym_xp_matrix(basis).matrix,
             },
-            _slots=np.array(slots, dtype=int),
-            _rows=np.array(rows, dtype=int),
-            _cols=np.array(cols, dtype=int),
-            _vals=np.array(vals, dtype=float),
+            _slots=(j * m + i)[order],  # rho1[j][i] = <a+_i a_j>
+            _rows=tgt[order],
+            _cols=src[order],
+            _vals=val.real[order],
             _xx=t_x @ t_x,
             _pp=t_p @ t_p,
             _sxp2=0.5 * (t_x @ t_p + t_p @ t_x),
@@ -162,16 +148,12 @@ class DensityMatrix:
     @classmethod
     def from_state(cls, state: fock.FockState | fock.StateEnsemble,
                    basis: fock.OrbitalBasis) -> "DensityMatrix":
-        occs = fock.occupations(state.n, basis.mode_count)
-        index = {occ: k for k, occ in enumerate(occs)}
-        dim = len(occs)
-        rho = np.zeros((dim, dim), dtype=complex)
-        members = state.members if isinstance(state, fock.StateEnsemble) else ((1.0, state),)
-        for w, st in members:
-            vec = np.zeros(dim, dtype=complex)
-            for occ, a in st.amp.items():
-                vec[index[occ]] = a
-            rho += w * np.outer(vec, vec.conj())
+        rows = fock.state_rows(state)
+        if rows.dim > _DIM_CAP:
+            raise DimensionTooLarge(f"sector dimension {rows.dim} exceeds {_DIM_CAP}")
+        vecs = np.zeros((len(rows.weight), rows.dim), dtype=complex)
+        vecs[rows.key // rows.dim, rows.key % rows.dim] = rows.amp
+        rho = sum(w * np.outer(vec, vec.conj()) for w, vec in zip(rows.weight, vecs))
         return cls(matrix=rho, basis=basis, n=state.n)
 
 
@@ -243,17 +225,14 @@ def build_generator(trap: TrapConfig, fb: FeedbackConfig, basis: fock.OrbitalBas
     if unknown:
         raise ConfigError(f"unknown generator terms {sorted(unknown)}")
 
-    x_hat = sector_operator(basis, n, fock.position_matrix(basis).matrix) / n
-    p_hat = sector_operator(basis, n, fock.momentum_matrix(basis).matrix)
-    hw = trap.hbar * trap.trap_freq
-    h_diag = np.array(
-        [sum(k * hw * (j + 0.5) for j, k in enumerate(occ))
-         for occ in fock.occupations(n, basis.mode_count)]
-    )
+    obs = SectorObservables.build(basis, n)
+    x_hat = obs.t_x / n
+    p_hat = obs.t_p
+    h_diag = fock.occupation_energies(fock.occupations(n, basis.mode_count), trap)
     return LindbladGenerator(
         trap=trap, fb=fb, basis=basis, n=n, terms=tuple(terms),
         x_hat=x_hat, p_hat=p_hat, h_diag=h_diag,
-        obs=SectorObservables.build(basis, n),
+        obs=obs,
         _x_sq=x_hat @ x_hat, _p_sq=p_hat @ p_hat,
     )
 

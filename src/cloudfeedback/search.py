@@ -90,16 +90,12 @@ def fixed_sector_harmonics(basis: fock.OrbitalBasis, n: int):
     Returns a callable vec -> QuadratureHarmonics taking a normalized sector
     amplitude vector whose top-orbital slots are empty; under that guard the
     dense sector matrices reproduce the operator products exactly.  Built for
-    the inner loop of the search, where the per-state dict machinery of
-    `criteria` is too slow.
+    the inner loop of the search, where building a state per call is too slow.
     """
-    w = basis.trap.trap_freq
-    times = (0.0, math.pi / (4.0 * w), math.pi / (2.0 * w))
     pairs = []
-    for t in times:
-        q = oracle.sector_operator(basis, n, fock.quadrature_matrix(basis, t).matrix)
-        q2 = oracle.sector_operator(basis, n, fock.quadrature_sq_matrix(basis, t).matrix)
-        pairs.append((q2, q @ q))
+    for q, q2 in criteria.quadrature_pairs(basis):
+        t_q = oracle.sector_operator(basis, n, q.matrix)
+        pairs.append((oracle.sector_operator(basis, n, q2.matrix), t_q @ t_q))
 
     def harmonics(vec: np.ndarray) -> criteria.QuadratureHarmonics:
         vals = []
@@ -107,19 +103,13 @@ def fixed_sector_harmonics(basis: fock.OrbitalBasis, n: int):
             one = float(np.vdot(vec, q2 @ vec).real)
             two = float(np.vdot(vec, qq @ vec).real)
             vals.append(one / n - two / n**2)
-        s0, s45, s90 = vals
-        a = 0.5 * (s0 + s90)
-        return criteria.QuadratureHarmonics(A=a, B=0.5 * (s0 - s90), C=s45 - a, omega=w)
+        return criteria.QuadratureHarmonics.from_samples(*vals, omega=basis.trap.trap_freq)
 
     return harmonics
 
 
-def coherent_sigma_q(alpha: np.ndarray, basis: fock.OrbitalBasis, t: float) -> float:
-    """sigma_q_sq of the multimode coherent state with orbital amplitudes alpha.
-
-    <T_{q^2}> = a+ q2 a and <T_q T_q> = (a+ q a)^2 + a+ q2 a in closed form;
-    the defining combination is normalized by the mean atom number.
-    """
+def _coherent_sample(alpha: np.ndarray, basis: fock.OrbitalBasis,
+                     q: np.ndarray, q2: np.ndarray) -> float:
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (basis.mode_count,):
         raise ConfigError(
@@ -128,22 +118,27 @@ def coherent_sigma_q(alpha: np.ndarray, basis: fock.OrbitalBasis, t: float) -> f
     nbar = float(np.vdot(alpha, alpha).real)
     if nbar <= 0.0:
         raise ConfigError("coherent state needs a positive mean atom number")
-    q = fock.quadrature_matrix(basis, t).matrix
-    q2 = fock.quadrature_sq_matrix(basis, t).matrix
     f1 = float(np.vdot(alpha, q @ alpha).real)
     f2 = float(np.vdot(alpha, q2 @ alpha).real)
     return f2 / nbar - (f1 * f1 + f2) / nbar**2
 
 
+def coherent_sigma_q(alpha: np.ndarray, basis: fock.OrbitalBasis, t: float) -> float:
+    """sigma_q_sq of the multimode coherent state with orbital amplitudes alpha.
+
+    <T_{q^2}> = a+ q2 a and <T_q T_q> = (a+ q a)^2 + a+ q2 a in closed form;
+    the defining combination is normalized by the mean atom number.
+    """
+    return _coherent_sample(alpha, basis, fock.quadrature_matrix(basis, t).matrix,
+                            fock.quadrature_sq_matrix(basis, t).matrix)
+
+
 def coherent_harmonics(alpha: np.ndarray,
                        basis: fock.OrbitalBasis) -> criteria.QuadratureHarmonics:
     """Same three-point second-harmonic reconstruction as the fixed-N path."""
-    w = basis.trap.trap_freq
-    s0 = coherent_sigma_q(alpha, basis, 0.0)
-    s90 = coherent_sigma_q(alpha, basis, math.pi / (2.0 * w))
-    s45 = coherent_sigma_q(alpha, basis, math.pi / (4.0 * w))
-    a = 0.5 * (s0 + s90)
-    return criteria.QuadratureHarmonics(A=a, B=0.5 * (s0 - s90), C=s45 - a, omega=w)
+    samples = [_coherent_sample(alpha, basis, q.matrix, q2.matrix)
+               for q, q2 in criteria.quadrature_pairs(basis)]
+    return criteria.QuadratureHarmonics.from_samples(*samples, omega=basis.trap.trap_freq)
 
 
 def coherent_sigma_q_fock(alpha: np.ndarray, trap: TrapConfig, t: float,

@@ -35,7 +35,7 @@ def symmetrized_vector(occ):
 
 def product_vector(state):
     vec = np.zeros(state.m ** state.n, dtype=complex)
-    for occ, a in state.amp.items():
+    for occ, a in zip(state.occ.tolist(), state.amp):
         vec += a * symmetrized_vector(occ)
     return vec
 

@@ -133,8 +133,8 @@ def test_a03_oracle_matches_moment_flow():
     amp = 1.0 / math.sqrt(2.0)
     starts = [
         fock.condensate_state(np.eye(12, dtype=complex)[0], 2),
-        fock.FockState(n=2, m=12, amp={(2,) + (0,) * 11: amp,
-                                       (0, 2) + (0,) * 10: amp}),
+        fock.FockState(n=2, m=12, occ=[(2,) + (0,) * 11, (0, 2) + (0,) * 10],
+                       amp=[amp, amp]),
         fock.basis_state((1, 1) + (0,) * 10),
     ]
     for st in starts:
@@ -248,11 +248,11 @@ def test_a07_closed_form_spot_values():
     amp = 1.0 / math.sqrt(2.0)
     cases = [
         (fock.condensate_state(np.eye(4, dtype=complex)[0], 2), 0.25),
-        (fock.FockState(n=2, m=4, amp={(2, 0, 0, 0): amp,
-                                       (0, 2, 0, 0): amp}), 0.25),
+        (fock.FockState(n=2, m=4, occ=[(2, 0, 0, 0), (0, 2, 0, 0)],
+                        amp=[amp, amp]), 0.25),
         (fock.basis_state((1, 1, 0, 0)), 0.25),
-        (fock.FockState(n=2, m=4, amp={(2, 0, 0, 0): amp,
-                                       (0, 2, 0, 0): -amp}), 0.75),
+        (fock.FockState(n=2, m=4, occ=[(2, 0, 0, 0), (0, 2, 0, 0)],
+                        amp=[amp, -amp]), 0.75),
     ]
     q = fock.quadrature_matrix(b, 0.0).matrix
     q2 = fock.quadrature_sq_matrix(b, 0.0).matrix

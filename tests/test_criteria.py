@@ -47,7 +47,8 @@ def test_ground_condensate_two_atoms():
 def test_noon_minus_frozen_value():
     trap = TrapConfig(atom_count=2)
     b = fock.OrbitalBasis(mode_count=3, trap=trap)
-    st = fock.FockState(n=2, m=3, amp={(2, 0, 0): 1 / math.sqrt(2), (0, 2, 0): -1 / math.sqrt(2)})
+    st = fock.FockState(n=2, m=3, occ=[(2, 0, 0), (0, 2, 0)],
+                        amp=[1 / math.sqrt(2), -1 / math.sqrt(2)])
     assert criteria.sigma_q_sq(st, b, 0.0) == pytest.approx(0.75, abs=1e-12)
 
 

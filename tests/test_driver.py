@@ -98,7 +98,8 @@ def test_build_state_default_is_ground_condensate():
     trap = TrapConfig(atom_count=3)
     state, basis = driver.build_state(None, trap)
     assert basis.mode_count == 6
-    assert state.amp == {(3, 0, 0, 0, 0, 0): pytest.approx(1.0)}
+    assert state.occ.tolist() == [[3, 0, 0, 0, 0, 0]]
+    assert state.amp.tolist() == [pytest.approx(1.0)]
 
 
 def test_build_state_occupation_checks_atom_total():
@@ -106,7 +107,7 @@ def test_build_state_occupation_checks_atom_total():
     state, basis = driver.build_state(
         {"kind": "occupation", "occupation": [1, 0, 1]}, trap)
     assert basis.mode_count == 3
-    assert set(state.amp) == {(1, 0, 1)}
+    assert state.occ.tolist() == [[1, 0, 1]]
     with pytest.raises(ConfigError):
         driver.build_state({"kind": "occupation", "occupation": [1, 1, 1]}, trap)
     with pytest.raises(ConfigError):
@@ -124,6 +125,11 @@ def test_build_state_rejects_conflicting_condensate_options():
                             "orbital": [[1, 0], [0, 0]]}, trap)
     with pytest.raises(ConfigError):
         driver.build_state({"kind": "nonsense"}, trap)
+    # malformed orbital entries: a short pair, a pair of strings, a bare number
+    for entry in ([1], ["a", "b"], 1):
+        with pytest.raises(ConfigError):
+            driver.build_state({"kind": "condensate", "m": 2,
+                                "orbital": [[1, 0], entry]}, trap)
 
 
 def test_build_state_superposition_normalizes():
@@ -132,12 +138,16 @@ def test_build_state_superposition_normalizes():
            "terms": [{"occupation": [2, 0, 0], "amp": [1.0, 0.0]},
                      {"occupation": [0, 2, 0], "amp": [0.0, 1.0]}]}
     state, basis = driver.build_state(doc, trap)
-    total = sum(abs(v) ** 2 for v in state.amp.values())
+    total = float(np.sum(np.abs(state.amp) ** 2))
     assert total == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ConfigError):
         bad = {"kind": "superposition", "m": 3,
                "terms": [{"occupation": [1, 0, 0], "amp": [1.0, 0.0]}]}
         driver.build_state(bad, trap)
+    # a term that is not an object, and an amplitude that is not numeric
+    for term in (5, {"occupation": [2, 0, 0], "amp": ["x", 0]}):
+        with pytest.raises(ConfigError):
+            driver.build_state({"kind": "superposition", "m": 3, "terms": [term]}, trap)
 
 
 def test_build_state_thermal_requires_temperature_and_cutoff():
@@ -332,6 +342,17 @@ def test_cli_invalid_json_config_exits_2(tmp_path):
     code, _, err = run_cli(["scales", "--config", str(bad)])
     assert code == 2
     assert json.loads(err)["error"] == "ConfigError"
+    # well-formed JSON, malformed state documents
+    states = [{"kind": "superposition", "m": 2, "terms": [5]},
+              {"kind": "superposition", "m": 2,
+               "terms": [{"occupation": [1, 0], "amp": ["x", 0]}]}]
+    states += [{"kind": "condensate", "m": 2, "orbital": [[1, 0], entry]}
+               for entry in ([1], ["a", "b"], 1)]
+    for state in states:
+        bad.write_text(json.dumps({"n": 1, "zeta": 0.5, "sigma": 0.7, "state": state}))
+        code, _, err = run_cli(["criteria", "--config", str(bad)])
+        assert code == 2, state
+        assert json.loads(err)["error"] == "ConfigError"
 
 
 def test_cli_oracle_rejects_three_atoms():
@@ -416,6 +437,36 @@ def test_cli_criteria_emits_curve_and_report(tmp_path):
     # squeezed pair near eta = 1: the cloud dips under the one-atom size
     assert report["qs"] is True
     assert report["min_dxa"] < report["dx0"]
+
+
+def test_cli_criteria_large_n_and_row_budget(tmp_path):
+    # the ground condensate is one occupation row at any N
+    code, out, err = run_cli(["criteria", "--n", "1000", "--zeta", "0.5",
+                              "--sigma", "0.1"])
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(0.5 * (1 - 1e-3))
+    # a generic orbital over six modes would need C(1005, 5) rows: refused
+    # before the enumeration starts
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": 1000, "zeta": 0.5, "sigma": 0.1,
+        "state": {"kind": "condensate", "m": 6, "orbital": [[1, 0]] * 6}}))
+    code, out, err = run_cli(["criteria", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert "budget" in doc["detail"]
+    # a large support is applied in row chunks, not refused: a displaced
+    # condensate with N = 18 over six modes has 33,649 rows, and the
+    # all-pairs a+_i a_j of rho1 has 948,024 nonzero terms on them
+    cfg.write_text(json.dumps({
+        "n": 18, "zeta": 0.5, "sigma": 0.7,
+        "state": {"kind": "condensate", "m": 6, "displacement": 0.02},
+        "task": {"samples": 3}}))
+    code, out, err = run_cli(["evolve", "--config", str(cfg)])
+    assert code == 0, err
+    assert len(out.splitlines()) == 4
 
 
 def test_cli_breathing_thresholds_are_constant_columns(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from cloudfeedback import fock
+from cloudfeedback import fock, oracle
 from cloudfeedback.errors import (
     ConfigError,
     CutoffTooTight,
@@ -21,6 +21,11 @@ TRAP2 = TrapConfig(atom_count=2)
 
 def basis(m, trap=TRAP1):
     return fock.OrbitalBasis(mode_count=m, trap=trap)
+
+
+def terms(state):
+    """occupation tuple -> amplitude over the state's support."""
+    return dict(zip(map(tuple, state.occ.tolist()), state.amp))
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +112,19 @@ def test_quadrature_sq_diag_is_time_independent():
 
 
 def test_occupations_lexicographic():
-    occs = fock.occupations(2, 3)
-    assert occs == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+    occs = fock.occupations(2, 3).tolist()
+    assert occs == [[0, 0, 2], [0, 1, 1], [0, 2, 0], [1, 0, 1], [1, 1, 0], [2, 0, 0]]
     assert fock.sector_dimension(2, 3) == len(occs) == 6
     assert fock.sector_dimension(4, 8) == math.comb(11, 4)
 
 
 def test_condensate_amplitudes_two_atoms():
     c = np.array([1 / math.sqrt(2), 1 / math.sqrt(2), 0.0])
-    st = fock.condensate_state(c, 2)
-    assert st.amp[(2, 0, 0)] == pytest.approx(0.5)
-    assert st.amp[(1, 1, 0)] == pytest.approx(1 / math.sqrt(2))
-    assert st.amp[(0, 2, 0)] == pytest.approx(0.5)
-    assert (0, 0, 2) not in st.amp
+    amp = terms(fock.condensate_state(c, 2))
+    assert amp[(2, 0, 0)] == pytest.approx(0.5)
+    assert amp[(1, 1, 0)] == pytest.approx(1 / math.sqrt(2))
+    assert amp[(0, 2, 0)] == pytest.approx(0.5)
+    assert (0, 0, 2) not in amp
 
 
 def test_condensate_density_is_rank_one():
@@ -168,10 +173,10 @@ def test_collective_second_moment_frozen_values():
     xx = [fock.position_matrix(b)] * 2
     assert fock.few_body_expectation(fock.basis_state((1, 1, 0)), xx).real == pytest.approx(3.0)
     noon_minus = fock.FockState(
-        n=2, m=3, amp={(2, 0, 0): 1 / math.sqrt(2), (0, 2, 0): -1 / math.sqrt(2)}
+        n=2, m=3, occ=[(2, 0, 0), (0, 2, 0)], amp=[1 / math.sqrt(2), -1 / math.sqrt(2)]
     )
     noon_plus = fock.FockState(
-        n=2, m=3, amp={(2, 0, 0): 1 / math.sqrt(2), (0, 2, 0): 1 / math.sqrt(2)}
+        n=2, m=3, occ=[(2, 0, 0), (0, 2, 0)], amp=[1 / math.sqrt(2), 1 / math.sqrt(2)]
     )
     assert fock.few_body_expectation(noon_minus, xx).real == pytest.approx(1.0)
     assert fock.few_body_expectation(noon_plus, xx).real == pytest.approx(3.0)
@@ -201,6 +206,56 @@ def test_few_body_three_atoms():
     got = fock.few_body_expectation(st, mats, leak_tol=2.0)
     assert got == pytest.approx(want, abs=1e-12)
 
+    # four atoms: every product of up to three operators
+    b4 = basis(3, TrapConfig(atom_count=4))
+    st4 = fock.state_from_amplitudes(
+        4, 3, helpers.random_fock_amplitudes(rng, fock.sector_dimension(4, 3)))
+    mats4 = [fock.position_matrix(b4), fock.momentum_matrix(b4), fock.sym_xp_matrix(b4)]
+    for k in (1, 2, 3):
+        want = helpers.oracle_expectation(st4, [m.matrix for m in mats4[:k]])
+        got = fock.few_body_expectation(st4, mats4[:k], leak_tol=2.0)
+        assert got == pytest.approx(want, abs=1e-12)
+    rho = fock.one_body_density(st4).matrix
+    assert np.max(np.abs(rho - helpers.oracle_one_body_density(st4))) < 1e-12
+
+    # a thermal ensemble is evaluated as one batch: the weighted member sum
+    b6 = basis(6, trap3)
+    ens = fock.thermal_ensemble(b6, temperature=0.45, n=3, energy_cutoff=6.4)
+    assert len(ens.members) > 1
+    mats6 = [fock.position_matrix(b6), fock.momentum_matrix(b6)]
+    want = sum(w * helpers.oracle_expectation(member, [m.matrix for m in mats6])
+               for w, member in ens.members)
+    assert fock.few_body_expectation(ens, mats6) == pytest.approx(want, abs=1e-12)
+    want_rho = sum(w * helpers.oracle_one_body_density(member) for w, member in ens.members)
+    assert np.max(np.abs(fock.one_body_density(ens).matrix - want_rho)) < 1e-12
+
+
+def test_chunked_application_matches_one_chunk(monkeypatch):
+    # a tiny entry budget forces many row chunks; each result must agree with
+    # the one-chunk evaluation
+    rng = np.random.default_rng(11)
+    b = basis(4, TrapConfig(atom_count=3))
+    st = fock.state_from_amplitudes(
+        3, 4, helpers.random_fock_amplitudes(rng, fock.sector_dimension(3, 4)))
+    ens = fock.thermal_ensemble(basis(5, TrapConfig(atom_count=3)), temperature=0.45,
+                                n=3, energy_cutoff=5.6)
+    mats = [fock.position_matrix(b), fock.momentum_matrix(b), fock.sym_xp_matrix(b)]
+    mats5 = [fock.position_matrix(basis(5)), fock.momentum_sq_matrix(basis(5))]
+
+    def evaluate():
+        return (fock.few_body_expectation(st, mats, leak_tol=2.0),
+                fock.one_body_density(st).matrix,
+                fock.few_body_expectation(ens, mats5, leak_tol=2.0),
+                fock.one_body_density(ens).matrix,
+                oracle.sector_operator(b, 3, mats[0].matrix))
+
+    whole = evaluate()
+    monkeypatch.setattr(fock, "_ENTRY_BUDGET", 7)
+    occs = fock.occupations(3, 4)
+    assert len(list(fock.one_body_chunks(occs, np.ones((4, 4))))) == len(occs)
+    for got, want in zip(evaluate(), whole):
+        assert np.max(np.abs(np.asarray(got) - want)) < 1e-12
+
 
 def test_adjoint_product_identity():
     rng = np.random.default_rng(3)
@@ -228,7 +283,8 @@ def test_leak_guard_and_single_op_exception():
     got = fock.few_body_expectation(st, [fock.position_matrix(b2)])
     assert got == pytest.approx(helpers.oracle_expectation(st, [fock.position_matrix(b2).matrix]))
 
-    plus = fock.FockState(n=1, m=2, amp={(1, 0): 1 / math.sqrt(2), (0, 1): 1 / math.sqrt(2)})
+    plus = fock.FockState(n=1, m=2, occ=[(1, 0), (0, 1)],
+                          amp=[1 / math.sqrt(2), 1 / math.sqrt(2)])
     b1 = basis(2)
     assert fock.few_body_expectation(plus, [fock.position_matrix(b1)]).real == pytest.approx(
         1 / math.sqrt(2)
@@ -239,7 +295,8 @@ def test_leak_headroom_makes_noon_exact():
     # one x application reaches one orbital up; M=3 is exactly enough for
     # states supported on the first two orbitals
     b3 = basis(3, TRAP2)
-    noon = fock.FockState(n=2, m=3, amp={(2, 0, 0): 1 / math.sqrt(2), (0, 2, 0): -1 / math.sqrt(2)})
+    noon = fock.FockState(n=2, m=3, occ=[(2, 0, 0), (0, 2, 0)],
+                          amp=[1 / math.sqrt(2), -1 / math.sqrt(2)])
     val = fock.few_body_expectation(noon, [fock.position_matrix(b3)] * 2)
     assert val.real == pytest.approx(1.0)
 
@@ -272,7 +329,7 @@ def test_squeezed_orbital_variances():
 def test_thermal_weights_and_loss():
     b = basis(10)
     ens = fock.thermal_ensemble(b, temperature=1.0, n=1, energy_cutoff=9.5)
-    w = {next(iter(st.amp)): wt for wt, st in ens.members}
+    w = {tuple(st.occ[0].tolist()): wt for wt, st in ens.members}
     occ0 = tuple([1] + [0] * 9)
     occ1 = tuple([0, 1] + [0] * 8)
     assert w[occ1] / w[occ0] == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -291,7 +348,7 @@ def test_thermal_zero_temperature():
     ens = fock.thermal_ensemble(b, temperature=0.0, n=2, energy_cutoff=1.0)
     assert len(ens.members) == 1
     assert ens.members[0][0] == 1.0
-    assert ens.members[0][1].amp == {(2, 0, 0, 0, 0): 1.0 + 0.0j}
+    assert terms(ens.members[0][1]) == {(2, 0, 0, 0, 0): 1.0 + 0.0j}
     assert ens.truncation_loss == 0.0
 
 
@@ -311,7 +368,7 @@ def test_thermal_partition_recursion_matches_enumeration():
 def test_thermal_two_atom_weight_ratio():
     b = basis(12, TRAP2)
     ens = fock.thermal_ensemble(b, temperature=0.5, n=2, energy_cutoff=10.0)
-    w = {next(iter(st.amp)): wt for wt, st in ens.members}
+    w = {tuple(st.occ[0].tolist()): wt for wt, st in ens.members}
     ground = tuple([2] + [0] * 11)
     first = tuple([1, 1] + [0] * 10)
     assert w[first] / w[ground] == pytest.approx(math.exp(-2.0), rel=1e-12)
@@ -378,11 +435,12 @@ def test_pair_distribution_marginal_matches_density():
     dim3 = fock.sector_dimension(2, 3)
     amps = np.zeros(fock.sector_dimension(2, 5), dtype=complex)
     # support on the first three orbitals leaves leak headroom
-    occs5 = fock.occupations(2, 5)
-    small = dict(zip(fock.occupations(2, 3), helpers.random_fock_amplitudes(rng, dim3)))
+    occs5 = fock.occupations(2, 5).tolist()
+    small = dict(zip(map(tuple, fock.occupations(2, 3).tolist()),
+                     helpers.random_fock_amplitudes(rng, dim3)))
     for i, occ in enumerate(occs5):
         if occ[3] == 0 and occ[4] == 0:
-            amps[i] = small.get(occ[:3], 0.0)
+            amps[i] = small.get(tuple(occ[:3]), 0.0)
     st = fock.state_from_amplitudes(2, 5, amps)
     grid = np.linspace(-8, 8, 161)
     pd = fock.pair_distribution(st, grid, b)
@@ -416,33 +474,24 @@ def test_pair_distribution_leaky_state_raises():
 def test_state_roundtrip_through_json():
     rng = np.random.default_rng(8)
     dim = fock.sector_dimension(2, 3)
-    st = fock.state_from_amplitudes(2, 3, helpers.random_fock_amplitudes(rng, dim))
+    vec = helpers.random_fock_amplitudes(rng, dim)
+    st = fock.state_from_amplitudes(2, 3, vec)
     doc = json.loads(json.dumps(fock.state_to_dict(st)))
-    back = fock.state_from_dict(doc)
-    assert back.n == st.n and back.m == st.m
-    for occ, a in st.amp.items():
-        assert back.amp[occ] == pytest.approx(a, abs=1e-15)
-
-
-def test_ensemble_roundtrip_through_json():
-    ens = fock.StateEnsemble(
-        members=((0.3, fock.basis_state((2, 0))), (0.7, fock.basis_state((0, 2)))),
-        truncation_loss=1.25e-4,
-    )
-    doc = json.loads(json.dumps(fock.ensemble_to_dict(ens)))
-    back = fock.ensemble_from_dict(doc)
-    assert back.truncation_loss == pytest.approx(1.25e-4)
-    assert back.members[0][0] == pytest.approx(0.3)
-    assert back.members[1][1].amp == {(0, 2): 1.0 + 0.0j}
+    assert doc["n"] == 2 and doc["m"] == 3
+    occs = [t["occ"] for t in doc["terms"]]
+    assert occs == sorted(occs) == fock.occupations(2, 3).tolist()
+    for term, a in zip(doc["terms"], vec):
+        assert term["re"] == pytest.approx(a.real, abs=1e-15)
+        assert term["im"] == pytest.approx(a.imag, abs=1e-15)
 
 
 def test_validation_errors():
     with pytest.raises(NotNormalized):
-        fock.FockState(n=1, m=2, amp={(1, 0): 0.5})
+        fock.FockState(n=1, m=2, occ=[(1, 0)], amp=[0.5])
     with pytest.raises(ConfigError):
-        fock.FockState(n=1, m=2, amp={(1, 0, 0): 1.0})
+        fock.FockState(n=1, m=2, occ=[(1, 0, 0)], amp=[1.0])
     with pytest.raises(ConfigError):
-        fock.FockState(n=2, m=2, amp={(1, 0): 1.0})
+        fock.FockState(n=2, m=2, occ=[(1, 0)], amp=[1.0])
     with pytest.raises(NotNormalized):
         fock.StateEnsemble(members=((0.5, fock.basis_state((1, 0))),))
     with pytest.raises(ConfigError):

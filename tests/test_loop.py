@@ -51,6 +51,11 @@ def test_loop_config_validation_and_continuous_map():
         loop.LoopConfig(gamma=10.0, sigma0=1.0, zeta0=0.1, schedule="fixed")
     with pytest.raises(ConfigError):
         loop.LoopConfig(gamma=10.0, sigma0=1.0, zeta0=0.1, trajectories=0)
+    # one Generator per trajectory stays alive: a cap, checked before any work
+    loop.LoopConfig(gamma=10.0, sigma0=1.0, zeta0=0.1, trajectories=loop._MAX_TRAJECTORIES)
+    with pytest.raises(ConfigError):
+        loop.LoopConfig(gamma=10.0, sigma0=1.0, zeta0=0.1,
+                        trajectories=loop._MAX_TRAJECTORIES + 1)
     cfg = loop.LoopConfig(gamma=100.0, sigma0=5.0, zeta0=0.002)
     fb = cfg.continuous_equivalent()
     assert fb.shift_rate == pytest.approx(0.2)

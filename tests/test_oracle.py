@@ -32,7 +32,7 @@ def no_feedback():
 def test_sector_operators_match_one_body_at_n1():
     basis = fock.OrbitalBasis(mode_count=6, trap=trap_for(1))
     occs = fock.occupations(1, 6)
-    orb = [occ.index(1) for occ in occs]
+    orb = np.argmax(occs, axis=1)
     for build in (fock.position_matrix, fock.momentum_matrix, fock.position_sq_matrix):
         one_body = build(basis).matrix
         sector = oracle.sector_operator(basis, 1, one_body)
@@ -301,9 +301,9 @@ def test_compare_with_moments_n2_noon_collective_variance():
     fb = feedback_for_eta(trap, 1.0, zeta=0.25)
     basis = fock.OrbitalBasis(mode_count=8, trap=trap)
     amps = np.zeros(fock.sector_dimension(2, 8), dtype=complex)
-    occs = fock.occupations(2, 8)
-    amps[occs.index((2, 0, 0, 0, 0, 0, 0, 0))] = 1 / math.sqrt(2)
-    amps[occs.index((0, 2, 0, 0, 0, 0, 0, 0))] = -1 / math.sqrt(2)
+    occs = fock.occupations(2, 8).tolist()
+    amps[occs.index([2, 0, 0, 0, 0, 0, 0, 0])] = 1 / math.sqrt(2)
+    amps[occs.index([0, 2, 0, 0, 0, 0, 0, 0])] = -1 / math.sqrt(2)
     state = fock.state_from_amplitudes(2, 8, amps)
 
     dev = oracle.compare_with_moments(
