@@ -31,7 +31,7 @@ class NotNormalized(ConfigError):
 
 
 class DimensionTooLarge(ConfigError):
-    """Requested Fock sector exceeds the dense-oracle budget."""
+    """Requested Fock sector exceeds the oracle's superoperator budget."""
 
 
 class CutoffTooTight(ToolkitError):
@@ -64,6 +64,10 @@ class SingularLyapunov(ToolkitError):
 
 class PositivityLoss(ToolkitError):
     """Density matrix developed a negative eigenvalue beyond tolerance."""
+
+
+class NonFiniteCell(ToolkitError):
+    """An artifact cell came out NaN or infinite."""
 
 
 class MinResolution(ToolkitError):

@@ -316,7 +316,7 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
 
 
 # ---------------------------------------------------------------------------
-# Fock-space Kraus backend (N <= 2 cross-checks against the dense oracle)
+# Fock-space Kraus backend (few-body cross-checks against the exact oracle)
 
 
 def kraus_measure(rho: np.ndarray, x_hat: np.ndarray, x_m: float,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cloudfeedback import criteria, driver, fock, moments
-from cloudfeedback.errors import ConfigError
+from cloudfeedback.errors import ConfigError, NonFiniteCell
 from cloudfeedback.scales import (FeedbackConfig, TrapConfig, classify_regime,
                                   derive_scales)
 
@@ -355,23 +355,29 @@ def test_cli_invalid_json_config_exits_2(tmp_path):
         assert json.loads(err)["error"] == "ConfigError"
 
 
-def test_cli_oracle_rejects_three_atoms():
-    code, _, err = run_cli(["oracle", "--n", "3", "--zeta", "0.5",
-                            "--sigma", "0.7"])
+def test_cli_oracle_refuses_superoperator_over_budget(tmp_path):
+    # three atoms over nine orbitals: L would store 1,092,105 entries
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": 3, "zeta": 0.5, "sigma": 0.7,
+        "state": {"kind": "condensate", "m": 9}}))
+    code, out, err = run_cli(["oracle", "--config", str(cfg)])
     assert code == 2
+    assert out == ""
     doc = json.loads(err)
-    assert doc["error"] == "ConfigError"
-    assert "n <= 2" in doc["detail"]
+    assert doc["error"] == "DimensionTooLarge"
+    assert "over the budget of 1000000" in doc["detail"]
 
 
 def test_cli_evolve_routes_oracle_engine(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "n": 3, "zeta": 0.5, "sigma": 0.7,
+        "state": {"kind": "condensate", "m": 9},
         "task": {"name": "evolve", "engine": "oracle"}}))
     code, _, err = run_cli(["evolve", "--config", str(cfg)])
     assert code == 2
-    assert "n <= 2" in json.loads(err)["detail"]
+    assert "superoperator" in json.loads(err)["detail"]
 
 
 def test_cli_evolve_csv_format_and_padding(tmp_path):
@@ -415,6 +421,46 @@ def test_cli_oracle_csv_appends_diagnostics(tmp_path):
     assert lines[0].split(",") == driver._MOMENT_HEADER + ["trace_err", "top_pop"]
     trace_err = [abs(float(line.split(",")[-2])) for line in lines[1:]]
     assert max(trace_err) < 1e-10
+
+
+def test_cli_oracle_reports_run_record_at_three_atoms(tmp_path):
+    out_path = tmp_path / "oracle.csv"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": 3, "zeta": 0.5, "sigma": 0.7,
+        "state": {"kind": "condensate", "m": 6},
+        "task": {"name": "oracle", "t_max": 1.0, "stride": 25}}))
+    code, out, err = run_cli(["oracle", "--config", str(cfg),
+                              "--out", str(out_path)])
+    assert code == 0 and out == ""
+    lines = out_path.read_text().splitlines()
+    # every 25th step of 2 pi / 1000 up to step 150; t_max = 1.0 is step 160
+    times = [float(line.split(",")[0]) for line in lines[1:]]
+    assert times == pytest.approx([k * 25 * 2 * math.pi / 1000 for k in range(7)],
+                                  rel=1e-11)
+    doc = json.loads(err)
+    assert doc["task"] == "oracle"
+    assert doc["instants"] == len(lines) - 1 == 7
+    assert doc["superop_nnz"] > 56**2
+    assert set(doc["timings_s"]) == {"build", "propagate"}
+    health = doc["health"]
+    assert 0.0 <= health["max_trace_err"] < 1e-10
+    assert 0.0 < health["max_top_pop"] < 1e-6
+    assert -1e-6 <= health["min_eigenvalue"] < 1e-10
+
+
+def test_write_csv_refuses_non_finite_cells(tmp_path, monkeypatch):
+    target = tmp_path / "bad.csv"
+    for bad in (math.nan, math.inf, np.float64(-np.inf)):
+        with pytest.raises(NonFiniteCell):
+            driver.write_csv(str(target), ["a", "b"], [(1.0, 2), (bad, 3)])
+        assert not target.exists()
+    # through the command line: exit 3 with the JSON error line
+    monkeypatch.setattr(driver, "scan_eta", lambda *args: [
+        {"eta": 1.0, "dX0": math.nan, "dx0": 1.0, "DXs": 1.0, "regime": "x"}])
+    code, out, err = run_cli(["scan", "--n", "2"])
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "NonFiniteCell"
 
 
 def test_cli_criteria_emits_curve_and_report(tmp_path):

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cloudfeedback import fock, moments, oracle
 from cloudfeedback.errors import (
     ConfigError,
     DimensionTooLarge,
-    InvalidN,
     PositivityLoss,
     TruncationLeak,
 )
@@ -101,8 +101,10 @@ def test_coefficients_degrade_gracefully():
 def test_build_generator_guards():
     trap = trap_for(2)
     basis = fock.OrbitalBasis(mode_count=5, trap=trap)
-    with pytest.raises(InvalidN):
-        oracle.build_generator(trap_for(3), no_feedback(), fock.OrbitalBasis(mode_count=5, trap=trap_for(3)))
+    # N = 3 over nine orbitals stores 1,092,105 entries in L: over the budget
+    with pytest.raises(DimensionTooLarge, match="budget"):
+        oracle.build_generator(trap_for(3), feedback_for_eta(trap_for(3), 1.0, zeta=0.2),
+                               fock.OrbitalBasis(mode_count=9, trap=trap_for(3)))
     with pytest.raises(DimensionTooLarge):
         big = fock.OrbitalBasis(mode_count=150, trap=trap)
         oracle.build_generator(trap, no_feedback(), big)
@@ -171,7 +173,7 @@ def test_unitary_limit_oscillates_and_conserves_energy():
     assert spread < 1e-8 * abs(energies[0])
 
 
-def test_rk4_is_fourth_order_and_trace_stays_put():
+def test_propagator_matches_dense_expm_and_trace_stays_put():
     trap = trap_for(1)
     fb = feedback_for_eta(trap, 1.0, zeta=0.4)
     basis = fock.OrbitalBasis(mode_count=10, trap=trap)
@@ -179,17 +181,67 @@ def test_rk4_is_fourth_order_and_trace_stays_put():
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.4), 1)
     rho0 = oracle.DensityMatrix.from_state(state, basis)
     t_end = 2 * math.pi
+    want = scipy.linalg.expm(t_end * gen.superop.toarray()) @ rho0.matrix.ravel()
 
-    # self-convergence: reference at dt/8 isolates the time-stepping error
-    # (trace is conserved term by term, so drift sits at the roundoff floor
-    # and cannot exhibit the dt^4 scaling; the state error can)
-    ref = oracle.integrate(rho0, gen, t_end, dt=2 * math.pi / 4000).mean_X[-1]
-    errs = []
-    for dt in (2 * math.pi / 500, 2 * math.pi / 1000):
-        traj = oracle.integrate(rho0, gen, t_end, dt=dt)
-        errs.append(abs(traj.mean_X[-1] - ref))
+    # one jump to t_end, and the thousand steps of the default clock
+    for times in (np.array([0.0, t_end]), t_end):
+        traj = oracle.integrate(rho0, gen, times)
+        assert traj.times[-1] == t_end
+        assert np.max(np.abs(traj.final.ravel() - want)) < 1e-10
         assert np.max(traj.trace_err) < 1e-8
-    assert errs[0] / errs[1] >= 8.0
+
+
+def test_superoperator_matches_dense_master_equation():
+    rng = np.random.default_rng(5)
+    for n, m in ((1, 7), (2, 5), (3, 4)):
+        trap = trap_for(n)
+        fb = feedback_for_eta(trap, 0.7, zeta=0.4)
+        basis = fock.OrbitalBasis(mode_count=m, trap=trap)
+        gen = oracle.build_generator(trap, fb, basis)
+        x = oracle.sector_operator(basis, n, fock.position_matrix(basis).matrix) / n
+        p = oracle.sector_operator(basis, n, fock.momentum_matrix(basis).matrix)
+        h = np.diag(fock.occupation_energies(fock.occupations(n, m), trap))
+        hbar, zeta, sigma = trap.hbar, fb.shift_rate, fb.meas_resolution
+
+        def comm(a, b):
+            return a @ b - b @ a
+
+        dim = len(h)
+        for _ in range(3):
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = 0.5 * (g + g.conj().T)
+            rho /= np.max(np.abs(rho))
+            want = (-1j / hbar * comm(h, rho)
+                    + 1j * zeta / (2 * hbar) * comm(p, x @ rho + rho @ x)
+                    - comm(x, comm(x, rho)) / (8 * sigma**2)
+                    - zeta**2 * sigma**2 / (2 * hbar**2) * comm(p, comm(p, rho)))
+            assert np.max(np.abs(gen.apply(rho) - want)) < 1e-13
+
+
+def test_instants_asked_for_match_the_full_clock():
+    trap = trap_for(2)
+    fb = feedback_for_eta(trap, 0.8, zeta=0.3)
+    basis = fock.OrbitalBasis(mode_count=6, trap=trap)
+    gen = oracle.build_generator(trap, fb, basis)
+    state = fock.condensate_state(fock.displaced_orbital(basis, 0.3), 2)
+    rho0 = oracle.DensityMatrix.from_state(state, basis)
+    clock = oracle.step_times(trap, 1.0)
+    # the last step is cut short to land on t_max
+    assert len(clock) == 161 and clock[-1] == 1.0
+    assert clock[-2] == pytest.approx(159 * 2 * math.pi / 1000, rel=1e-14)
+    full = oracle.integrate(rho0, gen, 1.0)
+    sparse = oracle.integrate(rho0, gen, clock[::25])
+    assert np.array_equal(sparse.times, full.times[::25])
+    assert sparse.times[-1] == pytest.approx(150 * 2 * math.pi / 1000, rel=1e-14)
+    for a, b in zip(sparse.joint, full.joint[::25]):
+        assert np.max(np.abs(a.cov - b.cov)) < 1e-12
+        assert np.max(np.abs(a.mean - b.mean)) < 1e-12
+    with pytest.raises(ConfigError):
+        oracle.integrate(rho0, gen, np.array([0.0, 0.5, 0.4]))
+    with pytest.raises(ConfigError):
+        oracle.integrate(rho0, gen, np.array([-0.1, 0.5]))
+    with pytest.raises(ConfigError):
+        oracle.step_times(trap, math.inf)
 
 
 def test_friction_only_leaves_relative_sector_alone():
@@ -320,6 +372,24 @@ def test_compare_with_moments_n2_noon_collective_variance():
     g = moments.build_generators(trap, fb)
     _, cov_c = moments.project_collective(moments.evolve(m0, g, math.pi))
     assert traj.var_X[-1] == pytest.approx(cov_c[0, 0], abs=1e-5)
+
+
+def test_compare_with_moments_n3_checks_the_n_minus_two_terms():
+    trap = trap_for(3)
+    fb = feedback_for_eta(trap, 0.8, zeta=0.3)
+    basis = fock.OrbitalBasis(mode_count=8, trap=trap)
+    ground = np.zeros(8, dtype=complex)
+    ground[0] = 1.0
+    starts = [
+        fock.condensate_state(ground, 3),
+        fock.condensate_state(fock.displaced_orbital(basis, 0.3), 3),
+        fock.basis_state((2, 1, 0, 0, 0, 0, 0, 0)),
+    ]
+    t_grid = np.linspace(0.0, 2 * 2 * math.pi, 9)
+    for state in starts:
+        dev = oracle.compare_with_moments(state, trap, fb, t_grid, basis)
+        assert dev["mean"] < 1e-5
+        assert dev["cov"] < 1e-5
 
 
 def test_truncation_leak_detected():
