@@ -416,14 +416,14 @@ def _cmd_evolve(cfg: RunConfig) -> int:
     if engine != "moments":
         raise ConfigError(f"engine must be moments or oracle, got {engine!r}")
     fb = cfg.require_feedback()
-    state, basis = build_state(cfg.state_doc, cfg.trap)
     t_max = _as_float(cfg.param("t_max", 6.0 * math.pi / cfg.trap.trap_freq), "t_max")
     samples = _as_int(cfg.param("samples", 301), "samples")
-    if not t_max > 0:
-        raise ConfigError(f"t_max must be > 0, got {t_max!r}")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ConfigError(f"t_max must be finite and > 0, got {t_max!r}")
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples!r}")
     method = cfg.param("method", "closed")
+    state, basis = build_state(cfg.state_doc, cfg.trap)
     g = moments.build_generators(cfg.trap, fb)
     m0 = moments.init_moments(state, basis)
     rows = [_moment_row(float(t), moments.evolve(m0, g, float(t), method=method))

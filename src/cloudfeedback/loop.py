@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import ConfigError, MinResolution, SingularLyapunov, TimescaleViolation
 from .moments import JointMoments, project_collective
@@ -148,6 +147,8 @@ def stationary_discrete(trap: TrapConfig, cfg: LoopConfig) -> np.ndarray:
     noise, Q its output from a sharp state at the origin (the conditional
     covariance plus the response of the means to a unit innovation).
     """
+    from scipy.linalg import solve_discrete_lyapunov
+
     if _check_stable(trap, cfg) >= 1.0:
         raise SingularLyapunov("no stationary loop state: the mean map has spectral radius 1")
     rot = _rotation(trap, 1.0 / cfg.gamma)
@@ -171,6 +172,7 @@ class LoopTrajectory:
     n_events: np.ndarray
     config: LoopConfig
     trap: TrapConfig
+    spectral_radius: float  # of the event-to-event mean map; <= 1
 
     def summary(self) -> dict:
         return {
@@ -179,6 +181,7 @@ class LoopTrajectory:
             "zeta0": self.config.zeta0,
             "K": self.config.trajectories,
             "seed": int(self.config.rng_seed),
+            "spectral_radius": self.spectral_radius,
         }
 
 
@@ -241,8 +244,8 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
     trajectory carries its own covariance and the grid still sits at the
     mean event spacing.
     """
-    if t_max <= 0:
-        raise ConfigError(f"t_max must be > 0, got {t_max!r}")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ConfigError(f"t_max must be finite and > 0, got {t_max!r}")
     if record_stride < 1:
         raise ConfigError(f"record_stride must be >= 1, got {record_stride!r}")
     if init.n != trap.atom_count:
@@ -257,7 +260,7 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
     n_events = int(round(t_max * cfg.gamma))
     if n_events < 1:
         raise ConfigError("t_max shorter than one loop period")
-    _check_stable(trap, cfg)
+    radius = _check_stable(trap, cfg)
     mean0, cov0 = project_collective(init)
     if cfg.sigma0 < 1e-7 * math.sqrt(max(cov0[0, 0], 0.0)):
         raise MinResolution(
@@ -311,7 +314,7 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
     return LoopTrajectory(
         times=np.arange(len(records)) * (record_stride / cfg.gamma),
         mean_X=rec[:, 0], var_X=rec[:, 1], mean_P=rec[:, 2], var_P=rec[:, 3],
-        n_events=events, config=cfg, trap=trap,
+        n_events=events, config=cfg, trap=trap, spectral_radius=radius,
     )
 
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import fock
 from .errors import ConfigError, InvalidN, SingularLyapunov, StepRejected
@@ -214,11 +213,13 @@ def evolve(m0: JointMoments, g: DriftDiffusion, t: float,
     dim = a.shape[0]
 
     if method == "closed":
+        from scipy.linalg import expm
+
         blk = np.zeros((2 * dim, 2 * dim))
         blk[:dim, :dim] = a
         blk[:dim, dim:] = d2
         blk[dim:, dim:] = -a.T
-        e = scipy.linalg.expm(blk * t)
+        e = expm(blk * t)
         f = e[:dim, :dim]
         gblk = e[:dim, dim:]
         mean = f @ m0.mean
@@ -258,10 +259,12 @@ def stationary_cm(g: DriftDiffusion) -> float:
     Contracts the generator to (X_tot, P_tot) and solves the 2x2 Lyapunov
     equation A S + S A^T + 2 D = 0.
     """
+    from scipy.linalg import solve_continuous_lyapunov
+
     if g.fb.shift_rate == 0.0:
         raise SingularLyapunov("no stationary center-of-mass state without damping")
     c, s = _collective_maps(g.n)
     a_c = c @ g.A @ s
     d_c = c @ g.D @ c.T
-    sigma = scipy.linalg.solve_continuous_lyapunov(a_c, -2.0 * d_c)
+    sigma = solve_continuous_lyapunov(a_c, -2.0 * d_c)
     return math.sqrt(sigma[0, 0])

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from . import fock
 from .errors import (
@@ -238,6 +237,8 @@ def _superoperator(basis: fock.OrbitalBasis, n: int, h_diag: np.ndarray,
     most one entry per pair of entries of X or P.  That bound is checked
     against the budget before any of L is built.
     """
+    import scipy.sparse
+
     c_h, c_f, c_m, c_n = coefficients
     dim = len(h_diag)
     x, p = (scipy.sparse.csr_matrix(sector_operator(basis, n, op(basis).matrix))

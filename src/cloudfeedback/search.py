@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import criteria, fock, oracle
 from .errors import ConfigError, NonConvergence
@@ -248,11 +247,13 @@ def search_state(spec: SearchSpec, trap: TrapConfig, fb=None):
                 return _BARRIER
             return coherent_harmonics(alpha, basis).minimum()
 
+    from scipy.optimize import minimize
+
     def run_restart(k):
         rng = _restart_rng(spec.seed, k)
         x0 = rng.normal(size=spec.parameter_count)
         start = objective(x0)
-        res = scipy.optimize.minimize(
+        res = minimize(
             objective, x0, method="Nelder-Mead",
             options={"maxiter": spec.max_iter, "fatol": spec.tol,
                      "xatol": 1e-8, "adaptive": True},

@@ -541,8 +541,10 @@ def test_cli_loop_rerun_is_byte_identical(tmp_path):
     code, _, err1 = run_cli(["loop", "--config", str(cfg), "--seed", "9",
                              "--out", str(a)])
     assert code == 0
+    # at zeta0 = 0.002 the mean map's eigenvalues are complex: radius sqrt(1 - zeta0)
     assert json.loads(err1) == {"gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002,
-                                "K": 128, "seed": 9}
+                                "K": 128, "seed": 9,
+                                "spectral_radius": math.sqrt(0.998)}
     code, _, _ = run_cli(["loop", "--config", str(cfg), "--seed", "9",
                           "--out", str(b)])
     assert code == 0
@@ -570,6 +572,26 @@ def test_cli_loop_unstable_map_exits_2(tmp_path):
     code, _, _ = run_cli(["loop", "--config", str(cfg), "--zeta0", "0",
                           "--out", str(out)])
     assert code == 0
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan])
+@pytest.mark.parametrize("task, doc", [
+    ("loop", {"n": 1, "gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002,
+              "task": {"trajectories": 4}}),
+    ("evolve", {"n": 1, "zeta": 0.5, "sigma": 0.7, "task": {"samples": 3}}),
+])
+def test_cli_non_finite_t_max_exits_2(tmp_path, task, doc, t_max):
+    cfg = tmp_path / "run.json"
+    doc = {**doc, "task": {**doc["task"], "t_max": t_max}}
+    cfg.write_text(json.dumps(doc))  # written as Infinity / NaN
+    code, out, err = run_cli([task, "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    # the JSON error line is all there is: no warning text ahead of it
+    (line,) = err.splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "ConfigError"
+    assert "t_max must be finite" in doc["detail"]
 
 
 def test_cli_loop_without_discrete_triple_exits_2():

@@ -1,0 +1,66 @@
+"""Cold start: which scipy modules a bare import and each subcommand load.
+
+Every probe runs in a fresh interpreter, since the test process itself has
+scipy loaded (the warning filters in pyproject.toml name scipy classes).
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import cloudfeedback
+
+_PROBE = """
+import contextlib, io, json, sys
+import cloudfeedback
+code = None
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cloudfeedback.cli_main(argv)
+print(json.dumps({"code": code,
+                  "scipy": sorted(k for k in sys.modules if k.split(".")[0] == "scipy")}))
+"""
+
+
+def probe(argv, tmp_path):
+    """(exit code or None, sorted scipy modules loaded) of one cold run."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cloudfeedback.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, cwd=tmp_path, env=env,
+                          timeout=120, check=True)
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    return doc["code"], doc["scipy"]
+
+
+def test_package_import_loads_no_scipy(tmp_path):
+    assert probe([], tmp_path) == (None, [])
+
+
+@pytest.mark.parametrize("argv, task", [
+    (["scales", "--n", "2", "--zeta", "1", "--sigma", "0.5"], {}),
+    (["scan", "--n", "2", "--zeta", "1", "--sigma", "0.5"], {}),
+    (["loop", "--n", "1", "--gamma", "100", "--sigma0", "5", "--zeta0", "0.002"],
+     {"t_max": 0.5, "trajectories": 8}),
+], ids=["scales", "scan", "loop"])
+def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv, task):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"task": task}))
+    assert probe(argv + ["--config", str(cfg)], tmp_path) == (0, [])
+
+
+def test_oracle_loads_no_scipy_optimize(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": 1, "zeta": 0.5, "sigma": 0.7,
+        "state": {"kind": "condensate", "m": 12},
+        "task": {"t_max": 0.5}}))
+    code, loaded = probe(["oracle", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    assert "scipy.sparse" in loaded  # the probe sees what the oracle loads
+    assert not [k for k in loaded if k.split(".")[:2] == ["scipy", "optimize"]]

@@ -317,7 +317,9 @@ def test_trajectory_summary_reports_run_parameters():
     assert doc["gamma"] == pytest.approx(40.0)
     assert doc["K"] == 32
     assert doc["seed"] == 8
-    assert set(doc) >= {"gamma", "sigma0", "zeta0", "K", "seed"}
+    assert doc["spectral_radius"] == loop._check_stable(trap, cfg)
+    assert 0.0 < doc["spectral_radius"] <= 1.0
+    assert set(doc) >= {"gamma", "sigma0", "zeta0", "K", "seed", "spectral_radius"}
 
 
 def test_kraus_backend_agrees_with_gaussian_filter():
