@@ -33,6 +33,14 @@ from .scales import FeedbackConfig, TrapConfig
 _DRAW_FLOATS = 2**20
 # each trajectory keeps its own Generator (about 1 KB) alive for the whole run
 _MAX_TRAJECTORIES = 2**16
+# events a run may ask for: per trajectory, round(t_max * gamma), and summed
+# over the ensemble; checked before any generator is built
+_MAX_EVENTS = 2**20
+_MAX_TRAJ_EVENTS = 2**28
+# a poisson chunk steps enough events to fill (events, trajectories) arrays
+# of this many floats, and at least 4, which spreads numpy's per-call cost
+# at large K
+_CHUNK_FLOATS = 2**12
 
 
 @dataclass(frozen=True)
@@ -82,21 +90,24 @@ class _Pair(NamedTuple):
 
 
 def _rotation(trap: TrapConfig, dt) -> tuple:
-    """Entries (c, a, b) of the pair's free evolution R = [[c, a], [-b, c]].
+    """Free evolution R = [[c, a], [-b, c]] of the pair over dt, as the
+    products the kernel uses: (c, a, b, c^2, 2ca, a^2, c^2 - ab, b^2, 2cb).
 
-    dt is one time or an array of them, one per trajectory.
+    dt is one time or an array of them.
     """
     mw = trap.atom_count * trap.mass * trap.trap_freq
+    c = np.cos(trap.trap_freq * dt)
     sn = np.sin(trap.trap_freq * dt)
-    return np.cos(trap.trap_freq * dt), sn / mw, mw * sn
+    a, b = sn / mw, mw * sn
+    return c, a, b, c * c, 2.0 * c * a, a * a, c * c - a * b, b * b, 2.0 * c * b
 
 
 def _rotate(st: _Pair, rot: tuple) -> _Pair:
-    c, a, b = rot
+    c, a, b, cc, ca2, aa, ccab, bb, cb2 = rot
     return _Pair(c * st.x + a * st.p, c * st.p - b * st.x,
-                 c * c * st.xx + 2.0 * c * a * st.xp + a * a * st.pp,
-                 c * (a * st.pp - b * st.xx) + (c * c - a * b) * st.xp,
-                 b * b * st.xx - 2.0 * c * b * st.xp + c * c * st.pp)
+                 cc * st.xx + ca2 * st.xp + aa * st.pp,
+                 c * (a * st.pp - b * st.xx) + ccab * st.xp,
+                 bb * st.xx - cb2 * st.xp + cc * st.pp)
 
 
 def _filter_event(st: _Pair, rot: tuple, z, sigma0: float, zeta0: float,
@@ -173,6 +184,7 @@ class LoopTrajectory:
     config: LoopConfig
     trap: TrapConfig
     spectral_radius: float  # of the event-to-event mean map; <= 1
+    traj_events: int        # trajectory-events stepped, lockstep overrun included
 
     def summary(self) -> dict:
         return {
@@ -182,17 +194,18 @@ class LoopTrajectory:
             "K": self.config.trajectories,
             "seed": int(self.config.rng_seed),
             "spectral_radius": self.spectral_radius,
+            "traj_events": self.traj_events,
         }
 
 
 class _Streams:
-    """Per-trajectory random streams, read `block` events at a time.
+    """Per-trajectory random streams, read a block of events at a time.
 
     Trajectory i owns the stream with spawn key i.  A refill fills one block
-    from each named Generator method in turn (standard_normal,
-    standard_exponential), so the numbers a trajectory sees do not depend on
-    the batch, and with a single method they equal one long draw.  Read a
-    batch either in lockstep or with `take`, not both.
+    per trajectory from each named Generator method in turn (say
+    standard_exponential, then standard_normal), so the numbers a trajectory
+    sees do not depend on the batch, and with a single method they equal
+    one long draw.
     """
 
     def __init__(self, seed: int, k: int, block: int, methods: tuple[str, ...]):
@@ -202,36 +215,72 @@ class _Streams:
         ]
         self._methods = methods
         self._buf = np.empty((len(methods), k, block))
-        self._used = np.full(k, block)
 
-    def _refill(self, idx):
-        for i in idx:
-            for buf, method in zip(self._buf, self._methods):
-                getattr(self._rngs[i], method)(out=buf[i])
+    def blocks(self, live=None):
+        """Refill the streams and yield the buffer, (methods, k, block), forever.
 
-    def lockstep(self):
-        """Draws for the whole batch, event after event, each (methods, k)."""
+        live, if given, is called before each refill for the indices of the
+        streams to refill; the others keep their old draws.  Each refill
+        overwrites the array the previous one yielded.
+        """
         while True:
-            self._refill(range(len(self._rngs)))
-            for j in range(self._buf.shape[2]):
-                yield self._buf[:, :, j]
+            for i in range(len(self._rngs)) if live is None else live():
+                for method, out in zip(self._methods, self._buf[:, i]):
+                    getattr(self._rngs[i], method)(out=out)
+            yield self._buf
 
-    def take(self, idx: np.ndarray) -> np.ndarray:
-        """Next draw of each method for trajectories idx, shape (methods, len(idx))."""
-        stale = idx[self._used[idx] == self._buf.shape[2]]
-        self._refill(stale)
-        self._used[stale] = 0
-        used = self._used[idx]
-        self._used[idx] = used + 1
-        return self._buf[:, idx, used]
+
+def _moments(k: int, sx, sxx, vx, sp, spp, vp) -> tuple:
+    """(mean X, Var X, mean P, Var P) from ensemble sums of the means and their
+    squares and the mean conditional variances: variance plus spread of means."""
+    mx, mp = sx / k, sp / k
+    return mx, vx + (sxx / k - mx**2), mp, vp + (spp / k - mp**2)
 
 
 def _ensemble_moments(st: _Pair) -> tuple:
-    """(mean X, Var X, mean P, Var P): conditional variance plus spread of means."""
-    k = st.x.shape[0]
-    mx, mp = st.x.sum() / k, st.p.sum() / k
-    return (mx, np.mean(st.xx) + ((st.x**2).sum() / k - mx**2),
-            mp, np.mean(st.pp) + ((st.p**2).sum() / k - mp**2))
+    return _moments(st.x.shape[0], st.x.sum(), (st.x**2).sum(), np.mean(st.xx),
+                    st.p.sum(), (st.p**2).sum(), np.mean(st.pp))
+
+
+def _edges_before(t: np.ndarray, step: float, count: int) -> np.ndarray:
+    """Number of record edges g * step (g = 1..count) strictly before each t.
+
+    ceil(t / step) - 1 is off by at most one from the count under rounding;
+    comparing with the edge times themselves settles it exactly.
+    """
+    q = np.clip(np.ceil(t / step) - 1.0, 0.0, count)
+    q += (q < count) & ((q + 1.0) * step < t)
+    q -= (q > 0.0) & (q * step >= t)
+    return q.astype(np.intp)
+
+
+def _record_edges(sums: np.ndarray, step: float, t: np.ndarray, hist: np.ndarray,
+                  fired: int, trap: TrapConfig) -> None:
+    """Add to sums the record of every edge a chunk of poisson states covers.
+
+    hist[:, r] is the state after the event at t[r] (r = 0 is the last event
+    of the previous chunk), valid on [t[r], t[r + 1]); the edges inside are
+    recorded from it rotated to each edge.  An event exactly on an edge thus
+    counts before that edge's record.  Row r follows fired + r events.
+    Column e of sums holds, for the edge (e + 1) * step, the ensemble sums of
+    x, x^2, Var X, p, p^2, Var P and the event count.
+    """
+    g = _edges_before(t, step, sums.shape[1])
+    n = np.diff(g, axis=0)
+    cells = np.flatnonzero(n)
+    if cells.size == 0:
+        return
+    count = n.ravel()[cells]
+    first = g[:-1].ravel()[cells]
+    cell = np.repeat(cells, count)
+    edge = np.arange(cell.size) + np.repeat(first - (np.cumsum(count) - count), count)
+    r, i = np.divmod(cell, t.shape[1])
+    st = _rotate(_Pair(*hist[:, r, i]), _rotation(trap, (edge + 1) * step - t[r, i]))
+    lo = int(first.min())
+    edge -= lo
+    span = slice(lo, lo + int(edge.max()) + 1)
+    for acc, w in zip(sums, (st.x, st.x**2, st.xx, st.p, st.p**2, st.pp, fired + r)):
+        acc[span] += np.bincount(edge, weights=w)
 
 
 def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
@@ -242,7 +291,12 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
     fires at 1/gamma).  For the regular schedule the conditional covariance
     path is outcome-independent and shared; for the poisson schedule each
     trajectory carries its own covariance and the grid still sits at the
-    mean event spacing.
+    mean event spacing.  Poisson trajectories run in event lockstep: the
+    j-th event of every trajectory is stepped at once, in chunks of events
+    whose times come from one cumulative sum, until every trajectory is past
+    the last record edge; the edges each chunk covers are then recorded
+    together.  round(t_max * gamma) may not exceed _MAX_EVENTS, nor K times
+    it _MAX_TRAJ_EVENTS.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ConfigError(f"t_max must be finite and > 0, got {t_max!r}")
@@ -260,6 +314,14 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
     n_events = int(round(t_max * cfg.gamma))
     if n_events < 1:
         raise ConfigError("t_max shorter than one loop period")
+    k = cfg.trajectories
+    if n_events > _MAX_EVENTS:
+        raise ConfigError(
+            f"t_max * gamma asks for {n_events} events, over the budget of {_MAX_EVENTS}")
+    if k * n_events > _MAX_TRAJ_EVENTS:
+        raise ConfigError(
+            f"{k} trajectories x {n_events} events is over the budget of "
+            f"{_MAX_TRAJ_EVENTS} trajectory-events")
     radius = _check_stable(trap, cfg)
     mean0, cov0 = project_collective(init)
     if cfg.sigma0 < 1e-7 * math.sqrt(max(cov0[0, 0], 0.0)):
@@ -267,54 +329,68 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
             f"sigma0 {cfg.sigma0!r} below machine-meaningful resolution for "
             f"variance {cov0[0, 0]!r}")
 
-    k = cfg.trajectories
     shared = cfg.schedule == "regular"
     st = _Pair(np.full(k, mean0[0]), np.full(k, mean0[1]),
                *(v if shared else np.full(k, v) for v in (cov0[0, 0], cov0[0, 1], cov0[1, 1])))
     block = max(16, min(n_events, _DRAW_FLOATS // k))
     physics = (cfg.sigma0, cfg.zeta0, trap.hbar)
-    records = [_ensemble_moments(st)]
+    rows = n_events // record_stride + 1
+    rec = np.empty((rows, 4))
+    rec[0] = _ensemble_moments(st)
     if shared:
         rot = _rotation(trap, 1.0 / cfg.gamma)
-        draws = _Streams(cfg.rng_seed, k, block, ("standard_normal",)).lockstep()
-        for ev, (z,) in zip(range(n_events), draws):
+        blocks = _Streams(cfg.rng_seed, k, block, ("standard_normal",)).blocks()
+        draws = (zs[:, j] for (zs,) in blocks for j in range(block))
+        for ev, z in zip(range(n_events), draws):
             st, _ = _filter_event(st, rot, z, *physics)
             if (ev + 1) % record_stride == 0:
-                records.append(_ensemble_moments(st))
-        events = np.arange(len(records), dtype=float) * record_stride
+                rec[(ev + 1) // record_stride] = _ensemble_moments(st)
+        events = np.arange(rows, dtype=float) * record_stride
+        stepped = n_events
     else:
+        # edge g >= 1 sits at g * step and fills rec[g]
+        step = record_stride / cfg.gamma
+        t_end = (rows - 1) * step
+        sums = np.zeros((7, rows - 1))
+        chunk = min(block, max(4, _CHUNK_FLOATS // k))
+        # t[0] and hist[:, 0]: time of and state after the last event stepped
+        t = np.zeros((chunk + 1, k))
+        hist = np.empty((5, chunk + 1, k))
+        hist[:, 0] = st
+        stepped = 0
+        # a trajectory already past the last edge is never recorded again,
+        # so its stream is not refilled: stale draws only feed its overrun
+        blocks = _Streams(cfg.rng_seed, k, block, ("standard_exponential", "standard_normal")
+                          ).blocks(lambda: np.flatnonzero(t[0] <= t_end))
         # event gaps in units of the mean spacing 1/gamma
-        draws = _Streams(cfg.rng_seed, k, block, ("standard_exponential", "standard_normal"))
-        gaps, z = draws.take(np.arange(k))
-        t_next = gaps / cfg.gamma
-        t_last = np.zeros(k)
-        fired = np.zeros(k)
-        counts = [0.0]
-        dt_grid = record_stride / cfg.gamma
-        for g in range(1, n_events // record_stride + 1):
-            t_edge = g * dt_grid
-            while True:
-                idx = np.flatnonzero(t_next <= t_edge)
-                if idx.size == 0:
-                    break
-                sub, _ = _filter_event(_Pair(*(f[idx] for f in st)),
-                                       _rotation(trap, t_next[idx] - t_last[idx]),
-                                       z[idx], *physics)
-                for field, value in zip(st, sub):
-                    field[idx] = value
-                t_last[idx] = t_next[idx]
-                fired[idx] += 1.0
-                gaps, z[idx] = draws.take(idx)
-                t_next[idx] += gaps / cfg.gamma
-            records.append(_ensemble_moments(_rotate(st, _rotation(trap, t_edge - t_last))))
-            counts.append(fired.sum() / k)
-        events = np.array(counts)
+        chunks = ((gaps[:, c0:c0 + chunk], zs[:, c0:c0 + chunk])
+                  for gaps, zs in blocks for c0 in range(0, block, chunk))
+        for gaps, zs in chunks:
+            c = gaps.shape[1]
+            tc = t[:c + 1]
+            np.divide(gaps.T, cfg.gamma, out=tc[1:])
+            np.cumsum(tc, axis=0, out=tc)
+            past = np.flatnonzero(tc[1:].min(axis=1) > t_end)
+            steps = int(past[0]) if past.size else c
+            rot = _rotation(trap, np.diff(tc[:steps + 1], axis=0))
+            for j, (rot_j, z) in enumerate(zip(zip(*rot), zs.T), 1):
+                st, _ = _filter_event(st, rot_j, z, *physics)
+                hist[:, j] = st
+            kept = steps + 1 if past.size else c
+            _record_edges(sums, step, tc[:kept + 1], hist[:, :kept], stepped, trap)
+            stepped += steps
+            if past.size:
+                break
+            t[0], hist[:, 0] = tc[c], hist[:, c]
+        sx, sxx, vx, sp, spp, vp, fired = sums
+        rec[1:] = np.column_stack(_moments(k, sx, sxx, vx / k, sp, spp, vp / k))
+        events = np.concatenate(([0.0], fired / k))
 
-    rec = np.array(records)
     return LoopTrajectory(
-        times=np.arange(len(records)) * (record_stride / cfg.gamma),
+        times=np.arange(rows) * (record_stride / cfg.gamma),
         mean_X=rec[:, 0], var_X=rec[:, 1], mean_P=rec[:, 2], var_P=rec[:, 3],
         n_events=events, config=cfg, trap=trap, spectral_radius=radius,
+        traj_events=k * stepped,
     )
 
 

@@ -7,12 +7,13 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
-from cloudfeedback import criteria, driver, fock, moments
+from cloudfeedback import criteria, driver, fock, loop, moments
 from cloudfeedback.errors import ConfigError, NonFiniteCell
 from cloudfeedback.scales import (FeedbackConfig, TrapConfig, classify_regime,
                                   derive_scales)
@@ -544,7 +545,8 @@ def test_cli_loop_rerun_is_byte_identical(tmp_path):
     # at zeta0 = 0.002 the mean map's eigenvalues are complex: radius sqrt(1 - zeta0)
     assert json.loads(err1) == {"gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002,
                                 "K": 128, "seed": 9,
-                                "spectral_radius": math.sqrt(0.998)}
+                                "spectral_radius": math.sqrt(0.998),
+                                "traj_events": 128 * 100}
     code, _, _ = run_cli(["loop", "--config", str(cfg), "--seed", "9",
                           "--out", str(b)])
     assert code == 0
@@ -592,6 +594,48 @@ def test_cli_non_finite_t_max_exits_2(tmp_path, task, doc, t_max):
     doc = json.loads(line)
     assert doc["error"] == "ConfigError"
     assert "t_max must be finite" in doc["detail"]
+
+
+@pytest.mark.parametrize("task", [
+    {"t_max": 1e5, "trajectories": 1},       # 10^7 events per trajectory
+    {"t_max": 100.0, "trajectories": 65536},  # 6.6e8 trajectory-events
+], ids=["events", "trajectory-events"])
+def test_cli_loop_over_event_budget_exits_2_at_once(tmp_path, task):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 1, "gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002,
+                               "task": task}))
+    out = tmp_path / "loop.csv"
+    t0 = time.perf_counter()
+    code, _, err = run_cli(["loop", "--config", str(cfg), "--out", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert "budget" in doc["detail"]
+    assert not out.exists()
+
+
+def test_cli_loop_inside_event_budget_writes_every_record(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 1, "gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002,
+                               "task": {"t_max": 10.0, "trajectories": 1}}))
+    out = tmp_path / "loop.csv"
+    code, _, err = run_cli(["loop", "--config", str(cfg), "--out", str(out)])
+    assert code == 0
+    assert json.loads(err)["traj_events"] == 1000
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 1001
+    assert {len(row.split(",")) for row in rows} == {6}
+    trap = TrapConfig(atom_count=1)
+    state, basis = driver.build_state({"kind": "condensate", "m": 4}, trap)
+    for schedule in ("regular", "poisson"):
+        traj = loop.run_ensemble(
+            moments.init_moments(state, basis),
+            loop.LoopConfig(gamma=100.0, sigma0=5.0, zeta0=0.002, schedule=schedule),
+            trap, 10.0)
+        # the four moment columns are views of one preallocated record array
+        assert traj.mean_X.base is traj.var_P.base
+        assert traj.mean_X.base.shape == (1001, 4)
 
 
 def test_cli_loop_without_discrete_triple_exits_2():

@@ -47,7 +47,9 @@ def test_package_import_loads_no_scipy(tmp_path):
     (["scan", "--n", "2", "--zeta", "1", "--sigma", "0.5"], {}),
     (["loop", "--n", "1", "--gamma", "100", "--sigma0", "5", "--zeta0", "0.002"],
      {"t_max": 0.5, "trajectories": 8}),
-], ids=["scales", "scan", "loop"])
+    (["loop", "--n", "1", "--gamma", "100", "--sigma0", "5", "--zeta0", "0.002"],
+     {"t_max": 0.5, "trajectories": 8, "schedule": "poisson"}),
+], ids=["scales", "scan", "loop", "loop-poisson"])
 def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv, task):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"task": task}))

@@ -290,6 +290,90 @@ def test_ensemble_rerun_is_deterministic():
     assert np.array_equal(poisson[0].var_X, poisson[1].var_X)
 
 
+def grid_walk_poisson(init, cfg, trap, t_max, record_stride):
+    """Grid-by-grid reference for the poisson schedule.
+
+    Each record edge is reached in turn: the trajectories whose next event
+    falls at or before the edge fire it, one index set at a time, until none
+    is left, and the edge is then recorded from every trajectory rotated
+    forward from its last event.  Trajectory i reads its own stream (spawn
+    key i, a block of exponential gaps and then a block of normal draws, the
+    block as in run_ensemble) one event at a time.  Returns the records as
+    rows of (mean X, Var X, mean P, Var P) and the mean event counts.
+    """
+    k = cfg.trajectories
+    n_events = round(t_max * cfg.gamma)
+    block = max(16, min(n_events, loop._DRAW_FLOATS // k))
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(i,)))
+            for i in range(k)]
+    buf = np.empty((2, k, block))
+    used = np.full(k, block)
+
+    def take(idx):
+        for i in idx[used[idx] == block]:
+            rngs[i].standard_exponential(out=buf[0, i])
+            rngs[i].standard_normal(out=buf[1, i])
+            used[i] = 0
+        draws = buf[:, idx, used[idx]]
+        used[idx] += 1
+        return draws
+
+    def ensemble(st):
+        return (st.x.mean(), st.xx.mean() + np.var(st.x),
+                st.p.mean(), st.pp.mean() + np.var(st.p))
+
+    mean0, cov0 = moments.project_collective(init)
+    st = loop._Pair(*(np.full(k, v) for v in
+                      (mean0[0], mean0[1], cov0[0, 0], cov0[0, 1], cov0[1, 1])))
+    gaps, z = take(np.arange(k))
+    t_next, t_last, fired = gaps / cfg.gamma, np.zeros(k), np.zeros(k)
+    rows, counts = [ensemble(st)], [0.0]
+    for g in range(1, n_events // record_stride + 1):
+        t_edge = g * (record_stride / cfg.gamma)
+        while (idx := np.flatnonzero(t_next <= t_edge)).size:
+            sub, _ = loop._filter_event(loop._Pair(*(f[idx] for f in st)),
+                                        loop._rotation(trap, t_next[idx] - t_last[idx]),
+                                        z[idx], cfg.sigma0, cfg.zeta0, trap.hbar)
+            for field, value in zip(st, sub):
+                field[idx] = value
+            t_last[idx] = t_next[idx]
+            fired[idx] += 1.0
+            gaps, z[idx] = take(idx)
+            t_next[idx] += gaps / cfg.gamma
+        rows.append(ensemble(loop._rotate(st, loop._rotation(trap, t_edge - t_last))))
+        counts.append(fired.mean())
+    return np.array(rows), np.array(counts)
+
+
+@pytest.mark.parametrize("n, k, stride", [(1, 64, 1), (1, 64, 7), (3, 17, 1), (3, 40, 7)])
+def test_poisson_lockstep_matches_grid_walk(n, k, stride):
+    trap = trap_for(n)
+    basis = fock.OrbitalBasis(mode_count=12, trap=trap)
+    init = moments.init_moments(
+        fock.condensate_state(fock.displaced_orbital(basis, 0.5), n), basis)
+    cfg = loop_for(trap, zeta=0.5, eta=1.0, gamma=40.0, rng_seed=30 + n,
+                   trajectories=k, schedule="poisson")
+    traj = loop.run_ensemble(init, cfg, trap, 3.0, record_stride=stride)
+    rows, counts = grid_walk_poisson(init, cfg, trap, 3.0, stride)
+    np.testing.assert_array_equal(traj.n_events, counts)
+    np.testing.assert_array_equal(traj.times, np.arange(len(counts)) * (stride / 40.0))
+    got = np.column_stack([traj.mean_X, traj.var_X, traj.mean_P, traj.var_P])
+    np.testing.assert_allclose(got, rows, rtol=1e-12, atol=0.0)
+    # lockstep steps every trajectory until the last one is past the final edge
+    assert traj.traj_events >= k * counts[-1]
+
+
+def test_edges_before_matches_a_search_of_the_edge_times():
+    for stride, gamma, count in ((1, 100.0, 2400), (7, 40.0, 17), (10, 100.0, 240), (3, 3.0, 50)):
+        step = stride / gamma
+        edges = np.arange(1, count + 1) * step
+        t = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                            [0.0, step / 2, edges[-1] * 2.0],
+                            np.random.default_rng(count).uniform(0.0, 1.1 * edges[-1], 500)])
+        np.testing.assert_array_equal(loop._edges_before(t, step, count),
+                                      np.searchsorted(edges, t))
+
+
 def test_kraus_sample_follows_predictive_distribution():
     trap = trap_for(1)
     basis = fock.OrbitalBasis(mode_count=16, trap=trap)
@@ -319,7 +403,9 @@ def test_trajectory_summary_reports_run_parameters():
     assert doc["seed"] == 8
     assert doc["spectral_radius"] == loop._check_stable(trap, cfg)
     assert 0.0 < doc["spectral_radius"] <= 1.0
-    assert set(doc) >= {"gamma", "sigma0", "zeta0", "K", "seed", "spectral_radius"}
+    assert doc["traj_events"] == 32 * 40
+    assert set(doc) >= {"gamma", "sigma0", "zeta0", "K", "seed", "spectral_radius",
+                        "traj_events"}
 
 
 def test_kraus_backend_agrees_with_gaussian_filter():
