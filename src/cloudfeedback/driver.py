@@ -51,6 +51,10 @@ _TASK_PARAMS = {
                          "state_out"}),
 }
 
+# most rows a criteria, evolve or scan grid may ask for, checked before the
+# grid is built: an evolve row costs one matrix exponential
+_GRID_ROWS = 100_000
+
 _MOMENT_HEADER = [
     "t", "mean_x", "mean_p", "mean_Xbar", "mean_Pbar",
     "cov_xx", "cov_xp", "cov_xXbar", "cov_xPbar",
@@ -84,6 +88,14 @@ def _as_int(value, key: str) -> int:
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         value = int(value)
     return int(value)
+
+
+def _as_rows(value, key: str) -> int:
+    """The row count of a CSV grid: an integer in [2, _GRID_ROWS]."""
+    rows = _as_int(value, key)
+    if not 2 <= rows <= _GRID_ROWS:
+        raise ConfigError(f"{key} must be in [2, {_GRID_ROWS}], got {rows!r}")
+    return rows
 
 
 def _as_float(value, key: str) -> float:
@@ -313,9 +325,7 @@ def _sig15(value: float) -> float:
 def scan_eta(trap: TrapConfig, zeta: float, eta_min: float, eta_max: float,
              steps: int) -> list[dict]:
     """Regime table over a geometric eta grid at fixed trap and shift rate."""
-    steps = _as_int(steps, "steps")
-    if steps < 2:
-        raise ConfigError(f"steps must be >= 2, got {steps!r}")
+    steps = _as_rows(steps, "steps")
     if not (eta_min > 0 and eta_max > eta_min and math.isfinite(eta_max)):
         raise ConfigError(f"need 0 < eta_min < eta_max, got ({eta_min!r}, {eta_max!r})")
     if not zeta > 0:
@@ -347,9 +357,7 @@ def breathing_curve(state, basis, trap: TrapConfig, fb: FeedbackConfig,
 
 def _curve(h: criteria.QuadratureHarmonics, state, basis, trap: TrapConfig,
            fb: FeedbackConfig, samples, include_transient: bool):
-    samples = _as_int(samples, "samples")
-    if samples < 2:
-        raise ConfigError(f"samples must be >= 2, got {samples!r}")
+    samples = _as_rows(samples, "samples")
     s = derive_scales(trap, fb)
     times = np.linspace(0.0, math.pi / trap.trap_freq, samples)
 
@@ -417,11 +425,9 @@ def _cmd_evolve(cfg: RunConfig) -> int:
         raise ConfigError(f"engine must be moments or oracle, got {engine!r}")
     fb = cfg.require_feedback()
     t_max = _as_float(cfg.param("t_max", 6.0 * math.pi / cfg.trap.trap_freq), "t_max")
-    samples = _as_int(cfg.param("samples", 301), "samples")
+    samples = _as_rows(cfg.param("samples", 301), "samples")
     if not (math.isfinite(t_max) and t_max > 0):
         raise ConfigError(f"t_max must be finite and > 0, got {t_max!r}")
-    if samples < 2:
-        raise ConfigError(f"samples must be >= 2, got {samples!r}")
     method = cfg.param("method", "closed")
     state, basis = build_state(cfg.state_doc, cfg.trap)
     g = moments.build_generators(cfg.trap, fb)
@@ -457,7 +463,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     sys.stderr.write(json.dumps({
         "task": "oracle",
         "instants": len(traj.times),
-        "superop_nnz": int(gen.superop.nnz),
+        "sector_dim": len(gen.h_diag),
         "timings_s": {"build": built - start, "propagate": done - built},
         "health": {"max_trace_err": float(traj.trace_err.max()),
                    "max_top_pop": float(traj.top_pop.max()),

@@ -31,7 +31,7 @@ class NotNormalized(ConfigError):
 
 
 class DimensionTooLarge(ConfigError):
-    """Requested Fock sector exceeds the oracle's superoperator budget."""
+    """Requested Fock sector holds more states than the oracle's 1000."""
 
 
 class CutoffTooTight(ToolkitError):

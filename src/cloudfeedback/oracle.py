@@ -1,13 +1,13 @@
 """Exact oracle: the N-atom master equation on the full Fock-sector density matrix.
 
 Ground truth for the moment propagator and the measurement loop, with no
-Gaussian or weak-coupling shortcuts.  The generator is assembled once as one
-CSR superoperator L acting on the row-major vec(rho), and rho(t) =
-exp(tL) rho(0) is evaluated only at the instants a caller asks for, by the
-scaled truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput.
-33:488, 2011).  Any atom number is accepted: a budget on the stored entries
-of L, counted from the sector operators before L is assembled, bounds the
-sector instead (N = 3 fits up to M = 8 orbitals).
+Gaussian or weak-coupling shortcuts.  The generator acts on the dense d x d
+rho through sparse (CSR) sector operators, as two sparse products per
+application, and rho(t) = exp(tL) rho(0) is evaluated only at the instants
+a caller asks for, by the scaled truncated Taylor series of Al-Mohy &
+Higham (SIAM J. Sci. Comput. 33:488, 2011).  Any atom number is accepted:
+the one budget is the sector dimension, d <= 1000 (N = 3 fits up to M = 17
+orbitals, N = 4 up to M = 10 and N = 5 up to M = 8).
 
 Positivity is monitored at every emitted instant, never enforced: the
 equation is of quantum Brownian motion type (not a completed Lindblad form),
@@ -35,13 +35,16 @@ from .moments import (
     evolve as evolve_moments,
     init_moments,
     moments_from_raw,
+    project_collective,
 )
 from .scales import FeedbackConfig, TrapConfig
 
 _ALL_TERMS = ("hamiltonian", "friction", "measurement", "noise")
-_NNZ_BUDGET = 1_000_000
-# L stores its whole diagonal, so a sector of dimension d costs at least d^2
-_DIM_CAP = math.isqrt(_NNZ_BUDGET)
+# largest sector the oracle takes: rho and each Taylor term are dense d x d
+# complex matrices, 16 MB at d = 1000
+_DIM_CAP = 1000
+# most steps one step clock may hold
+_STEP_BUDGET = 2**20
 
 # Al-Mohy & Higham, Table A.3: theta_m is the largest ||hA||_1 for which the
 # degree-m Taylor polynomial meets the double-precision tolerance unscaled
@@ -66,83 +69,45 @@ def sector_operator(basis: fock.OrbitalBasis, n: int, matrix: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class SectorObservables:
-    """Precomputed sector matrices for the observables the oracle reports."""
+    """Sparse sector operators behind the moments the oracle reports."""
 
-    basis: fock.OrbitalBasis
     n: int
-    t_x: np.ndarray
-    t_p: np.ndarray
-    t_x2: np.ndarray
-    t_p2: np.ndarray
-    t_sxp: np.ndarray
+    t_x: scipy.sparse.csr_matrix
+    t_p: scipy.sparse.csr_matrix
     top_number: np.ndarray  # diagonal of the top-orbital number operator
-    one_body: dict  # orbital-space matrices, keyed x/p/x2/p2/sxp
-    # flattened <a+_m a_n> gather: rho1 flat index, rho row, rho col, weight
-    _slots: np.ndarray = field(repr=False, default=None)
-    _rows: np.ndarray = field(repr=False, default=None)
-    _cols: np.ndarray = field(repr=False, default=None)
-    _vals: np.ndarray = field(repr=False, default=None)
-    _xx: np.ndarray = field(repr=False, default=None)
-    _pp: np.ndarray = field(repr=False, default=None)
-    _sxp2: np.ndarray = field(repr=False, default=None)
+    # T_x, T_p, T_x2, T_p2, T_sxp, T_x T_x, T_p T_p and sym(T_x T_p) in COO form
+    _traced: tuple = field(repr=False, default=None)
 
     @classmethod
     def build(cls, basis: fock.OrbitalBasis, n: int) -> "SectorObservables":
+        import scipy.sparse
+
         m = basis.mode_count
         occs = fock.occupations(n, m)
-        # every a+_i a_j at once, gathered in (i, j, source) order
+        dim = len(occs)
+        # every a+_i a_j at once; T_A weighs each by A[i][j]
         src, tgt, val, i, j = map(np.concatenate,
                                   zip(*fock.one_body_chunks(occs, np.ones((m, m)))))
-        order = np.argsort(i * m + j, kind="stable")
-        t_x = sector_operator(basis, n, fock.position_matrix(basis).matrix)
-        t_p = sector_operator(basis, n, fock.momentum_matrix(basis).matrix)
-        return cls(
-            basis=basis,
-            n=n,
-            t_x=t_x,
-            t_p=t_p,
-            t_x2=sector_operator(basis, n, fock.position_sq_matrix(basis).matrix),
-            t_p2=sector_operator(basis, n, fock.momentum_sq_matrix(basis).matrix),
-            t_sxp=sector_operator(basis, n, fock.sym_xp_matrix(basis).matrix),
-            top_number=occs[:, m - 1].astype(float),
-            one_body={
-                "x": fock.position_matrix(basis).matrix,
-                "p": fock.momentum_matrix(basis).matrix,
-                "x2": fock.position_sq_matrix(basis).matrix,
-                "p2": fock.momentum_sq_matrix(basis).matrix,
-                "sxp": fock.sym_xp_matrix(basis).matrix,
-            },
-            _slots=(j * m + i)[order],  # rho1[j][i] = <a+_i a_j>
-            _rows=tgt[order],
-            _cols=src[order],
-            _vals=val.real[order],
-            _xx=t_x @ t_x,
-            _pp=t_p @ t_p,
-            _sxp2=0.5 * (t_x @ t_p + t_p @ t_x),
-        )
 
-    def one_body_density(self, rho: np.ndarray) -> np.ndarray:
-        m = self.basis.mode_count
-        contrib = self._vals * rho[self._cols, self._rows]
-        flat = np.bincount(self._slots, weights=contrib.real, minlength=m * m) \
-            + 1j * np.bincount(self._slots, weights=contrib.imag, minlength=m * m)
-        return flat.reshape(m, m)
+        def collective(build):
+            entries = build(basis).matrix[i, j] * val
+            keep = entries != 0
+            return scipy.sparse.csr_matrix((entries[keep], (tgt[keep], src[keep])),
+                                           shape=(dim, dim))
+
+        t_x, t_p, t_x2, t_p2, t_sxp = map(collective, (
+            fock.position_matrix, fock.momentum_matrix, fock.position_sq_matrix,
+            fock.momentum_sq_matrix, fock.sym_xp_matrix))
+        traced = (t_x, t_p, t_x2, t_p2, t_sxp,
+                  t_x @ t_x, t_p @ t_p, 0.5 * (t_x @ t_p + t_p @ t_x))
+        return cls(n=n, t_x=t_x, t_p=t_p, top_number=occs[:, m - 1].astype(float),
+                   _traced=tuple(a.tocoo() for a in traced))
 
     def joint_moments(self, rho: np.ndarray) -> JointMoments:
-        n = self.n
-        rho1 = self.one_body_density(rho)
-        ob = self.one_body
-        x1 = np.trace(ob["x"] @ rho1).real / n
-        p1 = np.trace(ob["p"] @ rho1).real / n
-        x2 = np.trace(ob["x2"] @ rho1).real / n
-        p2 = np.trace(ob["p2"] @ rho1).real / n
-        s = np.trace(ob["sxp"] @ rho1).real / n
-        if n == 1:
-            return moments_from_raw(1, x1, p1, x2, p2, s, 0.0, 0.0, 0.0)
-        xx = np.sum(self._xx.T * rho).real
-        pp = np.sum(self._pp.T * rho).real
-        sxp = np.sum(self._sxp2.T * rho).real
-        return moments_from_raw(n, x1, p1, x2, p2, s, xx, pp, sxp)
+        # trace(A rho) = sum_ij A_ij rho_ji; moments_from_raw takes the
+        # one-body traces per atom and ignores the collective ones at N = 1
+        traces = [np.dot(a.data, rho[a.col, a.row]).real for a in self._traced]
+        return moments_from_raw(self.n, *(t / self.n for t in traces[:5]), *traces[5:])
 
 
 @dataclass(frozen=True)
@@ -190,25 +155,29 @@ def _coefficient(trap: TrapConfig, fb: FeedbackConfig, term: str) -> float:
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """The master equation as one CSR superoperator on the row-major vec(rho).
+    """The master equation as sparse sector products on the dense rho.
 
     d rho/dt = -(i/hbar)[H, rho] + i (zeta/2 hbar)[P, {X, rho}]
                - (1/8 sigma^2)[X, [X, rho]] - (zeta^2 sigma^2 / 2 hbar^2)[P, [P, rho]]
-    with X the cm position (T_x / N) and P the total momentum.  shift is
-    trace(L) / dim(L) and norm the 1-norm of L - shift I, the two numbers
-    the Taylor propagator is planned from.
+    with X the cm position (T_x / N) and P the total momentum.  Gathered by
+    the side of rho each factor stands on, with c_h, c_f, c_m, c_n the four
+    coefficients above, this is L(rho) = left rho + rho right + X rho Y +
+    P rho Z, where Y = 2 c_m X - i c_f P and Z = i c_f X + 2 c_n P.  stacks
+    holds [left; X; P] and [right; Y; Z]^T as CSR, so that L(rho) is two
+    sparse products: [left; X; P] rho, then [rho, X rho, P rho] [right; Y; Z]
+    (dense ones when the stacks are over a tenth full).  Without feedback
+    Y = Z = 0 and the stacks hold left and right alone.
+    shift is trace(L) / d^2 and norm a bound on the 1-norm of L - shift I,
+    the two numbers the Taylor propagator is planned from.
     """
 
     trap: TrapConfig
     fb: FeedbackConfig
-    basis: fock.OrbitalBasis
-    n: int
-    terms: tuple
-    x_hat: np.ndarray
-    p_hat: np.ndarray
+    x_hat: scipy.sparse.csr_matrix
+    p_hat: scipy.sparse.csr_matrix
     h_diag: np.ndarray
     obs: SectorObservables
-    superop: scipy.sparse.csr_matrix | None = field(repr=False)
+    stacks: tuple | None = field(repr=False)
     shift: complex
     norm: float
 
@@ -217,69 +186,69 @@ class LindbladGenerator:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         self._check_finite()
-        rho = np.asarray(rho, dtype=complex)
-        return (self.superop @ rho.ravel()).reshape(rho.shape)
+        return _apply(self.stacks, np.asarray(rho, dtype=complex))
 
     def _check_finite(self) -> None:
-        if self.superop is None:
+        if self.stacks is None:
             raise ConfigError("the generator has an infinite coefficient "
                               "(feedback with zeta > 0 needs a finite sigma)")
 
 
-def _superoperator(basis: fock.OrbitalBasis, n: int, h_diag: np.ndarray,
-                   coefficients: tuple):
-    """(L as CSR, shift, 1-norm of L - shift I), over budget DimensionTooLarge.
+def _apply(stacks: tuple, rho: np.ndarray) -> np.ndarray:
+    # the second product transposed, so that both take a C-ordered block
+    lhs, rhs_t = stacks
+    dim = len(rho)
+    products = (lhs @ rho).reshape(-1, dim, dim)
+    blocks = products.transpose(0, 2, 1).copy()
+    blocks[0] = rho.T
+    return products[0] + (rhs_t @ blocks.reshape(-1, dim)).T
 
-    On the row-major vec(rho), A rho B is (A kron B^T) vec(rho).  L is
-    left kron I + I kron right^T, for the terms A rho and rho B, which
-    store at most the whole diagonal and dim entries per off-diagonal entry
-    of either factor, plus the feedback's two-sided terms, which store at
-    most one entry per pair of entries of X or P.  That bound is checked
-    against the budget before any of L is built.
+
+def _stacks(x, p, h_diag: np.ndarray, coefficients: tuple):
+    """(stacks, shift, norm bound) of the generator with these coefficients.
+
+    On the row-major vec(rho), A rho B is the Kronecker product of A and
+    B^T, so column (k, l) of L is left[:, k] e_l^T + e_k right[l, :] +
+    X[:, k] Y[l, :] + P[:, k] Z[l, :].  Its diagonal entry, left[k, k] +
+    right[l, l] (X and P have none: they move one atom), is summed exactly,
+    the rest of its 1-norm bounded term by term; the largest bound over
+    (k, l) is norm, 1.05-1.41x ||L - shift I||_1 at N = 1-3.
     """
     import scipy.sparse
 
     c_h, c_f, c_m, c_n = coefficients
-    dim = len(h_diag)
-    x, p = (scipy.sparse.csr_matrix(sector_operator(basis, n, op(basis).matrix))
-            for op in (fock.position_matrix, fock.momentum_matrix))
-    x = x / n
     h = scipy.sparse.diags(h_diag, format="csr")
-    left = -1j * c_h * h + 1j * c_f * (p @ x) - c_m * (x @ x) - c_n * (p @ p)
-    right = 1j * c_h * h - 1j * c_f * (x @ p) - c_m * (x @ x) - c_n * (p @ p)
-    two_sided = bool(c_f or c_m or c_n)
-    count = dim * dim + sum(dim * (op.nnz - np.count_nonzero(op.diagonal()))
-                            for op in (left, right))
-    if two_sided:
-        count += (abs(x) + abs(p)).nnz ** 2
-    if count > _NNZ_BUDGET:
-        raise DimensionTooLarge(
-            f"the (n={n}, m={basis.mode_count}) superoperator holds up to {count} "
-            f"entries, over the budget of {_NNZ_BUDGET}")
+    xx, pp = x @ x, p @ p
+    left = -1j * c_h * h + 1j * c_f * (p @ x) - c_m * xx - c_n * pp
+    right = 1j * c_h * h - 1j * c_f * (x @ p) - c_m * xx - c_n * pp
+    y = 2.0 * c_m * x - 1j * c_f * p
+    z = 1j * c_f * x + 2.0 * c_n * p
 
-    eye = scipy.sparse.identity(dim, format="csr")
-    superop = (scipy.sparse.kron(left, eye, format="csr")
-               + scipy.sparse.kron(eye, right.T, format="csr"))
-    if two_sided:
-        # i c_f (P rho X - X rho P) + 2 c_m X rho X + 2 c_n P rho P, summed
-        # first: scipy keeps spare capacity after adding overlapping terms,
-        # none after adding these to the disjoint one-sided block
-        superop = superop + (
-            scipy.sparse.kron(x, (2.0 * c_m * x - 1j * c_f * p).T, format="csr")
-            + scipy.sparse.kron(p, (1j * c_f * x + 2.0 * c_n * p).T, format="csr"))
-    diag = superop.diagonal()
-    shift = complex(diag.mean())
-    col_abs = np.bincount(superop.indices, weights=np.abs(superop.data),
-                          minlength=dim * dim)
-    return superop, shift, float(np.max(col_abs - np.abs(diag) + np.abs(diag - shift)))
+    def abs_sums(a, axis):
+        return np.asarray(abs(a).sum(axis=axis)).ravel()
+
+    diagonal = left.diagonal()[:, None] + right.diagonal()
+    shift = complex(diagonal.mean())
+    rest = ((abs_sums(left, 0) - abs(left.diagonal()))[:, None]
+            + (abs_sums(right, 1) - abs(right.diagonal()))
+            + np.outer(abs_sums(x, 0), abs_sums(y, 1)) + np.outer(abs_sums(p, 0), abs_sums(z, 1)))
+    norm = float(np.max(abs(diagonal - shift) + rest))
+
+    pairs = ((left, right), (x, y), (p, z)) if c_f or c_m or c_n else ((left, right),)
+    stacks = (scipy.sparse.vstack([a for a, _ in pairs], format="csr"),
+              scipy.sparse.hstack([b.T for _, b in pairs], format="csr"))
+    if stacks[0].nnz + stacks[1].nnz > 0.2 * len(pairs) * len(h_diag)**2:
+        # over a tenth full, dense stacks through BLAS are the faster (N = 1, M = 12)
+        stacks = tuple(stack.toarray() for stack in stacks)
+    return stacks, shift, norm
 
 
 def build_generator(trap: TrapConfig, fb: FeedbackConfig, basis: fock.OrbitalBasis,
                     terms: tuple = _ALL_TERMS) -> LindbladGenerator:
-    """The generator of the chosen terms, its superoperator assembled once.
+    """The generator of the chosen terms, its sector operators built once.
 
     A term with an infinite coefficient (feedback with zeta > 0 and sigma =
-    inf) has no superoperator; such a generator refuses to be applied.
+    inf) has no operators; such a generator refuses to be applied.
     """
     n = trap.atom_count
     unknown = set(terms) - set(_ALL_TERMS)
@@ -292,14 +261,14 @@ def build_generator(trap: TrapConfig, fb: FeedbackConfig, basis: fock.OrbitalBas
     coefficients = tuple(_coefficient(trap, fb, t) if t in terms else 0.0
                          for t in _ALL_TERMS)
     h_diag = fock.occupation_energies(fock.occupations(n, basis.mode_count), trap)
-    superop, shift, norm = None, 0j, math.inf
-    if all(map(math.isfinite, coefficients)):
-        superop, shift, norm = _superoperator(basis, n, h_diag, coefficients)
     obs = SectorObservables.build(basis, n)
+    x_hat = obs.t_x / n
+    stacks, shift, norm = None, 0j, math.inf
+    if all(map(math.isfinite, coefficients)):
+        stacks, shift, norm = _stacks(x_hat, obs.t_p, h_diag, coefficients)
     return LindbladGenerator(
-        trap=trap, fb=fb, basis=basis, n=n, terms=tuple(terms),
-        x_hat=obs.t_x / n, p_hat=obs.t_p, h_diag=h_diag, obs=obs,
-        superop=superop, shift=shift, norm=norm,
+        trap=trap, fb=fb, x_hat=x_hat, p_hat=obs.t_p, h_diag=h_diag, obs=obs,
+        stacks=stacks, shift=shift, norm=norm,
     )
 
 
@@ -310,24 +279,24 @@ def _taylor_plan(norm: float, h: float) -> tuple[int, int]:
     return int(_DEGREES[k]), int(substeps[k])
 
 
-def _propagate(gen: LindbladGenerator, vec: np.ndarray, h: float,
+def _propagate(gen: LindbladGenerator, rho: np.ndarray, h: float,
                degree: int, substeps: int) -> np.ndarray:
-    """exp(hL) vec: Al-Mohy & Higham's Algorithm 3.2 on the shifted L - shift I."""
-    superop, mu = gen.superop, gen.shift
+    """exp(hL) rho: Al-Mohy & Higham's Algorithm 3.2 on the shifted L - shift I."""
+    stacks, mu = gen.stacks, gen.shift
     scale = h / substeps
     eta = np.exp(mu * scale)
-    out = vec
+    out = rho
     for _ in range(substeps):
-        c1 = np.max(np.abs(vec))
+        c1 = np.max(np.abs(rho))
         for j in range(1, degree + 1):
-            vec = (scale / j) * (superop @ vec - mu * vec)
-            c2 = np.max(np.abs(vec))
-            out = out + vec
+            rho = (scale / j) * (_apply(stacks, rho) - mu * rho)
+            c2 = np.max(np.abs(rho))
+            out = out + rho
             if c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(out)):
                 break
             c1 = c2
         out = eta * out
-        vec = out
+        rho = out
     return out
 
 
@@ -337,7 +306,6 @@ class OracleTrajectory:
     joint: tuple  # JointMoments per emitted instant
     mean_X: np.ndarray
     var_X: np.ndarray
-    mean_x1: np.ndarray
     dx: np.ndarray
     trace_err: np.ndarray
     top_pop: np.ndarray
@@ -351,7 +319,8 @@ def step_times(trap: TrapConfig, t_max: float, dt: float | None = None) -> np.nd
     Steps are summed one after the other and the last one is cut short to
     land on t_max, so the grid is the clock of a fixed-step integrator to
     the last bit.  dt defaults to 2 pi / (1000 omega) and may not exceed
-    2 pi / (500 omega).
+    2 pi / (500 omega); the clock holds at most 2^20 steps, checked before
+    it is built.
     """
     w = trap.trap_freq
     if dt is None:
@@ -363,24 +332,24 @@ def step_times(trap: TrapConfig, t_max: float, dt: float | None = None) -> np.nd
     if not (t_max >= 0 and math.isfinite(t_max)):
         raise ConfigError(f"t_max must be finite and >= 0, got {t_max!r}")
     steps = max(0, math.ceil(t_max / dt - 1e-12))
+    if steps > _STEP_BUDGET:
+        raise ConfigError(f"{steps} steps are over the clock budget of {_STEP_BUDGET}")
     times = np.concatenate(([0.0], np.cumsum(np.full(steps, dt))))
     times[steps] = t_max
     return times
 
 
 def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
-              times, dt: float | None = None) -> OracleTrajectory:
+              times: np.ndarray) -> OracleTrajectory:
     """rho(t) = exp(tL) rho0 at each instant of `times`, with monitors.
 
-    times is a nondecreasing array of instants >= 0, or a scalar t_max that
-    stands for the whole step_times(trap, t_max, dt) grid.  Only those
-    instants are formed and checked.  Each emitted state is made Hermitian by
-    conjugate-transpose averaging, propagation goes on from it, and it is
-    checked for trace drift, top-orbital population (TruncationLeak above
-    1e-6) and its minimum eigenvalue (PositivityLoss below -1e-6).
+    times is a nondecreasing array of instants >= 0, such as a slice of
+    step_times.  Only those instants are formed and checked.  Each emitted
+    state is made Hermitian by conjugate-transpose averaging, propagation
+    goes on from it, and it is checked for trace drift, top-orbital
+    population (TruncationLeak above 1e-6) and its minimum eigenvalue
+    (PositivityLoss below -1e-6).
     """
-    if np.ndim(times) == 0:
-        times = step_times(gen.trap, float(times), dt)
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or not len(times) or not np.all(np.isfinite(times))
             or times[0] < 0 or np.any(np.diff(times) < 0)):
@@ -388,10 +357,7 @@ def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
     gen._check_finite()
 
     obs = gen.obs
-    x_sq = gen.x_hat @ gen.x_hat
     rho = np.array(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex)
-    dim = rho.shape[0]
-    vec = rho.ravel()
     plans = {}
     joint, record = [], []
     t_prev = 0.0
@@ -400,11 +366,9 @@ def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
         if h > 0:
             if h not in plans:
                 plans[h] = _taylor_plan(gen.norm, h)
-            vec = _propagate(gen, vec, h, *plans[h])
+            rho = _propagate(gen, rho, h, *plans[h])
         t_prev = t
-        rho = vec.reshape(dim, dim)
         rho = 0.5 * (rho + rho.conj().T)
-        vec = rho.ravel()
 
         top = float(np.sum(obs.top_number * np.diag(rho).real))
         if top > 1e-6:
@@ -413,16 +377,15 @@ def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
         if eig_min < -1e-6:
             raise PositivityLoss(f"eigenvalue {eig_min:.3e} at t={t:.6f}")
         jm = obs.joint_moments(rho)
-        mx = float(np.sum(gen.x_hat.T * rho).real)
-        vx = float(np.sum(x_sq.T * rho).real) - mx**2
+        mean_c, cov_c = project_collective(jm)
         joint.append(jm)
-        record.append((mx, vx, jm.mean[0], math.sqrt(jm.cov[0, 0]),
+        record.append((mean_c[0], cov_c[0, 0], math.sqrt(jm.cov[0, 0]),
                        abs(np.trace(rho).real - 1.0), top, eig_min))
 
-    mean_x, var_x, mean_x1, dx, trace_err, top_pop, min_eig = np.array(record).T
+    mean_x, var_x, dx, trace_err, top_pop, min_eig = np.array(record).T
     return OracleTrajectory(
-        times=times, joint=tuple(joint), mean_X=mean_x, var_X=var_x, mean_x1=mean_x1,
-        dx=dx, trace_err=trace_err, top_pop=top_pop, min_eig=min_eig, final=rho,
+        times=times, joint=tuple(joint), mean_X=mean_x, var_X=var_x, dx=dx,
+        trace_err=trace_err, top_pop=top_pop, min_eig=min_eig, final=rho,
     )
 
 
@@ -432,13 +395,19 @@ def compare_with_moments(state: fock.FockState | fock.StateEnsemble,
                          dt: float | None = None) -> dict:
     """Max deviation between the exact oracle and the moment propagator.
 
-    Grid times are snapped to the steps of step_times(trap, t, dt), and the
-    oracle is evaluated at those instants only, so the two paths are
-    compared at identical instants.
+    t_grid is a nonempty 1-D array of finite instants >= 0.  Grid times are
+    snapped to the steps of step_times(trap, t, dt), and the oracle is
+    evaluated at those instants only, so the two paths are compared at
+    identical instants.
     """
     if dt is None:
         dt = 2.0 * math.pi / (1000.0 * trap.trap_freq)
-    snapped = sorted({max(0, round(t / dt)) for t in np.asarray(t_grid, dtype=float)})
+    grid = np.asarray(t_grid, dtype=float)
+    if (grid.ndim != 1 or not len(grid) or not np.all(np.isfinite(grid)) or np.any(grid < 0)
+            or not dt > 0):
+        raise ConfigError("t_grid must be a nonempty 1-D array of finite instants >= 0, "
+                          f"on a clock of dt > 0 (got {dt!r})")
+    snapped = sorted({round(t / dt) for t in grid})
     clock = step_times(trap, snapped[-1] * dt, dt)
     gen = build_generator(trap, fb, basis)
     traj = integrate(DensityMatrix.from_state(state, basis), gen, clock[snapped])

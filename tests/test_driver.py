@@ -357,28 +357,76 @@ def test_cli_invalid_json_config_exits_2(tmp_path):
 
 
 def test_cli_oracle_refuses_superoperator_over_budget(tmp_path):
-    # three atoms over nine orbitals: L would store 1,092,105 entries
+    # four atoms over eleven orbitals: a 1001-state sector, refused before
+    # any operator is built
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
-        "n": 3, "zeta": 0.5, "sigma": 0.7,
-        "state": {"kind": "condensate", "m": 9}}))
+        "n": 4, "zeta": 0.5, "sigma": 0.7,
+        "state": {"kind": "condensate", "m": 11}}))
+    t0 = time.perf_counter()
     code, out, err = run_cli(["oracle", "--config", str(cfg)])
+    assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert out == ""
     doc = json.loads(err)
     assert doc["error"] == "DimensionTooLarge"
-    assert "over the budget of 1000000" in doc["detail"]
+    assert "sector dimension 1001 exceeds 1000" in doc["detail"]
+
+
+def test_cli_oracle_reaches_four_atoms(tmp_path):
+    out_path = tmp_path / "oracle.csv"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": 4, "zeta": 0.5, "sigma": 0.7,
+        "state": {"kind": "condensate", "m": 8},
+        "task": {"name": "oracle", "t_max": 0.1}}))
+    code, _, err = run_cli(["oracle", "--config", str(cfg), "--out", str(out_path)])
+    assert code == 0
+    doc = json.loads(err)
+    assert doc["sector_dim"] == 330
+    assert doc["instants"] == len(out_path.read_text().splitlines()) - 1 == 2
+
+
+def test_cli_oracle_budgets_its_step_clock(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": 1, "zeta": 0.5, "sigma": 0.7,
+        "state": {"kind": "condensate", "m": 6},
+        "task": {"name": "oracle", "t_max": 1e9}}))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["oracle", "--config", str(cfg)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert "budget" in doc["detail"]
+
+
+@pytest.mark.parametrize("task, key", [("criteria", "samples"), ("evolve", "samples"),
+                                       ("scan", "steps")])
+def test_cli_grid_over_row_budget_exits_2_at_once(tmp_path, task, key):
+    cfg = tmp_path / "run.json"
+    for rows in (10**9, driver._GRID_ROWS + 1):
+        cfg.write_text(json.dumps({"n": 2, "zeta": 0.5, "sigma": 0.7,
+                                   "task": {"name": task, key: rows}}))
+        t0 = time.perf_counter()
+        code, out, err = run_cli([task, "--config", str(cfg)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ConfigError"
+        assert key in doc["detail"]
 
 
 def test_cli_evolve_routes_oracle_engine(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
-        "n": 3, "zeta": 0.5, "sigma": 0.7,
-        "state": {"kind": "condensate", "m": 9},
+        "n": 4, "zeta": 0.5, "sigma": 0.7,
+        "state": {"kind": "condensate", "m": 11},
         "task": {"name": "evolve", "engine": "oracle"}}))
     code, _, err = run_cli(["evolve", "--config", str(cfg)])
     assert code == 2
-    assert "superoperator" in json.loads(err)["detail"]
+    assert "sector dimension" in json.loads(err)["detail"]
 
 
 def test_cli_evolve_csv_format_and_padding(tmp_path):
@@ -442,7 +490,7 @@ def test_cli_oracle_reports_run_record_at_three_atoms(tmp_path):
     doc = json.loads(err)
     assert doc["task"] == "oracle"
     assert doc["instants"] == len(lines) - 1 == 7
-    assert doc["superop_nnz"] > 56**2
+    assert doc["sector_dim"] == 56
     assert set(doc["timings_s"]) == {"build", "propagate"}
     health = doc["health"]
     assert 0.0 <= health["max_trace_err"] < 1e-10

@@ -66,3 +66,5 @@ def test_oracle_loads_no_scipy_optimize(tmp_path):
     assert code == 0
     assert "scipy.sparse" in loaded  # the probe sees what the oracle loads
     assert not [k for k in loaded if k.split(".")[:2] == ["scipy", "optimize"]]
+    # nothing that could plan the propagator from a random estimate
+    assert not [k for k in loaded if k.split(".")[:3] == ["scipy", "sparse", "linalg"]]

@@ -385,7 +385,8 @@ def test_kraus_sample_follows_predictive_distribution():
     sigma0 = 1.5
     rng = np.random.default_rng(2)
     n_samp = 40_000
-    draws = np.array([loop.kraus_sample(rho, gen.x_hat, sigma0, rng)
+    x_hat = gen.x_hat.toarray()
+    draws = np.array([loop.kraus_sample(rho, x_hat, sigma0, rng)
                       for _ in range(n_samp)])
     target = cov[0, 0] + sigma0**2
     assert draws.mean() == pytest.approx(mean[0], abs=4 * math.sqrt(target / n_samp))
@@ -420,7 +421,7 @@ def test_kraus_backend_agrees_with_gaussian_filter():
     filt = pair_state(*moments.project_collective(moments.init_moments(state, basis)))
 
     sigma0, zeta0, dt = 2.5, 0.05, 0.05
-    x_hat, p_hat = gen.x_hat, gen.p_hat
+    x_hat, p_hat = gen.x_hat.toarray(), gen.p_hat.toarray()
     phases = np.exp(-1j * gen.h_diag * dt / trap.hbar)
     rng = np.random.default_rng(31)
     for _ in range(40):

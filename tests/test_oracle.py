@@ -45,7 +45,7 @@ def test_commutator_is_i_hbar_on_interior():
         trap = trap_for(n)
         basis = fock.OrbitalBasis(mode_count=7, trap=trap)
         gen = oracle.build_generator(trap, no_feedback(), basis)
-        comm = gen.x_hat @ gen.p_hat - gen.p_hat @ gen.x_hat
+        comm = (gen.x_hat @ gen.p_hat - gen.p_hat @ gen.x_hat).toarray()
         occs = fock.occupations(n, 7)
         interior = [i for i, occ in enumerate(occs) if occ[-1] == 0]
         block = comm[np.ix_(interior, interior)]
@@ -101,10 +101,10 @@ def test_coefficients_degrade_gracefully():
 def test_build_generator_guards():
     trap = trap_for(2)
     basis = fock.OrbitalBasis(mode_count=5, trap=trap)
-    # N = 3 over nine orbitals stores 1,092,105 entries in L: over the budget
-    with pytest.raises(DimensionTooLarge, match="budget"):
-        oracle.build_generator(trap_for(3), feedback_for_eta(trap_for(3), 1.0, zeta=0.2),
-                               fock.OrbitalBasis(mode_count=9, trap=trap_for(3)))
+    # N = 4 over eleven orbitals is a 1001-state sector: one over the cap
+    with pytest.raises(DimensionTooLarge, match="1001 exceeds 1000"):
+        oracle.build_generator(trap_for(4), feedback_for_eta(trap_for(4), 1.0, zeta=0.2),
+                               fock.OrbitalBasis(mode_count=11, trap=trap_for(4)))
     with pytest.raises(DimensionTooLarge):
         big = fock.OrbitalBasis(mode_count=150, trap=trap)
         oracle.build_generator(trap, no_feedback(), big)
@@ -113,11 +113,17 @@ def test_build_generator_guards():
     gen = oracle.build_generator(trap, no_feedback(), basis)
     rho = oracle.DensityMatrix.from_state(fock.basis_state((2, 0, 0, 0, 0)), basis)
     with pytest.raises(ConfigError):
-        oracle.integrate(rho, gen, 1.0, dt=2.0 * math.pi / 400.0)
+        oracle.step_times(trap, 1.0, dt=2.0 * math.pi / 400.0)
     with pytest.raises(ConfigError):
-        oracle.integrate(rho, gen, 1.0, dt=0.0)
+        oracle.step_times(trap, 1.0, dt=0.0)
     with pytest.raises(ConfigError):
-        oracle.integrate(rho, gen, -1.0)
+        oracle.step_times(trap, -1.0)
+    # the clock is budgeted before it is allocated
+    with pytest.raises(ConfigError, match="budget"):
+        oracle.step_times(trap, 1e9)
+    # times is an array of instants, never a scalar t_max
+    with pytest.raises(ConfigError):
+        oracle.integrate(rho, gen, 1.0)
 
 
 def test_density_matrix_validation():
@@ -157,7 +163,8 @@ def test_unitary_limit_oscillates_and_conserves_energy():
     gen = oracle.build_generator(trap, no_feedback(), basis)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.3), 2)
     traj = oracle.integrate(
-        oracle.DensityMatrix.from_state(state, basis), gen, 3 * 2 * math.pi
+        oracle.DensityMatrix.from_state(state, basis), gen,
+        oracle.step_times(trap, 3 * 2 * math.pi)
     )
     expected = traj.mean_X[0] * np.cos(trap.trap_freq * traj.times)
     assert np.max(np.abs(traj.mean_X - expected)) < 1e-8
@@ -166,7 +173,7 @@ def test_unitary_limit_oscillates_and_conserves_energy():
     energies = []
     rho = oracle.DensityMatrix.from_state(state, basis).matrix
     for _ in range(6):
-        t = oracle.integrate(rho, gen, math.pi, dt=2 * math.pi / 1000)
+        t = oracle.integrate(rho, gen, oracle.step_times(trap, math.pi, 2 * math.pi / 1000))
         rho = t.final
         energies.append(float(np.sum(gen.h_diag * np.diag(rho).real)))
     spread = max(energies) - min(energies)
@@ -181,10 +188,14 @@ def test_propagator_matches_dense_expm_and_trace_stays_put():
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.4), 1)
     rho0 = oracle.DensityMatrix.from_state(state, basis)
     t_end = 2 * math.pi
-    want = scipy.linalg.expm(t_end * gen.superop.toarray()) @ rho0.matrix.ravel()
+    # L as a dense matrix on the row-major vec(rho): column k is L(E_k)
+    dim = len(gen.h_diag)
+    units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    dense = np.array([gen.apply(unit).ravel() for unit in units]).T
+    want = scipy.linalg.expm(t_end * dense) @ rho0.matrix.ravel()
 
     # one jump to t_end, and the thousand steps of the default clock
-    for times in (np.array([0.0, t_end]), t_end):
+    for times in (np.array([0.0, t_end]), oracle.step_times(trap, t_end)):
         traj = oracle.integrate(rho0, gen, times)
         assert traj.times[-1] == t_end
         assert np.max(np.abs(traj.final.ravel() - want)) < 1e-10
@@ -193,7 +204,8 @@ def test_propagator_matches_dense_expm_and_trace_stays_put():
 
 def test_superoperator_matches_dense_master_equation():
     rng = np.random.default_rng(5)
-    for n, m in ((1, 7), (2, 5), (3, 4)):
+    # the small sectors apply dense stacks, N = 3 over six orbitals sparse ones
+    for n, m in ((1, 7), (2, 5), (3, 4), (3, 6)):
         trap = trap_for(n)
         fb = feedback_for_eta(trap, 0.7, zeta=0.4)
         basis = fock.OrbitalBasis(mode_count=m, trap=trap)
@@ -229,7 +241,7 @@ def test_instants_asked_for_match_the_full_clock():
     # the last step is cut short to land on t_max
     assert len(clock) == 161 and clock[-1] == 1.0
     assert clock[-2] == pytest.approx(159 * 2 * math.pi / 1000, rel=1e-14)
-    full = oracle.integrate(rho0, gen, 1.0)
+    full = oracle.integrate(rho0, gen, clock)
     sparse = oracle.integrate(rho0, gen, clock[::25])
     assert np.array_equal(sparse.times, full.times[::25])
     assert sparse.times[-1] == pytest.approx(150 * 2 * math.pi / 1000, rel=1e-14)
@@ -252,11 +264,14 @@ def test_friction_only_leaves_relative_sector_alone():
     fb = FeedbackConfig(shift_rate=zeta, meas_resolution=math.inf)
     basis = fock.OrbitalBasis(mode_count=12, trap=trap)
     gen = oracle.build_generator(trap, fb, basis, terms=("friction",))
-    obs = gen.obs
-    r_sq = 2.0 * obs.t_x2 - obs.t_x @ obs.t_x
-    pr_sq = (2.0 * obs.t_p2 - obs.t_p @ obs.t_p) / 4.0
-    cross = 0.5 * (obs.t_x @ obs.t_p + obs.t_p @ obs.t_x) - obs.t_sxp
-    r_pr = 0.5 * (obs.t_sxp - cross)
+    t_x, t_p, t_x2, t_p2, t_sxp = (
+        oracle.sector_operator(basis, 2, build(basis).matrix)
+        for build in (fock.position_matrix, fock.momentum_matrix, fock.position_sq_matrix,
+                      fock.momentum_sq_matrix, fock.sym_xp_matrix))
+    r_sq = 2.0 * t_x2 - t_x @ t_x
+    pr_sq = (2.0 * t_p2 - t_p @ t_p) / 4.0
+    cross = 0.5 * (t_x @ t_p + t_p @ t_x) - t_sxp
+    r_pr = 0.5 * (t_sxp - cross)
     watch = {"r2": r_sq, "pr2": pr_sq, "rpr": r_pr, "r4": r_sq @ r_sq}
 
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.4), 2)
@@ -294,7 +309,8 @@ def test_n1_cloud_settles_to_asymptotic_size():
     gen = oracle.build_generator(trap, fb, basis)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.5), 1)
     traj = oracle.integrate(
-        oracle.DensityMatrix.from_state(state, basis), gen, 12.0, dt=2 * math.pi / 500
+        oracle.DensityMatrix.from_state(state, basis), gen,
+        oracle.step_times(trap, 12.0, 2 * math.pi / 500)
     )
     target = derive_scales(trap, fb).DXs
     assert abs(traj.dx[-1] - target) < 1e-3
@@ -308,8 +324,8 @@ def test_mean_damping_rate_is_half_zeta():
     gen = oracle.build_generator(trap, fb, basis)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.5), 1)
     traj = oracle.integrate(
-        oracle.DensityMatrix.from_state(state, basis), gen, 10 * 2 * math.pi,
-        dt=2 * math.pi / 500,
+        oracle.DensityMatrix.from_state(state, basis), gen,
+        oracle.step_times(trap, 10 * 2 * math.pi, 2 * math.pi / 500),
     )
     x = traj.mean_X
     peaks = [
@@ -333,6 +349,11 @@ def test_compare_with_moments_n1_random_orbital():
     dev = oracle.compare_with_moments(state, trap, fb, t_grid, basis)
     assert dev["mean"] < 1e-6
     assert dev["cov"] < 1e-6
+    for bad in ([], [0.0, math.nan], [0.0, math.inf], [-0.5, 1.0]):
+        with pytest.raises(ConfigError, match="t_grid"):
+            oracle.compare_with_moments(state, trap, fb, np.array(bad), basis)
+    with pytest.raises(ConfigError, match="dt > 0"):
+        oracle.compare_with_moments(state, trap, fb, t_grid, basis, dt=0.0)
 
 
 def test_compare_with_moments_n2_condensate_cloud_size():
@@ -366,7 +387,8 @@ def test_compare_with_moments_n2_noon_collective_variance():
 
     gen = oracle.build_generator(trap, fb, basis)
     traj = oracle.integrate(
-        oracle.DensityMatrix.from_state(state, basis), gen, math.pi, dt=2 * math.pi / 1000
+        oracle.DensityMatrix.from_state(state, basis), gen,
+        oracle.step_times(trap, math.pi, 2 * math.pi / 1000)
     )
     m0 = moments.init_moments(state, basis)
     g = moments.build_generators(trap, fb)
@@ -392,6 +414,31 @@ def test_compare_with_moments_n3_checks_the_n_minus_two_terms():
         assert dev["cov"] < 1e-5
 
 
+@pytest.mark.parametrize("n, m, start, periods", [
+    (4, 5, "ground", 0.25),
+    (4, 7, "displaced", 0.25),
+    (4, 7, (2, 1, 1), 0.125),
+    (5, 5, "ground", 0.25),
+], ids=["n4-ground", "n4-displaced", "n4-occupation", "n5-ground"])
+def test_compare_with_moments_n4_n5_pins_the_n_minus_two_polynomial(n, m, start, periods):
+    # at N = 3, n - 2 = 1 and (n - 1)(n - 2) = 2(n - 2), so a wrong power of
+    # (n - 2) in the pair terms passes there; N = 4 is the first that tells.
+    # Each case takes the fewest orbitals and the shortest window that pass.
+    trap = trap_for(n)
+    fb = feedback_for_eta(trap, 0.8, zeta=0.3)
+    basis = fock.OrbitalBasis(mode_count=m, trap=trap)
+    if start == "ground":
+        state = fock.condensate_state(np.eye(m, dtype=complex)[0], n)
+    elif start == "displaced":
+        state = fock.condensate_state(fock.displaced_orbital(basis, 0.3), n)
+    else:
+        state = fock.basis_state(start + (0,) * (m - len(start)))
+    t_grid = np.linspace(0.0, periods * 2 * math.pi, 3)
+    dev = oracle.compare_with_moments(state, trap, fb, t_grid, basis)
+    assert dev["mean"] < 1e-5
+    assert dev["cov"] < 1e-5
+
+
 def test_truncation_leak_detected():
     trap = trap_for(1)
     fb = FeedbackConfig(shift_rate=0.0, meas_resolution=0.1)
@@ -399,7 +446,7 @@ def test_truncation_leak_detected():
     gen = oracle.build_generator(trap, fb, basis)
     rho = oracle.DensityMatrix.from_state(fock.basis_state((1, 0, 0, 0)), basis)
     with pytest.raises(TruncationLeak):
-        oracle.integrate(rho, gen, 4 * 2 * math.pi)
+        oracle.integrate(rho, gen, oracle.step_times(trap, 4 * 2 * math.pi))
 
 
 def test_positivity_monitor_trips_on_bad_input():
@@ -408,4 +455,5 @@ def test_positivity_monitor_trips_on_bad_input():
     gen = oracle.build_generator(trap, no_feedback(), basis)
     bad = np.diag([0.0, 0.5, 0.5 + 1e-5, -1e-5]).astype(complex)
     with pytest.raises(PositivityLoss):
-        oracle.integrate(oracle.DensityMatrix(matrix=bad, basis=basis, n=1), gen, 1.0)
+        oracle.integrate(oracle.DensityMatrix(matrix=bad, basis=basis, n=1), gen,
+                         oracle.step_times(trap, 1.0))
