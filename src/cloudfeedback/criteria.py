@@ -81,30 +81,29 @@ def quadrature_pairs(basis: fock.OrbitalBasis) -> tuple:
                  for t in (0.0, math.pi / (4.0 * w), math.pi / (2.0 * w)))
 
 
-def _sigma(state, q: fock.OneBodyOperator, q2: fock.OneBodyOperator,
-           leak_tol: float) -> float:
-    return (fock.few_body_expectation(state, [q2], leak_tol=leak_tol).real / state.n
-            - fock.few_body_expectation(state, [q, q], leak_tol=leak_tol).real / state.n**2)
+def _spreads(state: fock.FockState | fock.StateEnsemble, pairs) -> list[float]:
+    """sigma_q_sq at each (q(t), q^2(t)) pair from one rho1 and one Gram matrix.
+
+    Linear in the density operator: mixtures average the terms, not the values.
+    """
+    n = state.n
+    rho1 = fock.one_body_density(state)
+    two = np.diag(fock.few_body_expectation(state, [q for q, _ in pairs])).real.tolist()
+    return [rho1.expectation(q2) / n - qq / n**2 for (_, q2), qq in zip(pairs, two)]
 
 
 def sigma_q_sq(state: fock.FockState | fock.StateEnsemble,
-               basis: fock.OrbitalBasis, t: float, *,
-               leak_tol: float = 1e-10) -> float:
-    """(1/N) <T_{q^2(t)}> - (1/N^2) <T_{q(t)} T_{q(t)}>.
-
-    Linear in the density operator, so mixtures average the two terms, not
-    per-member values.
-    """
-    return _sigma(state, fock.quadrature_matrix(basis, t),
-                  fock.quadrature_sq_matrix(basis, t), leak_tol)
+               basis: fock.OrbitalBasis, t: float) -> float:
+    """(1/N) <T_{q^2(t)}> - (1/N^2) <T_{q(t)} T_{q(t)}>."""
+    return _spreads(state, [(fock.quadrature_matrix(basis, t),
+                             fock.quadrature_sq_matrix(basis, t))])[0]
 
 
 def quadrature_harmonics(state: fock.FockState | fock.StateEnsemble,
-                         basis: fock.OrbitalBasis, *,
-                         leak_tol: float = 1e-10) -> QuadratureHarmonics:
+                         basis: fock.OrbitalBasis) -> QuadratureHarmonics:
     """Exact three-point reconstruction of the pure second-harmonic signal."""
-    samples = [_sigma(state, q, q2, leak_tol) for q, q2 in quadrature_pairs(basis)]
-    return QuadratureHarmonics.from_samples(*samples, omega=basis.trap.trap_freq)
+    return QuadratureHarmonics.from_samples(*_spreads(state, quadrature_pairs(basis)),
+                                            omega=basis.trap.trap_freq)
 
 
 def asymptotic_cloud_size(scales: DerivedScales, h: QuadratureHarmonics,
@@ -153,8 +152,7 @@ def evaluate_criteria(scales: DerivedScales, h: QuadratureHarmonics) -> Criterio
 
 
 def schwarz_identity_check(state: fock.FockState | fock.StateEnsemble,
-                           basis: fock.OrbitalBasis, t: float, *,
-                           leak_tol: float = 1e-10) -> tuple[float, float, float]:
+                           basis: fock.OrbitalBasis, t: float) -> tuple[float, float, float]:
     """(one-body rms spread, cm rms spread, identity residual) at time t.
 
     The one-body spread is the density-weighted quadrature spread
@@ -162,18 +160,13 @@ def schwarz_identity_check(state: fock.FockState | fock.StateEnsemble,
     sigma_q_sq = Dq^2 - DQ_cm^2 holds exactly (the shared means cancel).
     """
     n = state.n
-    rho = fock.one_body_density(state).matrix
+    rho1 = fock.one_body_density(state)
     q = fock.quadrature_matrix(basis, t)
-    q2 = fock.quadrature_sq_matrix(basis, t)
-
-    mean_q = np.trace(q.matrix @ rho).real / n
-    dq_sq = np.trace(q2.matrix @ rho).real / n - mean_q**2
-
-    mean_cm = fock.few_body_expectation(state, [q], leak_tol=leak_tol).real / n
-    cm_sq = fock.few_body_expectation(state, [q, q], leak_tol=leak_tol).real / n**2
-    dcm_sq = cm_sq - mean_cm**2
-
-    residual = sigma_q_sq(state, basis, t, leak_tol=leak_tol) - (dq_sq - dcm_sq)
+    mean = rho1.expectation(q) / n
+    one = rho1.expectation(fock.quadrature_sq_matrix(basis, t)) / n
+    cm_sq = float(fock.few_body_expectation(state, [q])[0, 0].real) / n**2
+    dq_sq, dcm_sq = one - mean**2, cm_sq - mean**2
+    residual = (one - cm_sq) - (dq_sq - dcm_sq)
     return math.sqrt(max(dq_sq, 0.0)), math.sqrt(max(dcm_sq, 0.0)), residual
 
 

@@ -14,6 +14,7 @@ refuse (positivity loss, truncation leak, failed search, a non-finite cell).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -118,7 +119,10 @@ def _as_occupation(occ, m: int | None, trap: TrapConfig) -> list:
 def _as_complex(pair, key: str) -> complex:
     if not isinstance(pair, list) or len(pair) != 2:
         raise ConfigError(f"{key} must be an [re, im] pair, got {pair!r}")
-    return complex(_as_float(pair[0], key), _as_float(pair[1], key))
+    value = complex(_as_float(pair[0], key), _as_float(pair[1], key))
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {pair!r}")
+    return value
 
 
 class RunConfig:
@@ -240,7 +244,7 @@ def build_state(doc: dict | None, trap: TrapConfig):
                 raise ConfigError(f"orbital must list {m} [re, im] pairs")
             orb = np.array([_as_complex(p, "orbital entry") for p in pairs])
             norm = np.linalg.norm(orb)
-            if norm < 1e-12:
+            if not norm >= 1e-12:
                 raise ConfigError("orbital vector has zero norm")
             orb = orb / norm
         else:
@@ -259,7 +263,7 @@ def build_state(doc: dict | None, trap: TrapConfig):
             occ = tuple(_as_occupation(term.get("occupation"), m, trap))
             amp[occ] = amp.get(occ, 0.0) + _as_complex(term.get("amp"), "term amp")
         total = math.sqrt(sum(abs(v) ** 2 for v in amp.values()))
-        if total < 1e-12:
+        if not total >= 1e-12:
             raise ConfigError("superposition terms cancel to zero")
         return fock.FockState(n=trap.atom_count, m=m, occ=list(amp),
                               amp=[v / total for v in amp.values()]), basis
@@ -392,12 +396,14 @@ def _cmd_scales(cfg: RunConfig) -> int:
 
 def _cmd_criteria(cfg: RunConfig) -> int:
     fb = cfg.require_feedback()
+    include_transient = cfg.param("include_transient", False)
+    if not isinstance(include_transient, bool):
+        raise ConfigError(f"include_transient must be true or false, got {include_transient!r}")
     state, basis = build_state(cfg.state_doc, cfg.trap)
     h = criteria.quadrature_harmonics(state, basis)
-    header, rows = _curve(
-        h, state, basis, cfg.trap, fb,
-        samples=cfg.param("samples", 129),
-        include_transient=bool(cfg.param("include_transient", False)))
+    header, rows = _curve(h, state, basis, cfg.trap, fb,
+                          samples=cfg.param("samples", 129),
+                          include_transient=include_transient)
     write_csv(cfg.out, header, rows)
     report = criteria.evaluate_criteria(derive_scales(cfg.trap, fb), h)
     doc = report.to_dict()
@@ -516,6 +522,9 @@ def _cmd_scan(cfg: RunConfig) -> int:
 
 
 def _cmd_search(cfg: RunConfig) -> int:
+    state_out = cfg.param("state_out")
+    if state_out is not None and not isinstance(state_out, str):
+        raise ConfigError(f"state_out must be a path string, got {state_out!r}")
     spec = search.SearchSpec(
         n=cfg.trap.atom_count,
         m=_as_int(cfg.param("m", 3), "m"),
@@ -530,7 +539,6 @@ def _cmd_search(cfg: RunConfig) -> int:
               ["restart", "start_value", "final_value", "iterations", "converged"],
               [(r["restart"], r["start_value"], r["final_value"], r["iterations"],
                 r["converged"]) for r in report["rows"]])
-    state_out = cfg.param("state_out")
     if state_out is not None:
         if isinstance(state, fock.FockState):
             doc = fock.state_to_dict(state)

@@ -7,9 +7,10 @@ densities via the stable Hermite-function recurrence.
 A state's support is a (k, M) integer array of occupation rows sorted by
 exact lexicographic sector rank, with the amplitudes beside it.  One kernel,
 `one_body_coo`, gives the COO triplets of sum_ij A_ij a+_i a_j on any rows;
-every expectation, density and dense sector matrix comes from it.  Every
-enumeration of occupation rows is checked against one row budget before it
-starts, and operators are applied in row chunks of bounded size.
+every expectation, density and dense sector matrix comes from it.  Means
+<T_A> are traces against rho1, products <T_A T_B> overlaps of once-applied
+vectors.  Every enumeration of occupation rows is checked against one row
+budget before it starts, and operators are applied in row chunks of bounded size.
 
 Analytic matrix kinds exist for x^2, p^2, sym(xp) and q^2(t) because squaring
 the truncated x matrix loses the top diagonal elements; diagonal second
@@ -36,6 +37,7 @@ from .errors import (
 from .scales import TrapConfig
 
 _NORM_TOL = 1e-12
+_LEAK_TOL = 1e-10  # top-orbital weight allowed per member under an operator product
 # most occupation rows (M int64 each, with a key and an amplitude beside
 # them) that one sector, state support, applied vector or rank table may
 # hold, about 100 MB at M = 8; also the most dense complex entries, and the
@@ -304,14 +306,11 @@ class FockState:
         if len(rank) < len(amp):
             raise ConfigError("occupation rows repeat")
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise NotNormalized(f"state norm^2 = {norm_sq!r}")
         object.__setattr__(self, "occ", occ[order])
         object.__setattr__(self, "amp", amp[order])
         object.__setattr__(self, "rank", rank)
-
-    def top_orbital_weight(self) -> float:
-        return float(np.sum(np.abs(self.amp[self.occ[:, -1] > 0]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -332,7 +331,7 @@ class StateEnsemble:
             if (st.n, st.m) != (n, m):
                 raise ConfigError("ensemble members must share (n, m)")
             tot += w
-        if abs(tot - 1.0) > _NORM_TOL:
+        if not abs(tot - 1.0) <= _NORM_TOL:
             raise NotNormalized(f"ensemble weights sum to {tot!r}")
 
     @property
@@ -376,6 +375,10 @@ class OneBodyDensity:
     matrix: np.ndarray
     n: int
 
+    def expectation(self, op: OneBodyOperator) -> float:
+        """<T_A> = Tr(A rho1) of a Hermitian one-body operator."""
+        return float(np.trace(op.matrix @ self.matrix).real)
+
 
 # ---------------------------------------------------------------------------
 # state constructors
@@ -403,7 +406,7 @@ def condensate_state(orbital: np.ndarray, n: int) -> FockState:
     ground condensate is a single row at any n.
     """
     c = np.asarray(orbital, dtype=complex)
-    if abs(np.vdot(c, c).real - 1.0) > _NORM_TOL:
+    if not abs(np.vdot(c, c).real - 1.0) <= _NORM_TOL:
         raise NotNormalized(f"orbital norm^2 = {np.vdot(c, c).real!r}")
     live = np.flatnonzero(c)
     sub = occupations(n, len(live))
@@ -427,6 +430,8 @@ def displaced_orbital(basis: OrbitalBasis, d: float) -> np.ndarray:
     Truncation leak is the caller's concern; keep |d| well under the basis
     reach sqrt(2 M) * ladder scale.
     """
+    if not math.isfinite(d):
+        raise ConfigError(f"displacement must be finite, got {d!r}")
     t = basis.trap
     alpha = d * math.sqrt(t.mass * t.trap_freq / (2.0 * t.hbar))
     c = np.zeros(basis.mode_count, dtype=complex)
@@ -438,6 +443,8 @@ def displaced_orbital(basis: OrbitalBasis, d: float) -> np.ndarray:
 
 def squeezed_orbital(basis: OrbitalBasis, r: float) -> np.ndarray:
     """Squeezed ground orbital: x variance e^{-2r}, p variance e^{+2r} scaled."""
+    if not math.isfinite(r):
+        raise ConfigError(f"squeeze must be finite, got {r!r}")
     c = np.zeros(basis.mode_count, dtype=complex)
     c[0] = 1.0
     th = math.tanh(r)
@@ -457,8 +464,9 @@ def thermal_ensemble(basis: OrbitalBasis, temperature: float, n: int,
     untruncated oscillator ladder (standard N-boson recursion), so the
     reported truncation_loss bounds everything the cutoff discards.
     """
-    if temperature < 0:
-        raise ConfigError(f"temperature must be >= 0, got {temperature!r}")
+    if not (math.isfinite(temperature) and temperature >= 0) or math.isnan(energy_cutoff):
+        raise ConfigError(f"need a finite temperature >= 0 and a cutoff, got "
+                          f"{temperature!r} and {energy_cutoff!r}")
     t = basis.trap
     hw = t.hbar * t.trap_freq
     e0 = n * hw / 2.0
@@ -509,64 +517,57 @@ def _hops(rows: StateRows, matrix: np.ndarray):
         yield src, rows.key[src] - rows.key[src] % rows.dim + tgt, val, i, j
 
 
-def _apply(rows: StateRows, matrix: np.ndarray) -> StateRows:
-    out = rows._replace(key=rows.key[:0], occ=rows.occ[:0], amp=rows.amp[:0])
-    for src, key, val, i, j in _hops(rows, matrix):
+def _apply(rows: StateRows, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T_A on the batch: the ascending target keys and their amplitudes."""
+    key, amp = rows.key[:0], rows.amp[:0]
+    for src, tgt, val, _, _ in _hops(rows, matrix):
         # each chunk's targets, merged into those of the earlier chunks
-        key, first, inv = np.unique(np.concatenate([out.key, key]),
-                                    return_index=True, return_inverse=True)
+        key, inv = np.unique(np.concatenate([key, tgt]), return_inverse=True)
         _check_rows(len(key), "an applied vector")
-        fresh = first >= len(out.key)
-        hop = first[fresh] - len(out.key)
-        occ = rows.occ[src[hop]]
-        at = np.arange(len(hop))
-        occ[at, j[hop]] -= 1
-        occ[at, i[hop]] += 1
-        first[fresh] = len(out.key) + at
-        occ = np.concatenate([out.occ, occ])[first]
-        amp = _sum_by(inv, np.concatenate([out.amp, val * rows.amp[src]]), len(key))
-        out = out._replace(key=key, occ=occ, amp=amp)
-    return out
+        amp = _sum_by(inv, np.concatenate([amp, val * rows.amp[src]]), len(key))
+    return key, amp
 
 
-def _check_leak(rows: StateRows, leak_tol: float, where: str) -> None:
-    """Top-orbital weight over norm, per member, must stay within leak_tol."""
+def _check_leak(rows: StateRows) -> None:
+    """Top-orbital weight over norm, per member, must stay within _LEAK_TOL."""
     label = rows.key // rows.dim
     p = np.abs(rows.amp) ** 2
     top = np.bincount(label, p * (rows.occ[:, -1] > 0), len(rows.weight))
     norm = np.bincount(label, p, len(rows.weight))
     worst = float(np.max(np.divide(top, norm, out=np.zeros_like(top), where=norm > 0)))
-    if worst > leak_tol:
-        raise TruncationLeak(f"top-orbital weight {worst:.3e} {where}")
+    if worst > _LEAK_TOL:
+        raise TruncationLeak(f"top-orbital weight {worst:.3e} under an operator product")
 
 
 def few_body_expectation(state: FockState | StateEnsemble,
-                         ops: list[OneBodyOperator], *,
-                         leak_tol: float = 1e-10) -> complex:
-    """<A1 A2 (A3)> with Ak = sum A[i][j] a+_i a_j, in the written order.
+                         ops: list[OneBodyOperator]) -> np.ndarray:
+    """G[a][b] = <T_a T_b> for Hermitian one-body operators A_1..A_k.
 
-    Leak accounting: an operator application loses exactly the flow out of
-    the truncated basis, which only originates from top-orbital occupation of
-    its input.  The loss matters when later applications can fold it back
-    inside; the final application's out-flow is annihilated by the truncated
-    bra.  Hence every application except the last requires its input to be
-    clean at the top orbital (weight <= leak_tol, normalized, per member).
+    Each T_a = sum_ij A_a[i][j] a+_i a_j is applied once, and G is the Gram
+    matrix sum_w w <T_a psi_w|T_b psi_w> over the members: Hermitian and PSD
+    by construction.  Means <T_A> are Tr(A rho1), from one_body_density.
+
+    Leak rule: T_b psi loses the flow out of the basis, which leaves only from
+    the top orbital.  A mean never meets it, an overlap of two applied vectors
+    does, so each member's top-orbital weight must be at most _LEAK_TOL.
     """
-    if not 1 <= len(ops) <= 3:
-        raise ConfigError(f"ops list must have 1..3 entries, got {len(ops)}")
+    if not ops:
+        raise ConfigError("ops list must not be empty")
     for op in ops:
         if op.matrix.shape[0] != state.m:
             raise ConfigError("operator dimension does not match state mode count")
-    rows = vec = state_rows(state)
-    for step, op in enumerate(reversed(ops)):
-        if step < len(ops) - 1:
-            _check_leak(vec, leak_tol, f"before application {step + 1}")
-        vec = _apply(vec, op.matrix)
-    hit = np.isin(rows.key, vec.key)
-    pos = np.searchsorted(vec.key, rows.key[hit])
-    overlap = _sum_by(rows.key[hit] // rows.dim, np.conj(rows.amp[hit]) * vec.amp[pos],
-                      len(rows.weight))
-    return complex(rows.weight @ overlap)
+        if not op.hermitian:
+            raise ConfigError(f"operator {op.kind!r} is not Hermitian")
+    rows = state_rows(state)
+    _check_leak(rows)
+    applied = [_apply(rows, op.matrix) for op in ops]
+    key = np.unique(np.concatenate([k for k, _ in applied]))
+    _check_rows(len(key) * len(ops), "the applied vectors")
+    cols = np.zeros((len(key), len(ops)), dtype=complex)
+    for col, (k, amp) in enumerate(applied):
+        cols[np.searchsorted(key, k), col] = amp
+    gram = cols.conj().T @ (rows.weight[key // rows.dim][:, None] * cols)
+    return 0.5 * (gram + gram.conj().T)
 
 
 def one_body_density(state: FockState | StateEnsemble) -> OneBodyDensity:
@@ -623,8 +624,7 @@ def density_profile(rho1: OneBodyDensity, grid: np.ndarray, basis: OrbitalBasis)
     return p
 
 
-def pair_distribution(state: FockState, grid: np.ndarray, basis: OrbitalBasis,
-                      leak_tol: float = 1e-10) -> np.ndarray:
+def pair_distribution(state: FockState, grid: np.ndarray, basis: OrbitalBasis) -> np.ndarray:
     """P(x, x') = <n(x) n(x')>/N^2 with n(x) the density kernel at x.
 
     The grid kernel K(x)[n][m] = psi_n(x) psi_m(x) is a one-body operator, so
@@ -632,9 +632,7 @@ def pair_distribution(state: FockState, grid: np.ndarray, basis: OrbitalBasis,
     vectors (K is real symmetric), which mix the a+_i a_j |state> vectors.
     """
     grid = _check_grid(grid)
-    w0 = state.top_orbital_weight()
-    if w0 > leak_tol:
-        raise TruncationLeak(f"state top-orbital weight {w0:.3e}")
+    _check_leak(state_rows(state))
     m = state.m
     psi = hermite_functions(grid, m, basis)
     # the dense a+_i a_j |state> vectors and their grid mixtures: each source

@@ -172,29 +172,24 @@ def moments_from_raw(n: int, x1: float, p1: float, x2: float, p2: float,
 
 
 def init_moments(state: fock.FockState | fock.StateEnsemble,
-                 basis: fock.OrbitalBasis, *,
-                 leak_tol: float = 1e-10) -> JointMoments:
-    """Joint moments of a fixed-N state at t = 0."""
+                 basis: fock.OrbitalBasis) -> JointMoments:
+    """Joint moments of a fixed-N state at t = 0; sym(T_x T_p) is Re <T_x T_p>."""
     n = state.n
-    rho = fock.one_body_density(state).matrix
+    rho1 = fock.one_body_density(state)
     xm = fock.position_matrix(basis)
     pm = fock.momentum_matrix(basis)
 
-    x1 = np.trace(xm.matrix @ rho).real / n
-    p1 = np.trace(pm.matrix @ rho).real / n
-    x2 = np.trace(fock.position_sq_matrix(basis).matrix @ rho).real / n
-    p2 = np.trace(fock.momentum_sq_matrix(basis).matrix @ rho).real / n
-    s = np.trace(fock.sym_xp_matrix(basis).matrix @ rho).real / n
+    x1 = rho1.expectation(xm) / n
+    p1 = rho1.expectation(pm) / n
+    x2 = rho1.expectation(fock.position_sq_matrix(basis)) / n
+    p2 = rho1.expectation(fock.momentum_sq_matrix(basis)) / n
+    s = rho1.expectation(fock.sym_xp_matrix(basis)) / n
 
     if n == 1:
         return moments_from_raw(1, x1, p1, x2, p2, s, 0.0, 0.0, 0.0)
 
-    xx = fock.few_body_expectation(state, [xm, xm], leak_tol=leak_tol).real
-    pp = fock.few_body_expectation(state, [pm, pm], leak_tol=leak_tol).real
-    xp = fock.few_body_expectation(state, [xm, pm], leak_tol=leak_tol)
-    px = fock.few_body_expectation(state, [pm, xm], leak_tol=leak_tol)
-    xp_sym = 0.5 * (xp + px).real
-    return moments_from_raw(n, x1, p1, x2, p2, s, xx, pp, xp_sym)
+    g = fock.few_body_expectation(state, [xm, pm]).real
+    return moments_from_raw(n, x1, p1, x2, p2, s, g[0, 0], g[1, 1], g[0, 1])
 
 
 def evolve(m0: JointMoments, g: DriftDiffusion, t: float,

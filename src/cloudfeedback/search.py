@@ -178,8 +178,8 @@ def coherent_sigma_q_fock(alpha: np.ndarray, trap: TrapConfig, t: float,
         log_w += math.log(nbar) - math.log(n_sector)
         weight = math.exp(log_w)
         st = fock.condensate_state(orb, n_sector)
-        one += weight * fock.few_body_expectation(st, [op_q2]).real
-        two += weight * fock.few_body_expectation(st, [op_q, op_q]).real
+        one += weight * fock.one_body_density(st).expectation(op_q2)
+        two += weight * float(fock.few_body_expectation(st, [op_q])[0, 0].real)
     return one / nbar - two / nbar**2
 
 

@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from cloudfeedback import criteria, driver, fock, loop, moments
+from cloudfeedback import criteria, driver, errors, fock, loop, moments
 from cloudfeedback.errors import ConfigError, NonFiniteCell
 from cloudfeedback.scales import (FeedbackConfig, TrapConfig, classify_regime,
                                   derive_scales)
@@ -768,3 +768,70 @@ def test_cli_truncation_leak_exits_3():
                             "--sigma", "0.7"])
     assert code == 3
     assert json.loads(err)["error"] == "TruncationLeak"
+
+
+def _state_with(field, value):
+    return {
+        "displacement": {"kind": "condensate", "m": 4, "displacement": value},
+        "squeeze": {"kind": "condensate", "m": 4, "squeeze": value},
+        "orbital": {"kind": "condensate", "m": 3,
+                    "orbital": [[1.0, 0.0], [value, 0.0], [0.0, 0.0]]},
+        "amp": {"kind": "superposition", "m": 3,
+                "terms": [{"occupation": [2, 0, 0], "amp": [value, 0.0]}]},
+        "temperature": {"kind": "thermal", "m": 4, "temperature": value, "cutoff": 5.0},
+        "cutoff": {"kind": "thermal", "m": 4, "temperature": 0.5, "cutoff": value},
+    }[field]
+
+
+# an infinite cutoff keeps every configuration, which is legal
+@pytest.mark.parametrize("field, value", [
+    (field, value)
+    for field in ("displacement", "squeeze", "orbital", "amp", "temperature", "cutoff")
+    for value in ([math.nan] if field == "cutoff" else [math.nan, math.inf, -math.inf])])
+@pytest.mark.parametrize("task", ["criteria", "evolve", "loop"])
+def test_cli_non_finite_state_parameter_exits_2(tmp_path, task, field, value):
+    doc = {"n": 2, "state": _state_with(field, value)}
+    if task == "loop":
+        doc.update(gamma=100.0, sigma0=5.0, zeta0=0.002,
+                   task={"t_max": 0.1, "trajectories": 4})
+    else:
+        doc.update(zeta=0.5, sigma=0.7, task={"samples": 3})
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))  # written as NaN / Infinity
+    code, out, err = run_cli([task, "--config", str(cfg)])
+    assert code == 2, err
+    assert out == ""
+    (line,) = err.splitlines()
+    assert issubclass(getattr(errors, json.loads(line)["error"]), ConfigError)
+
+
+@pytest.mark.parametrize("state_out", [1, [1]])
+def test_cli_search_state_out_must_be_a_path(tmp_path, state_out):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": 2, "task": {"family": "fixed_N_pure", "m": 3, "restarts": 1,
+                         "state_out": state_out}}))
+    out = tmp_path / "search.csv"
+    code, stdout, err = run_cli(["search", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert "state_out must be a path string" in doc["detail"]
+    assert not out.exists()  # refused before the search ran
+
+
+@pytest.mark.parametrize("flag", ["false", 1, None])
+def test_cli_include_transient_must_be_boolean(tmp_path, flag):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 2, "zeta": 0.5, "sigma": 0.7,
+                               "task": {"samples": 3, "include_transient": flag}}))
+    code, out, err = run_cli(["criteria", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert "include_transient" in json.loads(err)["detail"]
+    cfg.write_text(json.dumps({"n": 2, "zeta": 0.5, "sigma": 0.7,
+                               "task": {"samples": 3, "include_transient": False}}))
+    code, out, _ = run_cli(["criteria", "--config", str(cfg)])
+    assert code == 0
+    assert out.splitlines()[0] == "t,sigma_q_sq,dxa,dx0,DXs"

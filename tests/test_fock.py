@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from cloudfeedback import fock, oracle
+from cloudfeedback import criteria, fock, moments, oracle
 from cloudfeedback.errors import (
     ConfigError,
     CutoffTooTight,
@@ -168,64 +168,76 @@ def test_ensemble_density_is_convex_average():
 # few-body expectations
 
 
+def pair_reference(state, mats):
+    """<T_a T_b> for every pair, from the first-quantized product space."""
+    return np.array([[helpers.oracle_expectation(state, [a.matrix, b.matrix]) for b in mats]
+                     for a in mats])
+
+
 def test_collective_second_moment_frozen_values():
     b = basis(3, TRAP2)
-    xx = [fock.position_matrix(b)] * 2
-    assert fock.few_body_expectation(fock.basis_state((1, 1, 0)), xx).real == pytest.approx(3.0)
+    x = [fock.position_matrix(b)]
+    assert fock.few_body_expectation(fock.basis_state((1, 1, 0)), x)[0, 0].real == \
+        pytest.approx(3.0)
     noon_minus = fock.FockState(
         n=2, m=3, occ=[(2, 0, 0), (0, 2, 0)], amp=[1 / math.sqrt(2), -1 / math.sqrt(2)]
     )
     noon_plus = fock.FockState(
         n=2, m=3, occ=[(2, 0, 0), (0, 2, 0)], amp=[1 / math.sqrt(2), 1 / math.sqrt(2)]
     )
-    assert fock.few_body_expectation(noon_minus, xx).real == pytest.approx(1.0)
-    assert fock.few_body_expectation(noon_plus, xx).real == pytest.approx(3.0)
+    assert fock.few_body_expectation(noon_minus, x)[0, 0].real == pytest.approx(1.0)
+    assert fock.few_body_expectation(noon_plus, x)[0, 0].real == pytest.approx(3.0)
 
 
-def test_few_body_matches_first_quantized_products():
+def test_few_body_matches_first_quantized_products(monkeypatch):
+    # random states touch the top orbital; the truncated algebra is compared as is
+    monkeypatch.setattr(fock, "_LEAK_TOL", 2.0)
     rng = np.random.default_rng(42)
     b = basis(4, TRAP2)
     mats = [fock.position_matrix(b), fock.momentum_matrix(b), fock.sym_xp_matrix(b)]
     dim = fock.sector_dimension(2, 4)
     for _ in range(6):
         st = fock.state_from_amplitudes(2, 4, helpers.random_fock_amplitudes(rng, dim))
-        for k in (1, 2, 3):
-            want = helpers.oracle_expectation(st, [m.matrix for m in mats[:k]])
-            got = fock.few_body_expectation(st, mats[:k], leak_tol=2.0)
-            assert got == pytest.approx(want, abs=1e-12)
+        rho1 = fock.one_body_density(st)
+        for op in mats:
+            want = helpers.oracle_expectation(st, [op.matrix])
+            assert rho1.expectation(op) == pytest.approx(want.real, abs=1e-12)
+        got = fock.few_body_expectation(st, mats)
+        assert np.max(np.abs(got - pair_reference(st, mats))) < 1e-12
 
 
-def test_few_body_three_atoms():
+def test_few_body_three_atoms(monkeypatch):
+    monkeypatch.setattr(fock, "_LEAK_TOL", 2.0)
     rng = np.random.default_rng(5)
     trap3 = TrapConfig(atom_count=3)
     b = basis(3, trap3)
     dim = fock.sector_dimension(3, 3)
     st = fock.state_from_amplitudes(3, 3, helpers.random_fock_amplitudes(rng, dim))
     mats = [fock.position_matrix(b), fock.momentum_sq_matrix(b)]
-    want = helpers.oracle_expectation(st, [m.matrix for m in mats])
-    got = fock.few_body_expectation(st, mats, leak_tol=2.0)
-    assert got == pytest.approx(want, abs=1e-12)
+    got = fock.few_body_expectation(st, mats)
+    assert np.max(np.abs(got - pair_reference(st, mats))) < 1e-12
 
-    # four atoms: every product of up to three operators
+    # four atoms: every mean and every product of two operators
     b4 = basis(3, TrapConfig(atom_count=4))
     st4 = fock.state_from_amplitudes(
         4, 3, helpers.random_fock_amplitudes(rng, fock.sector_dimension(4, 3)))
     mats4 = [fock.position_matrix(b4), fock.momentum_matrix(b4), fock.sym_xp_matrix(b4)]
-    for k in (1, 2, 3):
-        want = helpers.oracle_expectation(st4, [m.matrix for m in mats4[:k]])
-        got = fock.few_body_expectation(st4, mats4[:k], leak_tol=2.0)
-        assert got == pytest.approx(want, abs=1e-12)
-    rho = fock.one_body_density(st4).matrix
-    assert np.max(np.abs(rho - helpers.oracle_one_body_density(st4))) < 1e-12
+    rho1 = fock.one_body_density(st4)
+    for op in mats4:
+        want = helpers.oracle_expectation(st4, [op.matrix])
+        assert rho1.expectation(op) == pytest.approx(want.real, abs=1e-12)
+    got = fock.few_body_expectation(st4, mats4)
+    assert np.max(np.abs(got - pair_reference(st4, mats4))) < 1e-12
+    assert np.max(np.abs(rho1.matrix - helpers.oracle_one_body_density(st4))) < 1e-12
 
     # a thermal ensemble is evaluated as one batch: the weighted member sum
+    monkeypatch.undo()
     b6 = basis(6, trap3)
     ens = fock.thermal_ensemble(b6, temperature=0.45, n=3, energy_cutoff=6.4)
     assert len(ens.members) > 1
     mats6 = [fock.position_matrix(b6), fock.momentum_matrix(b6)]
-    want = sum(w * helpers.oracle_expectation(member, [m.matrix for m in mats6])
-               for w, member in ens.members)
-    assert fock.few_body_expectation(ens, mats6) == pytest.approx(want, abs=1e-12)
+    want = sum(w * pair_reference(member, mats6) for w, member in ens.members)
+    assert np.max(np.abs(fock.few_body_expectation(ens, mats6) - want)) < 1e-12
     want_rho = sum(w * helpers.oracle_one_body_density(member) for w, member in ens.members)
     assert np.max(np.abs(fock.one_body_density(ens).matrix - want_rho)) < 1e-12
 
@@ -233,6 +245,7 @@ def test_few_body_three_atoms():
 def test_chunked_application_matches_one_chunk(monkeypatch):
     # a tiny entry budget forces many row chunks; each result must agree with
     # the one-chunk evaluation
+    monkeypatch.setattr(fock, "_LEAK_TOL", 2.0)
     rng = np.random.default_rng(11)
     b = basis(4, TrapConfig(atom_count=3))
     st = fock.state_from_amplitudes(
@@ -243,9 +256,9 @@ def test_chunked_application_matches_one_chunk(monkeypatch):
     mats5 = [fock.position_matrix(basis(5)), fock.momentum_sq_matrix(basis(5))]
 
     def evaluate():
-        return (fock.few_body_expectation(st, mats, leak_tol=2.0),
+        return (fock.few_body_expectation(st, mats),
                 fock.one_body_density(st).matrix,
-                fock.few_body_expectation(ens, mats5, leak_tol=2.0),
+                fock.few_body_expectation(ens, mats5),
                 fock.one_body_density(ens).matrix,
                 oracle.sector_operator(b, 3, mats[0].matrix))
 
@@ -257,38 +270,22 @@ def test_chunked_application_matches_one_chunk(monkeypatch):
         assert np.max(np.abs(np.asarray(got) - want)) < 1e-12
 
 
-def test_adjoint_product_identity():
-    rng = np.random.default_rng(3)
-    b = basis(4, TRAP2)
-    dim = fock.sector_dimension(2, 4)
-    st = fock.state_from_amplitudes(2, 4, helpers.random_fock_amplitudes(rng, dim))
-    raw_a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    raw_b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    a = fock.OneBodyOperator(raw_a, hermitian=False)
-    b_op = fock.OneBodyOperator(raw_b, hermitian=False)
-    a_dag = fock.OneBodyOperator(raw_a.conj().T, hermitian=False)
-    b_dag = fock.OneBodyOperator(raw_b.conj().T, hermitian=False)
-    lhs = fock.few_body_expectation(st, [a, b_op], leak_tol=2.0)
-    rhs = fock.few_body_expectation(st, [b_dag, a_dag], leak_tol=2.0)
-    assert lhs == pytest.approx(np.conj(rhs), abs=1e-12)
-
-
 def test_leak_guard_and_single_op_exception():
     b2 = basis(2, TRAP2)
     st = fock.basis_state((1, 1))
+    x = fock.position_matrix(b2)
     with pytest.raises(TruncationLeak):
-        fock.few_body_expectation(st, [fock.position_matrix(b2)] * 2)
+        fock.few_body_expectation(st, [x])
     # a single application flows straight out of the basis and is annihilated
-    # by the bra, so it stays exact even from the top orbital
-    got = fock.few_body_expectation(st, [fock.position_matrix(b2)])
-    assert got == pytest.approx(helpers.oracle_expectation(st, [fock.position_matrix(b2).matrix]))
+    # by the bra, so the mean stays exact even from the top orbital
+    got = fock.one_body_density(st).expectation(x)
+    assert got == pytest.approx(helpers.oracle_expectation(st, [x.matrix]).real, abs=1e-12)
 
     plus = fock.FockState(n=1, m=2, occ=[(1, 0), (0, 1)],
                           amp=[1 / math.sqrt(2), 1 / math.sqrt(2)])
     b1 = basis(2)
-    assert fock.few_body_expectation(plus, [fock.position_matrix(b1)]).real == pytest.approx(
-        1 / math.sqrt(2)
-    )
+    assert fock.one_body_density(plus).expectation(fock.position_matrix(b1)) == \
+        pytest.approx(1 / math.sqrt(2))
 
 
 def test_leak_headroom_makes_noon_exact():
@@ -297,8 +294,26 @@ def test_leak_headroom_makes_noon_exact():
     b3 = basis(3, TRAP2)
     noon = fock.FockState(n=2, m=3, occ=[(2, 0, 0), (0, 2, 0)],
                           amp=[1 / math.sqrt(2), -1 / math.sqrt(2)])
-    val = fock.few_body_expectation(noon, [fock.position_matrix(b3)] * 2)
-    assert val.real == pytest.approx(1.0)
+    val = fock.few_body_expectation(noon, [fock.position_matrix(b3)])
+    assert val[0, 0].real == pytest.approx(1.0)
+
+
+def test_each_operator_is_applied_once(monkeypatch):
+    calls = []
+    apply = fock._apply
+
+    def counted(rows, matrix):
+        calls.append(1)
+        return apply(rows, matrix)
+
+    monkeypatch.setattr(fock, "_apply", counted)
+    b = basis(6, TrapConfig(atom_count=3))
+    st = fock.condensate_state(fock.displaced_orbital(b, 0.1), 3)
+    moments.init_moments(st, b)
+    assert len(calls) == 2
+    calls.clear()
+    criteria.quadrature_harmonics(st, b)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +325,9 @@ def test_displaced_orbital_moments():
     st = fock.condensate_state(fock.displaced_orbital(b, 0.3), 1)
     x = fock.position_matrix(b)
     x2 = fock.position_sq_matrix(b)
-    mean = fock.few_body_expectation(st, [x]).real
-    var = fock.few_body_expectation(st, [x2]).real - mean**2
+    rho1 = fock.one_body_density(st)
+    mean = rho1.expectation(x)
+    var = rho1.expectation(x2) - mean**2
     assert mean == pytest.approx(0.3, abs=1e-10)
     assert var == pytest.approx(0.5, abs=1e-10)
 
@@ -320,8 +336,9 @@ def test_squeezed_orbital_variances():
     r = 0.25
     b = basis(14)
     st = fock.condensate_state(fock.squeezed_orbital(b, r), 1)
-    vx = fock.few_body_expectation(st, [fock.position_sq_matrix(b)]).real
-    vp = fock.few_body_expectation(st, [fock.momentum_sq_matrix(b)]).real
+    rho1 = fock.one_body_density(st)
+    vx = rho1.expectation(fock.position_sq_matrix(b))
+    vp = rho1.expectation(fock.momentum_sq_matrix(b))
     assert vx == pytest.approx(0.5 * math.exp(-2 * r), abs=1e-6)
     assert vp == pytest.approx(0.5 * math.exp(2 * r), abs=1e-6)
 
@@ -508,8 +525,8 @@ def test_validation_errors():
     st = fock.basis_state((1, 0, 0))
     with pytest.raises(ConfigError):
         fock.few_body_expectation(st, [])
-    with pytest.raises(ConfigError):
-        fock.few_body_expectation(st, [fock.position_matrix(b)] * 4)
+    with pytest.raises(ConfigError, match="not Hermitian"):
+        fock.few_body_expectation(st, [fock.OneBodyOperator(np.eye(3), hermitian=False)])
     with pytest.raises(ConfigError):
         fock.few_body_expectation(st, [fock.position_matrix(basis(4))])
     with pytest.raises(ConfigError):
