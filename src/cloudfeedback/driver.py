@@ -548,9 +548,13 @@ def _cmd_search(cfg: RunConfig) -> int:
                    "mean_n": float(np.vdot(state, state).real)}
         write_json(state_out, doc)
     sys.stderr.write(json.dumps({
+        "task": "search",
         "family": spec.family,
         "best_value": report["best_value"],
         "best_restart": report["best_restart"],
+        "evaluations": report["evaluations"],
+        "timings_s": report["timings_s"],
+        "health": {"converged": sum(r["converged"] for r in report["rows"])},
     }) + "\n")
     return 0
 

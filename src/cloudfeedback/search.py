@@ -12,11 +12,17 @@ negative values.
 States handed to the sector machinery carry one empty guard orbital on top,
 which keeps two-operator products exact (the single leaked rung is captured
 by the enlarged basis).
+
+Both objectives are fixed quadratic forms in the real parameter vector
+u = [Re v; Im v]: the three sample times of the harmonic reconstruction
+give three forms (six for the coherent family, q and q^2 at each time),
+stacked once per search, so one evaluation is one matrix-vector product.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +34,8 @@ from .scales import TrapConfig
 _FAMILIES = ("fixed_N_pure", "indefinite_N_coherent")
 _MAX_PARAMS = 64
 _BARRIER = 1e6
+# Nelder-Mead iterations a search may ask for, restarts * max_iter
+_ITERATION_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -51,8 +59,14 @@ class SearchSpec:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts!r}")
         if not isinstance(self.max_iter, int) or self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if not (isinstance(self.tol, (int, float)) and self.tol > 0):
-            raise ConfigError(f"tol must be > 0, got {self.tol!r}")
+        if not (isinstance(self.tol, (int, float)) and math.isfinite(self.tol)
+                and self.tol > 0):
+            raise ConfigError(f"tol must be finite and > 0, got {self.tol!r}")
+        if self.restarts * self.max_iter > _ITERATION_BUDGET:
+            raise ConfigError(
+                f"restarts * max_iter = {self.restarts * self.max_iter} Nelder-Mead "
+                f"iterations, budget is {_ITERATION_BUDGET}"
+            )
         p = self.parameter_count
         if p > _MAX_PARAMS:
             raise ConfigError(
@@ -72,72 +86,117 @@ def _split_complex(vec: np.ndarray) -> np.ndarray:
     return vec[:half] + 1j * vec[half:]
 
 
-def _fixed_state(params: np.ndarray, n: int, m: int,
-                 slots: list[int], full_dim: int) -> fock.FockState | None:
+def _stack(matrices) -> np.ndarray:
+    """Real blocks [[Re H, -Im H], [Im H, Re H]] of the H_k, stacked by rows.
+
+    With u = [Re v; Im v], u . (block u) = Re(v+ H v), so _forms evaluates
+    every form of the stack on u with one product.
+    """
+    return np.concatenate([np.block([[h.real, -h.imag], [h.imag, h.real]])
+                           for h in matrices])
+
+
+def _forms(stack: np.ndarray, u: np.ndarray) -> list[float]:
+    """Re(v+ H_k v) / (v+ v) for every H_k of the stack; v must be nonzero.
+
+    ndarray.dot, not @: on these few-by-few operands the matmul ufunc's
+    dispatch costs more than the product.
+    """
+    norm_sq = float(u.dot(u))
+    return [f / norm_sq for f in stack.dot(u).reshape(-1, len(u)).dot(u).tolist()]
+
+
+def _fixed_state(params: np.ndarray, n: int, m: int) -> fock.FockState | None:
+    """The normalized state over the guard-free rows of the (n, m + 1) sector."""
     amps = _split_complex(np.asarray(params, dtype=float))
     norm = float(np.linalg.norm(amps))
     if norm < 1e-12:
         return None
-    full = np.zeros(full_dim, dtype=complex)
-    full[slots] = amps / norm
+    occs = fock.occupations(n, m + 1)
+    full = np.zeros(len(occs), dtype=complex)
+    full[occs[:, -1] == 0] = amps / norm
     return fock.state_from_amplitudes(n, m + 1, full)
 
 
 def fixed_sector_harmonics(basis: fock.OrbitalBasis, n: int):
     """Quadratic-form evaluator for min_t sigma_q_sq on the N-atom sector.
 
-    Returns a callable vec -> QuadratureHarmonics taking a normalized sector
-    amplitude vector whose top-orbital slots are empty; under that guard the
-    dense sector matrices reproduce the operator products exactly.  Built for
-    the inner loop of the search, where building a state per call is too slow.
+    The top orbital of basis is a guard.  Returns a callable u ->
+    QuadratureHarmonics taking u = [Re v; Im v] for a nonzero amplitude
+    vector v over the guard-free occupations, the rows of
+    occupations(n, basis.mode_count) whose top orbital is empty.  Each
+    H_k = T_{q^2(t_k)}/N - T_{q(t_k)} T_{q(t_k)}/N^2 is a dense sector matrix
+    built once and restricted to those rows, which is exact under the guard,
+    so a call is one product with the stacked forms.
     """
-    pairs = []
+    keep = fock.occupations(n, basis.mode_count)[:, -1] == 0
+    forms = []
     for q, q2 in criteria.quadrature_pairs(basis):
         t_q = oracle.sector_operator(basis, n, q.matrix)
-        pairs.append((oracle.sector_operator(basis, n, q2.matrix), t_q @ t_q))
+        h = oracle.sector_operator(basis, n, q2.matrix) / n - (t_q @ t_q) / n**2
+        forms.append(h[np.ix_(keep, keep)])
+    stack = _stack(forms)
+    omega = basis.trap.trap_freq
 
-    def harmonics(vec: np.ndarray) -> criteria.QuadratureHarmonics:
-        vals = []
-        for q2, qq in pairs:
-            one = float(np.vdot(vec, q2 @ vec).real)
-            two = float(np.vdot(vec, qq @ vec).real)
-            vals.append(one / n - two / n**2)
-        return criteria.QuadratureHarmonics.from_samples(*vals, omega=basis.trap.trap_freq)
+    def harmonics(u: np.ndarray) -> criteria.QuadratureHarmonics:
+        return criteria.QuadratureHarmonics.from_samples(*_forms(stack, u), omega=omega)
 
     return harmonics
 
 
-def _coherent_sample(alpha: np.ndarray, basis: fock.OrbitalBasis,
-                     q: np.ndarray, q2: np.ndarray) -> float:
+def _coherent_spreads(stack: np.ndarray, u: np.ndarray, nbar: float) -> list[float]:
+    """sigma_q_sq at each time of a [q(t_1..k); q^2(t_1..k)] stack.
+
+    The state is alpha = sqrt(nbar) c with c = v/|v|, u = [Re v; Im v].
+    <T_{q^2}> = a+ q2 a and <T_q T_q> = (a+ q a)^2 + a+ q2 a in closed form,
+    so the defining combination, normalized by the mean atom number nbar,
+    is (1 - 1/nbar) c+ q2 c - (c+ q c)^2.
+    """
+    g = _forms(stack, u)
+    k = len(g) // 2
+    return [(1.0 - 1.0 / nbar) * g2 - g1 * g1 for g1, g2 in zip(g[:k], g[k:])]
+
+
+def _coherent_stack(pairs) -> np.ndarray:
+    return _stack([q.matrix for q, _ in pairs] + [q2.matrix for _, q2 in pairs])
+
+
+def _coherent_vector(alpha: np.ndarray, basis: fock.OrbitalBasis) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (basis.mode_count,):
         raise ConfigError(
-            f"alpha has {alpha.shape[0]} entries, basis has {basis.mode_count} orbitals"
+            f"alpha has shape {alpha.shape}, basis has {basis.mode_count} orbitals"
         )
-    nbar = float(np.vdot(alpha, alpha).real)
-    if nbar <= 0.0:
+    u = np.concatenate([alpha.real, alpha.imag])
+    if not u.dot(u) > 0.0:
         raise ConfigError("coherent state needs a positive mean atom number")
-    f1 = float(np.vdot(alpha, q @ alpha).real)
-    f2 = float(np.vdot(alpha, q2 @ alpha).real)
-    return f2 / nbar - (f1 * f1 + f2) / nbar**2
+    return u
+
+
+def _coherent_evaluator(basis: fock.OrbitalBasis, nbar: float):
+    """Callable u -> QuadratureHarmonics of the coherent state sqrt(nbar) v/|v|."""
+    stack = _coherent_stack(criteria.quadrature_pairs(basis))
+    omega = basis.trap.trap_freq
+
+    def harmonics(u: np.ndarray) -> criteria.QuadratureHarmonics:
+        return criteria.QuadratureHarmonics.from_samples(
+            *_coherent_spreads(stack, u, nbar), omega=omega)
+
+    return harmonics
 
 
 def coherent_sigma_q(alpha: np.ndarray, basis: fock.OrbitalBasis, t: float) -> float:
-    """sigma_q_sq of the multimode coherent state with orbital amplitudes alpha.
-
-    <T_{q^2}> = a+ q2 a and <T_q T_q> = (a+ q a)^2 + a+ q2 a in closed form;
-    the defining combination is normalized by the mean atom number.
-    """
-    return _coherent_sample(alpha, basis, fock.quadrature_matrix(basis, t).matrix,
-                            fock.quadrature_sq_matrix(basis, t).matrix)
+    """sigma_q_sq of the multimode coherent state with orbital amplitudes alpha."""
+    pair = (fock.quadrature_matrix(basis, t), fock.quadrature_sq_matrix(basis, t))
+    u = _coherent_vector(alpha, basis)
+    return _coherent_spreads(_coherent_stack([pair]), u, float(u.dot(u)))[0]
 
 
 def coherent_harmonics(alpha: np.ndarray,
                        basis: fock.OrbitalBasis) -> criteria.QuadratureHarmonics:
     """Same three-point second-harmonic reconstruction as the fixed-N path."""
-    samples = [_coherent_sample(alpha, basis, q.matrix, q2.matrix)
-               for q, q2 in criteria.quadrature_pairs(basis)]
-    return criteria.QuadratureHarmonics.from_samples(*samples, omega=basis.trap.trap_freq)
+    u = _coherent_vector(alpha, basis)
+    return _coherent_evaluator(basis, float(u.dot(u)))(u)
 
 
 def coherent_sigma_q_fock(alpha: np.ndarray, trap: TrapConfig, t: float,
@@ -193,12 +252,15 @@ def search_state(spec: SearchSpec, trap: TrapConfig, fb=None):
     The reported value is the best objective seen anywhere, start points
     included, so a failed descent can never make the report worse than pure
     random sampling.  For fixed_N_pure the returned FockState carries the
-    guard orbital (m + 1 modes).  Raises NonConvergence with the report
-    attached when no restart converges.
+    guard orbital (m + 1 modes).  The report also counts the objective
+    evaluations and times the build of the stacked forms (scipy.optimize
+    import included) and the restarts.  Raises NonConvergence with the
+    report attached when no restart converges.
     """
     if trap.atom_count != spec.n:
         raise ConfigError(f"trap has n={trap.atom_count} but spec has n={spec.n}")
 
+    began = time.perf_counter()
     if spec.family == "fixed_N_pure":
         basis = fock.OrbitalBasis(mode_count=spec.m + 1, trap=trap)
         if spec.n == 1:
@@ -209,29 +271,20 @@ def search_state(spec: SearchSpec, trap: TrapConfig, fb=None):
                           "iterations": 0, "converged": True}],
                 "best_restart": 0,
                 "best_value": 0.0,
+                "evaluations": 0,
+                "timings_s": {"build": 0.0, "search": 0.0},
                 "note": "single atom: the objective is identically zero",
             }
             return ground, 0.0, report
-        occs_big = fock.occupations(spec.n, spec.m + 1)
-        slots = [i for i, occ in enumerate(occs_big) if occ[spec.m] == 0]
-        full_dim = len(occs_big)
         harmonics = fixed_sector_harmonics(basis, spec.n)
 
-        def objective(vec):
-            amps = _split_complex(np.asarray(vec, dtype=float))
-            norm = float(np.linalg.norm(amps))
-            if norm < 1e-12:
-                return _BARRIER
-            full = np.zeros(full_dim, dtype=complex)
-            full[slots] = amps / norm
-            return harmonics(full).minimum()
-
         def realize(vec):
-            return _fixed_state(vec, spec.n, spec.m, slots, full_dim)
+            return _fixed_state(vec, spec.n, spec.m)
     else:
         # mean atom number pinned to spec.n: the search walks orbital shape
         # only, since the objective is unbounded below as the mean goes to 0
         basis = fock.OrbitalBasis(mode_count=spec.m, trap=trap)
+        harmonics = _coherent_evaluator(basis, float(spec.n))
         radius = math.sqrt(float(spec.n))
 
         def realize(vec):
@@ -241,11 +294,11 @@ def search_state(spec: SearchSpec, trap: TrapConfig, fb=None):
                 return None
             return radius * raw / norm
 
-        def objective(vec):
-            alpha = realize(vec)
-            if alpha is None:
-                return _BARRIER
-            return coherent_harmonics(alpha, basis).minimum()
+    # both evaluators read only the direction of vec
+    def objective(vec):
+        if vec.dot(vec) < 1e-24:  # |vec| < 1e-12
+            return _BARRIER
+        return harmonics(vec).minimum()
 
     from scipy.optimize import minimize
 
@@ -262,9 +315,11 @@ def search_state(spec: SearchSpec, trap: TrapConfig, fb=None):
                "final_value": float(res.fun), "iterations": int(res.nit),
                "converged": bool(res.success)}
         best_vec, best_val = (res.x, float(res.fun)) if res.fun <= start else (x0, float(start))
-        return row, best_vec, best_val
+        return row, best_vec, best_val, int(res.nfev) + 1
 
+    built = time.perf_counter()
     results = [run_restart(k) for k in range(spec.restarts)]
+    done = time.perf_counter()
 
     rows = [r[0] for r in results]
     best_idx = min(range(len(results)), key=lambda i: results[i][2])
@@ -274,6 +329,8 @@ def search_state(spec: SearchSpec, trap: TrapConfig, fb=None):
         "rows": rows,
         "best_restart": best_idx,
         "best_value": best_val,
+        "evaluations": sum(r[3] for r in results),
+        "timings_s": {"build": built - began, "search": done - built},
     }
     if fb is not None:
         from .scales import derive_scales

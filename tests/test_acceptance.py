@@ -27,7 +27,8 @@ def feedback_for_eta(trap, eta, zeta):
                           meas_resolution=math.sqrt(dx0_sq / (zeta * eta)))
 
 
-def clean_random_state(rng, n, m, headroom=1):
+def clean_random_amplitudes(rng, n, m, headroom=1):
+    """Dense sector vector with the top `headroom` orbitals empty."""
     occs = fock.occupations(n, m)
     amps = np.zeros(len(occs), dtype=complex)
     live = [i for i, occ in enumerate(occs)
@@ -35,7 +36,11 @@ def clean_random_state(rng, n, m, headroom=1):
     vals = helpers.random_fock_amplitudes(rng, len(live))
     for i, v in zip(live, vals):
         amps[i] = v
-    return fock.state_from_amplitudes(n, m, amps)
+    return amps
+
+
+def clean_random_state(rng, n, m, headroom=1):
+    return fock.state_from_amplitudes(n, m, clean_random_amplitudes(rng, n, m, headroom))
 
 
 def run_cli(argv):
@@ -201,17 +206,27 @@ def test_a04b_deviation_rate_claim():
 
 def test_a05_identity_residual_vanishes():
     """sigma_q^2 minus (one-body spread squared minus cm spread squared)
-    vanishes to 1e-12 on 50 random states at 5 times."""
+    vanishes to 1e-12 on 50 random states at 5 times.
+
+    The residual shares its <T_q T_q> with sigma_q^2, so that Gram entry is
+    also checked against an independent route: vec+ T_q T_q vec with T_q the
+    dense sector matrix, exact while the top orbital of vec is empty."""
     rng = np.random.default_rng(77)
     for _ in range(50):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(3, 6))
         trap = TrapConfig(atom_count=n)
         b = fock.OrbitalBasis(mode_count=m, trap=trap)
-        st = clean_random_state(rng, n, m)
+        vec = clean_random_amplitudes(rng, n, m)
+        st = fock.state_from_amplitudes(n, m, vec)
         for t in (0.0, 0.37, 1.1, 2.0, 4.9):
             _, _, residual = criteria.schwarz_identity_check(st, b, t)
             assert abs(residual) < 1e-12
+            q = fock.quadrature_matrix(b, t)
+            t_q = oracle.sector_operator(b, n, q.matrix)
+            dense = np.vdot(vec, t_q @ (t_q @ vec)).real
+            gram = fock.few_body_expectation(st, [q])[0, 0].real
+            assert abs(dense - gram) < 1e-12
 
 
 def test_a06_fixed_n_positivity():

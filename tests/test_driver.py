@@ -718,12 +718,40 @@ def test_cli_search_rerun_is_byte_identical(tmp_path):
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
     summary = json.loads(err)
+    assert summary["task"] == "search"
     assert summary["family"] == "fixed_N_pure"
     assert summary["best_value"] >= -1e-8
+    assert 0 <= summary["best_restart"] < 3
     lines = a.read_text().splitlines()
     assert lines[0] == "restart,start_value,final_value,iterations,converged"
     assert len(lines) == 4
     assert all(line.endswith(("true", "false")) for line in lines[1:])
+    # each restart evaluates its start point, the 13 vertices of its first
+    # simplex (12 real parameters) and at least one point an iteration
+    iterations = sum(int(line.split(",")[3]) for line in lines[1:])
+    assert summary["evaluations"] >= iterations + 3 * 14
+    assert set(summary["timings_s"]) == {"build", "search"}
+    assert all(v >= 0.0 for v in summary["timings_s"].values())
+    assert summary["health"] == {
+        "converged": sum(line.endswith("true") for line in lines[1:])}
+
+
+@pytest.mark.parametrize("task", [
+    {"restarts": 1000000000},
+    {"restarts": 8, "max_iter": 2**19 + 1},
+    {"tol": math.inf},
+])
+def test_cli_search_over_budget_exits_2_at_once(tmp_path, task):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": 2, "task": {"name": "search", "family": "fixed_N_pure", "m": 3, **task}}))
+    out = tmp_path / "search.csv"
+    start = time.perf_counter()
+    code, _, err = run_cli(["search", "--config", str(cfg), "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(err)["error"] == "ConfigError"
+    assert not out.exists()
 
 
 def test_cli_search_single_atom_is_immediate():

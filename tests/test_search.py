@@ -25,6 +25,14 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         search.SearchSpec(n=2, m=3, family="fixed_N_pure", tol=0.0)
     with pytest.raises(ConfigError):
+        search.SearchSpec(n=2, m=3, family="fixed_N_pure", tol=math.inf)
+    # iteration budget: restarts * max_iter <= 2^22
+    with pytest.raises(ConfigError):
+        search.SearchSpec(n=2, m=3, family="fixed_N_pure", restarts=2**11,
+                          max_iter=2**11 + 1)
+    assert search.SearchSpec(n=2, m=3, family="fixed_N_pure", restarts=2**11,
+                             max_iter=2**11).restarts == 2**11
+    with pytest.raises(ConfigError):
         search.SearchSpec(n=0, m=3, family="fixed_N_pure")
     with pytest.raises(ConfigError):
         search.SearchSpec(n=2, m=1, family="fixed_N_pure")
@@ -66,21 +74,77 @@ def test_sector_harmonics_matches_criteria_route():
     from cloudfeedback import criteria
 
     rng = np.random.default_rng(3)
+    for n in (2, 3):
+        trap = trap_for(n)
+        basis = fock.OrbitalBasis(mode_count=4, trap=trap)
+        harmonics = search.fixed_sector_harmonics(basis, n)
+        occs = fock.occupations(n, 4)
+        slots = [i for i, occ in enumerate(occs) if occ[3] == 0]
+        for _ in range(20):
+            raw = rng.normal(size=len(slots)) + 1j * rng.normal(size=len(slots))
+            full = np.zeros(len(occs), dtype=complex)
+            full[slots] = raw / np.linalg.norm(raw)
+            st = fock.state_from_amplitudes(n, 4, full)
+            # any norm: the evaluator divides by u . u
+            fast = harmonics(3.0 * np.concatenate([raw.real, raw.imag]))
+            slow = criteria.quadrature_harmonics(st, basis)
+            assert fast.A == pytest.approx(slow.A, abs=1e-12)
+            assert fast.B == pytest.approx(slow.B, abs=1e-12)
+            assert fast.C == pytest.approx(slow.C, abs=1e-12)
+
+
+def test_coherent_stacked_route_matches_single_time():
     trap = trap_for(2)
-    basis = fock.OrbitalBasis(mode_count=4, trap=trap)
-    harmonics = search.fixed_sector_harmonics(basis, 2)
-    occs = fock.occupations(2, 4)
-    slots = [i for i, occ in enumerate(occs) if occ[3] == 0]
-    for _ in range(20):
-        raw = rng.normal(size=len(slots)) + 1j * rng.normal(size=len(slots))
+    basis = fock.OrbitalBasis(mode_count=5, trap=trap)
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        raw = rng.normal(size=5) + 1j * rng.normal(size=5)
+        alpha = math.sqrt(2.0) * raw / np.linalg.norm(raw)
+        h = search.coherent_harmonics(alpha, basis)
+        for t in (0.0, math.pi / 4.0, math.pi / 2.0, 0.7, 2.1):
+            assert h.value(t) == pytest.approx(
+                search.coherent_sigma_q(alpha, basis, t), abs=1e-12)
+
+
+def _fock_route_minimum(alpha, trap):
+    from cloudfeedback import criteria
+
+    w = trap.trap_freq
+    samples = [search.coherent_sigma_q_fock(alpha, trap, t, cutoff=24)
+               for t in (0.0, math.pi / (4.0 * w), math.pi / (2.0 * w))]
+    return criteria.QuadratureHarmonics.from_samples(*samples, omega=w).minimum()
+
+
+@pytest.mark.parametrize("family,n,m", [("fixed_N_pure", 2, 3), ("fixed_N_pure", 3, 3),
+                                        ("indefinite_N_coherent", 2, 4)])
+def test_objective_equals_minimum_over_realized_state(family, n, m):
+    """The start value of a restart is the objective on the seeded start
+    vector; realize that vector as a state and take its minimum by an
+    independent route.  The returned best state must match the best value
+    the same way."""
+    from cloudfeedback import criteria
+
+    trap = trap_for(n)
+    spec = search.SearchSpec(n=n, m=m, family=family, restarts=1, seed=13)
+    state, value, report = search.search_state(spec, trap)
+    x0 = search._restart_rng(13, 0).normal(size=spec.parameter_count)
+    amps = x0[: len(x0) // 2] + 1j * x0[len(x0) // 2:]
+    start = report["rows"][0]["start_value"]
+    if family == "fixed_N_pure":
+        basis = fock.OrbitalBasis(mode_count=m + 1, trap=trap)
+        occs = fock.occupations(n, m + 1)
         full = np.zeros(len(occs), dtype=complex)
-        full[slots] = raw / np.linalg.norm(raw)
-        st = fock.state_from_amplitudes(2, 4, full)
-        fast = harmonics(full)
-        slow = criteria.quadrature_harmonics(st, basis)
-        assert fast.A == pytest.approx(slow.A, abs=1e-12)
-        assert fast.B == pytest.approx(slow.B, abs=1e-12)
-        assert fast.C == pytest.approx(slow.C, abs=1e-12)
+        full[occs[:, -1] == 0] = amps / np.linalg.norm(amps)
+        realized = fock.state_from_amplitudes(n, m + 1, full)
+        assert criteria.quadrature_harmonics(realized, basis).minimum() == pytest.approx(
+            start, abs=1e-12)
+        assert criteria.quadrature_harmonics(state, basis).minimum() == pytest.approx(
+            value, abs=1e-12)
+    else:
+        alpha = math.sqrt(n) * amps / np.linalg.norm(amps)
+        # the Poisson sum stops at 24 atoms, so the routes agree to its tail
+        assert _fock_route_minimum(alpha, trap) == pytest.approx(start, abs=1e-8)
+        assert _fock_route_minimum(state, trap) == pytest.approx(value, abs=1e-8)
 
 
 def test_coherent_displaced_ground_value():
