@@ -21,6 +21,26 @@ from .errors import NegativeIntensity, NegativeRadicand
 from .scales import DerivedScales
 
 
+def _coefficients(s0: float, s45: float, s90: float) -> tuple[float, float, float]:
+    """(A, B, C) from samples at t = 0, pi/4w and pi/2w: the one reconstruction."""
+    a = 0.5 * (s0 + s90)
+    return a, 0.5 * (s0 - s90), s45 - a
+
+
+def _lowest(a: float, b: float, c: float) -> float:
+    """min_t of a + b cos(2 w t) + c sin(2 w t)."""
+    return a - math.hypot(b, c)
+
+
+def breathing_minimum(s0: float, s45: float, s90: float) -> float:
+    """min_t sigma_q_sq from the samples at t = 0, pi/4w and pi/2w.
+
+    Bit for bit QuadratureHarmonics.from_samples(...).minimum(), without
+    building the dataclass.
+    """
+    return _lowest(*_coefficients(s0, s45, s90))
+
+
 @dataclass(frozen=True)
 class QuadratureHarmonics:
     """sigma_q_sq(t) = A + B cos(2 w t) + C sin(2 w t)."""
@@ -34,15 +54,15 @@ class QuadratureHarmonics:
     def from_samples(cls, s0: float, s45: float, s90: float,
                      omega: float) -> "QuadratureHarmonics":
         """Exact reconstruction from samples at t = 0, pi/4w and pi/2w."""
-        a = 0.5 * (s0 + s90)
-        return cls(A=a, B=0.5 * (s0 - s90), C=s45 - a, omega=omega)
+        a, b, c = _coefficients(s0, s45, s90)
+        return cls(A=a, B=b, C=c, omega=omega)
 
     def value(self, t: float) -> float:
         th = 2.0 * self.omega * t
         return self.A + self.B * math.cos(th) + self.C * math.sin(th)
 
     def minimum(self) -> float:
-        return self.A - math.hypot(self.B, self.C)
+        return _lowest(self.A, self.B, self.C)
 
     def argmin(self) -> float:
         """Earliest nonnegative minimizer; the signal has period pi/omega."""

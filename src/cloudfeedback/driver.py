@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -574,6 +575,7 @@ _DISPATCH = {
 # command line
 
 
+@functools.cache  # parse_args leaves the parser unchanged; build it once
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")

@@ -17,10 +17,15 @@ Both objectives are fixed quadratic forms in the real parameter vector
 u = [Re v; Im v]: the three sample times of the harmonic reconstruction
 give three forms (six for the coherent family, q and q^2 at each time),
 stacked once per search, so one evaluation is one matrix-vector product.
+
+The simplex walk is scipy's adaptive Nelder-Mead, reimplemented here
+operation for operation (_nelder_mead), so the search needs no
+scipy.optimize import and gives scipy's results to the bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -36,6 +41,9 @@ _MAX_PARAMS = 64
 _BARRIER = 1e6
 # Nelder-Mead iterations a search may ask for, restarts * max_iter
 _ITERATION_BUDGET = 2**22
+# objective evaluations the restarts spend before their first iteration:
+# the start point and the p + 1 vertices of the first simplex, restarts * (p + 2)
+_SETUP_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,11 @@ class SearchSpec:
             raise ConfigError(
                 f"family {self.family} on (n={self.n}, m={self.m}) needs {p} real "
                 f"parameters, budget is {_MAX_PARAMS}"
+            )
+        if self.restarts * (p + 2) > _SETUP_BUDGET:
+            raise ConfigError(
+                f"restarts * (parameters + 2) = {self.restarts * (p + 2)} set-up "
+                f"evaluations, budget is {_SETUP_BUDGET}"
             )
 
     @property
@@ -118,12 +131,11 @@ def _fixed_state(params: np.ndarray, n: int, m: int) -> fock.FockState | None:
     return fock.state_from_amplitudes(n, m + 1, full)
 
 
-def fixed_sector_harmonics(basis: fock.OrbitalBasis, n: int):
-    """Quadratic-form evaluator for min_t sigma_q_sq on the N-atom sector.
+def _fixed_sampler(basis: fock.OrbitalBasis, n: int):
+    """Callable u -> sigma_q_sq at the three sample times, on the N-atom sector.
 
-    The top orbital of basis is a guard.  Returns a callable u ->
-    QuadratureHarmonics taking u = [Re v; Im v] for a nonzero amplitude
-    vector v over the guard-free occupations, the rows of
+    The top orbital of basis is a guard.  u = [Re v; Im v] for a nonzero
+    amplitude vector v over the guard-free occupations, the rows of
     occupations(n, basis.mode_count) whose top orbital is empty.  Each
     H_k = T_{q^2(t_k)}/N - T_{q(t_k)} T_{q(t_k)}/N^2 is a dense sector matrix
     built once and restricted to those rows, which is exact under the guard,
@@ -135,13 +147,18 @@ def fixed_sector_harmonics(basis: fock.OrbitalBasis, n: int):
         t_q = oracle.sector_operator(basis, n, q.matrix)
         h = oracle.sector_operator(basis, n, q2.matrix) / n - (t_q @ t_q) / n**2
         forms.append(h[np.ix_(keep, keep)])
-    stack = _stack(forms)
+    return functools.partial(_forms, _stack(forms))
+
+
+def fixed_sector_harmonics(basis: fock.OrbitalBasis, n: int):
+    """Quadratic-form evaluator for min_t sigma_q_sq on the N-atom sector.
+
+    Returns a callable u -> QuadratureHarmonics on the samples of
+    _fixed_sampler(basis, n); the top orbital of basis is a guard.
+    """
+    samples = _fixed_sampler(basis, n)
     omega = basis.trap.trap_freq
-
-    def harmonics(u: np.ndarray) -> criteria.QuadratureHarmonics:
-        return criteria.QuadratureHarmonics.from_samples(*_forms(stack, u), omega=omega)
-
-    return harmonics
+    return lambda u: criteria.QuadratureHarmonics.from_samples(*samples(u), omega=omega)
 
 
 def _coherent_spreads(stack: np.ndarray, u: np.ndarray, nbar: float) -> list[float]:
@@ -173,18 +190,6 @@ def _coherent_vector(alpha: np.ndarray, basis: fock.OrbitalBasis) -> np.ndarray:
     return u
 
 
-def _coherent_evaluator(basis: fock.OrbitalBasis, nbar: float):
-    """Callable u -> QuadratureHarmonics of the coherent state sqrt(nbar) v/|v|."""
-    stack = _coherent_stack(criteria.quadrature_pairs(basis))
-    omega = basis.trap.trap_freq
-
-    def harmonics(u: np.ndarray) -> criteria.QuadratureHarmonics:
-        return criteria.QuadratureHarmonics.from_samples(
-            *_coherent_spreads(stack, u, nbar), omega=omega)
-
-    return harmonics
-
-
 def coherent_sigma_q(alpha: np.ndarray, basis: fock.OrbitalBasis, t: float) -> float:
     """sigma_q_sq of the multimode coherent state with orbital amplitudes alpha."""
     pair = (fock.quadrature_matrix(basis, t), fock.quadrature_sq_matrix(basis, t))
@@ -196,7 +201,9 @@ def coherent_harmonics(alpha: np.ndarray,
                        basis: fock.OrbitalBasis) -> criteria.QuadratureHarmonics:
     """Same three-point second-harmonic reconstruction as the fixed-N path."""
     u = _coherent_vector(alpha, basis)
-    return _coherent_evaluator(basis, float(u.dot(u)))(u)
+    stack = _coherent_stack(criteria.quadrature_pairs(basis))
+    return criteria.QuadratureHarmonics.from_samples(
+        *_coherent_spreads(stack, u, float(u.dot(u))), omega=basis.trap.trap_freq)
 
 
 def coherent_sigma_q_fock(alpha: np.ndarray, trap: TrapConfig, t: float,
@@ -246,37 +253,89 @@ def _restart_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def search_state(spec: SearchSpec, trap: TrapConfig, fb=None):
-    """Restarted Nelder-Mead over the family; returns (state, value, report).
+def _nelder_mead(func, x0: np.ndarray, max_iter: int, fatol: float, xatol: float):
+    """Adaptive Nelder-Mead from x0; returns (x, fun, nit, nfev, success).
 
-    The reported value is the best objective seen anywhere, start points
-    included, so a failed descent can never make the report worse than pure
-    random sampling.  For fixed_N_pure the returned FockState carries the
-    guard orbital (m + 1 modes).  The report also counts the objective
-    evaluations and times the build of the stacked forms (scipy.optimize
-    import included) and the restarts.  Raises NonConvergence with the
-    report attached when no restart converges.
+    The float operations of scipy 1.17's _minimize_neldermead with
+    adaptive=True, in its order (Nelder & Mead, Comput. J. 7:308, 1965;
+    parameters of Gao & Han, Comput. Optim. Appl. 51:259, 2012): the same
+    initial simplex, argsort/take ordering (as array methods), centroid,
+    trial points and stopping test, so x, fun, nit, nfev and success equal
+    scipy.optimize.minimize's to the bit.  Left out is scipy's
+    per-iteration bookkeeping (result object, callback, argument copies),
+    so func must not modify its argument.  success is False when max_iter
+    runs out.
     """
-    if trap.atom_count != spec.n:
-        raise ConfigError(f"trap has n={trap.atom_count} but spec has n={spec.n}")
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    dim = float(n)
+    rho = 1
+    chi = 1 + 2 / dim
+    psi = 0.75 - 1 / (2 * dim)
+    sigma = 1 - 1 / dim
 
-    began = time.perf_counter()
+    # vertex k + 1 moves entry k of x0 by 5%, or to 0.00025 from zero
+    sim = np.tile(x0, (n + 1, 1))
+    k = np.arange(n)
+    sim[k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = np.array([func(v) for v in sim], dtype=float)
+    nfev = n + 1
+    # sorted twice, as scipy does: argsort need not keep ties in place
+    ind = fsim.argsort()
+    sim = sim.take(ind, 0)
+    fsim = fsim.take(ind, 0)
+    ind = fsim.argsort()
+    fsim = fsim.take(ind, 0)
+    sim = sim.take(ind, 0)
+
+    iterations = 1
+    while iterations < max_iter:
+        # scipy's test; fsim is sorted, so max |fsim[0] - fsim[1:]| is
+        # fsim[-1] - fsim[0], and its cheaper half goes first
+        if (fsim[-1] - fsim[0] <= fatol
+                and np.abs(sim[1:] - sim[0]).max() <= xatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        worst = sim[-1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = func(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * worst
+            fxe = func(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * worst
+                fxc = func(xc)
+                keep = fxc <= fxr
+            else:
+                xc = (1 - psi) * xbar + psi * worst
+                fxc = func(xc)
+                keep = fxc < fsim[-1]
+            nfev += 1
+            if keep:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink every vertex toward the best
+                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                fsim[1:] = [func(v) for v in sim[1:]]
+                nfev += n
+        iterations += 1
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
+    return sim[0], float(np.min(fsim)), iterations, nfev, iterations < max_iter
+
+
+def _objective(spec: SearchSpec, trap: TrapConfig):
+    """(objective, realize) of the family: min_t sigma_q_sq of a real
+    parameter vector, and the state it stands for (fixed_N_pure needs n >= 2)."""
     if spec.family == "fixed_N_pure":
-        basis = fock.OrbitalBasis(mode_count=spec.m + 1, trap=trap)
-        if spec.n == 1:
-            ground = fock.basis_state((1,) + (0,) * spec.m)
-            report = {
-                "family": spec.family,
-                "rows": [{"restart": 0, "start_value": 0.0, "final_value": 0.0,
-                          "iterations": 0, "converged": True}],
-                "best_restart": 0,
-                "best_value": 0.0,
-                "evaluations": 0,
-                "timings_s": {"build": 0.0, "search": 0.0},
-                "note": "single atom: the objective is identically zero",
-            }
-            return ground, 0.0, report
-        harmonics = fixed_sector_harmonics(basis, spec.n)
+        samples = _fixed_sampler(fock.OrbitalBasis(mode_count=spec.m + 1, trap=trap),
+                                 spec.n)
 
         def realize(vec):
             return _fixed_state(vec, spec.n, spec.m)
@@ -284,7 +343,9 @@ def search_state(spec: SearchSpec, trap: TrapConfig, fb=None):
         # mean atom number pinned to spec.n: the search walks orbital shape
         # only, since the objective is unbounded below as the mean goes to 0
         basis = fock.OrbitalBasis(mode_count=spec.m, trap=trap)
-        harmonics = _coherent_evaluator(basis, float(spec.n))
+        samples = functools.partial(_coherent_spreads,
+                                    _coherent_stack(criteria.quadrature_pairs(basis)),
+                                    nbar=float(spec.n))
         radius = math.sqrt(float(spec.n))
 
         def realize(vec):
@@ -294,28 +355,56 @@ def search_state(spec: SearchSpec, trap: TrapConfig, fb=None):
                 return None
             return radius * raw / norm
 
-    # both evaluators read only the direction of vec
+    lowest = criteria.breathing_minimum
+
+    # both samplers read only the direction of vec
     def objective(vec):
         if vec.dot(vec) < 1e-24:  # |vec| < 1e-12
             return _BARRIER
-        return harmonics(vec).minimum()
+        return lowest(*samples(vec))
 
-    from scipy.optimize import minimize
+    return objective, realize
+
+
+def search_state(spec: SearchSpec, trap: TrapConfig, fb=None):
+    """Restarted Nelder-Mead over the family; returns (state, value, report).
+
+    The reported value is the best objective seen anywhere, start points
+    included, so a failed descent can never make the report worse than pure
+    random sampling.  For fixed_N_pure the returned FockState carries the
+    guard orbital (m + 1 modes).  The report also counts the objective
+    evaluations and times the build of the stacked forms and the restarts.
+    Raises NonConvergence with the report attached when no restart
+    converges.
+    """
+    if trap.atom_count != spec.n:
+        raise ConfigError(f"trap has n={trap.atom_count} but spec has n={spec.n}")
+
+    if spec.family == "fixed_N_pure" and spec.n == 1:
+        report = {
+            "family": spec.family,
+            "rows": [{"restart": 0, "start_value": 0.0, "final_value": 0.0,
+                      "iterations": 0, "converged": True}],
+            "best_restart": 0,
+            "best_value": 0.0,
+            "evaluations": 0,
+            "timings_s": {"build": 0.0, "search": 0.0},
+            "note": "single atom: the objective is identically zero",
+        }
+        return fock.basis_state((1,) + (0,) * spec.m), 0.0, report
+
+    began = time.perf_counter()
+    objective, realize = _objective(spec, trap)
 
     def run_restart(k):
-        rng = _restart_rng(spec.seed, k)
-        x0 = rng.normal(size=spec.parameter_count)
+        x0 = _restart_rng(spec.seed, k).normal(size=spec.parameter_count)
         start = objective(x0)
-        res = minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"maxiter": spec.max_iter, "fatol": spec.tol,
-                     "xatol": 1e-8, "adaptive": True},
-        )
-        row = {"restart": k, "start_value": float(start),
-               "final_value": float(res.fun), "iterations": int(res.nit),
-               "converged": bool(res.success)}
-        best_vec, best_val = (res.x, float(res.fun)) if res.fun <= start else (x0, float(start))
-        return row, best_vec, best_val, int(res.nfev) + 1
+        x, fun, nit, nfev, success = _nelder_mead(objective, x0, spec.max_iter,
+                                                  spec.tol, 1e-8)
+        row = {"restart": k, "start_value": start, "final_value": fun,
+               "iterations": nit, "converged": success}
+        best_vec, best_val = (x, fun) if fun <= start else (x0, start)
+        return row, best_vec, best_val, nfev + 1
 
     built = time.perf_counter()
     results = [run_restart(k) for k in range(spec.restarts)]

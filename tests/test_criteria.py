@@ -90,6 +90,15 @@ def test_harmonics_reconstruction_matches_direct():
         assert h.value(t) == pytest.approx(criteria.sigma_q_sq(st, b, t), abs=1e-10)
 
 
+def test_breathing_minimum_is_the_harmonics_minimum_to_the_bit():
+    rng = np.random.default_rng(17)
+    for s0, s45, s90 in rng.normal(size=(200, 3)) * np.array([1.0, 1e-3, 1e3]):
+        h = criteria.QuadratureHarmonics.from_samples(s0, s45, s90, omega=1.0)
+        assert criteria.breathing_minimum(s0, s45, s90) == h.minimum()
+    # equal samples are a flat signal at that level
+    assert criteria.breathing_minimum(0.25, 0.25, 0.25) == 0.25
+
+
 def test_harmonics_minimum_and_argmin():
     h = criteria.QuadratureHarmonics(A=1.0, B=0.3, C=-0.4, omega=1.0)
     assert h.minimum() == pytest.approx(0.5)

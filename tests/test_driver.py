@@ -315,6 +315,26 @@ def test_cli_scales_spot_value():
     assert json.loads(out)["eta"] == pytest.approx(0.5, rel=1e-6)
 
 
+def test_cli_calls_in_a_row_share_no_values(tmp_path):
+    assert driver._build_parser() is driver._build_parser()
+    scan_out = tmp_path / "scan.csv"
+    code, out, _ = run_cli(["scan", "--n", "3", "--zeta", "0.7", "--sigma", "0.31",
+                            "--mass", "2", "--hbar", "3", "--seed", "9",
+                            "--out", str(scan_out)])
+    assert code == 0 and out == "" and scan_out.exists()
+    # no --out, --mass or --hbar: stdout and the default unit scales
+    code, out, _ = run_cli(["scales", "--n", "2", "--zeta", "1", "--sigma", "0.5"])
+    assert code == 0
+    fb = FeedbackConfig(shift_rate=1.0, meas_resolution=0.5)
+    want = derive_scales(TrapConfig(atom_count=2), fb).to_dict()
+    assert json.loads(out) == {k: float(f"{v:.15g}") for k, v in want.items()}
+    args = driver._build_parser().parse_args(["loop"])
+    assert args.task == "loop"
+    assert all(getattr(args, key) is None for key in (
+        "config", "out", "seed", "n", "mass", "omega", "hbar", "zeta", "sigma",
+        "gamma", "sigma0", "zeta0"))
+
+
 def test_cli_scales_json_has_fifteen_significant_digits(tmp_path):
     out_path = tmp_path / "scales.json"
     code, _, _ = run_cli(["scales", "--n", "3", "--zeta", "0.7",
@@ -740,6 +760,8 @@ def test_cli_search_rerun_is_byte_identical(tmp_path):
     {"restarts": 1000000000},
     {"restarts": 8, "max_iter": 2**19 + 1},
     {"tol": math.inf},
+    # inside the iteration budget, but 2^22 * (12 + 2) set-up evaluations
+    {"restarts": 4194304, "max_iter": 1},
 ])
 def test_cli_search_over_budget_exits_2_at_once(tmp_path, task):
     cfg = tmp_path / "run.json"
@@ -752,6 +774,51 @@ def test_cli_search_over_budget_exits_2_at_once(tmp_path, task):
     assert code == 2
     assert json.loads(err)["error"] == "ConfigError"
     assert not out.exists()
+
+
+# seeded artifacts of the scipy.optimize Nelder-Mead that search used before
+# its own; the in-package one must reproduce them byte for byte
+_PINNED_SEARCH = {
+    "fixed_N_pure": (
+        5, 3,
+        "restart,start_value,final_value,iterations,converged\n"
+        "0,1.53228181112e-01,1.02426188913e-01,1789,true\n"
+        "1,2.50884506140e-01,1.02426188913e-01,1691,true\n",
+        0.1024261889130001, 6377, None),
+    "indefinite_N_coherent": (
+        11, 3,
+        "restart,start_value,final_value,iterations,converged\n"
+        "0,1.61243084411e-01,-5.35886015423e-01,377,true\n"
+        "1,5.95669054366e-01,-5.35886015423e-01,341,true\n",
+        -0.5358860154231342, 1412,
+        [[0.45212724911311664, -0.5014540046004031],
+         [-1.029210531330604, 0.058482963346447134],
+         [0.52001158742925, 0.4593671799501259]]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_PINNED_SEARCH))
+def test_cli_search_reproduces_pinned_artifacts(tmp_path, family):
+    seed, m, csv, best, evaluations, alpha = _PINNED_SEARCH[family]
+    cfg = tmp_path / "run.json"
+    state_path = tmp_path / "state.json"
+    cfg.write_text(json.dumps({
+        "n": 2,
+        "task": {"name": "search", "family": family, "m": m, "restarts": 2,
+                 "state_out": str(state_path)}}))
+    out = tmp_path / "search.csv"
+    code, _, err = run_cli(["search", "--config", str(cfg), "--seed", str(seed),
+                            "--out", str(out)])
+    assert code == 0
+    assert out.read_text() == csv
+    summary = json.loads(err)
+    assert summary["best_value"] == best
+    assert summary["evaluations"] == evaluations
+    assert summary["health"] == {"converged": 2}
+    if alpha is not None:
+        doc = json.loads(state_path.read_text())
+        assert doc["alpha"] == alpha
+        assert doc["mean_n"] == 2.000000000000001
 
 
 def test_cli_search_single_atom_is_immediate():

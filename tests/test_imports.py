@@ -4,6 +4,7 @@ Every probe runs in a fresh interpreter, since the test process itself has
 scipy loaded (the warning filters in pyproject.toml name scipy classes).
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -49,11 +50,34 @@ def test_package_import_loads_no_scipy(tmp_path):
      {"t_max": 0.5, "trajectories": 8}),
     (["loop", "--n", "1", "--gamma", "100", "--sigma0", "5", "--zeta0", "0.002"],
      {"t_max": 0.5, "trajectories": 8, "schedule": "poisson"}),
-], ids=["scales", "scan", "loop", "loop-poisson"])
+    (["search", "--n", "2", "--seed", "5"],
+     {"family": "fixed_N_pure", "m": 3, "restarts": 1, "max_iter": 2000}),
+], ids=["scales", "scan", "loop", "loop-poisson", "search"])
 def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv, task):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"task": task}))
     assert probe(argv + ["--config", str(cfg)], tmp_path) == (0, [])
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_source_module_imports_scipy_optimize():
+    package = os.path.dirname(os.path.abspath(cloudfeedback.__file__))
+    sources = [os.path.join(package, name) for name in sorted(os.listdir(package))
+               if name.endswith(".py")]
+    assert len(sources) > 1
+    for path in sources:
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        assert not [name for name in _imported_modules(tree)
+                    if name.split(".")[:2] == ["scipy", "optimize"]], path
 
 
 def test_oracle_loads_no_scipy_optimize(tmp_path):

@@ -32,6 +32,12 @@ def test_spec_validation():
                           max_iter=2**11 + 1)
     assert search.SearchSpec(n=2, m=3, family="fixed_N_pure", restarts=2**11,
                              max_iter=2**11).restarts == 2**11
+    # set-up budget: restarts * (p + 2) <= 2^22, here 14 evaluations a restart
+    with pytest.raises(ConfigError):
+        search.SearchSpec(n=2, m=3, family="fixed_N_pure", restarts=2**22 // 14 + 1,
+                          max_iter=1)
+    assert search.SearchSpec(n=2, m=3, family="fixed_N_pure", restarts=2**22 // 14,
+                             max_iter=1).restarts == 2**22 // 14
     with pytest.raises(ConfigError):
         search.SearchSpec(n=0, m=3, family="fixed_N_pure")
     with pytest.raises(ConfigError):
@@ -218,3 +224,68 @@ def test_search_rerun_is_deterministic():
         reports.append(report)
     assert reports[0]["rows"] == reports[1]["rows"]
     assert reports[0]["best_value"] == reports[1]["best_value"]
+
+
+def _scipy_nelder_mead(func, x0, max_iter, fatol, xatol):
+    from scipy.optimize import minimize
+
+    res = minimize(func, x0, method="Nelder-Mead",
+                   options={"maxiter": max_iter, "fatol": fatol, "xatol": xatol,
+                            "adaptive": True})
+    return res.x, float(res.fun), int(res.nit), int(res.nfev), bool(res.success)
+
+
+def _assert_same_bits(mine, theirs):
+    x, fun, nit, nfev, success = mine
+    assert x.dtype == theirs[0].dtype and x.tobytes() == theirs[0].tobytes()
+    assert np.float64(fun).tobytes() == np.float64(theirs[1]).tobytes()
+    assert (nit, nfev, success) == theirs[2:]
+
+
+@pytest.mark.parametrize("family,n,m", [("fixed_N_pure", 2, 3),
+                                        ("indefinite_N_coherent", 2, 4)])
+def test_nelder_mead_matches_scipy_on_search_objectives(family, n, m):
+    spec = search.SearchSpec(n=n, m=m, family=family, max_iter=3000)
+    objective, _ = search._objective(spec, trap_for(n))
+    for seed in (0, 1, 7, 13):
+        for k in range(3):
+            x0 = search._restart_rng(seed, k).normal(size=spec.parameter_count)
+            args = (x0, spec.max_iter, spec.tol, 1e-8)
+            _assert_same_bits(search._nelder_mead(objective, *args),
+                              _scipy_nelder_mead(objective, *args))
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def test_nelder_mead_matches_scipy_through_shrinks():
+    # a plateau with one lower well around x0: every trial point off the
+    # well ties with the worst vertex, so the simplex can only shrink
+    x0 = np.array([0.7, -1.3, 2.0, 0.4])
+
+    def well(x):
+        return -1.0 if float(np.abs(x - x0).max()) < 1e-3 else 0.0
+
+    mine = search._nelder_mead(well, x0, 500, 1e-9, 1e-8)
+    _assert_same_bits(mine, _scipy_nelder_mead(well, x0, 500, 1e-9, 1e-8))
+    _, _, nit, nfev, success = mine
+    assert success
+    # without a shrink an iteration costs at most two evaluations
+    assert nfev > len(x0) + 1 + 2 * (nit - 1)
+
+
+def test_nelder_mead_matches_scipy_from_zero_entries():
+    x0 = np.array([0.0, 1.5, 0.0, -0.5, 0.0])
+    args = (x0, 5000, 1e-10, 1e-8)
+    mine = search._nelder_mead(_rosenbrock, *args)
+    _assert_same_bits(mine, _scipy_nelder_mead(_rosenbrock, *args))
+    assert mine[4]
+
+
+def test_nelder_mead_matches_scipy_when_capped():
+    x0 = np.array([-1.2, 1.0, 0.3])
+    args = (x0, 40, 1e-12, 1e-12)
+    mine = search._nelder_mead(_rosenbrock, *args)
+    _assert_same_bits(mine, _scipy_nelder_mead(_rosenbrock, *args))
+    assert mine[2] == 40 and not mine[4]
