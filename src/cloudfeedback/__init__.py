@@ -16,7 +16,6 @@ from .fock import (
     FockState,
     OneBodyOperator,
     OrbitalBasis,
-    StateEnsemble,
     basis_state,
     condensate_state,
     displaced_orbital,
@@ -64,7 +63,6 @@ __all__ = [
     "RegimeKind",
     "RunConfig",
     "SearchSpec",
-    "StateEnsemble",
     "ToolkitError",
     "TrapConfig",
     "TruncationLeak",

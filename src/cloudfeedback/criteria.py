@@ -101,7 +101,7 @@ def quadrature_pairs(basis: fock.OrbitalBasis) -> tuple:
                  for t in (0.0, math.pi / (4.0 * w), math.pi / (2.0 * w)))
 
 
-def _spreads(state: fock.FockState | fock.StateEnsemble, pairs) -> list[float]:
+def _spreads(state: fock.FockState, pairs) -> list[float]:
     """sigma_q_sq at each (q(t), q^2(t)) pair from one rho1 and one Gram matrix.
 
     Linear in the density operator: mixtures average the terms, not the values.
@@ -112,14 +112,13 @@ def _spreads(state: fock.FockState | fock.StateEnsemble, pairs) -> list[float]:
     return [rho1.expectation(q2) / n - qq / n**2 for (_, q2), qq in zip(pairs, two)]
 
 
-def sigma_q_sq(state: fock.FockState | fock.StateEnsemble,
-               basis: fock.OrbitalBasis, t: float) -> float:
+def sigma_q_sq(state: fock.FockState, basis: fock.OrbitalBasis, t: float) -> float:
     """(1/N) <T_{q^2(t)}> - (1/N^2) <T_{q(t)} T_{q(t)}>."""
     return _spreads(state, [(fock.quadrature_matrix(basis, t),
                              fock.quadrature_sq_matrix(basis, t))])[0]
 
 
-def quadrature_harmonics(state: fock.FockState | fock.StateEnsemble,
+def quadrature_harmonics(state: fock.FockState,
                          basis: fock.OrbitalBasis) -> QuadratureHarmonics:
     """Exact three-point reconstruction of the pure second-harmonic signal."""
     return QuadratureHarmonics.from_samples(*_spreads(state, quadrature_pairs(basis)),
@@ -171,7 +170,7 @@ def evaluate_criteria(scales: DerivedScales, h: QuadratureHarmonics) -> Criterio
     )
 
 
-def schwarz_identity_check(state: fock.FockState | fock.StateEnsemble,
+def schwarz_identity_check(state: fock.FockState,
                            basis: fock.OrbitalBasis, t: float) -> tuple[float, float, float]:
     """(one-body rms spread, cm rms spread, identity residual) at time t.
 

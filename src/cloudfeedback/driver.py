@@ -53,6 +53,9 @@ _TASK_PARAMS = {
                          "state_out"}),
 }
 
+# the task keys each evolve engine leaves unread, refused rather than dropped
+_UNREAD_BY_ENGINE = {"moments": {"dt", "stride"}, "oracle": {"samples", "method"}}
+
 # most rows a criteria, evolve or scan grid may ask for, checked before the
 # grid is built: an evolve row costs one matrix exponential
 _GRID_ROWS = 100_000
@@ -226,7 +229,8 @@ def build_state(doc: dict | None, trap: TrapConfig):
 
     if kind == "occupation":
         occ = _as_occupation(doc.get("occupation"), None, trap)
-        return fock.basis_state(occ), fock.OrbitalBasis(mode_count=len(occ), trap=trap)
+        basis = fock.OrbitalBasis(mode_count=len(occ), trap=trap)
+        return fock.basis_state(occ), basis
 
     m = _as_int(doc.get("m", 6), "state.m")
     basis = fock.OrbitalBasis(mode_count=m, trap=trap)
@@ -275,10 +279,9 @@ def build_state(doc: dict | None, trap: TrapConfig):
     cutoff = doc.get("cutoff")
     if cutoff is None:
         raise ConfigError("thermal state needs an energy cutoff")
-    ens = fock.thermal_ensemble(basis, _as_float(temperature, "temperature"),
-                                trap.atom_count,
-                                energy_cutoff=_as_float(cutoff, "cutoff"))
-    return ens, basis
+    return fock.thermal_ensemble(basis, _as_float(temperature, "temperature"),
+                                 trap.atom_count,
+                                 energy_cutoff=_as_float(cutoff, "cutoff")), basis
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +429,13 @@ def _moment_row(t: float, m: moments.JointMoments) -> tuple:
 
 def _cmd_evolve(cfg: RunConfig) -> int:
     engine = cfg.param("engine", "moments")
+    if engine not in _UNREAD_BY_ENGINE:
+        raise ConfigError(f"engine must be moments or oracle, got {engine!r}")
+    unread = sorted(_UNREAD_BY_ENGINE[engine] & set(cfg.params))
+    if unread:
+        raise ConfigError(f"the {engine} engine of evolve does not read {unread}")
     if engine == "oracle":
         return _cmd_oracle(cfg)
-    if engine != "moments":
-        raise ConfigError(f"engine must be moments or oracle, got {engine!r}")
     fb = cfg.require_feedback()
     t_max = _as_float(cfg.param("t_max", 6.0 * math.pi / cfg.trap.trap_freq), "t_max")
     samples = _as_rows(cfg.param("samples", 301), "samples")

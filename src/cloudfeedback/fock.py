@@ -4,13 +4,16 @@ Exact finite representation: occupation-number states with fixed total N,
 one-body operators as M x M matrices in the orbital basis, and real-space
 densities via the stable Hermite-function recurrence.
 
-A state's support is a (k, M) integer array of occupation rows sorted by
-exact lexicographic sector rank, with the amplitudes beside it.  One kernel,
+A state is a weighted batch of pure members: a (k, M) integer array of
+occupation rows with the amplitudes and member labels beside it, sorted by
+member, then by exact lexicographic sector rank.  A pure state is one member
+of weight 1, a thermal ensemble one member per configuration.  One kernel,
 `one_body_coo`, gives the COO triplets of sum_ij A_ij a+_i a_j on any rows;
 every expectation, density and dense sector matrix comes from it.  Means
 <T_A> are traces against rho1, products <T_A T_B> overlaps of once-applied
-vectors.  Every enumeration of occupation rows is checked against one row
-budget before it starts, and operators are applied in row chunks of bounded size.
+vectors, weighted by member.  Every enumeration of occupation rows is checked
+against one row budget before it starts, and operators are applied in row
+chunks of bounded size.
 
 Analytic matrix kinds exist for x^2, p^2, sym(xp) and q^2(t) because squaring
 the truncated x matrix loses the top diagonal elements; diagonal second
@@ -23,7 +26,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +49,11 @@ _ROW_BUDGET = 1_000_000
 # one_body_density on a 33,649-row state (N = 18, M = 6), chunk by chunk,
 # peaks at 44 MB under tracemalloc
 _ENTRY_BUDGET = 2**18
-# sector ranks, and the member-labelled keys of ensembles, stay below this
+# sector ranks, and the member-labelled row keys, stay below this
 _RANK_LIMIT = 2**62
+# most orbitals a basis may hold, checked before any M x M matrix is built:
+# the oracle's sector cap, so every N = 1 sector the oracle takes fits
+_MODE_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -59,8 +64,9 @@ class OrbitalBasis:
     trap: TrapConfig
 
     def __post_init__(self):
-        if not (isinstance(self.mode_count, int) and self.mode_count >= 2):
-            raise ConfigError(f"mode_count must be an integer >= 2, got {self.mode_count!r}")
+        if not (isinstance(self.mode_count, int) and 2 <= self.mode_count <= _MODE_LIMIT):
+            raise ConfigError(f"mode_count must be an integer in [2, {_MODE_LIMIT}], "
+                              f"got {self.mode_count!r}")
 
     @property
     def length_scale(self) -> float:
@@ -191,6 +197,8 @@ def occupations(n: int, m: int) -> np.ndarray:
     """All length-m occupation vectors summing to n, (dim, m), row k of rank k."""
     dim = sector_dimension(n, m)
     _check_rows(dim, f"the (n={n}, m={m}) sector")
+    # a sector wider than 8 orbitals gets no more bytes than 8 would
+    _check_rows(dim * m, f"the cells of the (n={n}, m={m}) sector", 8 * _ROW_BUDGET)
     # stars and bars: the m - 1 bar positions among n + m - 1 slots
     bars = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(n + m - 1), m - 1)), dtype=np.int64, count=dim * (m - 1))
@@ -282,90 +290,64 @@ def one_body_chunks(occ: np.ndarray, matrix: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class FockState:
-    """Fixed-N pure state: occupation rows with one amplitude each.
+    """Fixed-N state: a convex mixture of pure members as one batch of rows.
 
-    occ is a (k, m) integer array and amp the k complex amplitudes beside
-    it.  The constructor sorts both by exact sector rank (kept in `rank`)
-    and rejects repeated rows.
+    occ is a (k, m) integer array, amp the k complex amplitudes beside it and
+    label the member of each row (default all 0, a pure state); weight holds
+    one entry per member (default one member of weight 1).  The constructor
+    drops the members of zero weight, numbers the rest in order and sorts the
+    rows by key = label * dim + rank, dim the sector dimension and rank the
+    exact sector rank.  It rejects a row repeated within a member, a member
+    whose norm is not 1, and weights that are negative or do not sum to 1.
+    truncation_loss is the weight a cutoff left out of the mixture.
     """
 
     n: int
     m: int
     occ: np.ndarray
     amp: np.ndarray
-    rank: np.ndarray = field(init=False, repr=False)
+    label: np.ndarray | None = None
+    weight: np.ndarray = (1.0,)
+    truncation_loss: float = 0.0
+    key: np.ndarray = field(init=False, repr=False)
+    dim: int = field(init=False, repr=False)
 
     def __post_init__(self):
         occ = np.asarray(self.occ, dtype=np.int64)
         amp = np.asarray(self.amp, dtype=complex).reshape(-1)
+        label = np.asarray(np.zeros(len(amp), dtype=np.int64) if self.label is None
+                           else self.label)
+        weight = np.asarray(self.weight, dtype=float).reshape(-1)
         if (occ.ndim != 2 or occ.shape != (len(amp), self.m) or np.any(occ < 0)
                 or np.any(occ.sum(axis=1) != self.n)):
             raise ConfigError(f"{occ.shape} occupation rows invalid for (n={self.n}, "
                               f"m={self.m}) with {len(amp)} amplitudes")
-        rank, order = np.unique(_rank(occ, _binomials(self.n, self.m)), return_index=True)
-        if len(rank) < len(amp):
-            raise ConfigError("occupation rows repeat")
-        norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
-            raise NotNormalized(f"state norm^2 = {norm_sq!r}")
-        object.__setattr__(self, "occ", occ[order])
-        object.__setattr__(self, "amp", amp[order])
-        object.__setattr__(self, "rank", rank)
-
-
-@dataclass(frozen=True)
-class StateEnsemble:
-    """Convex mixture of FockStates sharing (n, m)."""
-
-    members: tuple[tuple[float, FockState], ...]
-    truncation_loss: float = 0.0
-
-    def __post_init__(self):
-        if not self.members:
-            raise ConfigError("ensemble must have at least one member")
-        tot = 0.0
-        n, m = self.members[0][1].n, self.members[0][1].m
-        for w, st in self.members:
-            if w < 0:
-                raise ConfigError(f"ensemble weight {w!r} negative")
-            if (st.n, st.m) != (n, m):
-                raise ConfigError("ensemble members must share (n, m)")
-            tot += w
-        if not abs(tot - 1.0) <= _NORM_TOL:
-            raise NotNormalized(f"ensemble weights sum to {tot!r}")
-
-    @property
-    def n(self) -> int:
-        return self.members[0][1].n
-
-    @property
-    def m(self) -> int:
-        return self.members[0][1].m
-
-
-class StateRows(NamedTuple):
-    """A pure state or an ensemble as one batch of occupation rows.
-
-    key = label * dim + rank ascends, label numbering the members of positive
-    weight; weight holds one entry per label."""
-
-    key: np.ndarray
-    occ: np.ndarray
-    amp: np.ndarray
-    weight: np.ndarray
-    dim: int
-
-
-def state_rows(state: FockState | StateEnsemble) -> StateRows:
-    dim = sector_dimension(state.n, state.m)
-    members = ([(1.0, state)] if isinstance(state, FockState)
-               else [(w, st) for w, st in state.members if w > 0])
-    if len(members) * dim >= _RANK_LIMIT:
-        raise ConfigError(f"{len(members)} members of a {dim}-state sector are too many to key")
-    return StateRows(np.concatenate([label * dim + st.rank for label, (_, st) in enumerate(members)]),
-                     np.concatenate([st.occ for _, st in members]),
-                     np.concatenate([st.amp for _, st in members]),
-                     np.array([w for w, _ in members]), dim)
+        if (label.shape != amp.shape or label.dtype.kind not in "iu" or np.any(label < 0)
+                or np.any(label >= len(weight))):
+            raise ConfigError(f"member labels must index the {len(weight)} weights")
+        if np.any(weight < 0):
+            raise ConfigError(f"member weight {float(weight.min())!r} negative")
+        if not abs(weight.sum() - 1.0) <= _NORM_TOL:  # NaN fails too
+            raise NotNormalized(f"member weights sum to {float(weight.sum())!r}")
+        live = weight > 0
+        keep = live[label]
+        occ, amp, weight = occ[keep], amp[keep], weight[live]
+        label = (np.cumsum(live) - 1)[label[keep]]
+        table = _binomials(self.n, self.m)
+        dim = sector_dimension(self.n, self.m)
+        if len(weight) * dim >= _RANK_LIMIT:
+            raise ConfigError(f"{len(weight)} members of a {dim}-state sector are too many to key")
+        key, order = np.unique(label * dim + _rank(occ, table), return_index=True)
+        if len(key) < len(amp):
+            raise ConfigError("occupation rows repeat within a member")
+        norm_sq = np.bincount(label, np.abs(amp) ** 2, len(weight))
+        bad = norm_sq[~(np.abs(norm_sq - 1.0) <= _NORM_TOL)]  # NaN fails too
+        if len(bad):
+            raise NotNormalized(f"state norm^2 = {float(bad[0])!r}")
+        for name, value in (("occ", occ[order]), ("amp", amp[order]),
+                            ("label", label[order]), ("weight", weight), ("key", key),
+                            ("dim", dim)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -455,10 +437,10 @@ def squeezed_orbital(basis: OrbitalBasis, r: float) -> np.ndarray:
 
 
 def thermal_ensemble(basis: OrbitalBasis, temperature: float, n: int,
-                     energy_cutoff: float, kB: float = 1.0) -> StateEnsemble:
-    """Canonical fixed-N ensemble over occupation configurations.
+                     energy_cutoff: float) -> FockState:
+    """Canonical fixed-N ensemble: one member per occupation configuration.
 
-    Weights ~ exp(-E/kB T) with E = sum_k n_k hbar w (k + 1/2), truncated to
+    Weights ~ exp(-E/T) with E = sum_k n_k hbar w (k + 1/2), truncated to
     configurations inside the basis with E <= energy_cutoff.  The retained
     weight is measured against the exact partition function of the
     untruncated oscillator ladder (standard N-boson recursion), so the
@@ -474,9 +456,9 @@ def thermal_ensemble(basis: OrbitalBasis, temperature: float, n: int,
     if e0 > energy_cutoff:
         raise CutoffTooTight(f"cutoff {energy_cutoff!r} below ground energy {e0!r}")
     if temperature == 0:
-        return StateEnsemble(members=((1.0, basis_state(ground)),), truncation_loss=0.0)
+        return basis_state(ground)
 
-    beta = 1.0 / (kB * temperature)
+    beta = 1.0 / temperature
     occs = occupations(n, basis.mode_count)
     energy = occupation_energies(occs, t)
     inside = energy <= energy_cutoff
@@ -496,12 +478,13 @@ def thermal_ensemble(basis: OrbitalBasis, temperature: float, n: int,
     if retained < 0.999:
         raise CutoffTooTight(f"retained weight {retained:.6f} < 0.999")
     tot = sum(kept)
-    members = tuple((w / tot, basis_state(occ)) for occ, w in zip(occs[inside], kept))
-    return StateEnsemble(members=members, truncation_loss=1.0 - retained)
+    return FockState(n=n, m=basis.mode_count, occ=occs[inside], amp=np.ones(len(kept)),
+                     label=np.arange(len(kept)), weight=np.array(kept) / tot,
+                     truncation_loss=1.0 - retained)
 
 
 # ---------------------------------------------------------------------------
-# expectations: every one goes through one_body_coo on a StateRows batch
+# expectations: every one goes through one_body_coo on a state's rows
 
 
 def _sum_by(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -511,36 +494,33 @@ def _sum_by(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _hops(rows: StateRows, matrix: np.ndarray):
-    """one_body_chunks on a batch, with targets keyed like the batch rows."""
-    for src, tgt, val, i, j in one_body_chunks(rows.occ, matrix):
-        yield src, rows.key[src] - rows.key[src] % rows.dim + tgt, val, i, j
+def _hops(state: FockState, matrix: np.ndarray):
+    """one_body_chunks on a state, with targets keyed like the state's rows."""
+    for src, tgt, val, i, j in one_body_chunks(state.occ, matrix):
+        yield src, state.label[src] * state.dim + tgt, val, i, j
 
 
-def _apply(rows: StateRows, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T_A on the batch: the ascending target keys and their amplitudes."""
-    key, amp = rows.key[:0], rows.amp[:0]
-    for src, tgt, val, _, _ in _hops(rows, matrix):
+def _apply(state: FockState, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T_A on each member: the ascending target keys and their amplitudes."""
+    key, amp = state.key[:0], state.amp[:0]
+    for src, tgt, val, _, _ in _hops(state, matrix):
         # each chunk's targets, merged into those of the earlier chunks
         key, inv = np.unique(np.concatenate([key, tgt]), return_inverse=True)
         _check_rows(len(key), "an applied vector")
-        amp = _sum_by(inv, np.concatenate([amp, val * rows.amp[src]]), len(key))
+        amp = _sum_by(inv, np.concatenate([amp, val * state.amp[src]]), len(key))
     return key, amp
 
 
-def _check_leak(rows: StateRows) -> None:
-    """Top-orbital weight over norm, per member, must stay within _LEAK_TOL."""
-    label = rows.key // rows.dim
-    p = np.abs(rows.amp) ** 2
-    top = np.bincount(label, p * (rows.occ[:, -1] > 0), len(rows.weight))
-    norm = np.bincount(label, p, len(rows.weight))
-    worst = float(np.max(np.divide(top, norm, out=np.zeros_like(top), where=norm > 0)))
+def _check_leak(state: FockState) -> None:
+    """Each member's top-orbital weight must stay within _LEAK_TOL."""
+    top = np.bincount(state.label, np.abs(state.amp) ** 2 * (state.occ[:, -1] > 0),
+                      len(state.weight))
+    worst = float(top.max())
     if worst > _LEAK_TOL:
         raise TruncationLeak(f"top-orbital weight {worst:.3e} under an operator product")
 
 
-def few_body_expectation(state: FockState | StateEnsemble,
-                         ops: list[OneBodyOperator]) -> np.ndarray:
+def few_body_expectation(state: FockState, ops: list[OneBodyOperator]) -> np.ndarray:
     """G[a][b] = <T_a T_b> for Hermitian one-body operators A_1..A_k.
 
     Each T_a = sum_ij A_a[i][j] a+_i a_j is applied once, and G is the Gram
@@ -558,28 +538,26 @@ def few_body_expectation(state: FockState | StateEnsemble,
             raise ConfigError("operator dimension does not match state mode count")
         if not op.hermitian:
             raise ConfigError(f"operator {op.kind!r} is not Hermitian")
-    rows = state_rows(state)
-    _check_leak(rows)
-    applied = [_apply(rows, op.matrix) for op in ops]
+    _check_leak(state)
+    applied = [_apply(state, op.matrix) for op in ops]
     key = np.unique(np.concatenate([k for k, _ in applied]))
     _check_rows(len(key) * len(ops), "the applied vectors")
     cols = np.zeros((len(key), len(ops)), dtype=complex)
     for col, (k, amp) in enumerate(applied):
         cols[np.searchsorted(key, k), col] = amp
-    gram = cols.conj().T @ (rows.weight[key // rows.dim][:, None] * cols)
+    gram = cols.conj().T @ (state.weight[key // state.dim][:, None] * cols)
     return 0.5 * (gram + gram.conj().T)
 
 
-def one_body_density(state: FockState | StateEnsemble) -> OneBodyDensity:
-    """rho1[n][m] = <a+_m a_n>, ensemble-averaged for mixtures."""
-    rows = state_rows(state)
+def one_body_density(state: FockState) -> OneBodyDensity:
+    """rho1[n][m] = <a+_m a_n>, weight-averaged over the members."""
     m = state.m
     rho = np.zeros(m * m, dtype=complex)
-    for src, key, val, i, j in _hops(rows, np.ones((m, m))):
-        hit = np.isin(key, rows.key)
-        pos, src = np.searchsorted(rows.key, key[hit]), src[hit]
-        terms = (rows.weight[rows.key[src] // rows.dim] * np.conj(rows.amp[pos])
-                 * val[hit] * rows.amp[src])
+    for src, key, val, i, j in _hops(state, np.ones((m, m))):
+        hit = np.isin(key, state.key)
+        pos, src = np.searchsorted(state.key, key[hit]), src[hit]
+        terms = (state.weight[state.label[src]] * np.conj(state.amp[pos])
+                 * val[hit] * state.amp[src])
         rho += _sum_by(j[hit] * m + i[hit], terms, m * m)
     return OneBodyDensity(matrix=rho.reshape(m, m), n=state.n)
 
@@ -629,22 +607,24 @@ def pair_distribution(state: FockState, grid: np.ndarray, basis: OrbitalBasis) -
 
     The grid kernel K(x)[n][m] = psi_n(x) psi_m(x) is a one-body operator, so
     P(x, x') = <K(x) K(x')> / N^2, the inner products of the K(x)|state>
-    vectors (K is real symmetric), which mix the a+_i a_j |state> vectors.
+    vectors (K is real symmetric), which mix the a+_i a_j |state> vectors;
+    each member's vectors are weighted by its weight.
     """
     grid = _check_grid(grid)
-    _check_leak(state_rows(state))
+    _check_leak(state)
     m = state.m
     psi = hermite_functions(grid, m, basis)
     # the dense a+_i a_j |state> vectors and their grid mixtures: each source
     # row is its own target, so k m^2 bounds the triplets before they are built
     _check_rows(m * m * len(state.occ), "the pair-distribution vectors")
     src, tgt, val, i, j = one_body_coo(state.occ, np.ones((m, m)))
-    tgt, col = np.unique(tgt, return_inverse=True)
+    tgt, col = np.unique(state.label[src] * state.dim + tgt, return_inverse=True)
     _check_rows((m * m + len(grid)) * len(tgt), "the pair-distribution vectors")
     pairs = _sum_by((i * m + j) * len(tgt) + col, val * state.amp[src], m * m * len(tgt))
     applied = (psi[:, :, None] * psi[:, None, :]).reshape(len(grid), m * m) \
         @ pairs.reshape(m * m, len(tgt))
-    return (applied.conj() @ applied.T).real / state.n ** 2
+    weighted = state.weight[tgt // state.dim] * applied
+    return (applied.conj() @ weighted.T).real / state.n ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +632,8 @@ def pair_distribution(state: FockState, grid: np.ndarray, basis: OrbitalBasis) -
 
 
 def state_to_dict(state: FockState) -> dict:
+    if len(state.weight) > 1:
+        raise ConfigError(f"a mixture of {len(state.weight)} members has no terms form")
     terms = [{"occ": occ, "re": a.real, "im": a.imag}
              for occ, a in zip(state.occ.tolist(), state.amp.tolist())]
     return {"n": state.n, "m": state.m, "terms": terms}

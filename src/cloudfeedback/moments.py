@@ -171,8 +171,7 @@ def moments_from_raw(n: int, x1: float, p1: float, x2: float, p2: float,
     return JointMoments(mean=mean, cov=cov, n=n)
 
 
-def init_moments(state: fock.FockState | fock.StateEnsemble,
-                 basis: fock.OrbitalBasis) -> JointMoments:
+def init_moments(state: fock.FockState, basis: fock.OrbitalBasis) -> JointMoments:
     """Joint moments of a fixed-N state at t = 0; sym(T_x T_p) is Re <T_x T_p>."""
     n = state.n
     rho1 = fock.one_body_density(state)

@@ -128,14 +128,12 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def from_state(cls, state: fock.FockState | fock.StateEnsemble,
-                   basis: fock.OrbitalBasis) -> "DensityMatrix":
-        rows = fock.state_rows(state)
-        if rows.dim > _DIM_CAP:
-            raise DimensionTooLarge(f"sector dimension {rows.dim} exceeds {_DIM_CAP}")
-        vecs = np.zeros((len(rows.weight), rows.dim), dtype=complex)
-        vecs[rows.key // rows.dim, rows.key % rows.dim] = rows.amp
-        rho = sum(w * np.outer(vec, vec.conj()) for w, vec in zip(rows.weight, vecs))
+    def from_state(cls, state: fock.FockState, basis: fock.OrbitalBasis) -> "DensityMatrix":
+        if state.dim > _DIM_CAP:
+            raise DimensionTooLarge(f"sector dimension {state.dim} exceeds {_DIM_CAP}")
+        vecs = np.zeros((len(state.weight), state.dim), dtype=complex)
+        vecs[state.label, state.key % state.dim] = state.amp
+        rho = sum(w * np.outer(vec, vec.conj()) for w, vec in zip(state.weight, vecs))
         return cls(matrix=rho, basis=basis, n=state.n)
 
 
@@ -389,8 +387,7 @@ def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
     )
 
 
-def compare_with_moments(state: fock.FockState | fock.StateEnsemble,
-                         trap: TrapConfig, fb: FeedbackConfig,
+def compare_with_moments(state: fock.FockState, trap: TrapConfig, fb: FeedbackConfig,
                          t_grid: np.ndarray, basis: fock.OrbitalBasis,
                          dt: float | None = None) -> dict:
     """Max deviation between the exact oracle and the moment propagator.

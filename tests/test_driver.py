@@ -449,6 +449,30 @@ def test_cli_evolve_routes_oracle_engine(tmp_path):
     assert "sector dimension" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize("engine, task, accepted", [
+    ("moments", {"dt": 0.001}, {"samples": 3, "method": "rk4"}),
+    ("moments", {"stride": 4}, {"samples": 3, "method": "rk4"}),
+    ("oracle", {"samples": 5}, {"dt": 0.01, "stride": 2}),
+    ("oracle", {"method": "rk4"}, {"dt": 0.01, "stride": 2}),
+])
+def test_cli_evolve_refuses_keys_its_engine_does_not_read(tmp_path, engine, task, accepted):
+    cfg = tmp_path / "run.json"
+    out = tmp_path / "evolve.csv"
+    base = {"n": 1, "zeta": 0.5, "sigma": 0.7, "state": {"kind": "condensate", "m": 8}}
+    cfg.write_text(json.dumps({**base, "task": {"engine": engine, "t_max": 0.1, **task}}))
+    code, _, err = run_cli(["evolve", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert engine in doc["detail"] and next(iter(task)) in doc["detail"]
+    assert not out.exists()
+    # the same engine takes the keys it does read
+    cfg.write_text(json.dumps({**base, "task": {"engine": engine, "t_max": 0.1,
+                                                **accepted}}))
+    code, _, _ = run_cli(["evolve", "--config", str(cfg), "--out", str(out)])
+    assert code == 0 and out.exists()
+
+
 def test_cli_evolve_csv_format_and_padding(tmp_path):
     out_path = tmp_path / "traj.csv"
     cfg = tmp_path / "run.json"
@@ -821,6 +845,64 @@ def test_cli_search_reproduces_pinned_artifacts(tmp_path, family):
         assert doc["mean_n"] == 2.000000000000001
 
 
+# seeded artifacts of four runs on a thermal ensemble, recorded before the
+# ensemble became one weighted batch of occupation rows; every route (rho1
+# and Gram matrix, moments, the oracle's density matrix, the loop's initial
+# moments) must reproduce them byte for byte
+_THERMAL = {"kind": "thermal", "m": 5, "temperature": 0.5, "cutoff": 4.9}
+_THERMAL_RUNS = {
+    "criteria": {"n": 2, "zeta": 0.5, "sigma": 0.7, "state": _THERMAL,
+                 "task": {"samples": 5, "include_transient": True}},
+    "evolve": {"n": 2, "zeta": 0.5, "sigma": 0.7, "state": _THERMAL,
+               "task": {"t_max": 1.0, "samples": 4}},
+    # the cutoff keeps the top orbital of eight empty
+    "oracle": {"n": 2, "zeta": 0.5, "sigma": 0.7,
+               "state": {"kind": "thermal", "m": 8, "temperature": 0.3, "cutoff": 3.9},
+               "task": {"t_max": 0.3, "stride": 16}},
+    "loop": {"n": 2, "gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002, "seed": 7,
+             "state": _THERMAL,
+             "task": {"t_max": 0.05, "schedule": "poisson", "trajectories": 16}},
+}
+_PINNED_THERMAL = {
+    "criteria": (
+        "t,sigma_q_sq,dxa,dx0,DXs,dx\n"
+        "0.00000000000e+00,2.67668422014e-01,7.19527235358e-01,7.07106781187e-01,5.00051017805e-01,7.71322439087e-01\n"
+        "7.85398163397e-01,2.67668422014e-01,7.19527235358e-01,7.07106781187e-01,5.00051017805e-01,7.17841677844e-01\n"
+        "1.57079632679e+00,2.67668422014e-01,7.19527235358e-01,7.07106781187e-01,5.00051017805e-01,7.44118812151e-01\n"
+        "2.35619449019e+00,2.67668422014e-01,7.19527235358e-01,7.07106781187e-01,5.00051017805e-01,7.54608849024e-01\n"
+        "3.14159265359e+00,2.67668422014e-01,7.19527235358e-01,7.07106781187e-01,5.00051017805e-01,7.33026697144e-01\n"),
+    "evolve": (
+        "t,mean_x,mean_p,mean_Xbar,mean_Pbar,cov_xx,cov_xp,cov_xXbar,cov_xPbar,cov_pp,cov_pXbar,cov_pPbar,cov_XbarXbar,cov_XbarPbar,cov_PbarPbar,dx\n"
+        "0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,5.94938305039e-01,0.00000000000e+00,5.96014610111e-02,0.00000000000e+00,5.94938305039e-01,0.00000000000e+00,5.96014610111e-02,5.94938305039e-01,0.00000000000e+00,5.94938305039e-01,7.71322439087e-01\n"
+        "3.33333333333e-01,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,5.40265288184e-01,1.57738797937e-02,4.92844415611e-03,1.57738797937e-02,6.33789248601e-01,1.57738797937e-02,9.84524045731e-02,5.40265288184e-01,1.57738797937e-02,6.33789248601e-01,7.35027406417e-01\n"
+        "6.66666666667e-01,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,5.16628278570e-01,5.04953409524e-02,-1.87085654577e-02,5.04953409524e-02,6.54717742414e-01,5.04953409524e-02,1.19380898386e-01,5.16628278570e-01,5.04953409524e-02,6.54717742414e-01,7.18768584852e-01\n"
+        "1.00000000000e+00,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,5.20192031057e-01,8.52366257724e-02,-1.51448129708e-02,8.52366257724e-02,6.51536382044e-01,8.52366257724e-02,1.16199538016e-01,5.20192031057e-01,8.52366257724e-02,6.51536382044e-01,7.21243392384e-01\n"),
+    "oracle": (
+        "t,mean_x,mean_p,mean_Xbar,mean_Pbar,cov_xx,cov_xp,cov_xXbar,cov_xPbar,cov_pp,cov_pXbar,cov_pPbar,cov_XbarXbar,cov_XbarPbar,cov_PbarPbar,dx,trace_err,top_pop\n"
+        "0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,5.19631945816e-01,0.00000000000e+00,1.71803754221e-02,0.00000000000e+00,5.19631945816e-01,0.00000000000e+00,1.71803754221e-02,5.19631945816e-01,0.00000000000e+00,5.19631945816e-01,7.20855010259e-01,1.11022302463e-16,0.00000000000e+00\n"
+        "1.00530964915e-01,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,5.05764900877e-01,1.33071836716e-03,3.31333047558e-03,1.33071836735e-03,5.32364699046e-01,1.33071836735e-03,2.99131286572e-02,5.05764900877e-01,1.33071836716e-03,5.32364699046e-01,7.11171498920e-01,2.22044604925e-16,4.64165249855e-13\n"
+        "2.01061929830e-01,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,4.93721044683e-01,5.09496350513e-03,-8.73052593653e-03,5.09496351569e-03,5.44579251342e-01,5.09496351569e-03,4.21276810629e-02,4.93721044683e-01,5.09496350513e-03,5.44579251342e-01,7.02652862147e-01,4.44089209850e-16,2.42277700538e-11\n"
+        "3.00000000000e-01,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,0.00000000000e+00,4.83895658228e-01,1.08015929963e-02,-1.85559138394e-02,1.08015930999e-02,5.55655580680e-01,1.08015930999e-02,5.32040109472e-02,4.83895658228e-01,1.08015929963e-02,5.55655580680e-01,6.95626090819e-01,2.22044604925e-16,2.18622642130e-10\n"),
+    "loop": (
+        "t,mean_X,var_X,mean_P,var_P,n_events\n"
+        "0.00000000000e+00,0.00000000000e+00,3.27269883025e-01,0.00000000000e+00,1.30907953210e+00,0\n"
+        "1.00000000000e-02,-2.12095576736e-02,3.25888856343e-01,4.52434708352e-05,1.31720419191e+00,0\n"
+        "2.00000000000e-02,-3.29831138355e-02,3.24278565807e-01,5.47459253544e-04,1.33157541318e+00,2\n"
+        "3.00000000000e-02,-3.55123766340e-02,3.24057371077e-01,1.16821234337e-03,1.34219078674e+00,3\n"
+        "4.00000000000e-02,-5.20523709023e-02,3.22969075618e-01,1.99482775900e-03,1.35029747365e+00,4\n"
+        "5.00000000000e-02,-5.82502503537e-02,3.21802483997e-01,3.29345288866e-03,1.36089265221e+00,5\n"),
+}
+
+
+@pytest.mark.parametrize("task", sorted(_THERMAL_RUNS))
+def test_cli_thermal_reproduces_pinned_artifacts(tmp_path, task):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_THERMAL_RUNS[task]))
+    code, out, _ = run_cli([task, "--config", str(cfg)])
+    assert code == 0
+    assert out == _PINNED_THERMAL[task]
+
+
 def test_cli_search_single_atom_is_immediate():
     code, out, err = run_cli(["search", "--n", "1"])
     assert code == 0
@@ -855,6 +937,45 @@ def test_cli_search_writes_state_artifact(tmp_path):
     assert doc["family"] == "indefinite_N_coherent"
     assert doc["mean_n"] == pytest.approx(2.0, rel=1e-10)
     assert json.loads(err)["best_value"] < -0.2
+
+
+@pytest.mark.parametrize("state", [
+    {"kind": "condensate", "m": 100000},
+    {"kind": "occupation", "occupation": [1] + [0] * 1000},
+], ids=["condensate", "occupation"])
+@pytest.mark.parametrize("task, doc", [
+    ("criteria", {"zeta": 0.5, "sigma": 0.7}),
+    ("evolve", {"zeta": 0.5, "sigma": 0.7}),
+    ("loop", {"gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002, "task": {"t_max": 0.1}}),
+])
+def test_cli_orbital_count_over_cap_exits_2_at_once(tmp_path, task, doc, state):
+    # refused before any M x M matrix is built
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 1, **doc, "state": state}))
+    out = tmp_path / "out.csv"
+    t0 = time.perf_counter()
+    code, _, err = run_cli([task, "--config", str(cfg), "--out", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert "mode_count" in doc["detail"]
+    assert not out.exists()
+
+
+def test_cli_wide_thermal_sector_exits_2_at_once(tmp_path):
+    # 45,150 rows of 300 cells: the enumeration is refused by its bytes
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": 2, "zeta": 0.5, "sigma": 0.7,
+        "state": {"kind": "thermal", "m": 300, "temperature": 0.3, "cutoff": 3.9}}))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["criteria", "--config", str(cfg)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert "cells" in doc["detail"]
 
 
 def test_cli_truncation_leak_exits_3():

@@ -28,6 +28,18 @@ def terms(state):
     return dict(zip(map(tuple, state.occ.tolist()), state.amp))
 
 
+def members(state):
+    """(weight, pure FockState) for each member of a state."""
+    return [(w, fock.FockState(n=state.n, m=state.m, occ=state.occ[state.label == k],
+                               amp=state.amp[state.label == k]))
+            for k, w in enumerate(state.weight)]
+
+
+def member_weights(state):
+    """occupation tuple -> member weight, for states of one row per member."""
+    return {tuple(occ): state.weight[k] for occ, k in zip(state.occ.tolist(), state.label)}
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -158,7 +170,8 @@ def test_one_body_density_properties_random_states():
 def test_ensemble_density_is_convex_average():
     a = fock.basis_state((2, 0, 0))
     b = fock.basis_state((0, 1, 1))
-    ens = fock.StateEnsemble(members=((0.25, a), (0.75, b)))
+    ens = fock.FockState(n=2, m=3, occ=[(2, 0, 0), (0, 1, 1)], amp=[1.0, 1.0],
+                         label=[0, 1], weight=[0.25, 0.75])
     rho = fock.one_body_density(ens).matrix
     want = 0.25 * fock.one_body_density(a).matrix + 0.75 * fock.one_body_density(b).matrix
     assert np.allclose(rho, want)
@@ -234,11 +247,11 @@ def test_few_body_three_atoms(monkeypatch):
     monkeypatch.undo()
     b6 = basis(6, trap3)
     ens = fock.thermal_ensemble(b6, temperature=0.45, n=3, energy_cutoff=6.4)
-    assert len(ens.members) > 1
+    assert len(ens.weight) > 1
     mats6 = [fock.position_matrix(b6), fock.momentum_matrix(b6)]
-    want = sum(w * pair_reference(member, mats6) for w, member in ens.members)
+    want = sum(w * pair_reference(member, mats6) for w, member in members(ens))
     assert np.max(np.abs(fock.few_body_expectation(ens, mats6) - want)) < 1e-12
-    want_rho = sum(w * helpers.oracle_one_body_density(member) for w, member in ens.members)
+    want_rho = sum(w * helpers.oracle_one_body_density(member) for w, member in members(ens))
     assert np.max(np.abs(fock.one_body_density(ens).matrix - want_rho)) < 1e-12
 
 
@@ -346,12 +359,12 @@ def test_squeezed_orbital_variances():
 def test_thermal_weights_and_loss():
     b = basis(10)
     ens = fock.thermal_ensemble(b, temperature=1.0, n=1, energy_cutoff=9.5)
-    w = {tuple(st.occ[0].tolist()): wt for wt, st in ens.members}
+    w = member_weights(ens)
     occ0 = tuple([1] + [0] * 9)
     occ1 = tuple([0, 1] + [0] * 8)
     assert w[occ1] / w[occ0] == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert ens.truncation_loss == pytest.approx(math.exp(-10.0), rel=1e-6)
-    assert sum(wt for wt, _ in ens.members) == pytest.approx(1.0)
+    assert sum(ens.weight) == pytest.approx(1.0)
 
 
 def test_thermal_cutoff_too_tight():
@@ -363,9 +376,8 @@ def test_thermal_cutoff_too_tight():
 def test_thermal_zero_temperature():
     b = basis(5, TRAP2)
     ens = fock.thermal_ensemble(b, temperature=0.0, n=2, energy_cutoff=1.0)
-    assert len(ens.members) == 1
-    assert ens.members[0][0] == 1.0
-    assert terms(ens.members[0][1]) == {(2, 0, 0, 0, 0): 1.0 + 0.0j}
+    assert ens.weight.tolist() == [1.0]
+    assert terms(ens) == {(2, 0, 0, 0, 0): 1.0 + 0.0j}
     assert ens.truncation_loss == 0.0
 
 
@@ -385,7 +397,7 @@ def test_thermal_partition_recursion_matches_enumeration():
 def test_thermal_two_atom_weight_ratio():
     b = basis(12, TRAP2)
     ens = fock.thermal_ensemble(b, temperature=0.5, n=2, energy_cutoff=10.0)
-    w = {tuple(st.occ[0].tolist()): wt for wt, st in ens.members}
+    w = member_weights(ens)
     ground = tuple([2] + [0] * 11)
     first = tuple([1, 1] + [0] * 10)
     assert w[first] / w[ground] == pytest.approx(math.exp(-2.0), rel=1e-12)
@@ -510,11 +522,10 @@ def test_validation_errors():
     with pytest.raises(ConfigError):
         fock.FockState(n=2, m=2, occ=[(1, 0)], amp=[1.0])
     with pytest.raises(NotNormalized):
-        fock.StateEnsemble(members=((0.5, fock.basis_state((1, 0))),))
-    with pytest.raises(ConfigError):
-        fock.StateEnsemble(
-            members=((0.5, fock.basis_state((1, 0))), (0.5, fock.basis_state((1, 0, 0))))
-        )
+        fock.FockState(n=1, m=2, occ=[(1, 0)], amp=[1.0], weight=[0.5])
+    with pytest.raises(ConfigError, match="negative"):
+        fock.FockState(n=1, m=2, occ=[(1, 0), (0, 1)], amp=[1.0, 1.0], label=[0, 1],
+                       weight=[-0.5, 1.5])
     with pytest.raises(ConfigError):
         fock.OrbitalBasis(mode_count=1, trap=TRAP1)
     with pytest.raises(NotNormalized):
@@ -531,3 +542,41 @@ def test_validation_errors():
         fock.few_body_expectation(st, [fock.position_matrix(basis(4))])
     with pytest.raises(ConfigError):
         fock.OneBodyOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
+    with pytest.raises(ConfigError, match="mode_count"):
+        fock.OrbitalBasis(mode_count=fock._MODE_LIMIT + 1, trap=TRAP1)
+
+
+def test_members_are_labelled_rows_of_one_state():
+    # rows come in any order; zero-weight members go and the rest renumber
+    st = fock.FockState(n=1, m=3, occ=[(0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0)],
+                        amp=[1.0, 1.0, 0.6, 0.8], label=[2, 1, 0, 0],
+                        weight=[0.25, 0.0, 0.75], truncation_loss=1e-3)
+    assert st.weight.tolist() == [0.25, 0.75]
+    # key = label * dim + rank, with ranks 0, 1, 2 for (0,0,1), (0,1,0), (1,0,0)
+    assert st.dim == 3
+    assert st.key.tolist() == [1, 2, 4]
+    assert st.occ.tolist() == [[0, 1, 0], [1, 0, 0], [0, 1, 0]]
+    assert st.amp.tolist() == [0.8, 0.6, 1.0]
+    assert st.label.tolist() == [0, 0, 1]
+    assert st.truncation_loss == 1e-3
+    with pytest.raises(NotNormalized):  # each member on its own
+        fock.FockState(n=1, m=2, occ=[(1, 0), (0, 1)], amp=[1.0, 1.0], label=[0, 0],
+                       weight=[0.5, 0.5])
+    # a row may repeat across members, not within one
+    fock.FockState(n=1, m=2, occ=[(1, 0), (1, 0)], amp=[1.0, 1.0], label=[0, 1],
+                   weight=[0.5, 0.5])
+    with pytest.raises(ConfigError, match="repeat"):
+        fock.FockState(n=1, m=2, occ=[(1, 0), (1, 0)], amp=[0.6, 0.8])
+    for label in ([0, 2], [0.0, 1.0], [0]):
+        with pytest.raises(ConfigError, match="labels"):
+            fock.FockState(n=1, m=2, occ=[(1, 0), (0, 1)], amp=[1.0, 1.0], label=label,
+                           weight=[0.5, 0.5])
+    with pytest.raises(ConfigError):
+        fock.FockState(n=1, m=2, occ=[(1, 0)], amp=[1.0], weight=[])
+
+
+def test_state_to_dict_refuses_a_mixture():
+    ens = fock.thermal_ensemble(basis(6), temperature=0.5, n=1, energy_cutoff=5.4)
+    assert len(ens.weight) > 1
+    with pytest.raises(ConfigError, match="members"):
+        fock.state_to_dict(ens)

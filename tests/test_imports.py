@@ -1,4 +1,4 @@
-"""Cold start: which scipy modules a bare import and each subcommand load.
+"""The public names, and which scipy modules a bare import and each subcommand load.
 
 Every probe runs in a fresh interpreter, since the test process itself has
 scipy loaded (the warning filters in pyproject.toml name scipy classes).
@@ -37,6 +37,13 @@ def probe(argv, tmp_path):
                           timeout=120, check=True)
     doc = json.loads(proc.stdout.splitlines()[-1])
     return doc["code"], doc["scipy"]
+
+
+def test_public_names_resolve_once():
+    # a stale entry would fail only on `from cloudfeedback import *`
+    names = cloudfeedback.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(cloudfeedback, name)] == []
 
 
 def test_package_import_loads_no_scipy(tmp_path):

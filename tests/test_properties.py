@@ -2,7 +2,8 @@
 
 Derandomized, so a run always draws the same examples: fixed-N states with
 an empty top orbital and Hermitian one-body matrices, against the
-first-quantized product-space reference of `helpers`.
+first-quantized product-space reference of `helpers`; and mixtures of such
+states, against the weighted sum over their members.
 """
 
 import math
@@ -13,30 +14,40 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import helpers
-from cloudfeedback import criteria, fock
+from cloudfeedback import criteria, fock, oracle
 from cloudfeedback.scales import TrapConfig
 
 _UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+def _guarded_rows(n, m):
+    """The (n, m) occupation rows with the top orbital empty, which keep every
+    product truncation-exact."""
+    occ = fock.occupations(n, m)
+    return occ[occ[:, -1] == 0]
+
+
+def _unit_amplitudes(draw, k):
+    re, im = (draw(hnp.arrays(float, k, elements=_UNIT)) for _ in range(2))
+    amp = re + 1j * im
+    norm = np.linalg.norm(amp)
+    if norm < 1e-3:
+        amp, norm = np.ones(k), math.sqrt(k)
+    return amp / norm
 
 
 @st.composite
 def cases(draw):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(2, 5))
-    # rows with the top orbital empty keep every product truncation-exact
-    occ = fock.occupations(n, m)
-    occ = occ[occ[:, -1] == 0]
-    re, im = (draw(hnp.arrays(float, len(occ), elements=_UNIT)) for _ in range(2))
-    amp = re + 1j * im
-    norm = np.linalg.norm(amp)
-    if norm < 1e-3:
-        amp, norm = np.ones(len(occ)), math.sqrt(len(occ))
+    occ = _guarded_rows(n, m)
+    amp = _unit_amplitudes(draw, len(occ))
     k = draw(st.integers(1, 3))
     raw = [draw(hnp.arrays(float, (2, m, m), elements=_UNIT)) for _ in range(k)]
     ops = [fock.OneBodyOperator(0.5 * (a + a.T) + 0.5j * (b - b.T), hermitian=True)
            for a, b in raw]
     t = draw(st.floats(0.0, math.pi, allow_nan=False))
-    return fock.FockState(n=n, m=m, occ=occ, amp=amp / norm), ops, t
+    return fock.FockState(n=n, m=m, occ=occ, amp=amp), ops, t
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -53,3 +64,36 @@ def test_gram_matrix_is_hermitian_psd_and_matches_product_space(case):
     assert np.max(np.abs(got - want)) < 1e-12
     basis = fock.OrbitalBasis(mode_count=state.m, trap=TrapConfig(atom_count=state.n))
     assert criteria.sigma_q_sq(state, basis, t) >= -1e-12
+
+
+@st.composite
+def mixtures(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 5))
+    occ = _guarded_rows(n, m)
+    amps = [_unit_amplitudes(draw, len(occ)) for _ in range(draw(st.integers(2, 3)))]
+    weight = np.array([draw(st.floats(0.05, 1.0)) for _ in amps])
+    weight /= weight.sum()
+    mixture = fock.FockState(n=n, m=m, occ=np.concatenate([occ] * len(amps)),
+                             amp=np.concatenate(amps),
+                             label=np.repeat(np.arange(len(amps)), len(occ)), weight=weight)
+    return mixture, [(w, fock.FockState(n=n, m=m, occ=occ, amp=a))
+                     for w, a in zip(weight, amps)]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(mixtures())
+def test_mixture_values_are_weighted_member_averages(case):
+    mixture, members = case
+    basis = fock.OrbitalBasis(mode_count=mixture.m, trap=TrapConfig(atom_count=mixture.n))
+    ops = [fock.position_matrix(basis), fock.momentum_matrix(basis)]
+    grid = np.linspace(-3.0, 3.0, 7)
+    routes = [
+        lambda st: fock.one_body_density(st).matrix,
+        lambda st: fock.few_body_expectation(st, ops),
+        lambda st: fock.pair_distribution(st, grid, basis),
+        lambda st: oracle.DensityMatrix.from_state(st, basis).matrix,
+    ]
+    for route in routes:
+        want = sum(w * route(member) for w, member in members)
+        assert np.max(np.abs(route(mixture) - want)) < 1e-12
