@@ -112,7 +112,8 @@ def _as_float(value, key: str) -> float:
 def _as_occupation(occ, m: int | None, trap: TrapConfig) -> list:
     """A list of nonnegative integers holding the trap's atoms (m of them if given)."""
     if (not isinstance(occ, list) or not occ or (m is not None and len(occ) != m)
-            or not all(isinstance(v, int) and v >= 0 for v in occ)):
+            or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
+                       for v in occ)):
         raise ConfigError(f"occupation must list nonnegative integers ({m or 'any'} of them), "
                           f"got {occ!r}")
     if sum(occ) != trap.atom_count:
@@ -221,7 +222,7 @@ def build_state(doc: dict | None, trap: TrapConfig):
     if doc is None:
         doc = {"kind": "condensate", "m": 6}
     kind = doc.get("kind")
-    if kind not in _STATE_KEYS:
+    if not isinstance(kind, str) or kind not in _STATE_KEYS:
         raise ConfigError(f"state kind must be one of {sorted(_STATE_KEYS)}, got {kind!r}")
     unknown = set(doc) - _STATE_KEYS[kind]
     if unknown:
@@ -429,7 +430,7 @@ def _moment_row(t: float, m: moments.JointMoments) -> tuple:
 
 def _cmd_evolve(cfg: RunConfig) -> int:
     engine = cfg.param("engine", "moments")
-    if engine not in _UNREAD_BY_ENGINE:
+    if not isinstance(engine, str) or engine not in _UNREAD_BY_ENGINE:
         raise ConfigError(f"engine must be moments or oracle, got {engine!r}")
     unread = sorted(_UNREAD_BY_ENGINE[engine] & set(cfg.params))
     if unread:

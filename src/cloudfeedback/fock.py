@@ -42,8 +42,8 @@ _NORM_TOL = 1e-12
 _LEAK_TOL = 1e-10  # top-orbital weight allowed per member under an operator product
 # most occupation rows (M int64 each, with a key and an amplitude beside
 # them) that one sector, state support, applied vector or rank table may
-# hold, about 100 MB at M = 8; also the most dense complex entries, and the
-# most triplets, that pair_distribution builds
+# hold, about 100 MB at M = 8; also the most entries of the applied vectors
+# one Gram matrix stacks, and of the grid kernels pair_distribution builds
 _ROW_BUDGET = 1_000_000
 # most COO entries one_body_chunks asks of one_body_coo at once:
 # one_body_density on a 33,649-row state (N = 18, M = 6), chunk by chunk,
@@ -284,6 +284,15 @@ def one_body_chunks(occ: np.ndarray, matrix: np.ndarray):
         yield src + start, tgt, val, i, j
 
 
+def sector_operator(basis: OrbitalBasis, n: int, matrix: np.ndarray) -> np.ndarray:
+    """Dense matrix of sum_ij A[i][j] a+_i a_j on the fixed-N sector."""
+    occs = occupations(n, basis.mode_count)
+    out = np.zeros((len(occs), len(occs)), dtype=complex)
+    for src, tgt, val, _, _ in one_body_chunks(occs, matrix):
+        np.add.at(out, (tgt, src), val)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # states
 
@@ -390,12 +399,15 @@ def condensate_state(orbital: np.ndarray, n: int) -> FockState:
     c = np.asarray(orbital, dtype=complex)
     if not abs(np.vdot(c, c).real - 1.0) <= _NORM_TOL:
         raise NotNormalized(f"orbital norm^2 = {np.vdot(c, c).real!r}")
+    _binomials(n, len(c))  # an unrankable sector is refused before any multinomial
     live = np.flatnonzero(c)
     sub = occupations(n, len(live))
-    # multinomial amplitude sqrt(n!/prod k!) prod c^k, the multinomial exact
-    fact = np.frompyfunc(math.factorial, 1, 1)
+    # multinomial amplitude sqrt(n!/prod k!) prod c^k, the multinomial exact as
+    # the product of C(k_1 + .. + k_l, k_l) over the modes, with no n! formed
+    comb = np.frompyfunc(math.comb, 2, 1)
     try:
-        amp = np.sqrt((fact(n) // np.prod(fact(sub), axis=1)).astype(float)).astype(complex)
+        multinomial = np.prod(comb(np.cumsum(sub, axis=1), sub), axis=1)
+        amp = np.sqrt(multinomial.astype(float)).astype(complex)
     except OverflowError:
         raise ConfigError(f"multinomials of {n} atoms over {len(live)} modes overflow") from None
     for k, ck in zip(sub.T, c[live]):
@@ -605,26 +617,16 @@ def density_profile(rho1: OneBodyDensity, grid: np.ndarray, basis: OrbitalBasis)
 def pair_distribution(state: FockState, grid: np.ndarray, basis: OrbitalBasis) -> np.ndarray:
     """P(x, x') = <n(x) n(x')>/N^2 with n(x) the density kernel at x.
 
-    The grid kernel K(x)[n][m] = psi_n(x) psi_m(x) is a one-body operator, so
-    P(x, x') = <K(x) K(x')> / N^2, the inner products of the K(x)|state>
-    vectors (K is real symmetric), which mix the a+_i a_j |state> vectors;
-    each member's vectors are weighted by its weight.
+    The grid kernel K(x)[n][m] = psi_n(x) psi_m(x) is a real symmetric
+    one-body operator, so P is the Gram matrix of the K(x) on the grid
+    over N^2, from few_body_expectation.
     """
     grid = _check_grid(grid)
-    _check_leak(state)
-    m = state.m
-    psi = hermite_functions(grid, m, basis)
-    # the dense a+_i a_j |state> vectors and their grid mixtures: each source
-    # row is its own target, so k m^2 bounds the triplets before they are built
-    _check_rows(m * m * len(state.occ), "the pair-distribution vectors")
-    src, tgt, val, i, j = one_body_coo(state.occ, np.ones((m, m)))
-    tgt, col = np.unique(state.label[src] * state.dim + tgt, return_inverse=True)
-    _check_rows((m * m + len(grid)) * len(tgt), "the pair-distribution vectors")
-    pairs = _sum_by((i * m + j) * len(tgt) + col, val * state.amp[src], m * m * len(tgt))
-    applied = (psi[:, :, None] * psi[:, None, :]).reshape(len(grid), m * m) \
-        @ pairs.reshape(m * m, len(tgt))
-    weighted = state.weight[tgt // state.dim] * applied
-    return (applied.conj() @ weighted.T).real / state.n ** 2
+    # the kernels' entries, before any is built
+    _check_rows(len(grid) * state.m ** 2, "the pair-distribution kernels")
+    psi = hermite_functions(grid, state.m, basis)
+    kernels = [OneBodyOperator(np.outer(row, row), hermitian=True, kind="K(x)") for row in psi]
+    return few_body_expectation(state, kernels).real / state.n ** 2
 
 
 # ---------------------------------------------------------------------------

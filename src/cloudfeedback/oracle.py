@@ -58,58 +58,6 @@ _THETA = np.array([
 ])
 
 
-def sector_operator(basis: fock.OrbitalBasis, n: int, matrix: np.ndarray) -> np.ndarray:
-    """Dense matrix of sum_ij A[i][j] a+_i a_j on the fixed-N sector."""
-    occs = fock.occupations(n, basis.mode_count)
-    out = np.zeros((len(occs), len(occs)), dtype=complex)
-    for src, tgt, val, _, _ in fock.one_body_chunks(occs, matrix):
-        np.add.at(out, (tgt, src), val)
-    return out
-
-
-@dataclass(frozen=True)
-class SectorObservables:
-    """Sparse sector operators behind the moments the oracle reports."""
-
-    n: int
-    t_x: scipy.sparse.csr_matrix
-    t_p: scipy.sparse.csr_matrix
-    top_number: np.ndarray  # diagonal of the top-orbital number operator
-    # T_x, T_p, T_x2, T_p2, T_sxp, T_x T_x, T_p T_p and sym(T_x T_p) in COO form
-    _traced: tuple = field(repr=False, default=None)
-
-    @classmethod
-    def build(cls, basis: fock.OrbitalBasis, n: int) -> "SectorObservables":
-        import scipy.sparse
-
-        m = basis.mode_count
-        occs = fock.occupations(n, m)
-        dim = len(occs)
-        # every a+_i a_j at once; T_A weighs each by A[i][j]
-        src, tgt, val, i, j = map(np.concatenate,
-                                  zip(*fock.one_body_chunks(occs, np.ones((m, m)))))
-
-        def collective(build):
-            entries = build(basis).matrix[i, j] * val
-            keep = entries != 0
-            return scipy.sparse.csr_matrix((entries[keep], (tgt[keep], src[keep])),
-                                           shape=(dim, dim))
-
-        t_x, t_p, t_x2, t_p2, t_sxp = map(collective, (
-            fock.position_matrix, fock.momentum_matrix, fock.position_sq_matrix,
-            fock.momentum_sq_matrix, fock.sym_xp_matrix))
-        traced = (t_x, t_p, t_x2, t_p2, t_sxp,
-                  t_x @ t_x, t_p @ t_p, 0.5 * (t_x @ t_p + t_p @ t_x))
-        return cls(n=n, t_x=t_x, t_p=t_p, top_number=occs[:, m - 1].astype(float),
-                   _traced=tuple(a.tocoo() for a in traced))
-
-    def joint_moments(self, rho: np.ndarray) -> JointMoments:
-        # trace(A rho) = sum_ij A_ij rho_ji; moments_from_raw takes the
-        # one-body traces per atom and ignores the collective ones at N = 1
-        traces = [np.dot(a.data, rho[a.col, a.row]).real for a in self._traced]
-        return moments_from_raw(self.n, *(t / self.n for t in traces[:5]), *traces[5:])
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     matrix: np.ndarray
@@ -174,13 +122,22 @@ class LindbladGenerator:
     x_hat: scipy.sparse.csr_matrix
     p_hat: scipy.sparse.csr_matrix
     h_diag: np.ndarray
-    obs: SectorObservables
+    top_number: np.ndarray  # diagonal of the top-orbital number operator
+    # T_x, T_p, T_x2, T_p2, T_sxp, T_x T_x, T_p T_p and sym(T_x T_p) in COO form
+    traced: tuple = field(repr=False)
     stacks: tuple | None = field(repr=False)
     shift: complex
     norm: float
 
     def coefficient(self, term: str) -> float:
         return _coefficient(self.trap, self.fb, term)
+
+    def joint_moments(self, rho: np.ndarray) -> JointMoments:
+        # trace(A rho) = sum_ij A_ij rho_ji; moments_from_raw takes the
+        # one-body traces per atom and ignores the collective ones at N = 1
+        n = self.trap.atom_count
+        traces = [np.dot(a.data, rho[a.col, a.row]).real for a in self.traced]
+        return moments_from_raw(n, *(t / n for t in traces[:5]), *traces[5:])
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         self._check_finite()
@@ -256,16 +213,30 @@ def build_generator(trap: TrapConfig, fb: FeedbackConfig, basis: fock.OrbitalBas
     if dim > _DIM_CAP:
         raise DimensionTooLarge(f"sector dimension {dim} exceeds {_DIM_CAP}")
 
+    import scipy.sparse
+
     coefficients = tuple(_coefficient(trap, fb, t) if t in terms else 0.0
                          for t in _ALL_TERMS)
-    h_diag = fock.occupation_energies(fock.occupations(n, basis.mode_count), trap)
-    obs = SectorObservables.build(basis, n)
-    x_hat = obs.t_x / n
+    occs = fock.occupations(n, basis.mode_count)
+
+    def collective(build):
+        src, tgt, val, _, _ = map(np.concatenate,
+                                  zip(*fock.one_body_chunks(occs, build(basis).matrix)))
+        return scipy.sparse.csr_matrix((val, (tgt, src)), shape=(dim, dim))
+
+    t_x, t_p, t_x2, t_p2, t_sxp = map(collective, (
+        fock.position_matrix, fock.momentum_matrix, fock.position_sq_matrix,
+        fock.momentum_sq_matrix, fock.sym_xp_matrix))
+    traced = (t_x, t_p, t_x2, t_p2, t_sxp,
+              t_x @ t_x, t_p @ t_p, 0.5 * (t_x @ t_p + t_p @ t_x))
+    h_diag = fock.occupation_energies(occs, trap)
+    x_hat = t_x / n
     stacks, shift, norm = None, 0j, math.inf
     if all(map(math.isfinite, coefficients)):
-        stacks, shift, norm = _stacks(x_hat, obs.t_p, h_diag, coefficients)
+        stacks, shift, norm = _stacks(x_hat, t_p, h_diag, coefficients)
     return LindbladGenerator(
-        trap=trap, fb=fb, x_hat=x_hat, p_hat=obs.t_p, h_diag=h_diag, obs=obs,
+        trap=trap, fb=fb, x_hat=x_hat, p_hat=t_p, h_diag=h_diag,
+        top_number=occs[:, -1].astype(float), traced=tuple(a.tocoo() for a in traced),
         stacks=stacks, shift=shift, norm=norm,
     )
 
@@ -354,7 +325,6 @@ def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
         raise ConfigError("times must be a nonempty, finite, nondecreasing 1-D array from 0 on")
     gen._check_finite()
 
-    obs = gen.obs
     rho = np.array(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex)
     plans = {}
     joint, record = [], []
@@ -368,13 +338,13 @@ def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
         t_prev = t
         rho = 0.5 * (rho + rho.conj().T)
 
-        top = float(np.sum(obs.top_number * np.diag(rho).real))
+        top = float(np.sum(gen.top_number * np.diag(rho).real))
         if top > 1e-6:
             raise TruncationLeak(f"top-orbital population {top:.3e} at t={t:.6f}")
         eig_min = float(np.linalg.eigvalsh(rho).min())
         if eig_min < -1e-6:
             raise PositivityLoss(f"eigenvalue {eig_min:.3e} at t={t:.6f}")
-        jm = obs.joint_moments(rho)
+        jm = gen.joint_moments(rho)
         mean_c, cov_c = project_collective(jm)
         joint.append(jm)
         record.append((mean_c[0], cov_c[0, 0], math.sqrt(jm.cov[0, 0]),

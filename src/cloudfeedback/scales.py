@@ -119,8 +119,11 @@ def derive_scales(trap: TrapConfig, fb: FeedbackConfig) -> DerivedScales:
     if zeta == 0:
         raise ZeroShiftRate("eta is undefined for zeta = 0")
     t = trap
-    dX0 = math.sqrt(t.hbar / (2.0 * t.atom_count * t.mass * t.trap_freq))
-    eta = dX0 ** 2 / (zeta * fb.meas_resolution ** 2)
+    try:
+        dX0 = math.sqrt(t.hbar / (2.0 * t.atom_count * t.mass * t.trap_freq))
+        eta = dX0 ** 2 / (zeta * fb.meas_resolution ** 2)
+    except (ZeroDivisionError, OverflowError):  # a product left the float range
+        eta = math.nan
     if not (math.isfinite(eta) and eta > 0):
         raise ConfigError(f"eta not finite and positive: {eta!r}")
     DXs = dX0 * math.sqrt((eta + 1.0 / eta) / 2.0)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import criteria, fock, oracle
+from . import criteria, fock
 from .errors import ConfigError, NonConvergence
 from .scales import TrapConfig
 
@@ -144,8 +144,8 @@ def _fixed_sampler(basis: fock.OrbitalBasis, n: int):
     keep = fock.occupations(n, basis.mode_count)[:, -1] == 0
     forms = []
     for q, q2 in criteria.quadrature_pairs(basis):
-        t_q = oracle.sector_operator(basis, n, q.matrix)
-        h = oracle.sector_operator(basis, n, q2.matrix) / n - (t_q @ t_q) / n**2
+        t_q = fock.sector_operator(basis, n, q.matrix)
+        h = fock.sector_operator(basis, n, q2.matrix) / n - (t_q @ t_q) / n**2
         forms.append(h[np.ix_(keep, keep)])
     return functools.partial(_forms, _stack(forms))
 

@@ -223,7 +223,7 @@ def test_a05_identity_residual_vanishes():
             _, _, residual = criteria.schwarz_identity_check(st, b, t)
             assert abs(residual) < 1e-12
             q = fock.quadrature_matrix(b, t)
-            t_q = oracle.sector_operator(b, n, q.matrix)
+            t_q = fock.sector_operator(b, n, q.matrix)
             dense = np.vdot(vec, t_q @ (t_q @ vec)).real
             gram = fock.few_body_expectation(st, [q])[0, 0].real
             assert abs(dense - gram) < 1e-12

@@ -978,6 +978,33 @@ def test_cli_wide_thermal_sector_exits_2_at_once(tmp_path):
     assert "cells" in doc["detail"]
 
 
+@pytest.mark.parametrize("task, doc", [
+    ("evolve", {"n": 2, "zeta": 0.5, "sigma": 0.7, "task": {"engine": ["x"]}}),
+    ("criteria", {"n": 2, "zeta": 0.5, "sigma": 0.7, "state": {"kind": ["thermal"]}}),
+    ("scales", {"n": 2, "zeta": 1e-320, "sigma": 1e-160}),
+    ("scales", {"n": 2, "zeta": 1, "sigma": 1e200}),
+    ("scales", {"n": 2, "zeta": 1, "sigma": 1, "mass": 1e-200, "omega": 1e-200}),
+    ("criteria", {"n": 2, "zeta": 0.5, "sigma": 0.7,
+                  "state": {"kind": "occupation", "occupation": [True, True, False]}}),
+    ("criteria", {"n": 2, "zeta": 0.5, "sigma": 0.7,
+                  "state": {"kind": "superposition", "m": 3,
+                            "terms": [{"occupation": [True, True, False], "amp": [1, 0]}]}}),
+    ("criteria", {"n": 1000000, "zeta": 1, "sigma": 1}),
+], ids=["unhashable-engine", "unhashable-kind", "underflowing-eta", "overflowing-eta",
+        "underflowing-dX0", "boolean-occupation", "boolean-term-occupation",
+        "unrankable-condensate"])
+def test_cli_malformed_config_exits_2_at_once(tmp_path, task, doc):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    t0 = time.perf_counter()
+    code, _, err = run_cli([task, "--config", str(cfg), "--out", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert json.loads(err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
 def test_cli_truncation_leak_exits_3():
     # six modes cannot hold a strongly driven pair for six trap periods
     code, _, err = run_cli(["oracle", "--n", "2", "--zeta", "0.5",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from cloudfeedback import criteria, fock, moments, oracle
+from cloudfeedback import criteria, fock, moments
 from cloudfeedback.errors import (
     ConfigError,
     CutoffTooTight,
@@ -273,7 +273,7 @@ def test_chunked_application_matches_one_chunk(monkeypatch):
                 fock.one_body_density(st).matrix,
                 fock.few_body_expectation(ens, mats5),
                 fock.one_body_density(ens).matrix,
-                oracle.sector_operator(b, 3, mats[0].matrix))
+                fock.sector_operator(b, 3, mats[0].matrix))
 
     whole = evaluate()
     monkeypatch.setattr(fock, "_ENTRY_BUDGET", 7)
@@ -487,6 +487,25 @@ def test_pair_distribution_point_values():
     # K(0)|1,1,0> = (1/sqrt(pi))|1,1,0> - (1/sqrt(2 pi))|0,1,1>, so
     # <K(0)^2>/N^2 = (1/pi + 1/2pi)/4 = 3/(8 pi)
     assert pd[mid, mid] == pytest.approx(3 / (8 * math.pi), rel=1e-10)
+
+
+def test_pair_distribution_matches_dense_sector_products():
+    # an independent route: vec+ T_K(x) T_K(x') vec / N^2 with the dense
+    # sector matrices of the grid kernels, on states with the top orbital empty
+    n, m = 3, 5
+    b = basis(m, TrapConfig(atom_count=n))
+    rng = np.random.default_rng(47)
+    occs = fock.occupations(n, m)
+    grid = np.linspace(-3, 3, 9)
+    psi = fock.hermite_functions(grid, m, b)
+    t_k = [fock.sector_operator(b, n, np.outer(row, row)) for row in psi]
+    for _ in range(3):
+        vec = np.zeros(len(occs), dtype=complex)
+        guarded = occs[:, -1] == 0
+        vec[guarded] = helpers.random_fock_amplitudes(rng, int(guarded.sum()))
+        st = fock.state_from_amplitudes(n, m, vec)
+        want = np.array([[np.vdot(vec, a @ (c @ vec)).real for c in t_k] for a in t_k]) / n**2
+        assert np.max(np.abs(fock.pair_distribution(st, grid, b) - want)) < 1e-12
 
 
 def test_pair_distribution_leaky_state_raises():

@@ -66,25 +66,41 @@ def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv, task):
     assert probe(argv + ["--config", str(cfg)], tmp_path) == (0, [])
 
 
+_PACKAGE = os.path.dirname(os.path.abspath(cloudfeedback.__file__))
+
+
 def _imported_modules(tree):
+    # a relative import names a module of the package, which has no subpackages
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            yield node.module
-            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["cloudfeedback" if node.level else None,
+                                            node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def _parse_source(name):
+    path = os.path.join(_PACKAGE, name)
+    with open(path, encoding="utf-8") as handle:
+        return ast.parse(handle.read(), filename=path)
 
 
 def test_no_source_module_imports_scipy_optimize():
-    package = os.path.dirname(os.path.abspath(cloudfeedback.__file__))
-    sources = [os.path.join(package, name) for name in sorted(os.listdir(package))
-               if name.endswith(".py")]
+    sources = [name for name in sorted(os.listdir(_PACKAGE)) if name.endswith(".py")]
     assert len(sources) > 1
-    for path in sources:
-        with open(path, encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), filename=path)
-        assert not [name for name in _imported_modules(tree)
-                    if name.split(".")[:2] == ["scipy", "optimize"]], path
+    for name in sources:
+        assert not [module for module in _imported_modules(_parse_source(name))
+                    if module.split(".")[:2] == ["scipy", "optimize"]], name
+
+
+def test_search_does_not_import_the_oracle():
+    # its sector matrices come from fock alone
+    modules = list(_imported_modules(_parse_source("search.py")))
+    assert "cloudfeedback.fock" in modules  # the walk sees the relative imports
+    assert not [module for module in modules
+                if module.split(".")[:2] == ["cloudfeedback", "oracle"]]
 
 
 def test_oracle_loads_no_scipy_optimize(tmp_path):

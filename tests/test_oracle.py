@@ -35,7 +35,7 @@ def test_sector_operators_match_one_body_at_n1():
     orb = np.argmax(occs, axis=1)
     for build in (fock.position_matrix, fock.momentum_matrix, fock.position_sq_matrix):
         one_body = build(basis).matrix
-        sector = oracle.sector_operator(basis, 1, one_body)
+        sector = fock.sector_operator(basis, 1, one_body)
         expected = one_body[np.ix_(orb, orb)]
         assert np.max(np.abs(sector - expected)) < 1e-14
 
@@ -210,8 +210,8 @@ def test_superoperator_matches_dense_master_equation():
         fb = feedback_for_eta(trap, 0.7, zeta=0.4)
         basis = fock.OrbitalBasis(mode_count=m, trap=trap)
         gen = oracle.build_generator(trap, fb, basis)
-        x = oracle.sector_operator(basis, n, fock.position_matrix(basis).matrix) / n
-        p = oracle.sector_operator(basis, n, fock.momentum_matrix(basis).matrix)
+        x = fock.sector_operator(basis, n, fock.position_matrix(basis).matrix) / n
+        p = fock.sector_operator(basis, n, fock.momentum_matrix(basis).matrix)
         h = np.diag(fock.occupation_energies(fock.occupations(n, m), trap))
         hbar, zeta, sigma = trap.hbar, fb.shift_rate, fb.meas_resolution
 
@@ -265,7 +265,7 @@ def test_friction_only_leaves_relative_sector_alone():
     basis = fock.OrbitalBasis(mode_count=12, trap=trap)
     gen = oracle.build_generator(trap, fb, basis, terms=("friction",))
     t_x, t_p, t_x2, t_p2, t_sxp = (
-        oracle.sector_operator(basis, 2, build(basis).matrix)
+        fock.sector_operator(basis, 2, build(basis).matrix)
         for build in (fock.position_matrix, fock.momentum_matrix, fock.position_sq_matrix,
                       fock.momentum_sq_matrix, fock.sym_xp_matrix))
     r_sq = 2.0 * t_x2 - t_x @ t_x
