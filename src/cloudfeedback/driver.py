@@ -26,7 +26,8 @@ import numpy as np
 
 from . import criteria, fock, loop, moments, oracle, search
 from .errors import ConfigError, NonFiniteCell, ToolkitError
-from .scales import FeedbackConfig, TrapConfig, classify_regime, derive_scales
+from .scales import (FeedbackConfig, TrapConfig, classify_regime, continuous_limit_params,
+                     derive_scales, same_feedback)
 
 TASKS = ("scales", "criteria", "evolve", "oracle", "loop", "scan", "search")
 
@@ -165,21 +166,18 @@ class RunConfig:
 
         if (zeta is None) != (sigma is None):
             raise ConfigError("zeta and sigma must be given together")
+        self.feedback = None
         if zeta is not None:
-            zeta = _as_float(zeta, "zeta")
-            sigma = _as_float(sigma, "sigma")
-            if self.discrete:
-                # cross-form consistency enforced by the config type
-                self.feedback = FeedbackConfig(
-                    shift_rate=zeta, meas_resolution=sigma,
-                    rate=self.discrete[0], resolution0=self.discrete[1],
-                    gain=self.discrete[2])
-            else:
-                self.feedback = FeedbackConfig(shift_rate=zeta, meas_resolution=sigma)
-        elif self.discrete:
-            self.feedback = FeedbackConfig.from_discrete(*self.discrete)
-        else:
-            self.feedback = None
+            self.feedback = FeedbackConfig(shift_rate=_as_float(zeta, "zeta"),
+                                           meas_resolution=_as_float(sigma, "sigma"))
+        if self.discrete:
+            sigma, zeta = continuous_limit_params(*self.discrete)
+            limit = FeedbackConfig(shift_rate=zeta, meas_resolution=sigma)
+            if self.feedback is None:
+                self.feedback = limit
+            elif not same_feedback(self.feedback, limit):
+                raise ConfigError("discrete triple inconsistent with (zeta, sigma): "
+                                  f"expected ({zeta!r}, {sigma!r})")
 
         state = merged.get("state")
         if state is not None and not isinstance(state, dict):

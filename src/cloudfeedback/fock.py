@@ -45,6 +45,9 @@ _LEAK_TOL = 1e-10  # top-orbital weight allowed per member under an operator pro
 # hold, about 100 MB at M = 8; also the most entries of the applied vectors
 # one Gram matrix stacks, and of the grid kernels pair_distribution builds
 _ROW_BUDGET = 1_000_000
+# most cells (rows x M) of enumerated occupation rows: a sector wider than 8
+# orbitals gets no more bytes than 8 would
+_CELL_BUDGET = 8 * _ROW_BUDGET
 # most COO entries one_body_chunks asks of one_body_coo at once:
 # one_body_density on a 33,649-row state (N = 18, M = 6), chunk by chunk,
 # peaks at 44 MB under tracemalloc
@@ -76,8 +79,9 @@ class OrbitalBasis:
 
 @dataclass(frozen=True)
 class OneBodyOperator:
+    """A finite, Hermitian M x M one-body matrix; the constructor checks all three."""
+
     matrix: np.ndarray
-    hermitian: bool
     kind: str = "custom"
 
     def __post_init__(self):
@@ -86,8 +90,10 @@ class OneBodyOperator:
             raise ConfigError(f"one-body matrix must be square, got shape {m.shape}")
         m.setflags(write=False)  # frozen like the operator, so caches may share it
         object.__setattr__(self, "matrix", m)
-        if self.hermitian and np.max(np.abs(m - m.conj().T)) > 1e-14 * max(1.0, np.max(np.abs(m))):
-            raise ConfigError(f"operator tagged hermitian is not (kind={self.kind})")
+        if not np.isfinite(m).all():
+            raise ConfigError(f"one-body matrix is not finite (kind={self.kind})")
+        if np.max(np.abs(m - m.conj().T)) > 1e-14 * max(1.0, np.max(np.abs(m))):
+            raise ConfigError(f"one-body matrix is not Hermitian (kind={self.kind})")
 
 
 def _ladder_amp(basis: OrbitalBasis) -> float:
@@ -96,60 +102,53 @@ def _ladder_amp(basis: OrbitalBasis) -> float:
     return math.sqrt(t.hbar / (2.0 * t.mass * t.trap_freq))
 
 
-def position_matrix(basis: OrbitalBasis) -> OneBodyOperator:
+def _ladder(basis: OrbitalBasis, kind: str, one=0.0, two=0.0, diag=0.0,
+            phase=None) -> OneBodyOperator:
+    """one a + two a^2 + h.c. + diag (2 a+a + 1), truncated to the basis.
+
+    Entry [n, n] is diag (2n + 1), [n, n+1] is one sqrt(n+1) and [n, n+2] is
+    two sqrt((n+1)(n+2)), times phase if given; the entries below the
+    diagonal are the conjugates of those above.  The diagonal comes from
+    the ladder, not from squaring a truncated matrix, so it is exact at any M.
+    """
     m = basis.mode_count
-    x = np.zeros((m, m), dtype=complex)
-    c = _ladder_amp(basis)
+    out = np.zeros((m, m), dtype=complex)
+    for n in range(m):
+        out[n, n] = diag * (2 * n + 1)
     for n in range(m - 1):
-        x[n, n + 1] = x[n + 1, n] = c * math.sqrt(n + 1)
-    return OneBodyOperator(x, hermitian=True, kind="x")
+        out[n, n + 1] = one * math.sqrt(n + 1)
+    for n in range(m - 2):
+        amp = two * math.sqrt((n + 1) * (n + 2))
+        out[n, n + 2] = amp if phase is None else amp * phase
+    # adding the zeros below the diagonal turns their signed zeros positive
+    return OneBodyOperator(out + np.triu(out, 1).conj().T, kind=kind)
+
+
+def position_matrix(basis: OrbitalBasis) -> OneBodyOperator:
+    return _ladder(basis, "x", one=_ladder_amp(basis))
 
 
 def momentum_matrix(basis: OrbitalBasis) -> OneBodyOperator:
     # sign convention fixed by [x, p] = i*hbar on the untruncated algebra
-    m = basis.mode_count
     t = basis.trap
-    p = np.zeros((m, m), dtype=complex)
-    c = math.sqrt(t.hbar * t.mass * t.trap_freq / 2.0)
-    for n in range(m - 1):
-        p[n, n + 1] = -1j * c * math.sqrt(n + 1)
-        p[n + 1, n] = 1j * c * math.sqrt(n + 1)
-    return OneBodyOperator(p, hermitian=True, kind="p")
+    return _ladder(basis, "p", one=-1j * math.sqrt(t.hbar * t.mass * t.trap_freq / 2.0))
 
 
 def position_sq_matrix(basis: OrbitalBasis) -> OneBodyOperator:
-    # (hbar/2 m omega) (a^2 + a+^2 + 2 a+a + 1); diagonal exact at any M
-    m = basis.mode_count
+    # (hbar/2 m omega) (a^2 + a+^2 + 2 a+a + 1)
     s = _ladder_amp(basis) ** 2
-    out = np.zeros((m, m), dtype=complex)
-    for n in range(m):
-        out[n, n] = s * (2 * n + 1)
-    for n in range(m - 2):
-        out[n, n + 2] = out[n + 2, n] = s * math.sqrt((n + 1) * (n + 2))
-    return OneBodyOperator(out, hermitian=True, kind="x^2")
+    return _ladder(basis, "x^2", two=s, diag=s)
 
 
 def momentum_sq_matrix(basis: OrbitalBasis) -> OneBodyOperator:
-    m = basis.mode_count
     t = basis.trap
     s = t.hbar * t.mass * t.trap_freq / 2.0
-    out = np.zeros((m, m), dtype=complex)
-    for n in range(m):
-        out[n, n] = s * (2 * n + 1)
-    for n in range(m - 2):
-        out[n, n + 2] = out[n + 2, n] = -s * math.sqrt((n + 1) * (n + 2))
-    return OneBodyOperator(out, hermitian=True, kind="p^2")
+    return _ladder(basis, "p^2", two=-s, diag=s)
 
 
 def sym_xp_matrix(basis: OrbitalBasis) -> OneBodyOperator:
     # (xp + px)/2 = i (hbar/2) (a+^2 - a^2)
-    m = basis.mode_count
-    s = basis.trap.hbar / 2.0
-    out = np.zeros((m, m), dtype=complex)
-    for n in range(m - 2):
-        out[n, n + 2] = -1j * s * math.sqrt((n + 1) * (n + 2))
-        out[n + 2, n] = 1j * s * math.sqrt((n + 1) * (n + 2))
-    return OneBodyOperator(out, hermitian=True, kind="sym(xp)")
+    return _ladder(basis, "sym(xp)", two=-1j * (basis.trap.hbar / 2.0))
 
 
 def quadrature_matrix(basis: OrbitalBasis, t: float) -> OneBodyOperator:
@@ -158,26 +157,14 @@ def quadrature_matrix(basis: OrbitalBasis, t: float) -> OneBodyOperator:
     x = position_matrix(basis).matrix
     p = momentum_matrix(basis).matrix
     q = x * math.cos(w * t) + p * (math.sin(w * t) / (basis.trap.mass * w))
-    return OneBodyOperator(q, hermitian=True, kind="q(t)")
+    return OneBodyOperator(q, kind="q(t)")
 
 
 def quadrature_sq_matrix(basis: OrbitalBasis, t: float) -> OneBodyOperator:
-    """Analytic q^2(t): ladder form keeps the diagonal truncation-exact.
-
-    q^2(t) = (hbar/2 m w) (a^2 e^{-2iwt} + a+^2 e^{2iwt} + 2 a+a + 1).
-    """
-    m = basis.mode_count
-    w = basis.trap.trap_freq
+    """Analytic q^2(t) = (hbar/2 m w) (a^2 e^{-2iwt} + a+^2 e^{2iwt} + 2 a+a + 1)."""
     s = _ladder_amp(basis) ** 2
-    phase = np.exp(-2j * w * t)
-    out = np.zeros((m, m), dtype=complex)
-    for n in range(m):
-        out[n, n] = s * (2 * n + 1)
-    for n in range(m - 2):
-        amp = s * math.sqrt((n + 1) * (n + 2))
-        out[n, n + 2] = amp * phase
-        out[n + 2, n] = amp * np.conj(phase)
-    return OneBodyOperator(out, hermitian=True, kind="q^2(t)")
+    return _ladder(basis, "q^2(t)", two=s, diag=s,
+                   phase=np.exp(-2j * basis.trap.trap_freq * t))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +184,7 @@ def occupations(n: int, m: int) -> np.ndarray:
     """All length-m occupation vectors summing to n, (dim, m), row k of rank k."""
     dim = sector_dimension(n, m)
     _check_rows(dim, f"the (n={n}, m={m}) sector")
-    # a sector wider than 8 orbitals gets no more bytes than 8 would
-    _check_rows(dim * m, f"the cells of the (n={n}, m={m}) sector", 8 * _ROW_BUDGET)
+    _check_rows(dim * m, f"the cells of the (n={n}, m={m}) sector", _CELL_BUDGET)
     # stars and bars: the m - 1 bar positions among n + m - 1 slots
     bars = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(n + m - 1), m - 1)), dtype=np.int64, count=dim * (m - 1))
@@ -461,19 +447,27 @@ def thermal_ensemble(basis: OrbitalBasis, temperature: float, n: int,
     if not (math.isfinite(temperature) and temperature >= 0) or math.isnan(energy_cutoff):
         raise ConfigError(f"need a finite temperature >= 0 and a cutoff, got "
                           f"{temperature!r} and {energy_cutoff!r}")
-    t = basis.trap
+    t, m = basis.trap, basis.mode_count
     hw = t.hbar * t.trap_freq
     e0 = n * hw / 2.0
-    ground = [n] + [0] * (basis.mode_count - 1)
     if e0 > energy_cutoff:
         raise CutoffTooTight(f"cutoff {energy_cutoff!r} below ground energy {e0!r}")
     if temperature == 0:
-        return basis_state(ground)
+        return basis_state([n] + [0] * (m - 1))
 
     beta = 1.0 / temperature
-    occs = occupations(n, basis.mode_count)
-    energy = occupation_energies(occs, t)
+    # no atom inside the cutoff sits above orbital (cutoff - e0) / hw, so the
+    # rows are enumerated over the orbitals up to one past it (a margin for
+    # the rounding of the energies); zero-padding the kept rows keeps their order
+    reach = (energy_cutoff - e0) / hw
+    top = m if not reach < m - 2 else int(reach) + 2
+    sub = occupations(n, top)
+    energy = occupation_energies(sub, t)
     inside = energy <= energy_cutoff
+    rows = sub[inside]
+    _check_rows(len(rows) * m, "the cells of the configurations inside the cutoff", _CELL_BUDGET)
+    occs = np.zeros((len(rows), m), dtype=np.int64)
+    occs[:, :top] = rows
     kept = [math.exp(-beta * (e - e0)) for e in energy[inside]]
 
     # exact Z * e^{beta e0} by the canonical boson recursion, overflow-free
@@ -490,7 +484,7 @@ def thermal_ensemble(basis: OrbitalBasis, temperature: float, n: int,
     if retained < 0.999:
         raise CutoffTooTight(f"retained weight {retained:.6f} < 0.999")
     tot = sum(kept)
-    return FockState(n=n, m=basis.mode_count, occ=occs[inside], amp=np.ones(len(kept)),
+    return FockState(n=n, m=m, occ=occs, amp=np.ones(len(kept)),
                      label=np.arange(len(kept)), weight=np.array(kept) / tot,
                      truncation_loss=1.0 - retained)
 
@@ -548,8 +542,6 @@ def few_body_expectation(state: FockState, ops: list[OneBodyOperator]) -> np.nda
     for op in ops:
         if op.matrix.shape[0] != state.m:
             raise ConfigError("operator dimension does not match state mode count")
-        if not op.hermitian:
-            raise ConfigError(f"operator {op.kind!r} is not Hermitian")
     _check_leak(state)
     applied = [_apply(state, op.matrix) for op in ops]
     key = np.unique(np.concatenate([k for k, _ in applied]))
@@ -625,7 +617,7 @@ def pair_distribution(state: FockState, grid: np.ndarray, basis: OrbitalBasis) -
     # the kernels' entries, before any is built
     _check_rows(len(grid) * state.m ** 2, "the pair-distribution kernels")
     psi = hermite_functions(grid, state.m, basis)
-    kernels = [OneBodyOperator(np.outer(row, row), hermitian=True, kind="K(x)") for row in psi]
+    kernels = [OneBodyOperator(np.outer(row, row), kind="K(x)") for row in psi]
     return few_body_expectation(state, kernels).real / state.n ** 2
 
 

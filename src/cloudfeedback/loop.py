@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, MinResolution, SingularLyapunov, TimescaleViolation
 from .moments import JointMoments, project_collective
-from .scales import FeedbackConfig, TrapConfig
+from .scales import FeedbackConfig, TrapConfig, continuous_limit_params
 
 # bound on the floats one batch keeps in each draw buffer (8 MB)
 _DRAW_FLOATS = 2**20
@@ -68,10 +68,8 @@ class LoopConfig:
             raise ConfigError(f"rng_seed must fit in 64 bits, got {self.rng_seed!r}")
 
     def continuous_equivalent(self) -> FeedbackConfig:
-        return FeedbackConfig(
-            shift_rate=self.zeta0 * self.gamma,
-            meas_resolution=self.sigma0 / math.sqrt(self.gamma),
-        )
+        sigma, zeta = continuous_limit_params(self.gamma, self.sigma0, self.zeta0)
+        return FeedbackConfig(shift_rate=zeta, meas_resolution=sigma)
 
 
 class _Pair(NamedTuple):

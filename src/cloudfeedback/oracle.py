@@ -6,8 +6,9 @@ rho through sparse (CSR) sector operators, as two sparse products per
 application, and rho(t) = exp(tL) rho(0) is evaluated only at the instants
 a caller asks for, by the scaled truncated Taylor series of Al-Mohy &
 Higham (SIAM J. Sci. Comput. 33:488, 2011).  Any atom number is accepted:
-the one budget is the sector dimension, d <= 1000 (N = 3 fits up to M = 17
-orbitals, N = 4 up to M = 10 and N = 5 up to M = 8).
+the sector dimension is capped at d <= 1000 (N = 3 fits up to M = 17
+orbitals, N = 4 up to M = 10 and N = 5 up to M = 8), and the Taylor plan of
+one run at 2^18 generator products.
 
 Positivity is monitored at every emitted instant, never enforced: the
 equation is of quantum Brownian motion type (not a completed Lindblad form),
@@ -45,6 +46,10 @@ _ALL_TERMS = ("hamiltonian", "friction", "measurement", "noise")
 _DIM_CAP = 1000
 # most steps one step clock may hold
 _STEP_BUDGET = 2**20
+# most generator products (Taylor degree x substeps, summed over the emitted
+# instants) one integrate call may plan, checked before any is taken; the
+# largest plan among the tests takes 72,000
+_PRODUCT_BUDGET = 2**18
 
 # Al-Mohy & Higham, Table A.3: theta_m is the largest ||hA||_1 for which the
 # degree-m Taylor polynomial meets the double-precision tolerance unscaled
@@ -241,11 +246,15 @@ def build_generator(trap: TrapConfig, fb: FeedbackConfig, basis: fock.OrbitalBas
     )
 
 
-def _taylor_plan(norm: float, h: float) -> tuple[int, int]:
-    """(degree, substeps) with the fewest products for exp(hA), ||A||_1 = norm."""
+def _taylor_plan(norm: float, h: float) -> tuple[int, float]:
+    """(degree, substeps) with the fewest products for exp(hA), ||A||_1 = norm.
+
+    substeps stays a float, so that an infinite or NaN norm * h reaches the
+    product budget, which refuses it, rather than an integer conversion.
+    """
     substeps = np.maximum(1.0, np.ceil(norm * h / _THETA))
     k = int(np.argmin(_DEGREES * substeps))
-    return int(_DEGREES[k]), int(substeps[k])
+    return int(_DEGREES[k]), float(substeps[k])
 
 
 def _propagate(gen: LindbladGenerator, rho: np.ndarray, h: float,
@@ -255,7 +264,7 @@ def _propagate(gen: LindbladGenerator, rho: np.ndarray, h: float,
     scale = h / substeps
     eta = np.exp(mu * scale)
     out = rho
-    for _ in range(substeps):
+    for _ in range(int(substeps)):
         c1 = np.max(np.abs(rho))
         for j in range(1, degree + 1):
             rho = (scale / j) * (_apply(stacks, rho) - mu * rho)
@@ -325,17 +334,18 @@ def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
         raise ConfigError("times must be a nonempty, finite, nondecreasing 1-D array from 0 on")
     gen._check_finite()
 
+    steps = np.diff(times, prepend=0.0).tolist()
+    plans = {h: _taylor_plan(gen.norm, h) for h in set(steps) if h > 0}
+    products = sum(math.prod(plans[h]) for h in steps if h > 0)
+    if not products <= _PRODUCT_BUDGET:  # NaN fails too
+        raise ConfigError(f"the Taylor plan asks for {products:.6g} generator products, "
+                          f"over the budget of {_PRODUCT_BUDGET}")
+
     rho = np.array(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex)
-    plans = {}
     joint, record = [], []
-    t_prev = 0.0
-    for t in times:
-        h = t - t_prev
+    for t, h in zip(times, steps):
         if h > 0:
-            if h not in plans:
-                plans[h] = _taylor_plan(gen.norm, h)
             rho = _propagate(gen, rho, h, *plans[h])
-        t_prev = t
         rho = 0.5 * (rho + rho.conj().T)
 
         top = float(np.sum(gen.top_number * np.diag(rho).real))

@@ -36,50 +36,48 @@ class TrapConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
+        # every scale the package forms from the trap: refused here, where it
+        # would otherwise under- or overflow deep inside a run
+        n, m, w, hbar = self.atom_count, self.mass, self.trap_freq, self.hbar
+        try:
+            scales = (n * m * w, hbar / (2.0 * n * m * w), hbar / (m * w), m * w / hbar,
+                      hbar * m * w, hbar * w, n * hbar * w, m * w * w, hbar * hbar,
+                      1.0 / m, 1.0 / w, 1.0 / hbar)
+        except (ZeroDivisionError, OverflowError):
+            scales = (math.nan,)
+        if not all(0.0 < v < math.inf for v in scales):
+            raise ConfigError(f"trap (N={n}, mass={m!r}, omega={w!r}, hbar={hbar!r}) puts "
+                              "a length, momentum, energy or rate scale outside the float range")
 
 
 @dataclass(frozen=True)
 class FeedbackConfig:
-    """Continuous feedback parameters, optionally tied to a discrete loop.
+    """Continuous feedback parameters.
 
     shift_rate is the momentum-damping rate zeta, meas_resolution the rms
     time-integrated measurement resolution sigma.  meas_resolution = inf is
-    allowed and turns the measurement back-action off (1/sigma^2 = 0).  When
-    the discrete triple (rate, resolution0, gain) is given, it must satisfy
-    sigma = sigma0/sqrt(gamma) and zeta = zeta0*gamma.
+    allowed and turns the measurement back-action off (1/sigma^2 = 0).  A
+    discrete loop maps onto these by continuous_limit_params.
     """
 
     shift_rate: float
     meas_resolution: float
-    rate: float | None = None
-    resolution0: float | None = None
-    gain: float | None = None
 
     def __post_init__(self):
         if not (self.shift_rate >= 0 and math.isfinite(self.shift_rate)):
             raise ConfigError(f"shift_rate must be finite and >= 0, got {self.shift_rate!r}")
         if not self.meas_resolution > 0:
             raise ConfigError(f"meas_resolution must be > 0, got {self.meas_resolution!r}")
-        triple = (self.rate, self.resolution0, self.gain)
-        if any(v is not None for v in triple):
-            if any(v is None for v in triple):
-                raise ConfigError("discrete feedback triple (rate, resolution0, gain) is incomplete")
-            sigma, zeta = continuous_limit_params(self.rate, self.resolution0, self.gain)
-            if not _close(sigma, self.meas_resolution) or not _close(zeta, self.shift_rate):
-                raise ConfigError(
-                    "discrete triple inconsistent with (shift_rate, meas_resolution): "
-                    f"expected ({zeta!r}, {sigma!r})"
-                )
-
-    @classmethod
-    def from_discrete(cls, rate: float, resolution0: float, gain: float) -> "FeedbackConfig":
-        sigma, zeta = continuous_limit_params(rate, resolution0, gain)
-        return cls(shift_rate=zeta, meas_resolution=sigma,
-                   rate=rate, resolution0=resolution0, gain=gain)
 
 
 def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _REL_TOL * max(abs(a), abs(b), 1e-300)
+    # an infinity is close only to itself
+    return a == b or abs(a - b) <= _REL_TOL * max(abs(a), abs(b), 1e-300) < math.inf
+
+
+def same_feedback(a: FeedbackConfig, b: FeedbackConfig) -> bool:
+    """Both rates of a and b agree to the relative tolerance of pure arithmetic."""
+    return _close(a.shift_rate, b.shift_rate) and _close(a.meas_resolution, b.meas_resolution)
 
 
 @dataclass(frozen=True)

@@ -233,8 +233,8 @@ def coherent_sigma_q_fock(alpha: np.ndarray, trap: TrapConfig, t: float,
     frame, _ = np.linalg.qr(np.stack([c, qm @ c, q2m @ c], axis=1))
     q3 = frame.conj().T @ qm @ frame
     q23 = frame.conj().T @ q2m @ frame
-    op_q = fock.OneBodyOperator(0.5 * (q3 + q3.conj().T), hermitian=True)
-    op_q2 = fock.OneBodyOperator(0.5 * (q23 + q23.conj().T), hermitian=True)
+    op_q = fock.OneBodyOperator(0.5 * (q3 + q3.conj().T))
+    op_q2 = fock.OneBodyOperator(0.5 * (q23 + q23.conj().T))
     orb = np.array([1.0, 0.0, 0.0], dtype=complex)
 
     one = 0.0

@@ -16,7 +16,7 @@ import pytest
 from cloudfeedback import criteria, driver, errors, fock, loop, moments
 from cloudfeedback.errors import ConfigError, NonFiniteCell
 from cloudfeedback.scales import (FeedbackConfig, TrapConfig, classify_regime,
-                                  derive_scales)
+                                  continuous_limit_params, derive_scales)
 
 CELL = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -85,10 +85,13 @@ def test_config_inconsistent_forms_rejected():
     doc = {"zeta": 0.2, "sigma": 0.5, "gamma": 100.0, "sigma0": 5.0,
            "zeta0": 0.002}
     cfg = driver.RunConfig("loop", doc, {})
-    assert cfg.feedback.rate == 100.0
-    bad = dict(doc, zeta=0.3)
-    with pytest.raises(ConfigError):
-        driver.RunConfig("loop", bad, {})
+    assert cfg.discrete == (100.0, 5.0, 0.002)
+    for bad in (dict(doc, zeta=0.3), dict(doc, sigma=math.inf)):
+        with pytest.raises(ConfigError):
+            driver.RunConfig("loop", bad, {})
+    # the triple alone gives the continuous pair of the one discrete map
+    alone = driver.RunConfig("loop", {"gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002}, {})
+    assert alone.feedback == FeedbackConfig(*reversed(continuous_limit_params(100.0, 5.0, 0.002)))
 
 
 # ---------------------------------------------------------------------------
@@ -964,11 +967,12 @@ def test_cli_orbital_count_over_cap_exits_2_at_once(tmp_path, task, doc, state):
 
 
 def test_cli_wide_thermal_sector_exits_2_at_once(tmp_path):
-    # 45,150 rows of 300 cells: the enumeration is refused by its bytes
+    # a cutoff of 301 reaches every orbital, so all 45,150 rows of 300 cells
+    # are enumerated: the enumeration is refused by its bytes
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "n": 2, "zeta": 0.5, "sigma": 0.7,
-        "state": {"kind": "thermal", "m": 300, "temperature": 0.3, "cutoff": 3.9}}))
+        "state": {"kind": "thermal", "m": 300, "temperature": 0.3, "cutoff": 301}}))
     t0 = time.perf_counter()
     code, out, err = run_cli(["criteria", "--config", str(cfg)])
     assert time.perf_counter() - t0 < 1.0
@@ -976,6 +980,35 @@ def test_cli_wide_thermal_sector_exits_2_at_once(tmp_path):
     doc = json.loads(err)
     assert doc["error"] == "ConfigError"
     assert "cells" in doc["detail"]
+
+
+def test_cli_thermal_enumerates_only_the_orbitals_its_cutoff_reaches(tmp_path):
+    # cutoff 5.4 at N = 3 leaves every orbital above the fourth empty, so a
+    # 200-orbital basis (1,353,400 rows in its sector) runs like a 10-orbital one
+    outs = []
+    for m in (200, 10):
+        cfg = tmp_path / f"run{m}.json"
+        cfg.write_text(json.dumps({
+            "n": 3, "zeta": 0.5, "sigma": 0.7,
+            "state": {"kind": "thermal", "m": m, "temperature": 0.3, "cutoff": 5.4}}))
+        code, out, _ = run_cli(["criteria", "--config", str(cfg)])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+# one plain run of each subcommand, and four traps whose scales leave the
+# float range (N m omega, hbar^2 or m omega^2 under- or overflows)
+_RUNS = {
+    "criteria": {"n": 2, "zeta": 0.5, "sigma": 0.7},
+    "evolve": {"n": 2, "zeta": 0.5, "sigma": 0.7},
+    "oracle": {"n": 1, "zeta": 0.5, "sigma": 0.7},
+    "loop": {"n": 1, "gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002, "task": {"t_max": 1.0}},
+    "scan": {"n": 2, "zeta": 0.5, "sigma": 0.7},
+    "search": {"n": 2, "zeta": 0.5, "sigma": 0.7},
+}
+_EDGE_TRAPS = {"tiny-m-omega": {"mass": 1e-200, "omega": 1e-200}, "huge-hbar": {"hbar": 1e300},
+               "tiny-omega": {"omega": 1e-300}, "huge-omega": {"omega": 1e300}}
 
 
 @pytest.mark.parametrize("task, doc", [
@@ -990,9 +1023,14 @@ def test_cli_wide_thermal_sector_exits_2_at_once(tmp_path):
                   "state": {"kind": "superposition", "m": 3,
                             "terms": [{"occupation": [True, True, False], "amp": [1, 0]}]}}),
     ("criteria", {"n": 1000000, "zeta": 1, "sigma": 1}),
-], ids=["unhashable-engine", "unhashable-kind", "underflowing-eta", "overflowing-eta",
-        "underflowing-dX0", "boolean-occupation", "boolean-term-occupation",
-        "unrankable-condensate"])
+    # sigma = 1e-4 makes the generator norm huge: 163,357,205 Taylor products
+    ("oracle", {"n": 1, "zeta": 0.5, "sigma": 1e-4, "state": {"kind": "condensate", "m": 8},
+                "task": {"t_max": 0.1}}),
+] + [(task, dict(run, **trap)) for trap in _EDGE_TRAPS.values() for task, run in _RUNS.items()],
+    ids=["unhashable-engine", "unhashable-kind", "underflowing-eta", "overflowing-eta",
+         "underflowing-dX0", "boolean-occupation", "boolean-term-occupation",
+         "unrankable-condensate", "over-taylor-budget"]
+    + [f"{name}-{task}" for name in _EDGE_TRAPS for task in _RUNS])
 def test_cli_malformed_config_exits_2_at_once(tmp_path, task, doc):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(doc))

@@ -119,6 +119,43 @@ def test_quadrature_sq_diag_is_time_independent():
     assert q2[0, 2] == pytest.approx(math.sqrt(2) * 0.5 * np.exp(-2j * 0.4))
 
 
+def _ladder_reference(b, t):
+    """x, p, x^2, p^2, sym(xp) and q^2(t) entry by entry, in scalar arithmetic."""
+    m, tr = b.mode_count, b.trap
+    c = math.sqrt(tr.hbar / (2.0 * tr.mass * tr.trap_freq))
+    cp = math.sqrt(tr.hbar * tr.mass * tr.trap_freq / 2.0)
+    sx, sp, sh = c**2, tr.hbar * tr.mass * tr.trap_freq / 2.0, tr.hbar / 2.0
+    phase = np.exp(-2j * tr.trap_freq * t)
+    x, p, x2, p2, sxp, q2 = (np.zeros((m, m), dtype=complex) for _ in range(6))
+    for n in range(m):
+        x2[n, n] = q2[n, n] = sx * (2 * n + 1)
+        p2[n, n] = sp * (2 * n + 1)
+    for n in range(m - 1):
+        r = math.sqrt(n + 1)
+        x[n, n + 1] = x[n + 1, n] = c * r
+        p[n, n + 1], p[n + 1, n] = -1j * cp * r, 1j * cp * r
+    for n in range(m - 2):
+        r = math.sqrt((n + 1) * (n + 2))
+        x2[n, n + 2] = x2[n + 2, n] = sx * r
+        p2[n, n + 2] = p2[n + 2, n] = -sp * r
+        sxp[n, n + 2], sxp[n + 2, n] = -1j * sh * r, 1j * sh * r
+        q2[n, n + 2], q2[n + 2, n] = sx * r * phase, sx * r * np.conj(phase)
+    return x, p, x2, p2, sxp, q2
+
+
+def test_ladder_operators_equal_their_scalar_construction():
+    # the one ladder builder keeps every bit of each operator, signed zeros included
+    for trap in (TRAP1, TrapConfig(atom_count=2, mass=2.3, trap_freq=0.7, hbar=1.3)):
+        for m in (2, 3, 8):
+            b = basis(m, trap)
+            for t in (0.0, 0.3, 1.7):
+                got = (fock.position_matrix(b), fock.momentum_matrix(b),
+                       fock.position_sq_matrix(b), fock.momentum_sq_matrix(b),
+                       fock.sym_xp_matrix(b), fock.quadrature_sq_matrix(b, t))
+                for op, want in zip(got, _ladder_reference(b, t)):
+                    assert op.matrix.tobytes() == want.tobytes(), (op.kind, m, t)
+
+
 # ---------------------------------------------------------------------------
 # occupation basis and states
 
@@ -555,12 +592,14 @@ def test_validation_errors():
     st = fock.basis_state((1, 0, 0))
     with pytest.raises(ConfigError):
         fock.few_body_expectation(st, [])
-    with pytest.raises(ConfigError, match="not Hermitian"):
-        fock.few_body_expectation(st, [fock.OneBodyOperator(np.eye(3), hermitian=False)])
     with pytest.raises(ConfigError):
         fock.few_body_expectation(st, [fock.position_matrix(basis(4))])
-    with pytest.raises(ConfigError):
-        fock.OneBodyOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
+    with pytest.raises(ConfigError, match="not Hermitian"):
+        fock.OneBodyOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ConfigError, match="not finite"):
+        fock.OneBodyOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ConfigError, match="not finite"):
+        fock.OneBodyOperator(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(ConfigError, match="mode_count"):
         fock.OrbitalBasis(mode_count=fock._MODE_LIMIT + 1, trap=TRAP1)
 

@@ -44,7 +44,7 @@ def cases(draw):
     amp = _unit_amplitudes(draw, len(occ))
     k = draw(st.integers(1, 3))
     raw = [draw(hnp.arrays(float, (2, m, m), elements=_UNIT)) for _ in range(k)]
-    ops = [fock.OneBodyOperator(0.5 * (a + a.T) + 0.5j * (b - b.T), hermitian=True)
+    ops = [fock.OneBodyOperator(0.5 * (a + a.T) + 0.5j * (b - b.T))
            for a, b in raw]
     t = draw(st.floats(0.0, math.pi, allow_nan=False))
     return fock.FockState(n=n, m=m, occ=occ, amp=amp), ops, t

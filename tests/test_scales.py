@@ -113,9 +113,6 @@ def test_classification_matches_direct_comparison():
 def test_continuous_limit_map():
     assert continuous_limit_params(100.0, 1.0, 0.01) == pytest.approx((0.1, 1.0))
     assert continuous_limit_params(1.0, 0.3, 0.2) == (0.3, 0.2)
-    fb = FeedbackConfig.from_discrete(100.0, 1.0, 0.01)
-    assert fb.shift_rate == pytest.approx(1.0)
-    assert fb.meas_resolution == pytest.approx(0.1)
 
 
 def test_error_paths():
@@ -128,12 +125,10 @@ def test_error_paths():
         TrapConfig(atom_count=0)
     with pytest.raises(ConfigError):
         TrapConfig(atom_count=2, mass=-1.0)
+    with pytest.raises(ConfigError, match="float range"):
+        TrapConfig(atom_count=2, trap_freq=1e300)  # m omega^2 overflows
     with pytest.raises(ConfigError):
         FeedbackConfig(shift_rate=1.0, meas_resolution=0.0)
-    with pytest.raises(ConfigError):
-        # inconsistent discrete triple
-        FeedbackConfig(shift_rate=1.0, meas_resolution=1.0,
-                       rate=100.0, resolution0=1.0, gain=0.01)
 
 
 def test_infinite_resolution_allowed():
