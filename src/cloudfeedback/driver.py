@@ -26,8 +26,8 @@ import numpy as np
 
 from . import criteria, fock, loop, moments, oracle, search
 from .errors import ConfigError, NonFiniteCell, ToolkitError
-from .scales import (FeedbackConfig, TrapConfig, classify_regime, continuous_limit_params,
-                     derive_scales, same_feedback)
+from .scales import (DerivedScales, FeedbackConfig, TrapConfig, classify_regime,
+                     continuous_limit_params, derive_scales, same_feedback)
 
 TASKS = ("scales", "criteria", "evolve", "oracle", "loop", "scan", "search")
 
@@ -46,16 +46,13 @@ _STATE_KEYS = {
 _TASK_PARAMS = {
     "scales": frozenset(),
     "criteria": frozenset({"samples", "include_transient"}),
-    "evolve": frozenset({"engine", "t_max", "samples", "method", "dt", "stride"}),
+    "evolve": frozenset({"engine", "t_max", "samples"}),
     "oracle": frozenset({"t_max", "dt", "stride"}),
     "loop": frozenset({"t_max", "schedule", "trajectories", "record_stride"}),
     "scan": frozenset({"eta_min", "eta_max", "steps"}),
     "search": frozenset({"m", "family", "restarts", "max_iter", "tol",
                          "state_out"}),
 }
-
-# the task keys each evolve engine leaves unread, refused rather than dropped
-_UNREAD_BY_ENGINE = {"moments": {"dt", "stride"}, "oracle": {"samples", "method"}}
 
 # most rows a criteria, evolve or scan grid may ask for, checked before the
 # grid is built: an evolve row costs one matrix exponential
@@ -304,16 +301,14 @@ def write_csv(target: str | None, header: list[str], rows) -> None:
     """Header and rows, all formatted before anything is written."""
     lines = [",".join(header)]
     lines.extend(",".join(_cell(c) for c in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if target is None:
-        sys.stdout.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _write(target, "\n".join(lines) + "\n")
 
 
 def write_json(target: str | None, doc: dict) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    _write(target, json.dumps(doc, indent=2) + "\n")
+
+
+def _write(target: str | None, text: str) -> None:
     if target is None:
         sys.stdout.write(text)
     else:
@@ -358,21 +353,24 @@ def breathing_curve(state, basis, trap: TrapConfig, fb: FeedbackConfig,
     transient included, a final dx column holds the full moments evolution
     from t = 0 on the same grid.
     """
-    return _curve(criteria.quadrature_harmonics(state, basis), state, basis, trap, fb,
-                  samples, include_transient)
+    times, s, g = _curve_inputs(trap, fb, samples, include_transient)
+    return _curve(criteria.quadrature_harmonics(state, basis), state, basis, times, s, g)
 
 
-def _curve(h: criteria.QuadratureHarmonics, state, basis, trap: TrapConfig,
-           fb: FeedbackConfig, samples, include_transient: bool):
-    samples = _as_rows(samples, "samples")
-    s = derive_scales(trap, fb)
-    times = np.linspace(0.0, math.pi / trap.trap_freq, samples)
+def _curve_inputs(trap: TrapConfig, fb: FeedbackConfig, samples,
+                  include_transient: bool) -> tuple:
+    """(times, scales, moment generators or None) of a curve; needs no state."""
+    times = np.linspace(0.0, math.pi / trap.trap_freq, _as_rows(samples, "samples"))
+    g = moments.build_generators(trap, fb) if include_transient else None
+    return times, derive_scales(trap, fb), g
 
+
+def _curve(h: criteria.QuadratureHarmonics, state, basis, times: np.ndarray,
+           s: DerivedScales, g: moments.DriftDiffusion | None):
     header = ["t", "sigma_q_sq", "dxa", "dx0", "DXs"]
     transient = None
-    if include_transient:
+    if g is not None:
         header.append("dx")
-        g = moments.build_generators(trap, fb)
         m0 = moments.init_moments(state, basis)
         transient = [moments.cloud_size(moments.evolve(m0, g, float(t)))
                      for t in times]
@@ -402,13 +400,12 @@ def _cmd_criteria(cfg: RunConfig) -> int:
     include_transient = cfg.param("include_transient", False)
     if not isinstance(include_transient, bool):
         raise ConfigError(f"include_transient must be true or false, got {include_transient!r}")
+    times, s, g = _curve_inputs(cfg.trap, fb, cfg.param("samples", 129), include_transient)
     state, basis = build_state(cfg.state_doc, cfg.trap)
     h = criteria.quadrature_harmonics(state, basis)
-    header, rows = _curve(h, state, basis, cfg.trap, fb,
-                          samples=cfg.param("samples", 129),
-                          include_transient=include_transient)
+    header, rows = _curve(h, state, basis, times, s, g)
     write_csv(cfg.out, header, rows)
-    report = criteria.evaluate_criteria(derive_scales(cfg.trap, fb), h)
+    report = criteria.evaluate_criteria(s, h)
     doc = report.to_dict()
     doc["min_sigma_q_sq"] = report.min_sigma_q_sq
     doc["notes"] = list(report.notes)
@@ -428,23 +425,18 @@ def _moment_row(t: float, m: moments.JointMoments) -> tuple:
 
 def _cmd_evolve(cfg: RunConfig) -> int:
     engine = cfg.param("engine", "moments")
-    if not isinstance(engine, str) or engine not in _UNREAD_BY_ENGINE:
-        raise ConfigError(f"engine must be moments or oracle, got {engine!r}")
-    unread = sorted(_UNREAD_BY_ENGINE[engine] & set(cfg.params))
-    if unread:
-        raise ConfigError(f"the {engine} engine of evolve does not read {unread}")
-    if engine == "oracle":
-        return _cmd_oracle(cfg)
+    if engine != "moments":
+        raise ConfigError(f"evolve runs the moment flow (engine moments), got engine "
+                          f"{engine!r}; the exact oracle is the oracle subcommand")
     fb = cfg.require_feedback()
     t_max = _as_float(cfg.param("t_max", 6.0 * math.pi / cfg.trap.trap_freq), "t_max")
     samples = _as_rows(cfg.param("samples", 301), "samples")
     if not (math.isfinite(t_max) and t_max > 0):
         raise ConfigError(f"t_max must be finite and > 0, got {t_max!r}")
-    method = cfg.param("method", "closed")
-    state, basis = build_state(cfg.state_doc, cfg.trap)
     g = moments.build_generators(cfg.trap, fb)
+    state, basis = build_state(cfg.state_doc, cfg.trap)
     m0 = moments.init_moments(state, basis)
-    rows = [_moment_row(float(t), moments.evolve(m0, g, float(t), method=method))
+    rows = [_moment_row(float(t), moments.evolve(m0, g, float(t)))
             for t in np.linspace(0.0, t_max, samples)]
     write_csv(cfg.out, _MOMENT_HEADER, rows)
     return 0
@@ -452,7 +444,6 @@ def _cmd_evolve(cfg: RunConfig) -> int:
 
 def _cmd_oracle(cfg: RunConfig) -> int:
     fb = cfg.require_feedback()
-    state, basis = build_state(cfg.state_doc, cfg.trap)
     t_max = _as_float(cfg.param("t_max", 6.0 * math.pi / cfg.trap.trap_freq), "t_max")
     if not t_max > 0:
         raise ConfigError(f"t_max must be > 0, got {t_max!r}")
@@ -463,6 +454,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     # every stride-th instant of the step clock, and nothing in between
     times = oracle.step_times(cfg.trap, t_max,
                               None if dt is None else _as_float(dt, "dt"))[::stride]
+    state, basis = build_state(cfg.state_doc, cfg.trap)
     start = time.perf_counter()
     gen = oracle.build_generator(cfg.trap, fb, basis)
     rho0 = oracle.DensityMatrix.from_state(state, basis)
@@ -491,18 +483,18 @@ def _cmd_loop(cfg: RunConfig) -> int:
     t_max = cfg.param("t_max")
     if t_max is None:
         raise ConfigError("loop needs task parameter t_max")
+    t_max = _as_float(t_max, "t_max")
+    record_stride = _as_int(cfg.param("record_stride", 1), "record_stride")
     lcfg = loop.LoopConfig(
         gamma=gamma, sigma0=sigma0, zeta0=zeta0,
         schedule=cfg.param("schedule", "regular"),
         rng_seed=cfg.seed,
         trajectories=_as_int(cfg.param("trajectories", 1000), "trajectories"),
     )
+    loop.plan_run(lcfg, cfg.trap, t_max, record_stride)
     state, basis = build_state(cfg.state_doc, cfg.trap)
     init = moments.init_moments(state, basis)
-    traj = loop.run_ensemble(
-        init, lcfg, cfg.trap, _as_float(t_max, "t_max"),
-        record_stride=_as_int(cfg.param("record_stride", 1), "record_stride"),
-    )
+    traj = loop.run_ensemble(init, lcfg, cfg.trap, t_max, record_stride=record_stride)
     rows = [
         (float(traj.times[i]), float(traj.mean_X[i]), float(traj.var_X[i]),
          float(traj.mean_P[i]), float(traj.var_P[i]), int(traj.n_events[i]))
@@ -540,7 +532,7 @@ def _cmd_search(cfg: RunConfig) -> int:
         tol=_as_float(cfg.param("tol", 1e-9), "tol"),
         seed=cfg.seed,
     )
-    state, value, report = search.search_state(spec, cfg.trap, cfg.feedback)
+    state, value, report = search.search_state(spec, cfg.trap)
     write_csv(cfg.out,
               ["restart", "start_value", "final_value", "iterations", "converged"],
               [(r["restart"], r["start_value"], r["final_value"], r["iterations"],
@@ -623,9 +615,7 @@ def _drop_stdout() -> int:
 
 def cli_main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in (
-        "n", "mass", "omega", "hbar", "zeta", "sigma", "gamma", "sigma0",
-        "zeta0", "seed", "out")}
+    overrides = {k: v for k, v in vars(args).items() if k not in ("task", "config")}
     try:
         doc = _load_document(args.config) if args.config else {}
         cfg = RunConfig(args.task, doc, overrides)

@@ -22,10 +22,6 @@ class NonPositiveRate(ConfigError):
     """Discrete feedback rate gamma must be positive."""
 
 
-class InvalidN(ConfigError):
-    """Atom number outside the supported range for this operation."""
-
-
 class NotNormalized(ConfigError):
     """State or orbital vector is not normalized."""
 

@@ -281,6 +281,29 @@ def _record_edges(sums: np.ndarray, step: float, t: np.ndarray, hist: np.ndarray
         acc[span] += np.bincount(edge, weights=w)
 
 
+def plan_run(cfg: LoopConfig, trap: TrapConfig, t_max: float,
+             record_stride: int = 1) -> tuple[int, float]:
+    """(events per trajectory, spectral radius) of a run, checked before any state.
+
+    round(t_max * gamma) may not exceed _MAX_EVENTS, nor K times it _MAX_TRAJ_EVENTS.
+    """
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ConfigError(f"t_max must be finite and > 0, got {t_max!r}")
+    if record_stride < 1:
+        raise ConfigError(f"record_stride must be >= 1, got {record_stride!r}")
+    n_events = int(round(t_max * cfg.gamma))
+    if n_events < 1:
+        raise ConfigError("t_max shorter than one loop period")
+    if n_events > _MAX_EVENTS:
+        raise ConfigError(
+            f"t_max * gamma asks for {n_events} events, over the budget of {_MAX_EVENTS}")
+    if cfg.trajectories * n_events > _MAX_TRAJ_EVENTS:
+        raise ConfigError(
+            f"{cfg.trajectories} trajectories x {n_events} events is over the budget of "
+            f"{_MAX_TRAJ_EVENTS} trajectory-events")
+    return n_events, _check_stable(trap, cfg)
+
+
 def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
                  t_max: float, record_stride: int = 1) -> LoopTrajectory:
     """Ensemble-averaged loop trajectory recorded every record_stride events.
@@ -293,13 +316,9 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
     j-th event of every trajectory is stepped at once, in chunks of events
     whose times come from one cumulative sum, until every trajectory is past
     the last record edge; the edges each chunk covers are then recorded
-    together.  round(t_max * gamma) may not exceed _MAX_EVENTS, nor K times
-    it _MAX_TRAJ_EVENTS.
+    together.  The run is first checked by plan_run.
     """
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise ConfigError(f"t_max must be finite and > 0, got {t_max!r}")
-    if record_stride < 1:
-        raise ConfigError(f"record_stride must be >= 1, got {record_stride!r}")
+    n_events, radius = plan_run(cfg, trap, t_max, record_stride)
     if init.n != trap.atom_count:
         raise ConfigError(f"initial moments have n={init.n}, trap has {trap.atom_count}")
     if cfg.gamma < 20.0 * trap.trap_freq:
@@ -309,18 +328,7 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
                 "relative to the trap"
             )
         )
-    n_events = int(round(t_max * cfg.gamma))
-    if n_events < 1:
-        raise ConfigError("t_max shorter than one loop period")
     k = cfg.trajectories
-    if n_events > _MAX_EVENTS:
-        raise ConfigError(
-            f"t_max * gamma asks for {n_events} events, over the budget of {_MAX_EVENTS}")
-    if k * n_events > _MAX_TRAJ_EVENTS:
-        raise ConfigError(
-            f"{k} trajectories x {n_events} events is over the budget of "
-            f"{_MAX_TRAJ_EVENTS} trajectory-events")
-    radius = _check_stable(trap, cfg)
     mean0, cov0 = project_collective(init)
     if cfg.sigma0 < 1e-7 * math.sqrt(max(cov0[0, 0], 0.0)):
         raise MinResolution(

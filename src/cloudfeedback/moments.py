@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import ConfigError, InvalidN, SingularLyapunov, StepRejected
+from .errors import ConfigError, SingularLyapunov, StepRejected
 from .scales import FeedbackConfig, TrapConfig
 
 _PSD_FLOOR = 1e-10
@@ -86,13 +86,17 @@ def build_generators(trap: TrapConfig, fb: FeedbackConfig) -> DriftDiffusion:
     collective momentum only (u u^T with u = (1/N, (N-1)/N)).
     """
     n = trap.atom_count
-    if n < 1:
-        raise InvalidN(f"atom_count must be >= 1, got {n}")
     m, w = trap.mass, trap.trap_freq
     zeta, sigma = fb.shift_rate, fb.meas_resolution
-    # coefficient guards: zeta = 0 must kill the kick noise even at sigma = inf
+    # without feedback sigma may be inf: 1/sigma^2 is 0 there, zeta^2 sigma^2 NaN
     kick = 0.0 if zeta == 0.0 else zeta**2 * sigma**2
-    back = 0.0 if math.isinf(sigma) else trap.hbar**2 / (4.0 * sigma**2)
+    back = trap.hbar**2 / (4.0 * sigma**2)
+    # both noise rates in ground-state variances per unit time, refused where
+    # they leave the float range: the matrix exponential would make them NaN
+    scaled = (kick * m * w / trap.hbar, back / (trap.hbar * m * w))
+    if not all(map(math.isfinite, scaled)):
+        raise ConfigError(f"feedback (zeta={zeta!r}, sigma={sigma!r}) puts a noise rate "
+                          "in the trap's units outside the float range")
 
     if n == 1:
         A = np.array([[-zeta, 1.0 / m], [-m * w**2, 0.0]])

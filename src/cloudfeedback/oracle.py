@@ -8,7 +8,7 @@ a caller asks for, by the scaled truncated Taylor series of Al-Mohy &
 Higham (SIAM J. Sci. Comput. 33:488, 2011).  Any atom number is accepted:
 the sector dimension is capped at d <= 1000 (N = 3 fits up to M = 17
 orbitals, N = 4 up to M = 10 and N = 5 up to M = 8), and the Taylor plan of
-one run at 2^18 generator products.
+one run at 2^34 multiply-adds (generator products x stored entries x d).
 
 Positivity is monitored at every emitted instant, never enforced: the
 equation is of quantum Brownian motion type (not a completed Lindblad form),
@@ -46,10 +46,12 @@ _ALL_TERMS = ("hamiltonian", "friction", "measurement", "noise")
 _DIM_CAP = 1000
 # most steps one step clock may hold
 _STEP_BUDGET = 2**20
-# most generator products (Taylor degree x substeps, summed over the emitted
-# instants) one integrate call may plan, checked before any is taken; the
-# largest plan among the tests takes 72,000
-_PRODUCT_BUDGET = 2**18
+# most multiply-adds one integrate call may plan, checked before any is taken:
+# generator products (Taylor degree x substeps, summed over the emitted
+# instants) x stored stack entries x d.  One product at N = 3, M = 17 (d = 969)
+# takes 0.13 s on one BLAS thread of a 2-vCPU Xeon VM, so this is about 50 s
+# there; the largest test plan takes 1.2e9, a default N = 3, M = 17 run 7.5e11
+_WORK_BUDGET = 2**34
 
 # Al-Mohy & Higham, Table A.3: theta_m is the largest ||hA||_1 for which the
 # degree-m Taylor polynomial meets the double-precision tolerance unscaled
@@ -90,18 +92,13 @@ class DensityMatrix:
         return cls(matrix=rho, basis=basis, n=state.n)
 
 
-def _coefficient(trap: TrapConfig, fb: FeedbackConfig, term: str) -> float:
-    hbar = trap.hbar
-    zeta, sigma = fb.shift_rate, fb.meas_resolution
-    if term == "hamiltonian":
-        return 1.0 / hbar
-    if term == "friction":
-        return zeta / (2.0 * hbar)
-    if term == "measurement":
-        return 0.0 if math.isinf(sigma) else 1.0 / (8.0 * sigma**2)
-    if term == "noise":
-        return 0.0 if zeta == 0.0 else zeta**2 * sigma**2 / (2.0 * hbar**2)
-    raise ConfigError(f"unknown term {term!r}")
+def _coefficients(trap: TrapConfig, fb: FeedbackConfig) -> dict:
+    """c_h, c_f, c_m and c_n of the master equation, by term."""
+    hbar, zeta, sigma = trap.hbar, fb.shift_rate, fb.meas_resolution
+    # without feedback sigma may be inf: 1/sigma^2 is 0 there, zeta^2 sigma^2 NaN
+    return {"hamiltonian": 1.0 / hbar, "friction": zeta / (2.0 * hbar),
+            "measurement": 1.0 / (8.0 * sigma**2),
+            "noise": 0.0 if zeta == 0.0 else zeta**2 * sigma**2 / (2.0 * hbar**2)}
 
 
 @dataclass(frozen=True)
@@ -130,12 +127,12 @@ class LindbladGenerator:
     top_number: np.ndarray  # diagonal of the top-orbital number operator
     # T_x, T_p, T_x2, T_p2, T_sxp, T_x T_x, T_p T_p and sym(T_x T_p) in COO form
     traced: tuple = field(repr=False)
-    stacks: tuple | None = field(repr=False)
+    stacks: tuple = field(repr=False)
     shift: complex
     norm: float
 
     def coefficient(self, term: str) -> float:
-        return _coefficient(self.trap, self.fb, term)
+        return _coefficients(self.trap, self.fb)[term]
 
     def joint_moments(self, rho: np.ndarray) -> JointMoments:
         # trace(A rho) = sum_ij A_ij rho_ji; moments_from_raw takes the
@@ -145,13 +142,7 @@ class LindbladGenerator:
         return moments_from_raw(n, *(t / n for t in traces[:5]), *traces[5:])
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        self._check_finite()
         return _apply(self.stacks, np.asarray(rho, dtype=complex))
-
-    def _check_finite(self) -> None:
-        if self.stacks is None:
-            raise ConfigError("the generator has an infinite coefficient "
-                              "(feedback with zeta > 0 needs a finite sigma)")
 
 
 def _apply(stacks: tuple, rho: np.ndarray) -> np.ndarray:
@@ -207,21 +198,22 @@ def build_generator(trap: TrapConfig, fb: FeedbackConfig, basis: fock.OrbitalBas
                     terms: tuple = _ALL_TERMS) -> LindbladGenerator:
     """The generator of the chosen terms, its sector operators built once.
 
-    A term with an infinite coefficient (feedback with zeta > 0 and sigma =
-    inf) has no operators; such a generator refuses to be applied.
+    Refused (ConfigError) before any operator is built when a chosen term's
+    coefficient leaves the float range.
     """
     n = trap.atom_count
     unknown = set(terms) - set(_ALL_TERMS)
     if unknown:
         raise ConfigError(f"unknown generator terms {sorted(unknown)}")
+    chosen = {t: c if t in terms else 0.0 for t, c in _coefficients(trap, fb).items()}
+    if not all(map(math.isfinite, chosen.values())):
+        raise ConfigError(f"the generator's coefficients {chosen} leave the float range")
     dim = fock.sector_dimension(n, basis.mode_count)
     if dim > _DIM_CAP:
         raise DimensionTooLarge(f"sector dimension {dim} exceeds {_DIM_CAP}")
 
     import scipy.sparse
 
-    coefficients = tuple(_coefficient(trap, fb, t) if t in terms else 0.0
-                         for t in _ALL_TERMS)
     occs = fock.occupations(n, basis.mode_count)
 
     def collective(build):
@@ -236,9 +228,7 @@ def build_generator(trap: TrapConfig, fb: FeedbackConfig, basis: fock.OrbitalBas
               t_x @ t_x, t_p @ t_p, 0.5 * (t_x @ t_p + t_p @ t_x))
     h_diag = fock.occupation_energies(occs, trap)
     x_hat = t_x / n
-    stacks, shift, norm = None, 0j, math.inf
-    if all(map(math.isfinite, coefficients)):
-        stacks, shift, norm = _stacks(x_hat, t_p, h_diag, coefficients)
+    stacks, shift, norm = _stacks(x_hat, t_p, h_diag, tuple(chosen.values()))
     return LindbladGenerator(
         trap=trap, fb=fb, x_hat=x_hat, p_hat=t_p, h_diag=h_diag,
         top_number=occs[:, -1].astype(float), traced=tuple(a.tocoo() for a in traced),
@@ -250,7 +240,7 @@ def _taylor_plan(norm: float, h: float) -> tuple[int, float]:
     """(degree, substeps) with the fewest products for exp(hA), ||A||_1 = norm.
 
     substeps stays a float, so that an infinite or NaN norm * h reaches the
-    product budget, which refuses it, rather than an integer conversion.
+    work budget, which refuses it, rather than an integer conversion.
     """
     substeps = np.maximum(1.0, np.ceil(norm * h / _THETA))
     k = int(np.argmin(_DEGREES * substeps))
@@ -332,14 +322,15 @@ def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
     if (times.ndim != 1 or not len(times) or not np.all(np.isfinite(times))
             or times[0] < 0 or np.any(np.diff(times) < 0)):
         raise ConfigError("times must be a nonempty, finite, nondecreasing 1-D array from 0 on")
-    gen._check_finite()
 
     steps = np.diff(times, prepend=0.0).tolist()
     plans = {h: _taylor_plan(gen.norm, h) for h in set(steps) if h > 0}
     products = sum(math.prod(plans[h]) for h in steps if h > 0)
-    if not products <= _PRODUCT_BUDGET:  # NaN fails too
-        raise ConfigError(f"the Taylor plan asks for {products:.6g} generator products, "
-                          f"over the budget of {_PRODUCT_BUDGET}")
+    entries, dim = sum(stack.size for stack in gen.stacks), len(gen.h_diag)
+    if not products * entries * dim <= _WORK_BUDGET:  # NaN fails too
+        raise ConfigError(f"the Taylor plan asks for {products:.6g} generator products of "
+                          f"{entries} stored entries at d = {dim}, over the budget of "
+                          f"{_WORK_BUDGET} multiply-adds")
 
     rho = np.array(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex)
     joint, record = [], []

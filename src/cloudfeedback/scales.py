@@ -55,19 +55,34 @@ class FeedbackConfig:
     """Continuous feedback parameters.
 
     shift_rate is the momentum-damping rate zeta, meas_resolution the rms
-    time-integrated measurement resolution sigma.  meas_resolution = inf is
-    allowed and turns the measurement back-action off (1/sigma^2 = 0).  A
-    discrete loop maps onto these by continuous_limit_params.
+    time-integrated measurement resolution sigma.  meas_resolution = inf
+    turns the measurement back-action off (1/sigma^2 = 0), and is allowed only
+    with shift_rate = 0, since the kick noise zeta^2 sigma^2 would be
+    infinite.  A discrete loop maps onto these by continuous_limit_params.
     """
 
     shift_rate: float
     meas_resolution: float
 
     def __post_init__(self):
-        if not (self.shift_rate >= 0 and math.isfinite(self.shift_rate)):
-            raise ConfigError(f"shift_rate must be finite and >= 0, got {self.shift_rate!r}")
-        if not self.meas_resolution > 0:
-            raise ConfigError(f"meas_resolution must be > 0, got {self.meas_resolution!r}")
+        zeta, sigma = self.shift_rate, self.meas_resolution
+        if not (zeta >= 0 and math.isfinite(zeta)):
+            raise ConfigError(f"shift_rate must be finite and >= 0, got {zeta!r}")
+        if not sigma > 0:
+            raise ConfigError(f"meas_resolution must be > 0, got {sigma!r}")
+        if zeta == 0 and math.isinf(sigma):  # no feedback, no back-action
+            return
+        # the products of the pair that the generators and eta form, refused
+        # here where they would otherwise under- or overflow deep inside a run
+        try:
+            sigma_sq, eta_den, kick = sigma**2, zeta * sigma**2, zeta**2 * sigma**2
+        except OverflowError:
+            sigma_sq = eta_den = kick = math.nan
+        if not (0 < sigma_sq < math.inf and kick < math.inf
+                and (zeta == 0 or 0 < eta_den < math.inf)):
+            raise ConfigError(f"feedback (zeta={zeta!r}, sigma={sigma!r}) needs finite "
+                              "sigma^2 > 0, zeta sigma^2 and zeta^2 sigma^2, zeta sigma^2 > 0 "
+                              "if zeta > 0, and sigma = inf only with zeta = 0")
 
 
 def _close(a: float, b: float) -> bool:
@@ -117,13 +132,11 @@ def derive_scales(trap: TrapConfig, fb: FeedbackConfig) -> DerivedScales:
     if zeta == 0:
         raise ZeroShiftRate("eta is undefined for zeta = 0")
     t = trap
-    try:
-        dX0 = math.sqrt(t.hbar / (2.0 * t.atom_count * t.mass * t.trap_freq))
-        eta = dX0 ** 2 / (zeta * fb.meas_resolution ** 2)
-    except (ZeroDivisionError, OverflowError):  # a product left the float range
-        eta = math.nan
-    if not (math.isfinite(eta) and eta > 0):
-        raise ConfigError(f"eta not finite and positive: {eta!r}")
+    dX0 = math.sqrt(t.hbar / (2.0 * t.atom_count * t.mass * t.trap_freq))
+    # FeedbackConfig keeps zeta sigma^2 in (0, inf); DXs reads 1/eta as well
+    eta = dX0 ** 2 / (zeta * fb.meas_resolution ** 2)
+    if not (0.0 < eta < math.inf and 1.0 / eta < math.inf):
+        raise ConfigError(f"eta or 1/eta not finite and positive: {eta!r}")
     DXs = dX0 * math.sqrt((eta + 1.0 / eta) / 2.0)
     dx0 = dX0 * math.sqrt(t.atom_count)
     return DerivedScales(dX0=dX0, dx0=dx0, eta=eta, DXs=DXs)

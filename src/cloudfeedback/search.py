@@ -366,7 +366,7 @@ def _objective(spec: SearchSpec, trap: TrapConfig):
     return objective, realize
 
 
-def search_state(spec: SearchSpec, trap: TrapConfig, fb=None):
+def search_state(spec: SearchSpec, trap: TrapConfig):
     """Restarted Nelder-Mead over the family; returns (state, value, report).
 
     The reported value is the best objective seen anywhere, start points
@@ -421,10 +421,6 @@ def search_state(spec: SearchSpec, trap: TrapConfig, fb=None):
         "evaluations": sum(r[3] for r in results),
         "timings_s": {"build": built - began, "search": done - built},
     }
-    if fb is not None:
-        from .scales import derive_scales
-
-        report["DXs"] = derive_scales(trap, fb).DXs
     if not any(r["converged"] for r in rows):
         raise NonConvergence(
             f"no restart converged in {spec.max_iter} iterations "

@@ -55,12 +55,11 @@ def test_config_rejects_stray_task_keys():
     for task in ("loop", "scan", "search"):
         with pytest.raises(ConfigError, match="workers"):
             driver.RunConfig(task, {"task": {"name": task, "workers": 2}}, {})
-    # the oracle engine keys stay legal on evolve, which forwards them
-    cfg = driver.RunConfig("evolve", {"zeta": 0.2, "sigma": 0.5,
-                                      "task": {"name": "evolve",
-                                               "engine": "oracle",
-                                               "stride": 4}}, {})
-    assert cfg.param("stride") == 4
+    # evolve is the moment flow alone: the oracle's clock keys are stray there
+    with pytest.raises(ConfigError, match="stride"):
+        driver.RunConfig("evolve", {"zeta": 0.2, "sigma": 0.5,
+                                    "task": {"name": "evolve", "engine": "oracle",
+                                             "stride": 4}}, {})
 
 
 def test_config_flag_overrides_file():
@@ -441,37 +440,26 @@ def test_cli_grid_over_row_budget_exits_2_at_once(tmp_path, task, key):
         assert key in doc["detail"]
 
 
-def test_cli_evolve_routes_oracle_engine(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({
-        "n": 4, "zeta": 0.5, "sigma": 0.7,
-        "state": {"kind": "condensate", "m": 11},
-        "task": {"name": "evolve", "engine": "oracle"}}))
-    code, _, err = run_cli(["evolve", "--config", str(cfg)])
-    assert code == 2
-    assert "sector dimension" in json.loads(err)["detail"]
-
-
-@pytest.mark.parametrize("engine, task, accepted", [
-    ("moments", {"dt": 0.001}, {"samples": 3, "method": "rk4"}),
-    ("moments", {"stride": 4}, {"samples": 3, "method": "rk4"}),
-    ("oracle", {"samples": 5}, {"dt": 0.01, "stride": 2}),
-    ("oracle", {"method": "rk4"}, {"dt": 0.01, "stride": 2}),
-])
-def test_cli_evolve_refuses_keys_its_engine_does_not_read(tmp_path, engine, task, accepted):
+@pytest.mark.parametrize("task, word", [
+    ({"dt": 0.001}, "dt"),
+    ({"stride": 4}, "stride"),
+    ({"method": "rk4"}, "method"),
+    ({"engine": "oracle"}, "oracle subcommand"),
+], ids=["dt", "stride", "method", "engine-oracle"])
+def test_cli_evolve_refuses_keys_its_engine_does_not_read(tmp_path, task, word):
     cfg = tmp_path / "run.json"
     out = tmp_path / "evolve.csv"
     base = {"n": 1, "zeta": 0.5, "sigma": 0.7, "state": {"kind": "condensate", "m": 8}}
-    cfg.write_text(json.dumps({**base, "task": {"engine": engine, "t_max": 0.1, **task}}))
+    cfg.write_text(json.dumps({**base, "task": {"t_max": 0.1, **task}}))
     code, _, err = run_cli(["evolve", "--config", str(cfg), "--out", str(out)])
     assert code == 2
     doc = json.loads(err)
     assert doc["error"] == "ConfigError"
-    assert engine in doc["detail"] and next(iter(task)) in doc["detail"]
+    assert word in doc["detail"]
     assert not out.exists()
-    # the same engine takes the keys it does read
-    cfg.write_text(json.dumps({**base, "task": {"engine": engine, "t_max": 0.1,
-                                                **accepted}}))
+    # the moment flow takes the keys it does read
+    cfg.write_text(json.dumps({**base, "task": {"engine": "moments", "t_max": 0.1,
+                                                "samples": 3}}))
     code, _, _ = run_cli(["evolve", "--config", str(cfg), "--out", str(out)])
     assert code == 0 and out.exists()
 
@@ -914,6 +902,19 @@ def test_cli_search_single_atom_is_immediate():
     assert row[0] == "0" and row[4] == "true"
 
 
+def test_cli_search_reads_no_feedback(tmp_path):
+    # zeta and sigma are validated but unread: zeta = 0 has no eta, and the
+    # search must not need one
+    argv = ["search", "--n", "2", "--seed", "5"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"task": {"family": "fixed_N_pure", "m": 3, "restarts": 2}}))
+    plain = run_cli(argv + ["--config", str(cfg)])
+    fed = run_cli(argv + ["--config", str(cfg), "--zeta", "0", "--sigma", "1"])
+    assert plain[0] == fed[0] == 0
+    assert fed[1] == plain[1]
+    assert "DXs" not in fed[2]
+
+
 def test_cli_search_nonconvergence_exits_3(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
@@ -1009,6 +1010,19 @@ _RUNS = {
 }
 _EDGE_TRAPS = {"tiny-m-omega": {"mass": 1e-200, "omega": 1e-200}, "huge-hbar": {"hbar": 1e300},
                "tiny-omega": {"omega": 1e-300}, "huge-omega": {"omega": 1e300}}
+# feedback pairs whose sigma^2 or zeta^2 sigma^2, or with hbar whose noise
+# rates and 1/eta, leave the float range, and feedback without a finite sigma
+_EDGE_FEEDBACK = {"tiny-sigma": {"zeta": 0.5, "sigma": 1e-200},
+                  "huge-zeta": {"zeta": 1e300, "sigma": 0.7},
+                  "huge-sigma": {"zeta": 0.5, "sigma": 1e200},
+                  "tiny-hbar": {"hbar": 1e-150, "zeta": 0.5, "sigma": 1e150},
+                  "subnormal-eta": {"hbar": 1e-10, "zeta": 1.0, "sigma": 1e150},
+                  "infinite-sigma": {"zeta": 0.5, "sigma": math.inf}}
+# a displaced condensate of 12 atoms over 10 orbitals: 293,930 occupations,
+# seconds of Fock work that a malformed task key must not wait for
+_WIDE = {"n": 12, "state": {"kind": "condensate", "m": 10, "displacement": 0.2}}
+_WIDE_FEEDBACK = {**_WIDE, "zeta": 0.5, "sigma": 0.7}
+_WIDE_LOOP = {**_WIDE, "gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002}
 
 
 @pytest.mark.parametrize("task, doc", [
@@ -1026,11 +1040,24 @@ _EDGE_TRAPS = {"tiny-m-omega": {"mass": 1e-200, "omega": 1e-200}, "huge-hbar": {
     # sigma = 1e-4 makes the generator norm huge: 163,357,205 Taylor products
     ("oracle", {"n": 1, "zeta": 0.5, "sigma": 1e-4, "state": {"kind": "condensate", "m": 8},
                 "task": {"t_max": 0.1}}),
-] + [(task, dict(run, **trap)) for trap in _EDGE_TRAPS.values() for task, run in _RUNS.items()],
+    # 16,500 products at d = 969, about 36 minutes of work on the default clock
+    ("oracle", {"n": 3, "zeta": 0.5, "sigma": 0.7, "state": {"kind": "condensate", "m": 17}}),
+    ("criteria", {**_WIDE_FEEDBACK, "task": {"samples": 1}}),
+    ("loop", {**_WIDE_LOOP, "task": {"t_max": 1.0, "record_stride": 0}}),
+    ("loop", {**_WIDE_LOOP, "task": {"t_max": -1.0}}),
+    ("oracle", {**_WIDE_FEEDBACK, "task": {"stride": 0}}),
+    ("oracle", {**_WIDE_FEEDBACK, "task": {"dt": 1.0}}),
+] + [(task, dict(run, **trap)) for trap in _EDGE_TRAPS.values() for task, run in _RUNS.items()]
+  + [(task, {"n": 1, **pair}) for pair in _EDGE_FEEDBACK.values()
+     for task in ("evolve", "oracle", "criteria", "scales")],
     ids=["unhashable-engine", "unhashable-kind", "underflowing-eta", "overflowing-eta",
          "underflowing-dX0", "boolean-occupation", "boolean-term-occupation",
-         "unrankable-condensate", "over-taylor-budget"]
-    + [f"{name}-{task}" for name in _EDGE_TRAPS for task in _RUNS])
+         "unrankable-condensate", "over-taylor-budget", "over-work-budget",
+         "late-criteria-samples", "late-loop-record-stride", "late-loop-t-max",
+         "late-oracle-stride", "late-oracle-dt"]
+    + [f"{name}-{task}" for name in _EDGE_TRAPS for task in _RUNS]
+    + [f"{name}-{task}" for name in _EDGE_FEEDBACK
+       for task in ("evolve", "oracle", "criteria", "scales")])
 def test_cli_malformed_config_exits_2_at_once(tmp_path, task, doc):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(doc))

@@ -59,11 +59,26 @@ def test_package_import_loads_no_scipy(tmp_path):
      {"t_max": 0.5, "trajectories": 8, "schedule": "poisson"}),
     (["search", "--n", "2", "--seed", "5"],
      {"family": "fixed_N_pure", "m": 3, "restarts": 1, "max_iter": 2000}),
-], ids=["scales", "scan", "loop", "loop-poisson", "search"])
+    (["criteria", "--n", "2", "--zeta", "0.5", "--sigma", "0.7"], {"samples": 3}),
+], ids=["scales", "scan", "loop", "loop-poisson", "search", "criteria"])
 def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv, task):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"task": task}))
     assert probe(argv + ["--config", str(cfg)], tmp_path) == (0, [])
+
+
+@pytest.mark.parametrize("task, params", [
+    ("criteria", {"samples": 3, "include_transient": True}),
+    ("evolve", {"samples": 3, "t_max": 1.0}),
+])
+def test_moment_flow_loads_scipy_linalg_alone(tmp_path, task, params):
+    # the moment flow's matrix exponential, and nothing of the oracle's
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 2, "zeta": 0.5, "sigma": 0.7, "task": params}))
+    code, loaded = probe([task, "--config", str(cfg)], tmp_path)
+    assert code == 0
+    assert "scipy.linalg" in loaded
+    assert not [k for k in loaded if k.split(".")[:2] == ["scipy", "sparse"]]
 
 
 _PACKAGE = os.path.dirname(os.path.abspath(cloudfeedback.__file__))

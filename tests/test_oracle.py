@@ -91,11 +91,9 @@ def test_coefficients_degrade_gracefully():
     assert gen.coefficient("friction") == 0.0
     assert gen.coefficient("measurement") == 0.0
     assert gen.coefficient("noise") == 0.0
-    gen = oracle.build_generator(
-        trap, FeedbackConfig(shift_rate=0.5, meas_resolution=math.inf), basis
-    )
-    assert gen.coefficient("measurement") == 0.0
-    assert math.isinf(gen.coefficient("noise"))
+    # feedback without a finite resolution has infinite kick noise: refused
+    with pytest.raises(ConfigError, match="sigma = inf only with zeta = 0"):
+        FeedbackConfig(shift_rate=0.5, meas_resolution=math.inf)
 
 
 def test_build_generator_guards():
@@ -261,7 +259,8 @@ def test_friction_only_leaves_relative_sector_alone():
     # cm without bound, so long runs would hit the truncation monitor
     zeta = 0.5
     trap = trap_for(2)
-    fb = FeedbackConfig(shift_rate=zeta, meas_resolution=math.inf)
+    # c_f = zeta / 2 hbar does not read sigma
+    fb = FeedbackConfig(shift_rate=zeta, meas_resolution=0.7)
     basis = fock.OrbitalBasis(mode_count=12, trap=trap)
     gen = oracle.build_generator(trap, fb, basis, terms=("friction",))
     t_x, t_p, t_x2, t_p2, t_sxp = (
