@@ -301,14 +301,16 @@ def write_csv(target: str | None, header: list[str], rows) -> None:
     """Header and rows, all formatted before anything is written."""
     lines = [",".join(header)]
     lines.extend(",".join(_cell(c) for c in row) for row in rows)
-    _write(target, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    if target is None:
+        sys.stdout.write(text)
+    else:
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def write_json(target: str | None, doc: dict) -> None:
-    _write(target, json.dumps(doc, indent=2) + "\n")
-
-
-def _write(target: str | None, text: str) -> None:
+    text = json.dumps(doc, indent=2) + "\n"
     if target is None:
         sys.stdout.write(text)
     else:
@@ -376,12 +378,9 @@ def _curve(h: criteria.QuadratureHarmonics, state, basis, times: np.ndarray,
                      for t in times]
 
     rows = []
-    for i, t in enumerate(times):
-        t = float(t)
-        row = [t, h.value(t), criteria.asymptotic_cloud_size(s, h, t), s.dx0, s.DXs]
-        if transient is not None:
-            row.append(transient[i])
-        rows.append(tuple(row))
+    for i, t in enumerate(times.tolist()):
+        row = (t, h.value(t), criteria.asymptotic_cloud_size(s, h, t), s.dx0, s.DXs)
+        rows.append(row if transient is None else row + (transient[i],))
     return header, rows
 
 
@@ -615,7 +614,9 @@ def _drop_stdout() -> int:
 
 def cli_main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items() if k not in ("task", "config")}
+    overrides = {key: getattr(args, key) for key in (
+        "n", "mass", "omega", "hbar", "zeta", "sigma", "gamma", "sigma0",
+        "zeta0", "seed", "out")}
     try:
         doc = _load_document(args.config) if args.config else {}
         cfg = RunConfig(args.task, doc, overrides)

@@ -8,7 +8,7 @@ a caller asks for, by the scaled truncated Taylor series of Al-Mohy &
 Higham (SIAM J. Sci. Comput. 33:488, 2011).  Any atom number is accepted:
 the sector dimension is capped at d <= 1000 (N = 3 fits up to M = 17
 orbitals, N = 4 up to M = 10 and N = 5 up to M = 8), and the Taylor plan of
-one run at 2^34 multiply-adds (generator products x stored entries x d).
+one run at 2^18 generator products and 2^34 multiply-adds.
 
 Positivity is monitored at every emitted instant, never enforced: the
 equation is of quantum Brownian motion type (not a completed Lindblad form),
@@ -46,11 +46,11 @@ _ALL_TERMS = ("hamiltonian", "friction", "measurement", "noise")
 _DIM_CAP = 1000
 # most steps one step clock may hold
 _STEP_BUDGET = 2**20
-# most multiply-adds one integrate call may plan, checked before any is taken:
-# generator products (Taylor degree x substeps, summed over the emitted
-# instants) x stored stack entries x d.  One product at N = 3, M = 17 (d = 969)
-# takes 0.13 s on one BLAS thread of a 2-vCPU Xeon VM, so this is about 50 s
-# there; the largest test plan takes 1.2e9, a default N = 3, M = 17 run 7.5e11
+# most generator products (degree x substeps, summed over the emitted instants)
+# and multiply-adds (products x stored stack entries x d) one integrate call may
+# plan, checked first.  On one BLAS thread of a 2-vCPU Xeon VM a product takes
+# 22 us at d = 2 and 0.13 s at d = 969: each cap is under a minute of work
+_PRODUCT_BUDGET = 2**18
 _WORK_BUDGET = 2**34
 
 # Al-Mohy & Higham, Table A.3: theta_m is the largest ||hA||_1 for which the
@@ -240,7 +240,7 @@ def _taylor_plan(norm: float, h: float) -> tuple[int, float]:
     """(degree, substeps) with the fewest products for exp(hA), ||A||_1 = norm.
 
     substeps stays a float, so that an infinite or NaN norm * h reaches the
-    work budget, which refuses it, rather than an integer conversion.
+    budget, which refuses it, rather than an integer conversion.
     """
     substeps = np.maximum(1.0, np.ceil(norm * h / _THETA))
     k = int(np.argmin(_DEGREES * substeps))
@@ -327,10 +327,10 @@ def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
     plans = {h: _taylor_plan(gen.norm, h) for h in set(steps) if h > 0}
     products = sum(math.prod(plans[h]) for h in steps if h > 0)
     entries, dim = sum(stack.size for stack in gen.stacks), len(gen.h_diag)
-    if not products * entries * dim <= _WORK_BUDGET:  # NaN fails too
+    if not (products <= _PRODUCT_BUDGET and products * entries * dim <= _WORK_BUDGET):
         raise ConfigError(f"the Taylor plan asks for {products:.6g} generator products of "
                           f"{entries} stored entries at d = {dim}, over the budget of "
-                          f"{_WORK_BUDGET} multiply-adds")
+                          f"{_PRODUCT_BUDGET} products or {_WORK_BUDGET} multiply-adds")
 
     rho = np.array(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex)
     joint, record = [], []

@@ -1023,6 +1023,16 @@ _EDGE_FEEDBACK = {"tiny-sigma": {"zeta": 0.5, "sigma": 1e-200},
 _WIDE = {"n": 12, "state": {"kind": "condensate", "m": 10, "displacement": 0.2}}
 _WIDE_FEEDBACK = {**_WIDE, "zeta": 0.5, "sigma": 0.7}
 _WIDE_LOOP = {**_WIDE, "gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002}
+# malformed task keys, each refused before the initial state is built
+_LATE_KEYS = {
+    "late-criteria-samples": ("criteria", {**_WIDE_FEEDBACK, "task": {"samples": 1}}),
+    "late-evolve-samples": ("evolve", {**_WIDE_FEEDBACK, "task": {"samples": 0}}),
+    "late-loop-record-stride": ("loop", {**_WIDE_LOOP, "task": {"t_max": 1.0,
+                                                                "record_stride": 0}}),
+    "late-loop-t-max": ("loop", {**_WIDE_LOOP, "task": {"t_max": -1.0}}),
+    "late-oracle-stride": ("oracle", {**_WIDE_FEEDBACK, "task": {"stride": 0}}),
+    "late-oracle-dt": ("oracle", {**_WIDE_FEEDBACK, "task": {"dt": 1.0}}),
+}
 
 
 @pytest.mark.parametrize("task, doc", [
@@ -1042,19 +1052,18 @@ _WIDE_LOOP = {**_WIDE, "gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002}
                 "task": {"t_max": 0.1}}),
     # 16,500 products at d = 969, about 36 minutes of work on the default clock
     ("oracle", {"n": 3, "zeta": 0.5, "sigma": 0.7, "state": {"kind": "condensate", "m": 17}}),
-    ("criteria", {**_WIDE_FEEDBACK, "task": {"samples": 1}}),
-    ("loop", {**_WIDE_LOOP, "task": {"t_max": 1.0, "record_stride": 0}}),
-    ("loop", {**_WIDE_LOOP, "task": {"t_max": -1.0}}),
-    ("oracle", {**_WIDE_FEEDBACK, "task": {"stride": 0}}),
-    ("oracle", {**_WIDE_FEEDBACK, "task": {"dt": 1.0}}),
-] + [(task, dict(run, **trap)) for trap in _EDGE_TRAPS.values() for task, run in _RUNS.items()]
+    # 13,200,000 products at d = 2: 6.3e8 multiply-adds, but minutes of
+    # per-product overhead on the default clock
+    ("oracle", {"n": 1, "zeta": 0.5, "sigma": 1e-3, "state": {"kind": "condensate", "m": 2}}),
+] + list(_LATE_KEYS.values())
+  + [(task, dict(run, **trap)) for trap in _EDGE_TRAPS.values() for task, run in _RUNS.items()]
   + [(task, {"n": 1, **pair}) for pair in _EDGE_FEEDBACK.values()
      for task in ("evolve", "oracle", "criteria", "scales")],
     ids=["unhashable-engine", "unhashable-kind", "underflowing-eta", "overflowing-eta",
          "underflowing-dX0", "boolean-occupation", "boolean-term-occupation",
          "unrankable-condensate", "over-taylor-budget", "over-work-budget",
-         "late-criteria-samples", "late-loop-record-stride", "late-loop-t-max",
-         "late-oracle-stride", "late-oracle-dt"]
+         "over-product-budget-small-sector"]
+    + list(_LATE_KEYS)
     + [f"{name}-{task}" for name in _EDGE_TRAPS for task in _RUNS]
     + [f"{name}-{task}" for name in _EDGE_FEEDBACK
        for task in ("evolve", "oracle", "criteria", "scales")])
@@ -1068,6 +1077,19 @@ def test_cli_malformed_config_exits_2_at_once(tmp_path, task, doc):
     assert code == 2
     assert json.loads(err)["error"] == "ConfigError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("task, doc", list(_LATE_KEYS.values()), ids=list(_LATE_KEYS))
+def test_cli_task_keys_are_checked_before_the_state(tmp_path, monkeypatch, task, doc):
+    def no_state(*args):
+        raise AssertionError("the initial state was built before the task keys were checked")
+
+    monkeypatch.setattr(driver, "build_state", no_state)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run_cli([task, "--config", str(cfg)])
+    assert code == 2
+    assert json.loads(err)["error"] == "ConfigError"
 
 
 def test_cli_truncation_leak_exits_3():
