@@ -2,10 +2,12 @@
 
 The config is a single document whose top-level keys the CLI flags mirror
 one to one (--n, --zeta, --gamma, ...); flags win over the file.  Physical
-defaults are hbar = m = omega = 1.  Numeric CSV cells are printed with 12
-significant digits and a fixed header, so a seeded rerun of any subcommand
-reproduces its artifact byte for byte; run summaries go to stderr as JSON
-and never contaminate the data stream.
+defaults are hbar = m = omega = 1.  Each subcommand computes and returns
+its artifact (named CSV columns, or the scales document) and the fields of
+its run record; `cli_main` alone writes them: the artifact, then one stderr
+JSON line with the task, version, seed and timings.  Numeric CSV cells are
+printed with 12 significant digits under a fixed header, so a seeded rerun
+of any subcommand reproduces its artifact byte for byte.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 when the numerics
 refuse (positivity loss, truncation leak, failed search, a non-finite cell).
@@ -212,8 +214,8 @@ class RunConfig:
         return self.params.get(key, default)
 
 
-def build_state(doc: dict | None, trap: TrapConfig):
-    """State section -> (state, basis).  Default: ground condensate, 6 modes."""
+def _state_basis(doc: dict | None, trap: TrapConfig) -> tuple[dict, fock.OrbitalBasis]:
+    """(state section, its orbital basis): kind and keys checked, no Fock work."""
     if doc is None:
         doc = {"kind": "condensate", "m": 6}
     kind = doc.get("kind")
@@ -222,14 +224,19 @@ def build_state(doc: dict | None, trap: TrapConfig):
     unknown = set(doc) - _STATE_KEYS[kind]
     if unknown:
         raise ConfigError(f"unknown state keys for kind {kind!r}: {sorted(unknown)}")
-
     if kind == "occupation":
-        occ = _as_occupation(doc.get("occupation"), None, trap)
-        basis = fock.OrbitalBasis(mode_count=len(occ), trap=trap)
-        return fock.basis_state(occ), basis
+        m = len(_as_occupation(doc.get("occupation"), None, trap))
+    else:
+        m = _as_int(doc.get("m", 6), "state.m")
+    return doc, fock.OrbitalBasis(mode_count=m, trap=trap)
 
-    m = _as_int(doc.get("m", 6), "state.m")
-    basis = fock.OrbitalBasis(mode_count=m, trap=trap)
+
+def build_state(doc: dict | None, trap: TrapConfig):
+    """State section -> (state, basis).  Default: ground condensate, 6 modes."""
+    doc, basis = _state_basis(doc, trap)
+    kind, m = doc["kind"], basis.mode_count
+    if kind == "occupation":
+        return fock.basis_state(doc["occupation"]), basis
 
     if kind == "condensate":
         chosen = [k for k in ("displacement", "squeeze", "orbital") if k in doc]
@@ -284,42 +291,36 @@ def build_state(doc: dict | None, trap: TrapConfig):
 # emission
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    if not math.isfinite(value):
-        raise NonFiniteCell(f"refusing to write the non-finite cell {value!r}")
-    return f"{value:.11e}"
-
-
-def write_csv(target: str | None, header: list[str], rows) -> None:
-    """Header and rows, all formatted before anything is written."""
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(c) for c in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _write(target: str | None, text: str) -> None:
     if target is None:
         sys.stdout.write(text)
     else:
         with open(target, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def write_csv(target: str | None, columns: dict) -> None:
+    """Named columns of equal length, all formatted before anything is written.
+
+    Floats print as %.11e (12 significant digits), integers in full,
+    booleans as true/false and strings as given; a non-finite float is
+    refused.
+    """
+    formats, cells = [], []
+    for col in map(np.asarray, columns.values()):
+        if col.dtype.kind == "f" and not np.isfinite(col).all():
+            bad = float(col[~np.isfinite(col)][0])
+            raise NonFiniteCell(f"refusing to write the non-finite cell {bad!r}")
+        if col.dtype.kind == "b":
+            col = np.where(col, "true", "false")
+        formats.append({"f": "%.11e", "i": "%d", "u": "%d"}.get(col.dtype.kind, "%s"))
+        cells.append(col.tolist())
+    line = ",".join(formats)
+    _write(target, "\n".join([",".join(columns), *(line % row for row in zip(*cells))]) + "\n")
 
 
 def write_json(target: str | None, doc: dict) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    if target is None:
-        sys.stdout.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _sig15(value: float) -> float:
-    return float(f"{value:.15g}")
+    _write(target, json.dumps(doc, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ def scan_eta(trap: TrapConfig, zeta: float, eta_min: float, eta_max: float,
 
 def breathing_curve(state, basis, trap: TrapConfig, fb: FeedbackConfig,
                     samples: int = 129, include_transient: bool = False):
-    """Half-period cloud-size curve -> (header, rows).
+    """Half-period cloud-size curve -> named columns.
 
     Columns: t, sigma_q_sq, dxa and the two constant thresholds; with the
     transient included, a final dx column holds the full moments evolution
@@ -368,33 +369,39 @@ def _curve_inputs(trap: TrapConfig, fb: FeedbackConfig, samples,
 
 
 def _curve(h: criteria.QuadratureHarmonics, state, basis, times: np.ndarray,
-           s: DerivedScales, g: moments.DriftDiffusion | None):
-    header = ["t", "sigma_q_sq", "dxa", "dx0", "DXs"]
-    transient = None
+           s: DerivedScales, g: moments.DriftDiffusion | None) -> dict:
+    ts = times.tolist()
+    columns = {"t": ts, "sigma_q_sq": [h.value(t) for t in ts],
+               "dxa": [criteria.asymptotic_cloud_size(s, h, t) for t in ts],
+               "dx0": [s.dx0] * len(ts), "DXs": [s.DXs] * len(ts)}
     if g is not None:
-        header.append("dx")
         m0 = moments.init_moments(state, basis)
-        transient = [moments.cloud_size(moments.evolve(m0, g, float(t)))
-                     for t in times]
+        columns["dx"] = [moments.cloud_size(moments.evolve(m0, g, t)) for t in ts]
+    return columns
 
-    rows = []
-    for i, t in enumerate(times.tolist()):
-        row = (t, h.value(t), criteria.asymptotic_cloud_size(s, h, t), s.dx0, s.DXs)
-        rows.append(row if transient is None else row + (transient[i],))
-    return header, rows
+
+def _moment_columns(times, joint) -> dict:
+    """The _MOMENT_HEADER columns; a single atom's collective ones are zero."""
+    mean, cov = np.zeros((len(joint), 4)), np.zeros((len(joint), 4, 4))
+    for k, m in enumerate(joint):
+        dim = m.mean.shape[0]
+        mean[k, :dim], cov[k, :dim, :dim] = m.mean, m.cov
+    i, j = np.triu_indices(4)
+    var = cov[:, 0, 0]
+    return dict(zip(_MOMENT_HEADER, [times, *mean.T, *cov[:, i, j].T,
+                                     np.sqrt(np.where(var < 0.0, 0.0, var))]))
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (artifact, record fields) and writes nothing
 
 
-def _cmd_scales(cfg: RunConfig) -> int:
+def _cmd_scales(cfg: RunConfig) -> tuple[dict, dict]:
     s = derive_scales(cfg.trap, cfg.require_feedback())
-    write_json(cfg.out, {k: _sig15(v) for k, v in s.to_dict().items()})
-    return 0
+    return {k: float(f"{v:.15g}") for k, v in s.to_dict().items()}, {}
 
 
-def _cmd_criteria(cfg: RunConfig) -> int:
+def _cmd_criteria(cfg: RunConfig) -> tuple[dict, dict]:
     fb = cfg.require_feedback()
     include_transient = cfg.param("include_transient", False)
     if not isinstance(include_transient, bool):
@@ -402,27 +409,12 @@ def _cmd_criteria(cfg: RunConfig) -> int:
     times, s, g = _curve_inputs(cfg.trap, fb, cfg.param("samples", 129), include_transient)
     state, basis = build_state(cfg.state_doc, cfg.trap)
     h = criteria.quadrature_harmonics(state, basis)
-    header, rows = _curve(h, state, basis, times, s, g)
-    write_csv(cfg.out, header, rows)
     report = criteria.evaluate_criteria(s, h)
-    doc = report.to_dict()
-    doc["min_sigma_q_sq"] = report.min_sigma_q_sq
-    doc["notes"] = list(report.notes)
-    sys.stderr.write(json.dumps(doc) + "\n")
-    return 0
+    return _curve(h, state, basis, times, s, g), {
+        **report.to_dict(), "min_sigma_q_sq": report.min_sigma_q_sq, "notes": list(report.notes)}
 
 
-def _moment_row(t: float, m: moments.JointMoments) -> tuple:
-    mean = np.zeros(4)
-    cov = np.zeros((4, 4))
-    dim = m.mean.shape[0]
-    mean[:dim] = m.mean
-    cov[:dim, :dim] = m.cov
-    triangle = [cov[i, j] for i in range(4) for j in range(i, 4)]
-    return (t, *mean, *triangle, math.sqrt(max(cov[0, 0], 0.0)))
-
-
-def _cmd_evolve(cfg: RunConfig) -> int:
+def _cmd_evolve(cfg: RunConfig) -> tuple[dict, dict]:
     engine = cfg.param("engine", "moments")
     if engine != "moments":
         raise ConfigError(f"evolve runs the moment flow (engine moments), got engine "
@@ -435,13 +427,11 @@ def _cmd_evolve(cfg: RunConfig) -> int:
     g = moments.build_generators(cfg.trap, fb)
     state, basis = build_state(cfg.state_doc, cfg.trap)
     m0 = moments.init_moments(state, basis)
-    rows = [_moment_row(float(t), moments.evolve(m0, g, float(t)))
-            for t in np.linspace(0.0, t_max, samples)]
-    write_csv(cfg.out, _MOMENT_HEADER, rows)
-    return 0
+    times = np.linspace(0.0, t_max, samples)
+    return _moment_columns(times, [moments.evolve(m0, g, t) for t in times.tolist()]), {}
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
+def _cmd_oracle(cfg: RunConfig) -> tuple[dict, dict]:
     fb = cfg.require_feedback()
     t_max = _as_float(cfg.param("t_max", 6.0 * math.pi / cfg.trap.trap_freq), "t_max")
     if not t_max > 0:
@@ -453,29 +443,25 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     # every stride-th instant of the step clock, and nothing in between
     times = oracle.step_times(cfg.trap, t_max,
                               None if dt is None else _as_float(dt, "dt"))[::stride]
-    state, basis = build_state(cfg.state_doc, cfg.trap)
     start = time.perf_counter()
-    gen = oracle.build_generator(cfg.trap, fb, basis)
-    rho0 = oracle.DensityMatrix.from_state(state, basis)
+    # the generator refuses an oversized sector before the state is enumerated
+    gen = oracle.build_generator(cfg.trap, fb, _state_basis(cfg.state_doc, cfg.trap)[1])
+    rho0 = oracle.DensityMatrix.from_state(*build_state(cfg.state_doc, cfg.trap))
     built = time.perf_counter()
     traj = oracle.integrate(rho0, gen, times)
     done = time.perf_counter()
-    rows = [_moment_row(float(t), jm) + (float(err), float(top))
-            for t, jm, err, top in zip(traj.times, traj.joint, traj.trace_err, traj.top_pop)]
-    write_csv(cfg.out, _MOMENT_HEADER + ["trace_err", "top_pop"], rows)
-    sys.stderr.write(json.dumps({
-        "task": "oracle",
+    return {**_moment_columns(traj.times, traj.joint),
+            "trace_err": traj.trace_err, "top_pop": traj.top_pop}, {
         "instants": len(traj.times),
         "sector_dim": len(gen.h_diag),
         "timings_s": {"build": built - start, "propagate": done - built},
         "health": {"max_trace_err": float(traj.trace_err.max()),
                    "max_top_pop": float(traj.top_pop.max()),
                    "min_eigenvalue": float(traj.min_eig.min())},
-    }) + "\n")
-    return 0
+    }
 
 
-def _cmd_loop(cfg: RunConfig) -> int:
+def _cmd_loop(cfg: RunConfig) -> tuple[dict, dict]:
     if cfg.discrete is None:
         raise ConfigError("loop needs the discrete triple gamma, sigma0, zeta0")
     gamma, sigma0, zeta0 = cfg.discrete
@@ -494,17 +480,13 @@ def _cmd_loop(cfg: RunConfig) -> int:
     state, basis = build_state(cfg.state_doc, cfg.trap)
     init = moments.init_moments(state, basis)
     traj = loop.run_ensemble(init, lcfg, cfg.trap, t_max, record_stride=record_stride)
-    rows = [
-        (float(traj.times[i]), float(traj.mean_X[i]), float(traj.var_X[i]),
-         float(traj.mean_P[i]), float(traj.var_P[i]), int(traj.n_events[i]))
-        for i in range(len(traj.times))
-    ]
-    write_csv(cfg.out, ["t", "mean_X", "var_X", "mean_P", "var_P", "n_events"], rows)
-    sys.stderr.write(json.dumps(traj.summary()) + "\n")
-    return 0
+    # n_events holds the ensemble's mean count; the column prints its whole part
+    return {"t": traj.times, "mean_X": traj.mean_X, "var_X": traj.var_X,
+            "mean_P": traj.mean_P, "var_P": traj.var_P,
+            "n_events": traj.n_events.astype(int)}, traj.summary()
 
 
-def _cmd_scan(cfg: RunConfig) -> int:
+def _cmd_scan(cfg: RunConfig) -> tuple[dict, dict]:
     zeta = cfg.feedback.shift_rate if cfg.feedback is not None else 1.0
     rows = scan_eta(
         cfg.trap,
@@ -513,12 +495,10 @@ def _cmd_scan(cfg: RunConfig) -> int:
         _as_float(cfg.param("eta_max", 1e2), "eta_max"),
         cfg.param("steps", 25),
     )
-    write_csv(cfg.out, ["eta", "dX0", "dx0", "DXs", "regime"],
-              [(r["eta"], r["dX0"], r["dx0"], r["DXs"], r["regime"]) for r in rows])
-    return 0
+    return {key: [row[key] for row in rows] for key in rows[0]}, {}
 
 
-def _cmd_search(cfg: RunConfig) -> int:
+def _cmd_search(cfg: RunConfig) -> tuple[dict, dict]:
     state_out = cfg.param("state_out")
     if state_out is not None and not isinstance(state_out, str):
         raise ConfigError(f"state_out must be a path string, got {state_out!r}")
@@ -532,10 +512,6 @@ def _cmd_search(cfg: RunConfig) -> int:
         seed=cfg.seed,
     )
     state, value, report = search.search_state(spec, cfg.trap)
-    write_csv(cfg.out,
-              ["restart", "start_value", "final_value", "iterations", "converged"],
-              [(r["restart"], r["start_value"], r["final_value"], r["iterations"],
-                r["converged"]) for r in report["rows"]])
     if state_out is not None:
         if isinstance(state, fock.FockState):
             doc = fock.state_to_dict(state)
@@ -544,16 +520,15 @@ def _cmd_search(cfg: RunConfig) -> int:
                    "alpha": [[float(a.real), float(a.imag)] for a in state],
                    "mean_n": float(np.vdot(state, state).real)}
         write_json(state_out, doc)
-    sys.stderr.write(json.dumps({
-        "task": "search",
+    rows = report["rows"]
+    return {key: [row[key] for row in rows] for key in rows[0]}, {
         "family": spec.family,
         "best_value": report["best_value"],
         "best_restart": report["best_restart"],
         "evaluations": report["evaluations"],
         "timings_s": report["timings_s"],
-        "health": {"converged": sum(r["converged"] for r in report["rows"])},
-    }) + "\n")
-    return 0
+        "health": {"converged": sum(r["converged"] for r in rows)},
+    }
 
 
 _DISPATCH = {
@@ -598,14 +573,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(exc: Exception) -> None:
-    doc = {"error": type(exc).__name__, "detail": str(exc)}
-    report = getattr(exc, "report", None)
-    if report is not None:
-        doc["report"] = report
-    sys.stderr.write(json.dumps(doc) + "\n")
-
-
 def _drop_stdout() -> int:
     # downstream consumer closed the pipe (head, less); not our error
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -620,18 +587,25 @@ def cli_main(argv=None) -> int:
     try:
         doc = _load_document(args.config) if args.config else {}
         cfg = RunConfig(args.task, doc, overrides)
-        return _DISPATCH[args.task](cfg)
-    except ConfigError as exc:
-        _emit_error(exc)
-        return 2
-    except ToolkitError as exc:
-        _emit_error(exc)
-        return 3
+        start = time.perf_counter()
+        artifact, record = _DISPATCH[args.task](cfg)
+        timings = {"compute": time.perf_counter() - start}
+        (write_json if args.task == "scales" else write_csv)(cfg.out, artifact)
+        from . import __version__
+
+        sys.stderr.write(json.dumps({"task": args.task, "version": __version__,
+                                     "seed": cfg.seed, "timings_s": timings, **record}) + "\n")
+        return 0
     except BrokenPipeError:
         return _drop_stdout()
-    except OSError as exc:
-        _emit_error(exc)
-        return 2
+    except (ToolkitError, OSError) as exc:
+        # the error line in place of the record: exit 2 for a refused
+        # configuration or an unreadable file, 3 for refused numerics
+        doc = {"error": type(exc).__name__, "detail": str(exc)}
+        if getattr(exc, "report", None) is not None:
+            doc["report"] = exc.report
+        sys.stderr.write(json.dumps(doc) + "\n")
+        return 2 if isinstance(exc, (ConfigError, OSError)) else 3
 
 
 def main() -> None:

@@ -213,13 +213,18 @@ def evolve(m0: JointMoments, g: DriftDiffusion, t: float,
     if method == "closed":
         from scipy.linalg import expm
 
+        # the top-right block is linear in D: a D that dwarfs A enters as
+        # D / 2^k and leaves times 2^k, both exact, so that scaling and
+        # squaring does not round exp(At / 2^s) to the identity
+        drift, noise = max(float(np.max(np.abs(a))), 1.0), float(np.max(np.abs(d2)))
+        k = math.frexp(noise / drift)[1] if noise > drift else 0
         blk = np.zeros((2 * dim, 2 * dim))
         blk[:dim, :dim] = a
-        blk[:dim, dim:] = d2
+        blk[:dim, dim:] = np.ldexp(d2, -k)
         blk[dim:, dim:] = -a.T
         e = expm(blk * t)
         f = e[:dim, :dim]
-        gblk = e[:dim, dim:]
+        gblk = np.ldexp(e[:dim, dim:], k)
         mean = f @ m0.mean
         cov = f @ m0.cov @ f.T + gblk @ f.T
     elif method == "rk4":

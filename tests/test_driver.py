@@ -1,5 +1,6 @@
 """Config assembly, scan and curve artifacts, CLI formats and exit codes."""
 
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import cloudfeedback
 from cloudfeedback import criteria, driver, errors, fock, loop, moments
 from cloudfeedback.errors import ConfigError, NonFiniteCell
 from cloudfeedback.scales import (FeedbackConfig, TrapConfig, classify_regime,
@@ -243,20 +245,20 @@ def _curve_setup(n, m, squeeze=None):
 
 def test_breathing_curve_single_atom_flat_at_stationary_size():
     state, basis, trap, fb = _curve_setup(1, 4)
-    header, rows = driver.breathing_curve(state, basis, trap, fb, samples=33)
-    assert header == ["t", "sigma_q_sq", "dxa", "dx0", "DXs"]
+    columns = driver.breathing_curve(state, basis, trap, fb, samples=33)
+    assert list(columns) == ["t", "sigma_q_sq", "dxa", "dx0", "DXs"]
     s = derive_scales(trap, fb)
-    dxa = np.array([r[2] for r in rows])
+    dxa = np.array(columns["dxa"])
     np.testing.assert_allclose(dxa, s.DXs, rtol=1e-12)
-    assert rows[0][0] == 0.0
-    assert rows[-1][0] == pytest.approx(math.pi / trap.trap_freq)
+    assert columns["t"][0] == 0.0
+    assert columns["t"][-1] == pytest.approx(math.pi / trap.trap_freq)
 
 
 def test_breathing_curve_squeezed_condensate_oscillates_at_2omega():
     state, basis, trap, fb = _curve_setup(2, 8, squeeze=0.4)
-    header, rows = driver.breathing_curve(state, basis, trap, fb, samples=401)
-    sig = np.array([r[1] for r in rows])
-    t = np.array([r[0] for r in rows])
+    columns = driver.breathing_curve(state, basis, trap, fb, samples=401)
+    sig = np.array(columns["sigma_q_sq"])
+    t = np.array(columns["t"])
     i_min, i_max = np.argmin(sig), np.argmax(sig)
     quarter = math.pi / (2.0 * trap.trap_freq)
     assert abs(abs(t[i_max] - t[i_min]) - quarter) < quarter / 50
@@ -265,21 +267,21 @@ def test_breathing_curve_squeezed_condensate_oscillates_at_2omega():
     assert sig.min() == pytest.approx(h.minimum(), abs=1e-6)
     s = derive_scales(trap, fb)
     expected_min_dxa = math.sqrt(s.DXs ** 2 + (1 - 1 / 2) * h.minimum() * 2)
-    dxa = np.array([r[2] for r in rows])
+    dxa = np.array(columns["dxa"])
     # dxa is monotone in sigma_q_sq, so the minima line up
     assert np.argmin(dxa) == i_min
 
 
 def test_breathing_curve_transient_column_starts_at_initial_size():
     state, basis, trap, fb = _curve_setup(2, 8, squeeze=0.3)
-    header, rows = driver.breathing_curve(state, basis, trap, fb, samples=17,
-                                          include_transient=True)
-    assert header[-1] == "dx"
+    columns = driver.breathing_curve(state, basis, trap, fb, samples=17,
+                                     include_transient=True)
+    assert list(columns)[-1] == "dx"
     m0 = moments.init_moments(state, basis)
-    assert rows[0][5] == pytest.approx(moments.cloud_size(m0), rel=1e-12)
+    assert columns["dx"][0] == pytest.approx(moments.cloud_size(m0), rel=1e-12)
     g = moments.build_generators(trap, fb)
-    t_mid = rows[8][0]
-    assert rows[8][5] == pytest.approx(
+    t_mid = columns["t"][8]
+    assert columns["dx"][8] == pytest.approx(
         moments.cloud_size(moments.evolve(m0, g, t_mid)), rel=1e-12)
 
 
@@ -537,7 +539,7 @@ def test_write_csv_refuses_non_finite_cells(tmp_path, monkeypatch):
     target = tmp_path / "bad.csv"
     for bad in (math.nan, math.inf, np.float64(-np.inf)):
         with pytest.raises(NonFiniteCell):
-            driver.write_csv(str(target), ["a", "b"], [(1.0, 2), (bad, 3)])
+            driver.write_csv(str(target), {"a": [1.0, bad], "b": [2, 3]})
         assert not target.exists()
     # through the command line: exit 3 with the JSON error line
     monkeypatch.setattr(driver, "scan_eta", lambda *args: [
@@ -626,10 +628,10 @@ def test_cli_loop_rerun_is_byte_identical(tmp_path):
                              "--out", str(a)])
     assert code == 0
     # at zeta0 = 0.002 the mean map's eigenvalues are complex: radius sqrt(1 - zeta0)
-    assert json.loads(err1) == {"gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002,
-                                "K": 128, "seed": 9,
-                                "spectral_radius": math.sqrt(0.998),
-                                "traj_events": 128 * 100}
+    loop_fields = {"gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002, "K": 128, "seed": 9,
+                   "spectral_radius": math.sqrt(0.998), "traj_events": 128 * 100}
+    record = json.loads(err1)
+    assert {key: record[key] for key in loop_fields} == loop_fields
     code, _, _ = run_cli(["loop", "--config", str(cfg), "--seed", "9",
                           "--out", str(b)])
     assert code == 0
@@ -1090,6 +1092,89 @@ def test_cli_task_keys_are_checked_before_the_state(tmp_path, monkeypatch, task,
     code, _, err = run_cli([task, "--config", str(cfg)])
     assert code == 2
     assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_cli_oracle_refuses_a_wide_sector_before_the_state(tmp_path, monkeypatch):
+    # the sector dimension follows from N and the state's orbital count alone
+    def no_state(*args):
+        raise AssertionError("the initial state was built before the sector was sized")
+
+    monkeypatch.setattr(driver, "build_state", no_state)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_WIDE_FEEDBACK))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["oracle", "--config", str(cfg)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "DimensionTooLarge"
+    assert "293930" in doc["detail"]
+
+
+@pytest.mark.parametrize("sigma", ["1e20", "1e100"])
+def test_cli_evolve_keeps_a_diffusion_that_dwarfs_the_drift(sigma):
+    # the position kicks zeta^2 sigma^2 sit about 40 and 200 decades above the drift
+    argv = ["--n", "1", "--zeta", "0.5", "--sigma", sigma]
+    code, out, err = run_cli(["evolve"] + argv)
+    assert code == 0
+    assert len(err.splitlines()) == 1 and json.loads(err)["task"] == "evolve"
+    dx = float(out.splitlines()[-1].split(",")[-1])
+    code, _, err = run_cli(["criteria"] + argv)
+    assert code == 0
+    assert dx == pytest.approx(json.loads(err)["DXs"], rel=1e-3)
+
+
+# one small seeded run of every subcommand: the sha256 of its artifact, and
+# the fields its run record carries next to task, version, seed and timings_s
+_EVERY_TASK = {
+    "scales": ({"n": 2, "zeta": 0.5, "sigma": 0.7},
+               "68e8f3801677602dbdc48ed873ec1f89ac7fe94ef91df24da0988873fb29d341", set()),
+    "criteria": ({"n": 2, "zeta": 0.5, "sigma": 0.7,
+                  "state": {"kind": "condensate", "m": 6, "squeeze": 0.3},
+                  "task": {"samples": 9, "include_transient": True}},
+                 "03fc3954ba6101f15dcab3b6712ed46404a93d8efdc7d448745f29a021b34016",
+                 {"min_dxa", "t_star", "qs", "schwarz", "dx0", "DXs", "min_sigma_q_sq",
+                  "notes"}),
+    "evolve": ({"n": 2, "zeta": 0.5, "sigma": 0.7,
+                "state": {"kind": "condensate", "m": 6, "displacement": 0.2},
+                "task": {"t_max": 1.0, "samples": 5}},
+               "40c8181df37c6be50ea14ea2e09d4eb0eb36e1ebd3a976685e2226b103d379b1", set()),
+    "oracle": ({"n": 2, "zeta": 0.5, "sigma": 0.7, "state": {"kind": "condensate", "m": 6},
+                "task": {"t_max": 0.5, "stride": 20}},
+               "cb9aa22bbc0d5505842bdb3dc0a82c3cb07de741b5bf66187bc7a19e38da0c26",
+               {"instants", "sector_dim", "health"}),
+    "loop": ({"n": 1, "gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002, "seed": 3,
+              "task": {"t_max": 0.2, "schedule": "poisson", "trajectories": 16}},
+             "60b91f65acbe33dd6ba243e38d45aea2d699c497c0e65f301665d1b398b44cc4",
+             {"gamma", "sigma0", "zeta0", "K", "spectral_radius", "traj_events"}),
+    "scan": ({"n": 2, "zeta": 1.0, "sigma": 0.5, "task": {"steps": 5}},
+             "694026bfa38245221138f4d72db83f7fe91eab8076e428fb5be91d3d713db315", set()),
+    "search": ({"n": 2, "seed": 5,
+                "task": {"family": "fixed_N_pure", "m": 3, "restarts": 1, "max_iter": 2000}},
+               "cdf86d0285692fb4ae6b41629b47bd8dbe004cbf5abf00f87ee9d2e8a65a6470",
+               {"family", "best_value", "best_restart", "evaluations", "health"}),
+}
+# the phases a task times itself; every other task is timed as one
+_PHASES = {"oracle": {"build", "propagate"}, "search": {"build", "search"}}
+
+
+@pytest.mark.parametrize("task", list(_EVERY_TASK))
+def test_cli_every_task_writes_its_artifact_and_one_record(tmp_path, task):
+    doc, sha, fields = _EVERY_TASK[task]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run_cli([task, "--config", str(cfg)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[-1])
+    assert set(record) == {"task", "version", "seed", "timings_s"} | fields
+    assert record["task"] == task
+    assert record["version"] == cloudfeedback.__version__
+    assert record["seed"] == doc.get("seed", 0)
+    assert set(record["timings_s"]) == _PHASES.get(task, {"compute"})
+    assert all(v >= 0.0 for v in record["timings_s"].values())
 
 
 def test_cli_truncation_leak_exits_3():

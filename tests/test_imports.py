@@ -130,3 +130,22 @@ def test_oracle_loads_no_scipy_optimize(tmp_path):
     assert not [k for k in loaded if k.split(".")[:2] == ["scipy", "optimize"]]
     # nothing that could plan the propagator from a random estimate
     assert not [k for k in loaded if k.split(".")[:3] == ["scipy", "sparse", "linalg"]]
+
+
+def test_subcommands_leave_all_emission_to_cli_main():
+    # each _cmd_* returns (artifact, record); cli_main alone writes them
+    tree = _parse_source("driver.py")
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert len(commands) == 7
+    assert not defined & {"_cell", "_moment_row"}
+    for command in commands:
+        for node in ast.walk(command):
+            assert not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "sys" and node.attr in ("stdout", "stderr")), \
+                command.name
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name != "write_csv", command.name
