@@ -457,7 +457,8 @@ def _cmd_oracle(cfg: RunConfig) -> tuple[dict, dict]:
         "timings_s": {"build": built - start, "propagate": done - built},
         "health": {"max_trace_err": float(traj.trace_err.max()),
                    "max_top_pop": float(traj.top_pop.max()),
-                   "min_eigenvalue": float(traj.min_eig.min())},
+                   "min_eigenvalue": float(traj.min_eig.min()),
+                   "sectors": traj.sectors},
     }
 
 

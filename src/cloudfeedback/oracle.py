@@ -2,13 +2,23 @@
 
 Ground truth for the moment propagator and the measurement loop, with no
 Gaussian or weak-coupling shortcuts.  The generator acts on the dense d x d
-rho through sparse (CSR) sector operators, as two sparse products per
-application, and rho(t) = exp(tL) rho(0) is evaluated only at the instants
-a caller asks for, by the scaled truncated Taylor series of Al-Mohy &
-Higham (SIAM J. Sci. Comput. 33:488, 2011).  Any atom number is accepted:
-the sector dimension is capped at d <= 1000 (N = 3 fits up to M = 17
-orbitals, N = 4 up to M = 10 and N = 5 up to M = 8), and the Taylor plan of
-one run at 2^18 generator products and 2^34 multiply-adds.
+rho through sparse (CSR) sector operators, and rho(t) = exp(tL) rho(0) is
+evaluated only at the instants a caller asks for, by the scaled truncated
+Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput. 33:488, 2011).
+
+The equation conserves the parity of E - E', E = sum_i i n_i the excitation
+of a basis state: X and P move E by one, the rest leaves it.  So a rho(0)
+with no odd entries (ground, Fock, thermal, NOON and squeezed condensates)
+keeps none, and with sparse stacks it is propagated as its two diagonal
+parity blocks, about half the work of the full rho and the same bits in
+every entry.  A rho(0) with odd entries (a displaced condensate), and the
+small sectors whose stacks are dense, take the full rho: two products per
+application, [left; X; P] rho and then [rho, X rho, P rho] [right; Y; Z].
+
+Any atom number is accepted: the sector dimension is capped at d <= 1000
+(N = 3 fits up to M = 17 orbitals, N = 4 up to M = 10 and N = 5 up to
+M = 8), and the Taylor plan of one run at 2^18 generator products and 2^34
+multiply-adds, both counted on the full rho.
 
 Positivity is monitored at every emitted instant, never enforced: the
 equation is of quantum Brownian motion type (not a completed Lindblad form),
@@ -103,7 +113,7 @@ def _coefficients(trap: TrapConfig, fb: FeedbackConfig) -> dict:
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """The master equation as sparse sector products on the dense rho.
+    """The master equation as sector products on the dense rho.
 
     d rho/dt = -(i/hbar)[H, rho] + i (zeta/2 hbar)[P, {X, rho}]
                - (1/8 sigma^2)[X, [X, rho]] - (zeta^2 sigma^2 / 2 hbar^2)[P, [P, rho]]
@@ -114,7 +124,9 @@ class LindbladGenerator:
     holds [left; X; P] and [right; Y; Z]^T as CSR, so that L(rho) is two
     sparse products: [left; X; P] rho, then [rho, X rho, P rho] [right; Y; Z]
     (dense ones when the stacks are over a tenth full).  Without feedback
-    Y = Z = 0 and the stacks hold left and right alone.
+    Y = Z = 0 and the stacks hold left and right alone.  With sparse stacks,
+    parity holds them once more on the basis ordered by parity, for a rho
+    with no odd entries (see ParityBlocks); with dense ones it is None.
     shift is trace(L) / d^2 and norm a bound on the 1-norm of L - shift I,
     the two numbers the Taylor propagator is planned from.
     """
@@ -128,6 +140,7 @@ class LindbladGenerator:
     # T_x, T_p, T_x2, T_p2, T_sxp, T_x T_x, T_p T_p and sym(T_x T_p) in COO form
     traced: tuple = field(repr=False)
     stacks: tuple = field(repr=False)
+    parity: ParityBlocks | None = field(repr=False)
     shift: complex
     norm: float
 
@@ -153,6 +166,87 @@ def _apply(stacks: tuple, rho: np.ndarray) -> np.ndarray:
     blocks = products.transpose(0, 2, 1).copy()
     blocks[0] = rho.T
     return products[0] + (rhs_t @ blocks.reshape(-1, dim)).T
+
+
+@dataclass(frozen=True)
+class ParityBlocks:
+    """The generator's stacks on the basis ordered by parity, even E first.
+
+    A rho with no odd entries is block diagonal there, and is held packed as
+    one d x w array, w the larger class: its even block in the top left, its
+    odd block below, zeros elsewhere.  Each left factor keeps or flips the
+    class of a row, so [left; X; P] times the packed rho holds the nonzero
+    blocks of left rho, X rho and P rho in the same layout, and the rows of
+    [right; Y; Z]^T of each class need only that class's rows of them.  The
+    rows keep their stored entries in their stored order and only zeros drop
+    out of the sums, so every entry matches the full product to the bit.
+    """
+
+    odd: np.ndarray  # per basis state, whether its E is odd
+    lhs: scipy.sparse.csr_matrix = field(repr=False)  # [left; X; P], reordered
+    rhs_even: scipy.sparse.csr_matrix = field(repr=False)  # even rows of [right; Y; Z]^T
+    rhs_odd: scipy.sparse.csr_matrix = field(repr=False)  # odd rows, both on packed columns
+
+    @classmethod
+    def build(cls, stacks: tuple, odd: np.ndarray) -> "ParityBlocks":
+        import scipy.sparse
+
+        lhs, rhs_t = stacks
+        dim = len(odd)
+        order = np.argsort(odd, kind="stable")
+        even = dim - int(np.count_nonzero(odd))
+        width = max(even, dim - even)
+        parts = lhs.shape[0] // dim
+        position = np.argsort(order)
+        # where each basis state sits in its own class: its column in the
+        # blocks [rho; X rho; P rho]^T that a row of the second stack meets
+        slot = position - even * odd
+        packed_columns = (np.arange(parts)[:, None] * width + slot).ravel()
+
+        def reindexed(stack, rows, columns, count):
+            # rows picked by slicing, which keeps each row's entry order
+            picked = stack[rows]
+            return scipy.sparse.csr_matrix((picked.data, columns[picked.indices], picked.indptr),
+                                           shape=(len(rows), count))
+
+        return cls(odd=odd,
+                   lhs=reindexed(lhs, (np.arange(parts)[:, None] * dim + order).ravel(),
+                                 position, dim),
+                   rhs_even=reindexed(rhs_t, order[:even], packed_columns, parts * width),
+                   rhs_odd=reindexed(rhs_t, order[even:], packed_columns, parts * width))
+
+    def holds(self, rho: np.ndarray) -> bool:
+        """Whether rho has no odd entry, so that its two blocks carry it."""
+        return not np.any(rho[self.odd[:, None] != self.odd])
+
+    def pack(self, rho: np.ndarray) -> np.ndarray:
+        even, odd = np.flatnonzero(~self.odd), np.flatnonzero(self.odd)
+        packed = np.zeros((len(rho), max(len(even), len(odd))), dtype=complex)
+        packed[:len(even), :len(even)] = rho[np.ix_(even, even)]
+        packed[len(even):, :len(odd)] = rho[np.ix_(odd, odd)]
+        return packed
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        even, odd = np.flatnonzero(~self.odd), np.flatnonzero(self.odd)
+        rho = np.zeros((len(packed), len(packed)), dtype=complex)
+        rho[np.ix_(even, even)] = packed[:len(even), :len(even)]
+        rho[np.ix_(odd, odd)] = packed[len(even):, :len(odd)]
+        return rho
+
+    def apply(self, packed: np.ndarray) -> np.ndarray:
+        """L(rho) packed, from the packed rho: _apply on the two blocks."""
+        a = self.rhs_even.shape[0]
+        dim, width = packed.shape
+        products = (self.lhs @ packed).reshape(-1, dim, width)
+        halves = []
+        for rows, rhs in ((slice(None, a), self.rhs_even), (slice(a, None), self.rhs_odd)):
+            blocks = products[:, rows].transpose(0, 2, 1).copy()
+            blocks[0] = packed[rows].T
+            halves.append((rhs @ blocks.reshape(-1, blocks.shape[2])).T)
+        out = products[0]
+        out[:a, :a] += halves[0]
+        out[a:, :dim - a] += halves[1]
+        return out
 
 
 def _stacks(x, p, h_diag: np.ndarray, coefficients: tuple):
@@ -229,10 +323,12 @@ def build_generator(trap: TrapConfig, fb: FeedbackConfig, basis: fock.OrbitalBas
     h_diag = fock.occupation_energies(occs, trap)
     x_hat = t_x / n
     stacks, shift, norm = _stacks(x_hat, t_p, h_diag, tuple(chosen.values()))
+    odd = occs @ np.arange(basis.mode_count) % 2 == 1
     return LindbladGenerator(
         trap=trap, fb=fb, x_hat=x_hat, p_hat=t_p, h_diag=h_diag,
         top_number=occs[:, -1].astype(float), traced=tuple(a.tocoo() for a in traced),
         stacks=stacks, shift=shift, norm=norm,
+        parity=ParityBlocks.build(stacks, odd) if scipy.sparse.issparse(stacks[0]) else None,
     )
 
 
@@ -247,17 +343,19 @@ def _taylor_plan(norm: float, h: float) -> tuple[int, float]:
     return int(_DEGREES[k]), float(substeps[k])
 
 
-def _propagate(gen: LindbladGenerator, rho: np.ndarray, h: float,
+def _propagate(apply, mu: complex, rho: np.ndarray, h: float,
                degree: int, substeps: int) -> np.ndarray:
-    """exp(hL) rho: Al-Mohy & Higham's Algorithm 3.2 on the shifted L - shift I."""
-    stacks, mu = gen.stacks, gen.shift
+    """exp(hL) rho: Al-Mohy & Higham's Algorithm 3.2 on the shifted L - shift I.
+
+    apply is L on the array rho is held in, the full or the packed rho.
+    """
     scale = h / substeps
     eta = np.exp(mu * scale)
     out = rho
     for _ in range(int(substeps)):
         c1 = np.max(np.abs(rho))
         for j in range(1, degree + 1):
-            rho = (scale / j) * (_apply(stacks, rho) - mu * rho)
+            rho = (scale / j) * (apply(rho) - mu * rho)
             c2 = np.max(np.abs(rho))
             out = out + rho
             if c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(out)):
@@ -279,6 +377,7 @@ class OracleTrajectory:
     top_pop: np.ndarray
     min_eig: np.ndarray
     final: np.ndarray  # density matrix at the last instant
+    sectors: int  # 1: rho had no odd entries and its parity blocks ran; 2: the full rho
 
 
 def step_times(trap: TrapConfig, t_max: float, dt: float | None = None) -> np.ndarray:
@@ -316,7 +415,8 @@ def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
     state is made Hermitian by conjugate-transpose averaging, propagation
     goes on from it, and it is checked for trace drift, top-orbital
     population (TruncationLeak above 1e-6) and its minimum eigenvalue
-    (PositivityLoss below -1e-6).
+    (PositivityLoss below -1e-6).  A rho0 with no odd entries is propagated
+    as its parity blocks when the generator has them, to the same bits.
     """
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or not len(times) or not np.all(np.isfinite(times))
@@ -333,10 +433,14 @@ def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
                           f"{_PRODUCT_BUDGET} products or {_WORK_BUDGET} multiply-adds")
 
     rho = np.array(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex)
+    blocks = gen.parity if gen.parity is not None and gen.parity.holds(rho) else None
     joint, record = [], []
     for t, h in zip(times, steps):
-        if h > 0:
-            rho = _propagate(gen, rho, h, *plans[h])
+        if h > 0 and blocks is None:
+            rho = _propagate(lambda r: _apply(gen.stacks, r), gen.shift, rho, h, *plans[h])
+        elif h > 0:
+            rho = blocks.unpack(_propagate(blocks.apply, gen.shift, blocks.pack(rho), h,
+                                           *plans[h]))
         rho = 0.5 * (rho + rho.conj().T)
 
         top = float(np.sum(gen.top_number * np.diag(rho).real))
@@ -355,6 +459,7 @@ def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
     return OracleTrajectory(
         times=times, joint=tuple(joint), mean_X=mean_x, var_X=var_x, dx=dx,
         trace_err=trace_err, top_pop=top_pop, min_eig=min_eig, final=rho,
+        sectors=2 if blocks is None else 1,
     )
 
 

@@ -1,15 +1,20 @@
-"""First-quantized tensor-product reference implementations.
+"""Reference implementations the unit tests check the package against.
 
-Independent of the package's occupation-number algebra: states live in the
-full M^N product space, collective operators are Kronecker sums, and
-expectations are dense matrix products.  Exponentially sized, so only for
-small N and M; used to pin frozen values in the unit tests.
+Most are first-quantized and independent of the package's occupation-number
+algebra: states live in the full M^N product space, collective operators
+are Kronecker sums, and expectations are dense matrix products.
+Exponentially sized, so only for small N and M; used to pin frozen values.
+`reference_integrate` is the oracle's propagation on the full density
+matrix, the bits its parity-block route must reproduce.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from cloudfeedback import oracle
+from cloudfeedback.moments import project_collective
 
 
 def _seq_index(seq, m):
@@ -91,3 +96,55 @@ def random_fock_amplitudes(rng, dim):
     """Seeded dense unit vector of complex amplitudes."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def _full_apply(stacks, rho):
+    # L(rho) = [left; X; P] rho, then [rho, X rho, P rho] [right; Y; Z]
+    lhs, rhs_t = stacks
+    dim = len(rho)
+    products = (lhs @ rho).reshape(-1, dim, dim)
+    blocks = products.transpose(0, 2, 1).copy()
+    blocks[0] = rho.T
+    return products[0] + (rhs_t @ blocks.reshape(-1, dim)).T
+
+
+def _full_propagate(gen, rho, h, degree, substeps):
+    # Al-Mohy & Higham's Algorithm 3.2 on L - shift I, every term a full d x d rho
+    stacks, mu = gen.stacks, gen.shift
+    scale = h / substeps
+    eta = np.exp(mu * scale)
+    out = rho
+    for _ in range(int(substeps)):
+        c1 = np.max(np.abs(rho))
+        for j in range(1, degree + 1):
+            rho = (scale / j) * (_full_apply(stacks, rho) - mu * rho)
+            c2 = np.max(np.abs(rho))
+            out = out + rho
+            if c1 + c2 <= 2.0**-53 * np.max(np.abs(out)):
+                break
+            c1 = c2
+        out = eta * out
+        rho = out
+    return out
+
+
+def reference_integrate(rho0, gen, times):
+    """oracle.integrate on the full rho at every step, with the same monitors."""
+    steps = np.diff(times, prepend=0.0).tolist()
+    rho = np.array(rho0.matrix, dtype=complex)
+    joint, record = [], []
+    for h in steps:
+        if h > 0:
+            rho = _full_propagate(gen, rho, h, *oracle._taylor_plan(gen.norm, h))
+        rho = 0.5 * (rho + rho.conj().T)
+        top = float(np.sum(gen.top_number * np.diag(rho).real))
+        eig_min = float(np.linalg.eigvalsh(rho).min())
+        jm = gen.joint_moments(rho)
+        mean_c, cov_c = project_collective(jm)
+        joint.append(jm)
+        record.append((mean_c[0], cov_c[0, 0], math.sqrt(jm.cov[0, 0]),
+                       abs(np.trace(rho).real - 1.0), top, eig_min))
+    mean_x, var_x, dx, trace_err, top_pop, min_eig = np.array(record).T
+    return oracle.OracleTrajectory(
+        times=np.asarray(times, dtype=float), joint=tuple(joint), mean_X=mean_x, var_X=var_x,
+        dx=dx, trace_err=trace_err, top_pop=top_pop, min_eig=min_eig, final=rho, sectors=2)

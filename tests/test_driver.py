@@ -533,6 +533,19 @@ def test_cli_oracle_reports_run_record_at_three_atoms(tmp_path):
     assert 0.0 <= health["max_trace_err"] < 1e-10
     assert 0.0 < health["max_top_pop"] < 1e-6
     assert -1e-6 <= health["min_eigenvalue"] < 1e-10
+    # the ground condensate has no odd entries: its even block alone ran
+    assert health["sectors"] == 1
+
+
+def test_cli_oracle_reports_the_full_rho_for_a_displaced_condensate(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": 3, "zeta": 0.5, "sigma": 0.7,
+        "state": {"kind": "condensate", "m": 6, "displacement": 0.2},
+        "task": {"name": "oracle", "t_max": 0.5, "stride": 25}}))
+    code, _, err = run_cli(["oracle", "--config", str(cfg)])
+    assert code == 0
+    assert json.loads(err)["health"]["sectors"] == 2
 
 
 def test_write_csv_refuses_non_finite_cells(tmp_path, monkeypatch):
@@ -1175,6 +1188,9 @@ def test_cli_every_task_writes_its_artifact_and_one_record(tmp_path, task):
     assert record["seed"] == doc.get("seed", 0)
     assert set(record["timings_s"]) == _PHASES.get(task, {"compute"})
     assert all(v >= 0.0 for v in record["timings_s"].values())
+    if task == "oracle":
+        # d = 21 has dense stacks, so the ground condensate keeps the full rho
+        assert record["health"]["sectors"] == 2
 
 
 def test_cli_truncation_leak_exits_3():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from cloudfeedback.errors import (
 )
 from cloudfeedback.scales import FeedbackConfig, TrapConfig, derive_scales
 
-from helpers import random_fock_amplitudes
+from helpers import random_fock_amplitudes, reference_integrate
 
 
 def trap_for(n):
@@ -226,6 +227,78 @@ def test_superoperator_matches_dense_master_equation():
                     - comm(x, comm(x, rho)) / (8 * sigma**2)
                     - zeta**2 * sigma**2 / (2 * hbar**2) * comm(p, comm(p, rho)))
             assert np.max(np.abs(gen.apply(rho) - want)) < 1e-13
+
+
+@pytest.mark.parametrize("n, m", [(2, 6), (3, 6), (4, 5), (2, 10), (3, 8)])
+def test_generator_conserves_excitation_parity(n, m):
+    # X and P move E by one and H leaves it, so no rounding leaks across:
+    # even entries stay even and odd ones odd, to the last bit
+    trap = trap_for(n)
+    basis = fock.OrbitalBasis(mode_count=m, trap=trap)
+    fb = feedback_for_eta(trap, 0.7, zeta=0.4)
+    # the entries where E - E' is odd, E = sum_i i n_i the excitation of a basis state
+    excitation = fock.occupations(n, m) @ np.arange(m)
+    odd = excitation[:, None] % 2 != excitation % 2
+    rng = np.random.default_rng(10 * n + m)
+    g = rng.normal(size=odd.shape) + 1j * rng.normal(size=odd.shape)
+    rho = 0.5 * (g + g.conj().T)
+    # the full generator, and the Hamiltonian alone, whose stacks hold one part
+    for gen in (oracle.build_generator(trap, fb, basis),
+                oracle.build_generator(trap, fb, basis, terms=("hamiltonian",))):
+        for kept in (~odd, odd):
+            out = gen.apply(np.where(kept, rho, 0.0))
+            assert np.all(out[~kept] == 0.0)
+            assert np.all(np.isfinite(out)) and np.any(out[kept] != 0.0)
+        if gen.parity is not None:
+            blocks = gen.parity
+            even = np.where(~odd, rho, 0.0)
+            assert blocks.holds(even) and not blocks.holds(rho)
+            assert np.array_equal(blocks.unpack(blocks.apply(blocks.pack(even))),
+                                  gen.apply(even))
+
+
+def _start(basis, n, start):
+    m = basis.mode_count
+    if start == "ground":
+        return fock.condensate_state(np.eye(m, dtype=complex)[0], n)
+    if start == "displaced":
+        return fock.condensate_state(fock.displaced_orbital(basis, 0.2), n)
+    if start == "squeezed":
+        return fock.condensate_state(fock.squeezed_orbital(basis, 0.3), n)
+    if start == "thermal":
+        return fock.thermal_ensemble(basis, temperature=0.35, n=n, energy_cutoff=0.5 * n + 3.0)
+    if start == "noon":
+        amps = np.zeros(fock.sector_dimension(n, m), dtype=complex)
+        occs = fock.occupations(n, m).tolist()
+        amps[occs.index([n] + [0] * (m - 1))] = 1 / math.sqrt(2)
+        amps[occs.index([0, n] + [0] * (m - 2))] = -1 / math.sqrt(2)
+        return fock.state_from_amplitudes(n, m, amps)
+    return fock.basis_state(start + (0,) * (m - len(start)))
+
+
+@pytest.mark.parametrize("n, m, start", [
+    (2, 10, "ground"), (3, 6, "ground"), (4, 5, "ground"), (3, 6, (2, 1)),
+    (2, 10, "noon"), (2, 10, "thermal"), (2, 10, "squeezed"), (3, 6, "displaced"),
+], ids=["n2-ground", "n3-ground", "n4-ground", "n3-fock", "n2-noon", "n2-thermal",
+        "n2-squeezed", "n3-displaced"])
+def test_parity_blocks_reproduce_the_full_rho_to_the_bit(n, m, start):
+    trap = trap_for(n)
+    basis = fock.OrbitalBasis(mode_count=m, trap=trap)
+    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis)
+    rho0 = oracle.DensityMatrix.from_state(_start(basis, n, start), basis)
+    # the Fock row and the squeezed condensate reach the top orbital by t = 1
+    times = oracle.step_times(trap, 0.6)[::10]
+    traj = oracle.integrate(rho0, gen, times)
+    want = reference_integrate(rho0, gen, times)
+    # a displaced condensate has odd entries, so it keeps the full rho
+    assert traj.sectors == (2 if start == "displaced" else 1)
+    for f in dataclasses.fields(traj):
+        got, ref = getattr(traj, f.name), getattr(want, f.name)
+        if f.name == "joint":
+            assert all(np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+                       for a, b in zip(got, ref, strict=True))
+        elif f.name != "sectors":
+            assert np.array_equal(got, ref), f.name
 
 
 def test_instants_asked_for_match_the_full_clock():
