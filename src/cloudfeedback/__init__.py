@@ -4,13 +4,12 @@ from .criteria import (
     CriterionReport,
     QuadratureHarmonics,
     asymptotic_cloud_size,
-    classical_schwarz_check,
     evaluate_criteria,
     quadrature_harmonics,
     schwarz_identity_check,
     sigma_q_sq,
 )
-from .driver import RunConfig, breathing_curve, cli_main, scan_eta
+from .driver import RunConfig, cli_main, scan_eta
 from .errors import ConfigError, NonConvergence, ToolkitError, TruncationLeak
 from .fock import (
     FockState,
@@ -29,7 +28,6 @@ from .moments import (
     cloud_size,
     evolve,
     init_moments,
-    stationary_cm,
 )
 from .oracle import DensityMatrix, OracleTrajectory, compare_with_moments, integrate
 from .scales import (
@@ -68,8 +66,6 @@ __all__ = [
     "TruncationLeak",
     "asymptotic_cloud_size",
     "basis_state",
-    "breathing_curve",
-    "classical_schwarz_check",
     "classify_regime",
     "cli_main",
     "cloud_size",
@@ -90,7 +86,6 @@ __all__ = [
     "search_state",
     "sigma_q_sq",
     "squeezed_orbital",
-    "stationary_cm",
     "stationary_discrete",
     "thermal_ensemble",
 ]

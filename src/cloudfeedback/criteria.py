@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fock
-from .errors import NegativeIntensity, NegativeRadicand
+from .errors import NegativeRadicand
 from .scales import DerivedScales
 
 
@@ -187,26 +187,3 @@ def schwarz_identity_check(state: fock.FockState,
     dq_sq, dcm_sq = one - mean**2, cm_sq - mean**2
     residual = (one - cm_sq) - (dq_sq - dcm_sq)
     return math.sqrt(max(dq_sq, 0.0)), math.sqrt(max(dcm_sq, 0.0)), residual
-
-
-def classical_schwarz_check(intensity: np.ndarray, q_values: np.ndarray,
-                            grid: np.ndarray) -> tuple[float, float, bool]:
-    """Schwarz test for a factorized classical pair distribution.
-
-    With P(x, x') = I(x) I(x') / (int I)^2 the correlator side reduces to the
-    squared mean, so (lhs, rhs) = (mean^2, second moment); any nonnegative
-    intensity satisfies lhs <= rhs.
-    """
-    intensity = np.asarray(intensity, dtype=float)
-    q_values = np.asarray(q_values, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    if np.any(intensity < 0.0):
-        raise NegativeIntensity(f"min intensity {intensity.min()!r} < 0")
-    total = np.trapezoid(intensity, grid)
-    if total <= 0.0:
-        raise NegativeIntensity("intensity integrates to zero")
-    mean = np.trapezoid(q_values * intensity, grid) / total
-    second = np.trapezoid(q_values**2 * intensity, grid) / total
-    lhs = mean**2
-    rhs = second
-    return lhs, rhs, lhs <= rhs + 1e-12 * max(1.0, abs(rhs))

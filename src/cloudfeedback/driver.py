@@ -270,11 +270,19 @@ def build_state(doc: dict | None, trap: TrapConfig):
                 raise ConfigError(f"superposition term must be an object, got {term!r}")
             occ = tuple(_as_occupation(term.get("occupation"), m, trap))
             amp[occ] = amp.get(occ, 0.0) + _as_complex(term.get("amp"), "term amp")
-        total = math.sqrt(sum(abs(v) ** 2 for v in amp.values()))
+        # |amp|^2 overflows from 1.3e154 on: larger amplitudes are first scaled
+        # by an exact power of two, and in-range ones keep their bits
+        big = max(max(abs(v.real), abs(v.imag)) for v in amp.values())
+        if not math.isfinite(big):
+            raise ConfigError("superposition amplitudes add up past the float range")
+        vals = list(amp.values())
+        if big > 2.0**500:
+            vals = [v * 2.0 ** -math.frexp(big)[1] for v in vals]
+        total = math.sqrt(sum(abs(v) ** 2 for v in vals))
         if not total >= 1e-12:
             raise ConfigError("superposition terms cancel to zero")
         return fock.FockState(n=trap.atom_count, m=m, occ=list(amp),
-                              amp=[v / total for v in amp.values()]), basis
+                              amp=[v / total for v in vals]), basis
 
     temperature = doc.get("temperature")
     if temperature is None:
@@ -346,18 +354,6 @@ def scan_eta(trap: TrapConfig, zeta: float, eta_min: float, eta_max: float,
                 "regime": regime.kind.value}
 
     return [point(float(eta)) for eta in np.geomspace(eta_min, eta_max, steps)]
-
-
-def breathing_curve(state, basis, trap: TrapConfig, fb: FeedbackConfig,
-                    samples: int = 129, include_transient: bool = False):
-    """Half-period cloud-size curve -> named columns.
-
-    Columns: t, sigma_q_sq, dxa and the two constant thresholds; with the
-    transient included, a final dx column holds the full moments evolution
-    from t = 0 on the same grid.
-    """
-    times, s, g = _curve_inputs(trap, fb, samples, include_transient)
-    return _curve(criteria.quadrature_harmonics(state, basis), state, basis, times, s, g)
 
 
 def _curve_inputs(trap: TrapConfig, fb: FeedbackConfig, samples,

@@ -46,10 +46,6 @@ class NegativeRadicand(ToolkitError):
     """Asymptotic cloud-size formula has no real value here."""
 
 
-class NegativeIntensity(ToolkitError):
-    """Classical intensity profile must be nonnegative."""
-
-
 class StepRejected(ToolkitError):
     """Propagated covariance lost positive semidefiniteness."""
 

@@ -475,7 +475,8 @@ def thermal_ensemble(basis: OrbitalBasis, temperature: float, n: int,
     for j in range(1, n + 1):
         acc = 0.0
         for k in range(1, j + 1):
-            zk = 1.0 / (1.0 - math.exp(-k * beta * hw))
+            # expm1: 1 - exp(-x) rounds to 0 once x is below 2^-53
+            zk = 1.0 / -math.expm1(-k * beta * hw)
             acc += zk * z[j - k]
         z.append(acc / j)
     z_exact = z[n]

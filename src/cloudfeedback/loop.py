@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, MinResolution, SingularLyapunov, TimescaleViolation
 from .moments import JointMoments, project_collective
-from .scales import FeedbackConfig, TrapConfig, continuous_limit_params
+from .scales import TrapConfig
 
 # bound on the floats one batch keeps in each draw buffer (8 MB)
 _DRAW_FLOATS = 2**20
@@ -66,10 +66,6 @@ class LoopConfig:
                 f"trajectories must be in [1, {_MAX_TRAJECTORIES}], got {self.trajectories!r}")
         if not (0 <= int(self.rng_seed) < 2**64):
             raise ConfigError(f"rng_seed must fit in 64 bits, got {self.rng_seed!r}")
-
-    def continuous_equivalent(self) -> FeedbackConfig:
-        sigma, zeta = continuous_limit_params(self.gamma, self.sigma0, self.zeta0)
-        return FeedbackConfig(shift_rate=zeta, meas_resolution=sigma)
 
 
 class _Pair(NamedTuple):
@@ -398,39 +394,3 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
         n_events=events, config=cfg, trap=trap, spectral_radius=radius,
         traj_events=k * stepped,
     )
-
-
-# ---------------------------------------------------------------------------
-# Fock-space Kraus backend (few-body cross-checks against the exact oracle)
-
-
-def kraus_measure(rho: np.ndarray, x_hat: np.ndarray, x_m: float,
-                  sigma0: float) -> np.ndarray:
-    """rho -> E rho E / Tr, E = exp(-(X-x_m)^2 / (4 sigma0^2))."""
-    vals, vecs = np.linalg.eigh(x_hat)
-    e = vecs @ np.diag(np.exp(-((vals - x_m) ** 2) / (4.0 * sigma0**2))) @ vecs.conj().T
-    out = e @ rho @ e
-    tr = np.trace(out).real
-    if tr <= 0:
-        raise MinResolution(f"measurement weight underflow at x_m={x_m!r}")
-    return out / tr
-
-
-def kraus_kick(rho: np.ndarray, p_hat: np.ndarray, x_m: float, zeta0: float,
-               hbar: float) -> np.ndarray:
-    """Displace every position by -zeta0*x_m: U = exp(i zeta0 x_m P / hbar)."""
-    vals, vecs = np.linalg.eigh(p_hat)
-    phase = np.exp(1j * zeta0 * x_m * vals / hbar)
-    unitary = vecs @ np.diag(phase) @ vecs.conj().T
-    return unitary @ rho @ unitary.conj().T
-
-
-def kraus_sample(rho: np.ndarray, x_hat: np.ndarray, sigma0: float,
-                 rng: np.random.Generator) -> float:
-    """Outcome from the Gaussian mixture over the X-spectrum of rho."""
-    vals, vecs = np.linalg.eigh(x_hat)
-    weights = np.einsum("ji,jk,ki->i", vecs.conj(), rho, vecs).real
-    weights = np.clip(weights, 0.0, None)
-    weights /= weights.sum()
-    pick = rng.choice(len(vals), p=weights)
-    return float(rng.normal(vals[pick], sigma0))

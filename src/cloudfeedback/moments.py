@@ -4,7 +4,7 @@ The master equation closes on first and second moments of the joint Wigner
 function of one tagged atom (x, p) and the center of mass of the remaining
 N - 1 atoms (Xbar, Pbar).  This module builds the linear drift and diffusion
 generator for those four variables, maps initial quantum states to moments,
-and propagates them in closed form or by RK4.
+and propagates them in closed form.
 
 Conventions, stated once:
   * covariance evolves as dS/dt = A S + S A^T + 2 D, so the physical noise
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import ConfigError, SingularLyapunov, StepRejected
+from .errors import ConfigError, StepRejected
 from .scales import FeedbackConfig, TrapConfig
 
 _PSD_FLOOR = 1e-10
@@ -31,6 +31,9 @@ _PSD_FLOOR = 1e-10
 
 def _checked_cov(cov: np.ndarray, exc=ConfigError) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
+    # a NaN passes every comparison below and stops eigh from converging
+    if not np.isfinite(cov).all():
+        raise exc("covariance has a non-finite entry")
     scale = max(1.0, float(np.max(np.abs(np.diag(cov)))))
     if np.max(np.abs(cov - cov.T)) > 1e-8 * scale:
         raise exc(f"covariance not symmetric (defect {np.max(np.abs(cov - cov.T))!r})")
@@ -195,79 +198,35 @@ def init_moments(state: fock.FockState, basis: fock.OrbitalBasis) -> JointMoment
     return moments_from_raw(n, x1, p1, x2, p2, s, g[0, 0], g[1, 1], g[0, 1])
 
 
-def evolve(m0: JointMoments, g: DriftDiffusion, t: float,
-           method: str = "closed") -> JointMoments:
-    """Propagate moments for time t.
-
-    "closed": augmented-block matrix exponential (exact for the linear FPE).
-    "rk4": fixed-step integration with h <= 2 pi / (1000 omega), an
-    independent path kept for cross-checks.
-    """
+def evolve(m0: JointMoments, g: DriftDiffusion, t: float) -> JointMoments:
+    """Propagate moments for time t by the augmented-block matrix exponential,
+    exact for the linear FPE."""
     if t < 0:
         raise ConfigError(f"t must be >= 0, got {t!r}")
     if m0.n != g.n:
         raise ConfigError(f"moments have n={m0.n} but generator has n={g.n}")
+    from scipy.linalg import expm
+
     a, d2 = g.A, 2.0 * g.D
     dim = a.shape[0]
-
-    if method == "closed":
-        from scipy.linalg import expm
-
-        # the top-right block is linear in D: a D that dwarfs A enters as
-        # D / 2^k and leaves times 2^k, both exact, so that scaling and
-        # squaring does not round exp(At / 2^s) to the identity
-        drift, noise = max(float(np.max(np.abs(a))), 1.0), float(np.max(np.abs(d2)))
-        k = math.frexp(noise / drift)[1] if noise > drift else 0
-        blk = np.zeros((2 * dim, 2 * dim))
-        blk[:dim, :dim] = a
-        blk[:dim, dim:] = np.ldexp(d2, -k)
-        blk[dim:, dim:] = -a.T
+    # the top-right block is linear in D: a D that dwarfs A enters as
+    # D / 2^k and leaves times 2^k, both exact, so that scaling and
+    # squaring does not round exp(At / 2^s) to the identity
+    drift, noise = max(float(np.max(np.abs(a))), 1.0), float(np.max(np.abs(d2)))
+    k = math.frexp(noise / drift)[1] if noise > drift else 0
+    blk = np.zeros((2 * dim, 2 * dim))
+    blk[:dim, :dim] = a
+    blk[:dim, dim:] = np.ldexp(d2, -k)
+    blk[dim:, dim:] = -a.T
+    # a long enough t overflows the exponential: refused as non-finite, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
         e = expm(blk * t)
         f = e[:dim, :dim]
         gblk = np.ldexp(e[:dim, dim:], k)
-        mean = f @ m0.mean
-        cov = f @ m0.cov @ f.T + gblk @ f.T
-    elif method == "rk4":
-        h_max = 2.0 * math.pi / (1000.0 * g.trap.trap_freq)
-        steps = max(1, math.ceil(t / h_max)) if t > 0 else 0
-        h = t / steps if steps else 0.0
-        mean = m0.mean.copy()
-        cov = m0.cov.copy()
-
-        def rhs(mn, cv):
-            return a @ mn, a @ cv + cv @ a.T + d2
-
-        for _ in range(steps):
-            k1m, k1c = rhs(mean, cov)
-            k2m, k2c = rhs(mean + 0.5 * h * k1m, cov + 0.5 * h * k1c)
-            k3m, k3c = rhs(mean + 0.5 * h * k2m, cov + 0.5 * h * k2c)
-            k4m, k4c = rhs(mean + h * k3m, cov + h * k3c)
-            mean = mean + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
-            cov = cov + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
-
-    cov = _checked_cov(cov, exc=StepRejected)
-    return JointMoments(mean=mean, cov=cov, n=m0.n)
+        mean, cov = f @ m0.mean, f @ m0.cov @ f.T + gblk @ f.T
+    return JointMoments(mean=mean, cov=_checked_cov(cov, exc=StepRejected), n=m0.n)
 
 
 def cloud_size(m: JointMoments) -> float:
     """rms spread of the single-atom marginal."""
     return math.sqrt(m.cov[0, 0])
-
-
-def stationary_cm(g: DriftDiffusion) -> float:
-    """Stationary rms spread of the total center of mass.
-
-    Contracts the generator to (X_tot, P_tot) and solves the 2x2 Lyapunov
-    equation A S + S A^T + 2 D = 0.
-    """
-    from scipy.linalg import solve_continuous_lyapunov
-
-    if g.fb.shift_rate == 0.0:
-        raise SingularLyapunov("no stationary center-of-mass state without damping")
-    c, s = _collective_maps(g.n)
-    a_c = c @ g.A @ s
-    d_c = c @ g.D @ c.T
-    sigma = solve_continuous_lyapunov(a_c, -2.0 * d_c)
-    return math.sqrt(sigma[0, 0])

@@ -144,9 +144,6 @@ class LindbladGenerator:
     shift: complex
     norm: float
 
-    def coefficient(self, term: str) -> float:
-        return _coefficients(self.trap, self.fb)[term]
-
     def joint_moments(self, rho: np.ndarray) -> JointMoments:
         # trace(A rho) = sum_ij A_ij rho_ji; moments_from_raw takes the
         # one-body traces per atom and ignores the collective ones at N = 1

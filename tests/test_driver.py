@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import cloudfeedback
+import helpers
 from cloudfeedback import criteria, driver, errors, fock, loop, moments
 from cloudfeedback.errors import ConfigError, NonFiniteCell
 from cloudfeedback.scales import (FeedbackConfig, TrapConfig, classify_regime,
@@ -153,6 +154,10 @@ def test_build_state_superposition_normalizes():
     for term in (5, {"occupation": [2, 0, 0], "amp": ["x", 0]}):
         with pytest.raises(ConfigError):
             driver.build_state({"kind": "superposition", "m": 3, "terms": [term]}, trap)
+    # two finite amplitudes of one occupation that add up to an infinite one
+    with pytest.raises(ConfigError, match="float range"):
+        driver.build_state({"kind": "superposition", "m": 3, "terms": [
+            {"occupation": [2, 0, 0], "amp": [1.5e308, 0]}] * 2}, trap)
 
 
 def test_build_state_thermal_requires_temperature_and_cutoff():
@@ -245,7 +250,7 @@ def _curve_setup(n, m, squeeze=None):
 
 def test_breathing_curve_single_atom_flat_at_stationary_size():
     state, basis, trap, fb = _curve_setup(1, 4)
-    columns = driver.breathing_curve(state, basis, trap, fb, samples=33)
+    columns = helpers.breathing_curve(state, basis, trap, fb, samples=33)
     assert list(columns) == ["t", "sigma_q_sq", "dxa", "dx0", "DXs"]
     s = derive_scales(trap, fb)
     dxa = np.array(columns["dxa"])
@@ -256,7 +261,7 @@ def test_breathing_curve_single_atom_flat_at_stationary_size():
 
 def test_breathing_curve_squeezed_condensate_oscillates_at_2omega():
     state, basis, trap, fb = _curve_setup(2, 8, squeeze=0.4)
-    columns = driver.breathing_curve(state, basis, trap, fb, samples=401)
+    columns = helpers.breathing_curve(state, basis, trap, fb, samples=401)
     sig = np.array(columns["sigma_q_sq"])
     t = np.array(columns["t"])
     i_min, i_max = np.argmin(sig), np.argmax(sig)
@@ -274,8 +279,8 @@ def test_breathing_curve_squeezed_condensate_oscillates_at_2omega():
 
 def test_breathing_curve_transient_column_starts_at_initial_size():
     state, basis, trap, fb = _curve_setup(2, 8, squeeze=0.3)
-    columns = driver.breathing_curve(state, basis, trap, fb, samples=17,
-                                     include_transient=True)
+    columns = helpers.breathing_curve(state, basis, trap, fb, samples=17,
+                                      include_transient=True)
     assert list(columns)[-1] == "dx"
     m0 = moments.init_moments(state, basis)
     assert columns["dx"][0] == pytest.approx(moments.cloud_size(m0), rel=1e-12)
@@ -560,6 +565,48 @@ def test_write_csv_refuses_non_finite_cells(tmp_path, monkeypatch):
     code, out, err = run_cli(["scan", "--n", "2"])
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "NonFiniteCell"
+
+
+@pytest.mark.parametrize("zeta, t_max", [(0.5, 1e6), (0.0, 1e300)])
+def test_cli_evolve_refuses_an_overflowing_exponential(tmp_path, zeta, t_max):
+    # the matrix exponential overflows to a NaN covariance, refused before eigh
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 2, "zeta": zeta, "sigma": 0.7,
+                               "task": {"t_max": t_max, "samples": 3}}))
+    code, out, err = run_cli(["evolve", "--config", str(cfg)])
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "StepRejected"
+
+
+@pytest.mark.parametrize("task", ["criteria", "evolve"])
+@pytest.mark.parametrize("temperature", [1e16, 1e17, 1e300])
+def test_cli_hot_thermal_state_exits_3(tmp_path, task, temperature):
+    # 1 - exp(-hw/T) rounds to 0 from T = 1e17 on; the partition sum stays finite
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": 2, "zeta": 0.5, "sigma": 0.7, "task": {"samples": 3},
+        "state": {"kind": "thermal", "m": 6, "temperature": temperature, "cutoff": 5}}))
+    code, out, err = run_cli([task, "--config", str(cfg)])
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "CutoffTooTight"
+
+
+def test_cli_superposition_amplitudes_past_sqrt_of_float_max(tmp_path):
+    # |amp|^2 overflows from 1.3e154 on; a power-of-two scaling keeps every bit
+    outs = []
+    for amp in ([1, 0], [1e200, 0]):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "n": 2, "zeta": 0.5, "sigma": 0.7, "task": {"samples": 9},
+            "state": {"kind": "superposition", "m": 3,
+                      "terms": [{"occupation": [2, 0, 0], "amp": amp}]}}))
+        code, out, err = run_cli(["criteria", "--config", str(cfg)])
+        assert code == 0
+        assert len(err.splitlines()) == 1
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_cli_criteria_emits_curve_and_report(tmp_path):

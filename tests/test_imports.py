@@ -149,3 +149,40 @@ def test_subcommands_leave_all_emission_to_cli_main():
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 assert name != "write_csv", command.name
+
+
+# public functions and methods that no module of the package calls, each kept
+# for its reason; code that only tests reach lives in tests/helpers.py
+_UNCALLED = {
+    "sigma_q_sq": "the paper's collective quadrature spread at one time",
+    "schwarz_identity_check": "the paper's identity sigma_q_sq = Dq^2 - DQ_cm^2",
+    "pair_distribution": "the paper's atom-atom pair distribution",
+    "density_profile": "the paper's one-body density, the pair distribution's marginal",
+    "coherent_sigma_q": "the coherent family's sigma_q_sq at one time",
+    "coherent_harmonics": "the coherent family's breathing signal",
+    "fixed_sector_harmonics": "the fixed-N family's breathing signal",
+    "stationary_discrete": "the loop's fixed point, for a loop record's residual",
+    "compare_with_moments": "the oracle against the moment flow, for an oracle record's residual",
+    "main": "the console script pyproject.toml names",
+}
+
+
+def test_every_public_function_is_called_in_the_package_or_kept_on_purpose():
+    sources = [name for name in sorted(os.listdir(_PACKAGE)) if name.endswith(".py")]
+    defined, used = set(), set()
+    for name in sources:
+        tree = _parse_source(name)
+        for node in tree.body:
+            body = [node]
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                body = node.body
+            defined.update(sub.name for sub in body if isinstance(sub, ast.FunctionDef)
+                           and not sub.name.startswith("_"))
+        if name != "__init__.py":  # its imports and __all__ call nothing
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert "evolve" in defined and "evolve" in used
+    assert defined - used == set(_UNCALLED)

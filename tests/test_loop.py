@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from cloudfeedback import fock, loop, moments, oracle
 from cloudfeedback.errors import ConfigError, MinResolution, TimescaleViolation
-from cloudfeedback.scales import FeedbackConfig, TrapConfig, derive_scales
+from cloudfeedback.scales import (FeedbackConfig, TrapConfig, continuous_limit_params,
+                                  derive_scales)
 
 
 def trap_for(n):
@@ -17,6 +19,11 @@ def loop_for(trap, zeta, eta, gamma, **kw):
     sigma = math.sqrt(scale / (zeta * eta))
     return loop.LoopConfig(gamma=gamma, sigma0=sigma * math.sqrt(gamma),
                            zeta0=zeta / gamma, **kw)
+
+
+def continuous_feedback(cfg):
+    sigma, zeta = continuous_limit_params(cfg.gamma, cfg.sigma0, cfg.zeta0)
+    return FeedbackConfig(shift_rate=zeta, meas_resolution=sigma)
 
 
 def pair_state(mean, cov, k=None):
@@ -57,7 +64,7 @@ def test_loop_config_validation_and_continuous_map():
         loop.LoopConfig(gamma=10.0, sigma0=1.0, zeta0=0.1,
                         trajectories=loop._MAX_TRAJECTORIES + 1)
     cfg = loop.LoopConfig(gamma=100.0, sigma0=5.0, zeta0=0.002)
-    fb = cfg.continuous_equivalent()
+    fb = continuous_feedback(cfg)
     assert fb.shift_rate == pytest.approx(0.2)
     assert fb.meas_resolution == pytest.approx(0.5)
 
@@ -201,7 +208,7 @@ def test_full_loop_mean_matches_continuous_prediction():
     zeta, gamma = 0.5, 100.0
     cfg = loop_for(trap, zeta=zeta, eta=1.0, gamma=gamma,
                    rng_seed=11, trajectories=10_000)
-    fb = cfg.continuous_equivalent()
+    fb = continuous_feedback(cfg)
     m0 = ground_moments(1)
     m0 = moments.JointMoments(mean=np.array([2.0, 0.0]), cov=m0.cov, n=1)
     traj = loop.run_ensemble(m0, cfg, trap, 6.0, record_stride=2)
@@ -258,7 +265,7 @@ def test_regular_and_poisson_schedules_share_the_limit():
             if schedule == "poisson":
                 expect = traj.times[-1] * gamma
                 assert traj.n_events[-1] == pytest.approx(expect, rel=0.05)
-        scale = derive_scales(trap, cfg.continuous_equivalent()).DXs ** 2
+        scale = derive_scales(trap, continuous_feedback(cfg)).DXs ** 2
         diffs.append(abs(var["regular"] - var["poisson"]) / scale)
     assert diffs[0] < 3.0 / 25.0 + 0.06
     assert diffs[1] < 3.0 / 100.0 + 0.06
@@ -385,9 +392,8 @@ def test_kraus_sample_follows_predictive_distribution():
     sigma0 = 1.5
     rng = np.random.default_rng(2)
     n_samp = 40_000
-    x_hat = gen.x_hat.toarray()
-    draws = np.array([loop.kraus_sample(rho, x_hat, sigma0, rng)
-                      for _ in range(n_samp)])
+    kraus = helpers.KrausSector(gen.x_hat.toarray(), gen.p_hat.toarray())
+    draws = kraus.sample(rho, sigma0, rng, n_samp)
     target = cov[0, 0] + sigma0**2
     assert draws.mean() == pytest.approx(mean[0], abs=4 * math.sqrt(target / n_samp))
     assert np.var(draws) == pytest.approx(target, rel=4 * math.sqrt(2.0 / n_samp))
@@ -422,13 +428,14 @@ def test_kraus_backend_agrees_with_gaussian_filter():
 
     sigma0, zeta0, dt = 2.5, 0.05, 0.05
     x_hat, p_hat = gen.x_hat.toarray(), gen.p_hat.toarray()
+    kraus = helpers.KrausSector(x_hat, p_hat)
     phases = np.exp(-1j * gen.h_diag * dt / trap.hbar)
     rng = np.random.default_rng(31)
     for _ in range(40):
         rho = (phases[:, None] * rho) * phases.conj()[None, :]
         filt, x_m = event(filt, rng.normal(), sigma0, zeta0=zeta0, dt=dt)
-        rho = loop.kraus_measure(rho, x_hat, x_m, sigma0)
-        rho = loop.kraus_kick(rho, p_hat, x_m, zeta0, trap.hbar)
+        rho = kraus.measure(rho, x_m, sigma0)
+        rho = kraus.kick(rho, x_m, zeta0, trap.hbar)
 
         mean_x = float(np.trace(x_hat @ rho).real)
         mean_p = float(np.trace(p_hat @ rho).real)

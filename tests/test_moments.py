@@ -241,13 +241,11 @@ def test_evolve_closed_and_rk4_agree():
     st = clean_random_state(rng, 2, 5)
     m0 = moments.init_moments(st, b)
     g = moments.build_generators(trap, FeedbackConfig(shift_rate=0.4, meas_resolution=0.8))
-    a = moments.evolve(m0, g, 7.3, method="closed")
-    bb = moments.evolve(m0, g, 7.3, method="rk4")
+    a = moments.evolve(m0, g, 7.3)
+    bb = helpers.rk4_evolve(m0, g, 7.3)
     scale = max(1.0, np.max(np.abs(a.cov)))
     assert np.max(np.abs(a.cov - bb.cov)) / scale < 1e-8
     assert np.max(np.abs(a.mean - bb.mean)) < 1e-8
-    with pytest.raises(ConfigError):
-        moments.evolve(m0, g, 1.0, method="euler")
     with pytest.raises(ConfigError):
         moments.evolve(m0, g, -1.0)
 
@@ -298,7 +296,7 @@ def test_stationary_cm_matches_closed_form_grid():
             trap = TrapConfig(atom_count=n)
             fb = feedback_for_eta(trap, eta)
             want = derive_scales(trap, fb).DXs
-            got = moments.stationary_cm(moments.build_generators(trap, fb))
+            got = helpers.stationary_cm(moments.build_generators(trap, fb))
             assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -307,7 +305,7 @@ def test_stationary_cm_frozen_example():
     fb = FeedbackConfig(shift_rate=1.0, meas_resolution=math.sqrt(2.0))
     scales = derive_scales(trap, fb)
     assert scales.eta == pytest.approx(0.25)
-    got = moments.stationary_cm(moments.build_generators(trap, fb))
+    got = helpers.stationary_cm(moments.build_generators(trap, fb))
     assert got == pytest.approx(1.0307764064044151, rel=1e-12)
     assert got == pytest.approx(scales.DXs, rel=1e-12)
 
@@ -317,7 +315,7 @@ def test_stationary_cm_requires_damping():
         TrapConfig(atom_count=2), FeedbackConfig(shift_rate=0.0, meas_resolution=1.0)
     )
     with pytest.raises(SingularLyapunov):
-        moments.stationary_cm(g)
+        helpers.stationary_cm(g)
 
 
 # ---------------------------------------------------------------------------

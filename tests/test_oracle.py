@@ -89,9 +89,10 @@ def test_coefficients_degrade_gracefully():
     trap = trap_for(1)
     basis = fock.OrbitalBasis(mode_count=4, trap=trap)
     gen = oracle.build_generator(trap, no_feedback(), basis)
-    assert gen.coefficient("friction") == 0.0
-    assert gen.coefficient("measurement") == 0.0
-    assert gen.coefficient("noise") == 0.0
+    coefficients = oracle._coefficients(gen.trap, gen.fb)
+    assert coefficients["friction"] == 0.0
+    assert coefficients["measurement"] == 0.0
+    assert coefficients["noise"] == 0.0
     # feedback without a finite resolution has infinite kick noise: refused
     with pytest.raises(ConfigError, match="sigma = inf only with zeta = 0"):
         FeedbackConfig(shift_rate=0.5, meas_resolution=math.inf)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from cloudfeedback import fock, search
 from cloudfeedback.errors import ConfigError, NonConvergence
 from cloudfeedback.scales import TrapConfig
@@ -116,7 +117,7 @@ def _fock_route_minimum(alpha, trap):
     from cloudfeedback import criteria
 
     w = trap.trap_freq
-    samples = [search.coherent_sigma_q_fock(alpha, trap, t, cutoff=24)
+    samples = [helpers.coherent_sigma_q_fock(alpha, trap, t, cutoff=24)
                for t in (0.0, math.pi / (4.0 * w), math.pi / (2.0 * w))]
     return criteria.QuadratureHarmonics.from_samples(*samples, omega=w).minimum()
 
@@ -171,20 +172,20 @@ def test_coherent_fock_route_matches_closed_form():
     alpha = displaced_alpha(nbar=2.0, d=1.0, m=10, trap=trap)
     closed = search.coherent_sigma_q(
         alpha, fock.OrbitalBasis(mode_count=10, trap=trap), 0.0)
-    assert search.coherent_sigma_q_fock(alpha, trap, 0.0, cutoff=20) == pytest.approx(
+    assert helpers.coherent_sigma_q_fock(alpha, trap, 0.0, cutoff=20) == pytest.approx(
         closed, abs=1e-9)
     # the spec'd floor cutoff still agrees to the Poisson tail size
-    assert search.coherent_sigma_q_fock(alpha, trap, 0.0, cutoff=12) == pytest.approx(
+    assert helpers.coherent_sigma_q_fock(alpha, trap, 0.0, cutoff=12) == pytest.approx(
         closed, abs=1e-4)
     with pytest.raises(ConfigError):
-        search.coherent_sigma_q_fock(alpha, trap, 0.0, cutoff=8)
+        helpers.coherent_sigma_q_fock(alpha, trap, 0.0, cutoff=8)
     rng = np.random.default_rng(23)
     raw = rng.normal(size=5) + 1j * rng.normal(size=5)
     alpha = math.sqrt(3.0) * raw / np.linalg.norm(raw)
     for t in (0.0, 0.7, 2.1):
         closed = search.coherent_sigma_q(
             alpha, fock.OrbitalBasis(mode_count=5, trap=trap), t)
-        fockv = search.coherent_sigma_q_fock(alpha, trap, t, cutoff=24)
+        fockv = helpers.coherent_sigma_q_fock(alpha, trap, t, cutoff=24)
         assert fockv == pytest.approx(closed, abs=1e-8)
 
 
