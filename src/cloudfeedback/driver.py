@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -264,22 +265,24 @@ def build_state(doc: dict | None, trap: TrapConfig):
         terms = doc.get("terms")
         if not isinstance(terms, list) or not terms:
             raise ConfigError("superposition needs a nonempty terms list")
-        amp = {}
+        amp, given = {}, 0.0
         for term in terms:
             if not isinstance(term, dict):
                 raise ConfigError(f"superposition term must be an object, got {term!r}")
             occ = tuple(_as_occupation(term.get("occupation"), m, trap))
-            amp[occ] = amp.get(occ, 0.0) + _as_complex(term.get("amp"), "term amp")
+            a = _as_complex(term.get("amp"), "term amp")
+            amp[occ] = amp.get(occ, 0.0) + a
+            given = max(given, abs(a.real), abs(a.imag))
         # |amp|^2 overflows from 1.3e154 on: larger amplitudes are first scaled
         # by an exact power of two, and in-range ones keep their bits
         big = max(max(abs(v.real), abs(v.imag)) for v in amp.values())
         if not math.isfinite(big):
             raise ConfigError("superposition amplitudes add up past the float range")
-        vals = list(amp.values())
-        if big > 2.0**500:
-            vals = [v * 2.0 ** -math.frexp(big)[1] for v in vals]
+        scale = 2.0 ** -math.frexp(big)[1] if big > 2.0**500 else 1.0
+        vals = [v * scale for v in amp.values()]
         total = math.sqrt(sum(abs(v) ** 2 for v in vals))
-        if not total >= 1e-12:
+        # cancelled: the summed norm is lost against the largest amplitude given
+        if not total > 1e-12 * scale * given:
             raise ConfigError("superposition terms cancel to zero")
         return fock.FockState(n=trap.atom_count, m=m, occ=list(amp),
                               amp=[v / total for v in vals]), basis
@@ -585,8 +588,13 @@ def cli_main(argv=None) -> int:
         doc = _load_document(args.config) if args.config else {}
         cfg = RunConfig(args.task, doc, overrides)
         start = time.perf_counter()
-        artifact, record = _DISPATCH[args.task](cfg)
+        # warnings go into the record, under the caller's filters: one an
+        # "error" filter turns into an exception still raises
+        with warnings.catch_warnings(record=True) as caught:
+            artifact, record = _DISPATCH[args.task](cfg)
         timings = {"compute": time.perf_counter() - start}
+        if caught:
+            record["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
         (write_json if args.task == "scales" else write_csv)(cfg.out, artifact)
         from . import __version__
 

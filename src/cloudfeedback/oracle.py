@@ -1,19 +1,18 @@
 """Exact oracle: the N-atom master equation on the full Fock-sector density matrix.
 
 Ground truth for the moment propagator and the measurement loop, with no
-Gaussian or weak-coupling shortcuts.  The generator acts on the dense d x d
-rho through sparse (CSR) sector operators, and rho(t) = exp(tL) rho(0) is
-evaluated only at the instants a caller asks for, by the scaled truncated
-Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput. 33:488, 2011).
+Gaussian or weak-coupling shortcuts.  The generator acts on rho through
+sparse (CSR) sector operators, and rho(t) = exp(tL) rho(0) is evaluated
+only at the instants a caller asks for, by the scaled truncated Taylor
+series of Al-Mohy & Higham (SIAM J. Sci. Comput. 33:488, 2011).
 
 The equation conserves the parity of E - E', E = sum_i i n_i the excitation
-of a basis state: X and P move E by one, the rest leaves it.  So a rho(0)
-with no odd entries (ground, Fock, thermal, NOON and squeezed condensates)
-keeps none, and with sparse stacks it is propagated as its two diagonal
-parity blocks, about half the work of the full rho and the same bits in
-every entry.  A rho(0) with odd entries (a displaced condensate), and the
-small sectors whose stacks are dense, take the full rho: two products per
-application, [left; X; P] rho and then [rho, X rho, P rho] [right; Y; Z].
+of a basis state: X and P move E by one, the rest leaves it.  So rho is
+propagated packed by parity (ParityBlocks), as its even entries and, only
+when it has any, its odd ones: a rho(0) with none (ground, Fock, thermal,
+NOON and squeezed condensates) keeps none and costs about half the work.
+The small sectors, whose stacks are dense, propagate rho itself.  Every
+entry has the same bits as on the full rho.
 
 Any atom number is accepted: the sector dimension is capped at d <= 1000
 (N = 3 fits up to M = 17 orbitals, N = 4 up to M = 10 and N = 5 up to
@@ -124,11 +123,10 @@ class LindbladGenerator:
     holds [left; X; P] and [right; Y; Z]^T as CSR, so that L(rho) is two
     sparse products: [left; X; P] rho, then [rho, X rho, P rho] [right; Y; Z]
     (dense ones when the stacks are over a tenth full).  Without feedback
-    Y = Z = 0 and the stacks hold left and right alone.  With sparse stacks,
-    parity holds them once more on the basis ordered by parity, for a rho
-    with no odd entries (see ParityBlocks); with dense ones it is None.
-    shift is trace(L) / d^2 and norm a bound on the 1-norm of L - shift I,
-    the two numbers the Taylor propagator is planned from.
+    Y = Z = 0 and the stacks hold left and right alone.  blocks holds them
+    as they act on the packed rho (see ParityBlocks).  shift is
+    trace(L) / d^2 and norm a bound on the 1-norm of L - shift I, the two
+    numbers the Taylor propagator is planned from.
     """
 
     trap: TrapConfig
@@ -140,7 +138,7 @@ class LindbladGenerator:
     # T_x, T_p, T_x2, T_p2, T_sxp, T_x T_x, T_p T_p and sym(T_x T_p) in COO form
     traced: tuple = field(repr=False)
     stacks: tuple = field(repr=False)
-    parity: ParityBlocks | None = field(repr=False)
+    blocks: ParityBlocks = field(repr=False)
     shift: complex
     norm: float
 
@@ -152,98 +150,98 @@ class LindbladGenerator:
         return moments_from_raw(n, *(t / n for t in traces[:5]), *traces[5:])
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return _apply(self.stacks, np.asarray(rho, dtype=complex))
-
-
-def _apply(stacks: tuple, rho: np.ndarray) -> np.ndarray:
-    # the second product transposed, so that both take a C-ordered block
-    lhs, rhs_t = stacks
-    dim = len(rho)
-    products = (lhs @ rho).reshape(-1, dim, dim)
-    blocks = products.transpose(0, 2, 1).copy()
-    blocks[0] = rho.T
-    return products[0] + (rhs_t @ blocks.reshape(-1, dim)).T
+        return self.blocks.unpack(self.blocks.apply(self.blocks.pack(np.asarray(rho, complex))))
 
 
 @dataclass(frozen=True)
 class ParityBlocks:
-    """The generator's stacks on the basis ordered by parity, even E first.
+    """The generator's stacks on its basis split into classes, and rho packed by them.
 
-    A rho with no odd entries is block diagonal there, and is held packed as
-    one d x w array, w the larger class: its even block in the top left, its
-    odd block below, zeros elsewhere.  Each left factor keeps or flips the
-    class of a row, so [left; X; P] times the packed rho holds the nonzero
-    blocks of left rho, X rho and P rho in the same layout, and the rows of
-    [right; Y; Z]^T of each class need only that class's rows of them.  The
-    rows keep their stored entries in their stored order and only zeros drop
-    out of the sums, so every entry matches the full product to the bit.
+    Dense stacks keep one class, the whole basis, whose packed rho is rho
+    itself.  Sparse stacks split it by the parity of E, even first: left
+    and right keep the class of a state, X, P, Y and Z flip it.  The packed
+    rho is (2 w) x (halves w), w the larger class, the states of class r in
+    rows r w on.  Half c holds, in the rows of class r, the entries of rho
+    whose column is of class r ^ c, zeros padding the rest: half 0 the even
+    entries, half 1 the odd ones, carried only when rho has one.  Then
+    [left; X; P] times the packed rho holds left rho, X rho and P rho in the
+    same slots, and its block of class r and half c meets only the rows of
+    class r ^ c of [right; Y; Z]^T: the second product is block-diagonal.
+    Each row keeps its stored entries in their stored order and only zeros
+    drop out of the sums, so every entry matches the full product to the bit.
     """
 
-    odd: np.ndarray  # per basis state, whether its E is odd
-    lhs: scipy.sparse.csr_matrix = field(repr=False)  # [left; X; P], reordered
-    rhs_even: scipy.sparse.csr_matrix = field(repr=False)  # even rows of [right; Y; Z]^T
-    rhs_odd: scipy.sparse.csr_matrix = field(repr=False)  # odd rows, both on packed columns
+    classes: tuple  # per class, its basis states in order: (all,) or (even, odd)
+    lhs: scipy.sparse.csr_matrix = field(repr=False)  # [left; X; P] on the packed rows
+    rhs: dict = field(repr=False)  # per packed width, [right; Y; Z]^T on its blocks
+    index: np.ndarray | None = field(repr=False)  # flat index in rho per packed entry, d^2: zero
 
     @classmethod
     def build(cls, stacks: tuple, odd: np.ndarray) -> "ParityBlocks":
         import scipy.sparse
 
-        lhs, rhs_t = stacks
-        dim = len(odd)
-        order = np.argsort(odd, kind="stable")
-        even = dim - int(np.count_nonzero(odd))
-        width = max(even, dim - even)
+        (lhs, rhs), dim = stacks, len(odd)
+        if not scipy.sparse.issparse(lhs):
+            return cls(classes=(np.arange(dim),), lhs=lhs, rhs={dim: rhs}, index=None)
+        order, even = np.argsort(odd, kind="stable"), dim - int(np.count_nonzero(odd))
+        classes, width = (order[:even], order[even:]), max(even, dim - even)
         parts = lhs.shape[0] // dim
-        position = np.argsort(order)
-        # where each basis state sits in its own class: its column in the
-        # blocks [rho; X rho; P rho]^T that a row of the second stack meets
-        slot = position - even * odd
-        packed_columns = (np.arange(parts)[:, None] * width + slot).ravel()
+        # each state's slot in its class, and its row in the packed rho
+        slot = np.argsort(order) - even * odd
+        row = slot + width * odd
 
-        def reindexed(stack, rows, columns, count):
-            # rows picked by slicing, which keeps each row's entry order
-            picked = stack[rows]
-            return scipy.sparse.csr_matrix((picked.data, columns[picked.indices], picked.indptr),
-                                           shape=(len(rows), count))
+        def placed(stack, rows, targets, columns, offsets, shape):
+            # rows picked by slicing keep their entry order, set at the targets
+            a = stack[rows]
+            sizes = np.zeros(shape[0] + 1, dtype=np.int64)
+            sizes[targets + 1] = np.diff(a.indptr)
+            columns = columns[a.indices] + np.repeat(offsets, np.diff(a.indptr))
+            return scipy.sparse.csr_matrix((a.data, columns, np.cumsum(sizes)), shape=shape)
 
-        return cls(odd=odd,
-                   lhs=reindexed(lhs, (np.arange(parts)[:, None] * dim + order).ravel(),
-                                 position, dim),
-                   rhs_even=reindexed(rhs_t, order[:even], packed_columns, parts * width),
-                   rhs_odd=reindexed(rhs_t, order[even:], packed_columns, parts * width))
-
-    def holds(self, rho: np.ndarray) -> bool:
-        """Whether rho has no odd entry, so that its two blocks carry it."""
-        return not np.any(rho[self.odd[:, None] != self.odd])
+        stride = np.arange(parts)[:, None]
+        lhs = placed(lhs, (stride * dim + order).ravel(), (stride * 2 * width + row[order]).ravel(),
+                     row, np.zeros(parts * dim, dtype=int), (parts * 2 * width, 2 * width))
+        # the block of class r in half c, half 0 first, meets the rows of class
+        # r ^ c, on the columns of [rho; X rho; P rho]^T of that block
+        meets = np.concatenate([classes[r ^ c] for c in (0, 1) for r in (0, 1)])
+        block = np.repeat(np.arange(4), [len(classes[r ^ c]) for c in (0, 1) for r in (0, 1)])
+        rhs = placed(rhs, meets, block * width + slot[meets], (stride * width + slot).ravel(),
+                     block * parts * width, (4 * width, 4 * parts * width))
+        index = np.full((2 * width, 2 * width), dim * dim)
+        half = (odd[:, None] ^ odd) * width
+        index[row[:, None], half + slot] = np.arange(dim * dim).reshape(dim, dim)
+        return cls(classes, lhs, {width: rhs[:2 * width, :2 * width * parts], 2 * width: rhs},
+                   index)
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
-        even, odd = np.flatnonzero(~self.odd), np.flatnonzero(self.odd)
-        packed = np.zeros((len(rho), max(len(even), len(odd))), dtype=complex)
-        packed[:len(even), :len(even)] = rho[np.ix_(even, even)]
-        packed[len(even):, :len(odd)] = rho[np.ix_(odd, odd)]
-        return packed
+        if self.index is None:
+            return rho
+        packed = np.append(rho, 0.0)[self.index]
+        # the odd half is carried only when rho has an odd entry
+        half = len(packed) // 2
+        return packed if np.any(packed[:, half:]) else packed[:, :half].copy()
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
-        even, odd = np.flatnonzero(~self.odd), np.flatnonzero(self.odd)
-        rho = np.zeros((len(packed), len(packed)), dtype=complex)
-        rho[np.ix_(even, even)] = packed[:len(even), :len(even)]
-        rho[np.ix_(odd, odd)] = packed[len(even):, :len(odd)]
-        return rho
+        if self.index is None:
+            return packed
+        dim = sum(map(len, self.classes))
+        rho = np.zeros(dim * dim + 1, dtype=complex)
+        rho[self.index[:, :packed.shape[1]]] = packed
+        return rho[:-1].reshape(dim, dim)
 
     def apply(self, packed: np.ndarray) -> np.ndarray:
-        """L(rho) packed, from the packed rho: _apply on the two blocks."""
-        a = self.rhs_even.shape[0]
-        dim, width = packed.shape
-        products = (self.lhs @ packed).reshape(-1, dim, width)
-        halves = []
-        for rows, rhs in ((slice(None, a), self.rhs_even), (slice(a, None), self.rhs_odd)):
-            blocks = products[:, rows].transpose(0, 2, 1).copy()
-            blocks[0] = packed[rows].T
-            halves.append((rhs @ blocks.reshape(-1, blocks.shape[2])).T)
+        """L(rho) packed, from the packed rho."""
+        (rows, columns), classes = packed.shape, len(self.classes)
+        width, halves = rows // classes, columns * classes // rows
+        products = (self.lhs @ packed).reshape(-1, classes, width, halves, width)
+        # the second product transposed, so that it takes a C-ordered block
+        blocks = products.transpose(3, 1, 0, 4, 2).copy()
+        blocks[:, :, 0] = packed.reshape(classes, width, halves, width).transpose(2, 0, 3, 1)
+        second = self.rhs[columns] @ blocks.reshape(-1, width)
+        # summed in place: a fresh output array costs more than the sum at d ~ 100
         out = products[0]
-        out[:a, :a] += halves[0]
-        out[a:, :dim - a] += halves[1]
-        return out
+        out += second.reshape(halves, classes, width, width).transpose(1, 3, 0, 2)
+        return out.reshape(rows, columns)
 
 
 def _stacks(x, p, h_diag: np.ndarray, coefficients: tuple):
@@ -324,8 +322,7 @@ def build_generator(trap: TrapConfig, fb: FeedbackConfig, basis: fock.OrbitalBas
     return LindbladGenerator(
         trap=trap, fb=fb, x_hat=x_hat, p_hat=t_p, h_diag=h_diag,
         top_number=occs[:, -1].astype(float), traced=tuple(a.tocoo() for a in traced),
-        stacks=stacks, shift=shift, norm=norm,
-        parity=ParityBlocks.build(stacks, odd) if scipy.sparse.issparse(stacks[0]) else None,
+        stacks=stacks, blocks=ParityBlocks.build(stacks, odd), shift=shift, norm=norm,
     )
 
 
@@ -344,7 +341,7 @@ def _propagate(apply, mu: complex, rho: np.ndarray, h: float,
                degree: int, substeps: int) -> np.ndarray:
     """exp(hL) rho: Al-Mohy & Higham's Algorithm 3.2 on the shifted L - shift I.
 
-    apply is L on the array rho is held in, the full or the packed rho.
+    apply is L on the packed rho.
     """
     scale = h / substeps
     eta = np.exp(mu * scale)
@@ -374,7 +371,7 @@ class OracleTrajectory:
     top_pop: np.ndarray
     min_eig: np.ndarray
     final: np.ndarray  # density matrix at the last instant
-    sectors: int  # 1: rho had no odd entries and its parity blocks ran; 2: the full rho
+    sectors: int  # parity sectors of E - E' carried: 1 the even half alone, 2 all of rho
 
 
 def step_times(trap: TrapConfig, t_max: float, dt: float | None = None) -> np.ndarray:
@@ -403,18 +400,22 @@ def step_times(trap: TrapConfig, t_max: float, dt: float | None = None) -> np.nd
     return times
 
 
-def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
+def integrate(rho0: DensityMatrix, gen: LindbladGenerator,
               times: np.ndarray) -> OracleTrajectory:
     """rho(t) = exp(tL) rho0 at each instant of `times`, with monitors.
 
-    times is a nondecreasing array of instants >= 0, such as a slice of
-    step_times.  Only those instants are formed and checked.  Each emitted
-    state is made Hermitian by conjugate-transpose averaging, propagation
-    goes on from it, and it is checked for trace drift, top-orbital
-    population (TruncationLeak above 1e-6) and its minimum eigenvalue
-    (PositivityLoss below -1e-6).  A rho0 with no odd entries is propagated
-    as its parity blocks when the generator has them, to the same bits.
+    rho0 is a DensityMatrix of the generator's sector (ConfigError
+    otherwise), times a nondecreasing array of instants >= 0, such as a
+    slice of step_times.  Only those instants are formed and checked.  Each
+    emitted state is made Hermitian by conjugate-transpose averaging,
+    propagation goes on from it packed (see ParityBlocks), and it is checked
+    for trace drift, top-orbital population (TruncationLeak above 1e-6) and
+    its minimum eigenvalue (PositivityLoss below -1e-6).
     """
+    if not (isinstance(rho0, DensityMatrix) and rho0.n == gen.trap.atom_count
+            and len(rho0.matrix) == len(gen.h_diag)):
+        raise ConfigError("rho0 must be a DensityMatrix of the generator's sector, "
+                          f"N = {gen.trap.atom_count} and d = {len(gen.h_diag)}")
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or not len(times) or not np.all(np.isfinite(times))
             or times[0] < 0 or np.any(np.diff(times) < 0)):
@@ -429,17 +430,16 @@ def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
                           f"{entries} stored entries at d = {dim}, over the budget of "
                           f"{_PRODUCT_BUDGET} products or {_WORK_BUDGET} multiply-adds")
 
-    rho = np.array(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex)
-    blocks = gen.parity if gen.parity is not None and gen.parity.holds(rho) else None
+    packed = gen.blocks.pack(rho0.matrix)
+    # a packed rho narrower than rho carries the even half alone
+    sectors = 1 if packed.shape[1] < dim else 2
     joint, record = [], []
     for t, h in zip(times, steps):
-        if h > 0 and blocks is None:
-            rho = _propagate(lambda r: _apply(gen.stacks, r), gen.shift, rho, h, *plans[h])
-        elif h > 0:
-            rho = blocks.unpack(_propagate(blocks.apply, gen.shift, blocks.pack(rho), h,
-                                           *plans[h]))
+        if h > 0:
+            packed = _propagate(gen.blocks.apply, gen.shift, packed, h, *plans[h])
+        rho = gen.blocks.unpack(packed)
         rho = 0.5 * (rho + rho.conj().T)
-
+        packed = gen.blocks.pack(rho)
         top = float(np.sum(gen.top_number * np.diag(rho).real))
         if top > 1e-6:
             raise TruncationLeak(f"top-orbital population {top:.3e} at t={t:.6f}")
@@ -456,7 +456,7 @@ def integrate(rho0: DensityMatrix | np.ndarray, gen: LindbladGenerator,
     return OracleTrajectory(
         times=times, joint=tuple(joint), mean_X=mean_x, var_X=var_x, dx=dx,
         trace_err=trace_err, top_pop=top_pop, min_eig=min_eig, final=rho,
-        sectors=2 if blocks is None else 1,
+        sectors=sectors,
     )
 
 

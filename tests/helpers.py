@@ -6,7 +6,7 @@ are Kronecker sums, and expectations are dense matrix products.
 Exponentially sized, so only for small N and M; used to pin frozen values.
 The others are second routes to what the package computes one way:
   * `reference_integrate`: the oracle's propagation on the full density
-    matrix, the bits its parity-block route must reproduce;
+    matrix, the bits its packed propagation must reproduce;
   * `rk4_evolve`: the moment flow by fixed-step RK4, against the closed form;
   * `stationary_cm`: the stationary center-of-mass spread from a Lyapunov
     solve, against the closed-form DXs;

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -306,6 +307,47 @@ def test_cli_broken_pipe_is_quiet():
     assert proc.stdout.startswith("t,mean_x")
     assert "BrokenPipeError" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+def test_cli_warning_joins_the_one_line_record(tmp_path):
+    # gamma below 20 omega warns; the warning goes into the record, so that
+    # stderr still holds the one JSON line
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"task": {"t_max": 1, "trajectories": 4}}))
+    argv = ["loop", "--n", "1", "--gamma", "10", "--sigma0", "5", "--zeta0", "0.002",
+            "--config", str(cfg)]
+    inner = (f"import sys; sys.argv = ['cloudfeedback', *{argv!r}];"
+             " from cloudfeedback.driver import main; main()")
+    proc = subprocess.run([sys.executable, "-c", inner], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["warnings"] == [
+        "TimescaleViolation: gamma 10.0 below 20 omega: loop is not fast relative to the trap"]
+
+
+def test_cli_records_warnings_under_the_callers_filters(monkeypatch):
+    def warns(cfg):
+        warnings.warn("overflow in a stand-in kernel", RuntimeWarning)
+        return {"a": 1.0}, {}
+
+    monkeypatch.setitem(driver._DISPATCH, "scales", warns)
+    argv = ["scales", "--n", "2", "--zeta", "1", "--sigma", "0.5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code, _, err = run_cli(argv)
+    assert code == 0
+    assert json.loads(err)["warnings"] == ["RuntimeWarning: overflow in a stand-in kernel"]
+    # an "error" filter still raises, and an "ignore" filter leaves no key
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="stand-in"):
+            run_cli(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, _, err = run_cli(argv)
+    assert code == 0 and "warnings" not in json.loads(err)
 
 
 def test_cli_scales_spot_value():
@@ -607,6 +649,25 @@ def test_cli_superposition_amplitudes_past_sqrt_of_float_max(tmp_path):
         assert len(err.splitlines()) == 1
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_cli_superposition_small_amplitude_is_not_cancellation(tmp_path):
+    # cancellation is judged against the largest amplitude given: a lone
+    # 1e-13 is the state of 1, while 1 and -1 on one occupation cancel
+    def run(*amps):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "n": 2, "zeta": 0.5, "sigma": 0.7, "task": {"samples": 9},
+            "state": {"kind": "superposition", "m": 3,
+                      "terms": [{"occupation": [2, 0, 0], "amp": a} for a in amps]}}))
+        return run_cli(["criteria", "--config", str(cfg)])
+
+    code, small, _ = run([1e-13, 0])
+    assert code == 0
+    assert small == run([1, 0])[1]
+    code, out, err = run([1, 0], [-1, 0])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["detail"] == "superposition terms cancel to zero"
 
 
 def test_cli_criteria_emits_curve_and_report(tmp_path):

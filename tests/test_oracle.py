@@ -14,7 +14,7 @@ from cloudfeedback.errors import (
 )
 from cloudfeedback.scales import FeedbackConfig, TrapConfig, derive_scales
 
-from helpers import random_fock_amplitudes, reference_integrate
+from helpers import _full_apply, random_fock_amplitudes, reference_integrate
 
 
 def trap_for(n):
@@ -173,7 +173,8 @@ def test_unitary_limit_oscillates_and_conserves_energy():
     energies = []
     rho = oracle.DensityMatrix.from_state(state, basis).matrix
     for _ in range(6):
-        t = oracle.integrate(rho, gen, oracle.step_times(trap, math.pi, 2 * math.pi / 1000))
+        t = oracle.integrate(oracle.DensityMatrix(rho, basis, 2), gen,
+                             oracle.step_times(trap, math.pi, 2 * math.pi / 1000))
         rho = t.final
         energies.append(float(np.sum(gen.h_diag * np.diag(rho).real)))
     spread = max(energies) - min(energies)
@@ -250,12 +251,18 @@ def test_generator_conserves_excitation_parity(n, m):
             out = gen.apply(np.where(kept, rho, 0.0))
             assert np.all(out[~kept] == 0.0)
             assert np.all(np.isfinite(out)) and np.any(out[kept] != 0.0)
-        if gen.parity is not None:
-            blocks = gen.parity
-            even = np.where(~odd, rho, 0.0)
-            assert blocks.holds(even) and not blocks.holds(rho)
+        blocks, even = gen.blocks, np.where(~odd, rho, 0.0)
+        if len(blocks.classes) == 2:
+            # the even entries pack as one half, rho with its odd ones as two
+            assert 2 * blocks.pack(even).shape[1] == blocks.pack(rho).shape[1]
             assert np.array_equal(blocks.unpack(blocks.apply(blocks.pack(even))),
                                   gen.apply(even))
+        else:
+            assert blocks.pack(even) is even and blocks.pack(rho) is rho
+        # one kernel for both parities, to the bit of the full product
+        out = blocks.unpack(blocks.apply(blocks.pack(rho)))
+        assert np.array_equal(out, gen.apply(rho))
+        assert np.array_equal(out, _full_apply(gen.stacks, rho))
 
 
 def _start(basis, n, start):
@@ -280,8 +287,9 @@ def _start(basis, n, start):
 @pytest.mark.parametrize("n, m, start", [
     (2, 10, "ground"), (3, 6, "ground"), (4, 5, "ground"), (3, 6, (2, 1)),
     (2, 10, "noon"), (2, 10, "thermal"), (2, 10, "squeezed"), (3, 6, "displaced"),
+    (2, 10, "displaced"), (2, 16, "displaced"), (2, 8, "ground"),
 ], ids=["n2-ground", "n3-ground", "n4-ground", "n3-fock", "n2-noon", "n2-thermal",
-        "n2-squeezed", "n3-displaced"])
+        "n2-squeezed", "n3-displaced", "n2-displaced", "n2-m16-displaced", "n2-dense"])
 def test_parity_blocks_reproduce_the_full_rho_to_the_bit(n, m, start):
     trap = trap_for(n)
     basis = fock.OrbitalBasis(mode_count=m, trap=trap)
@@ -291,8 +299,9 @@ def test_parity_blocks_reproduce_the_full_rho_to_the_bit(n, m, start):
     times = oracle.step_times(trap, 0.6)[::10]
     traj = oracle.integrate(rho0, gen, times)
     want = reference_integrate(rho0, gen, times)
-    # a displaced condensate has odd entries, so it keeps the full rho
-    assert traj.sectors == (2 if start == "displaced" else 1)
+    # a displaced condensate carries its odd half too, and the dense stacks
+    # of N = 2 over eight orbitals propagate rho itself
+    assert traj.sectors == (2 if start == "displaced" or m == 8 else 1)
     for f in dataclasses.fields(traj):
         got, ref = getattr(traj, f.name), getattr(want, f.name)
         if f.name == "joint":
@@ -300,6 +309,24 @@ def test_parity_blocks_reproduce_the_full_rho_to_the_bit(n, m, start):
                        for a, b in zip(got, ref, strict=True))
         elif f.name != "sectors":
             assert np.array_equal(got, ref), f.name
+
+
+def test_integrate_takes_a_density_matrix_of_its_sector_only():
+    trap = trap_for(2)
+    basis = fock.OrbitalBasis(mode_count=10, trap=trap)
+    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis)
+    times = oracle.step_times(trap, 0.1)
+    # a bare eye(55) of trace 55 read as a leak, and eye(3) / 3 raised IndexError
+    for bare in (np.eye(55), np.eye(3) / 3):
+        with pytest.raises(ConfigError, match="DensityMatrix"):
+            oracle.integrate(bare, gen, times)
+    # another sector: N = 2 over six orbitals, and N = 1 over 55 of the same d
+    six, wide = (fock.OrbitalBasis(mode_count=6, trap=trap),
+                 fock.OrbitalBasis(mode_count=55, trap=trap_for(1)))
+    for rho in (oracle.DensityMatrix(np.eye(21) / 21, six, 2),
+                oracle.DensityMatrix(np.eye(55) / 55, wide, 1)):
+        with pytest.raises(ConfigError, match="sector"):
+            oracle.integrate(rho, gen, times)
 
 
 def test_instants_asked_for_match_the_full_clock():
