@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fock
-from .errors import NegativeRadicand
+from .errors import ConfigError, NegativeRadicand
 from .scales import DerivedScales
 
 
@@ -125,15 +125,20 @@ def quadrature_harmonics(state: fock.FockState,
                                             omega=basis.trap.trap_freq)
 
 
+def _settled_size(scales: DerivedScales, spread: float, what: str) -> float:
+    try:
+        rad = scales.DXs**2 + spread
+    except OverflowError:
+        raise ConfigError(f"DXs^2 = {scales.DXs!r}^2 leaves the float range") from None
+    if rad < 0.0:
+        raise NegativeRadicand(f"DXs^2 + {what} = {rad!r} < 0; asymptotic form does not apply")
+    return math.sqrt(rad)
+
+
 def asymptotic_cloud_size(scales: DerivedScales, h: QuadratureHarmonics,
                           t: float) -> float:
     """Cloud size once the center of mass has settled: sqrt(DXs^2 + sigma_q_sq(t))."""
-    rad = scales.DXs**2 + h.value(t)
-    if rad < 0.0:
-        raise NegativeRadicand(
-            f"DXs^2 + sigma_q_sq(t) = {rad!r} < 0; asymptotic form does not apply"
-        )
-    return math.sqrt(rad)
+    return _settled_size(scales, h.value(t), "sigma_q_sq(t)")
 
 
 def evaluate_criteria(scales: DerivedScales, h: QuadratureHarmonics) -> CriterionReport:
@@ -144,12 +149,7 @@ def evaluate_criteria(scales: DerivedScales, h: QuadratureHarmonics) -> Criterio
     """
     min_sigma = h.minimum()
     t_star = h.argmin()
-    rad = scales.DXs**2 + min_sigma
-    if rad < 0.0:
-        raise NegativeRadicand(
-            f"DXs^2 + min sigma_q_sq = {rad!r} < 0; asymptotic form does not apply"
-        )
-    min_dxa = math.sqrt(rad)
+    min_dxa = _settled_size(scales, min_sigma, "min sigma_q_sq")
 
     notes = []
     scale = abs(h.A) + math.hypot(h.B, h.C) + scales.dx0**2

@@ -1,16 +1,17 @@
 """Command line and file plumbing: one JSON config in, CSV/JSON artifacts out.
 
-The config is a single document whose top-level keys the CLI flags mirror
-one to one (--n, --zeta, --gamma, ...); flags win over the file.  Physical
-defaults are hbar = m = omega = 1.  Each subcommand computes and returns
-its artifact (named CSV columns, or the scales document) and the fields of
-its run record; `cli_main` alone writes them: the artifact, then one stderr
-JSON line with the task, version, seed and timings.  Numeric CSV cells are
-printed with 12 significant digits under a fixed header, so a seeded rerun
-of any subcommand reproduces its artifact byte for byte.
+Parse, compute, emit.  `RunConfig` parses every key of the config (its
+top-level keys, which the CLI flags --n, --zeta, ... mirror and override,
+and its task section) into a typed value, from one key table and one task
+registry.  The subcommand computes its artifact (named CSV columns, or the
+scales document) and its run record's fields.  `cli_main` alone writes the
+artifact, a search's `state_out`, then one stderr JSON line.  Physical
+defaults are hbar = m = omega = 1.  CSV cells carry 12 significant digits
+under a fixed header, so a seeded rerun reproduces its artifact byte for byte.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 when the numerics
-refuse (positivity loss, truncation leak, failed search, a non-finite cell).
+Exit codes: 0 on success, 2 for configuration problems (the command line
+included), 3 when the numerics refuse (positivity loss, truncation leak,
+failed search, a non-finite cell).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import os
 import sys
 import time
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,29 +34,11 @@ from .errors import ConfigError, NonFiniteCell, ToolkitError
 from .scales import (DerivedScales, FeedbackConfig, TrapConfig, classify_regime,
                      continuous_limit_params, derive_scales, same_feedback)
 
-TASKS = ("scales", "criteria", "evolve", "oracle", "loop", "scan", "search")
-
-_TOP_KEYS = frozenset({
-    "n", "mass", "omega", "hbar", "zeta", "sigma", "gamma", "sigma0", "zeta0",
-    "seed", "out", "state", "task",
-})
-
 _STATE_KEYS = {
     "condensate": {"kind", "m", "displacement", "squeeze", "orbital"},
     "occupation": {"kind", "occupation"},
     "superposition": {"kind", "m", "terms"},
     "thermal": {"kind", "m", "temperature", "cutoff"},
-}
-
-_TASK_PARAMS = {
-    "scales": frozenset(),
-    "criteria": frozenset({"samples", "include_transient"}),
-    "evolve": frozenset({"engine", "t_max", "samples"}),
-    "oracle": frozenset({"t_max", "dt", "stride"}),
-    "loop": frozenset({"t_max", "schedule", "trajectories", "record_stride"}),
-    "scan": frozenset({"eta_min", "eta_max", "steps"}),
-    "search": frozenset({"m", "family", "restarts", "max_iter", "tol",
-                         "state_out"}),
 }
 
 # most rows a criteria, evolve or scan grid may ask for, checked before the
@@ -70,7 +54,8 @@ _MOMENT_HEADER = [
 
 
 # ---------------------------------------------------------------------------
-# configuration assembly
+# configuration: the key parsers, (value, key) -> typed value or ConfigError,
+# and the key table; RunConfig parses every key before any subcommand runs
 
 
 def _load_document(path: str) -> dict:
@@ -81,9 +66,7 @@ def _load_document(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config root must be a JSON object, got {type(doc).__name__}")
-    return doc
+    return _as_object(doc, "config root")
 
 
 def _as_int(value, key: str) -> int:
@@ -96,18 +79,55 @@ def _as_int(value, key: str) -> int:
     return int(value)
 
 
-def _as_rows(value, key: str) -> int:
-    """The row count of a CSV grid: an integer in [2, _GRID_ROWS]."""
-    rows = _as_int(value, key)
-    if not 2 <= rows <= _GRID_ROWS:
-        raise ConfigError(f"{key} must be in [2, {_GRID_ROWS}], got {rows!r}")
-    return rows
+def _int_in(low: int, high: float = math.inf):
+    """The parser of an integer in [low, high]."""
+    def parse(value, key: str) -> int:
+        number = _as_int(value, key)
+        if not low <= number <= high:
+            raise ConfigError(f"{key} must be in [{low}, {high}], got {number!r}")
+        return number
+    return parse
+
+
+_as_rows = _int_in(2, _GRID_ROWS)  # the row count of a CSV grid
 
 
 def _as_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _as_t_max(value, key: str) -> float:
+    t_max = _as_float(value, key)
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ConfigError(f"{key} must be finite and > 0, got {t_max!r}")
+    return t_max
+
+
+def _of_type(kind: type, what: str):
+    """The parser of a value of one JSON type, called `what` when refused."""
+    def parse(value, key: str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{key} must be {what}, got {type(value).__name__}")
+        return value
+    return parse
+
+
+_as_bool, _as_str = _of_type(bool, "true or false"), _of_type(str, "a string")
+_as_path, _as_object = _of_type(str, "a path string"), _of_type(dict, "an object")
+
+
+def _as_engine(value, key: str) -> str:
+    if value != "moments":
+        raise ConfigError(f"evolve runs the moment flow (engine moments), got engine "
+                          f"{value!r}; the exact oracle is the oracle subcommand")
+    return value
+
+
+def _or_none(parse):
+    """The parser of a key that a JSON null leaves absent."""
+    return lambda value, key: None if value is None else parse(value, key)
 
 
 def _as_occupation(occ, m: int | None, trap: TrapConfig) -> list:
@@ -131,45 +151,70 @@ def _as_complex(pair, key: str) -> complex:
     return value
 
 
+class _Key(NamedTuple):
+    default: object  # read when the key is absent; a function of the trap if it depends on it
+    parse: Callable  # (value, key) -> typed value
+    flag: type | None = None  # type of the --key flag; None: no flag
+    help: str = ""
+
+
+# every top-level key; the flags, their overrides and the unknown-key check
+# all come from here
+_KEYS = {
+    "n": _Key(1, _as_int, int, "atom count"),
+    "mass": _Key(1.0, _as_float, float, "atom mass"),
+    "omega": _Key(1.0, _as_float, float, "trap frequency"),
+    "hbar": _Key(1.0, _as_float, float, "reduced Planck constant"),
+    "zeta": _Key(None, _or_none(_as_float), float, "feedback shift rate"),
+    "sigma": _Key(None, _or_none(_as_float), float, "integrated measurement resolution"),
+    "gamma": _Key(None, _or_none(_as_float), float, "loop event rate"),
+    "sigma0": _Key(None, _or_none(_as_float), float, "single-shot resolution"),
+    "zeta0": _Key(None, _or_none(_as_float), float, "single-shot kick gain"),
+    "seed": _Key(0, _int_in(0), int, "rng seed"),
+    "out": _Key(None, _or_none(_as_path), str, "output artifact path (default stdout)"),
+    "state": _Key(None, _or_none(_as_object)),
+    "task": _Key({}, _as_object),
+}
+
+# what a task may need besides its keys, as a refusal names it
+_NEEDS = {"feedback": "feedback parameters (zeta and sigma, or the discrete triple)",
+          "discrete": "the discrete triple gamma, sigma0, zeta0",
+          "t_max": "task parameter t_max"}
+
+
+def _parsed(keys: dict, section: dict, what: str, trap: TrapConfig | None = None) -> dict:
+    """Each key of a table parsed from the section, or from its default."""
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    values = {}
+    for key, spec in keys.items():
+        value = section.get(key, spec.default)
+        values[key] = spec.parse(value(trap) if callable(value) else value, key)
+    return values
+
+
 class RunConfig:
-    """Validated run description: trap, optional feedback forms, state, task."""
+    """Validated run description: trap, optional feedback forms, state, and in
+    params every key of the task, parsed, with its default where it is absent."""
 
     def __init__(self, task: str, doc: dict, overrides: dict):
-        if task not in TASKS:
+        spec = _TASKS.get(task)
+        if spec is None:
             raise ConfigError(f"unknown task {task!r}")
-        unknown = set(doc) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged = dict(doc)
-        merged.update({k: v for k, v in overrides.items() if v is not None})
+        top = _parsed(_KEYS, {**doc, **{k: v for k, v in overrides.items() if v is not None}},
+                      "config")
 
         self.task = task
-        self.trap = TrapConfig(
-            atom_count=_as_int(merged.get("n", 1), "n"),
-            mass=_as_float(merged.get("mass", 1.0), "mass"),
-            trap_freq=_as_float(merged.get("omega", 1.0), "omega"),
-            hbar=_as_float(merged.get("hbar", 1.0), "hbar"),
-        )
+        self.trap = TrapConfig(atom_count=top["n"], mass=top["mass"],
+                               trap_freq=top["omega"], hbar=top["hbar"])
 
-        zeta = merged.get("zeta")
-        sigma = merged.get("sigma")
-        gamma = merged.get("gamma")
-        sigma0 = merged.get("sigma0")
-        zeta0 = merged.get("zeta0")
-        discrete = [v for v in (gamma, sigma0, zeta0) if v is not None]
-        if discrete and len(discrete) < 3:
-            raise ConfigError("gamma, sigma0 and zeta0 must be given together")
-        self.discrete = None
-        if discrete:
-            self.discrete = (_as_float(gamma, "gamma"), _as_float(sigma0, "sigma0"),
-                             _as_float(zeta0, "zeta0"))
-
-        if (zeta is None) != (sigma is None):
-            raise ConfigError("zeta and sigma must be given together")
-        self.feedback = None
-        if zeta is not None:
-            self.feedback = FeedbackConfig(shift_rate=_as_float(zeta, "zeta"),
-                                           meas_resolution=_as_float(sigma, "sigma"))
+        pair, triple = (top["zeta"], top["sigma"]), (top["gamma"], top["sigma0"], top["zeta0"])
+        for group, names in ((pair, "zeta and sigma"), (triple, "gamma, sigma0 and zeta0")):
+            if None in group and set(group) != {None}:
+                raise ConfigError(f"{names} must be given together")
+        self.feedback = None if None in pair else FeedbackConfig(*pair)
+        self.discrete = None if None in triple else triple
         if self.discrete:
             sigma, zeta = continuous_limit_params(*self.discrete)
             limit = FeedbackConfig(shift_rate=zeta, meas_resolution=sigma)
@@ -179,40 +224,12 @@ class RunConfig:
                 raise ConfigError("discrete triple inconsistent with (zeta, sigma): "
                                   f"expected ({zeta!r}, {sigma!r})")
 
-        state = merged.get("state")
-        if state is not None and not isinstance(state, dict):
-            raise ConfigError(f"state must be an object, got {type(state).__name__}")
-        self.state_doc = state
-
-        tdoc = merged.get("task", {})
-        if not isinstance(tdoc, dict):
-            raise ConfigError(f"task section must be an object, got {type(tdoc).__name__}")
-        name = tdoc.get("name")
+        self.state_doc, self.seed, self.out = top["state"], top["seed"], top["out"]
+        name = top["task"].get("name")
         if name is not None and name != task:
             raise ConfigError(f"config task name {name!r} does not match subcommand {task!r}")
-        self.params = {k: v for k, v in tdoc.items() if k != "name"}
-        stray = set(self.params) - _TASK_PARAMS[task]
-        if stray:
-            raise ConfigError(f"unknown {task} task keys: {sorted(stray)}")
-
-        self.seed = _as_int(merged.get("seed", 0), "seed")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        out = merged.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError(f"out must be a path string, got {out!r}")
-        self.out = out
-
-    def require_feedback(self) -> FeedbackConfig:
-        if self.feedback is None:
-            raise ConfigError(
-                f"task {self.task!r} needs feedback parameters "
-                "(zeta and sigma, or the discrete triple)"
-            )
-        return self.feedback
-
-    def param(self, key: str, default=None):
-        return self.params.get(key, default)
+        self.params = _parsed(spec.keys, {k: v for k, v in top["task"].items() if k != "name"},
+                              f"{task} task", self.trap)
 
 
 def _state_basis(doc: dict | None, trap: TrapConfig) -> tuple[dict, fock.OrbitalBasis]:
@@ -267,8 +284,7 @@ def build_state(doc: dict | None, trap: TrapConfig):
             raise ConfigError("superposition needs a nonempty terms list")
         amp, given = {}, 0.0
         for term in terms:
-            if not isinstance(term, dict):
-                raise ConfigError(f"superposition term must be an object, got {term!r}")
+            term = _as_object(term, "superposition term")
             occ = tuple(_as_occupation(term.get("occupation"), m, trap))
             a = _as_complex(term.get("amp"), "term amp")
             amp[occ] = amp.get(occ, 0.0) + a
@@ -344,8 +360,8 @@ def scan_eta(trap: TrapConfig, zeta: float, eta_min: float, eta_max: float,
     steps = _as_rows(steps, "steps")
     if not (eta_min > 0 and eta_max > eta_min and math.isfinite(eta_max)):
         raise ConfigError(f"need 0 < eta_min < eta_max, got ({eta_min!r}, {eta_max!r})")
-    if not zeta > 0:
-        raise ConfigError(f"scan needs zeta > 0, got {zeta!r}")
+    if not zeta * eta_min > 0:  # the smallest zeta * eta, which must not underflow to 0
+        raise ConfigError(f"scan needs zeta > 0 and zeta * eta_min > 0, got zeta {zeta!r}")
     dx0_sq = trap.hbar / (2.0 * trap.atom_count * trap.mass * trap.trap_freq)
 
     def point(eta: float) -> dict:
@@ -362,7 +378,7 @@ def scan_eta(trap: TrapConfig, zeta: float, eta_min: float, eta_max: float,
 def _curve_inputs(trap: TrapConfig, fb: FeedbackConfig, samples,
                   include_transient: bool) -> tuple:
     """(times, scales, moment generators or None) of a curve; needs no state."""
-    times = np.linspace(0.0, math.pi / trap.trap_freq, _as_rows(samples, "samples"))
+    times = np.linspace(0.0, math.pi / trap.trap_freq, samples)
     g = moments.build_generators(trap, fb) if include_transient else None
     return times, derive_scales(trap, fb), g
 
@@ -392,59 +408,41 @@ def _moment_columns(times, joint) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (artifact, record fields) and writes nothing
+# subcommands: each computes from cfg.params and returns (artifact, record
+# fields, searched state document or None); it writes nothing
 
 
-def _cmd_scales(cfg: RunConfig) -> tuple[dict, dict]:
-    s = derive_scales(cfg.trap, cfg.require_feedback())
-    return {k: float(f"{v:.15g}") for k, v in s.to_dict().items()}, {}
+def _cmd_scales(cfg: RunConfig) -> tuple:
+    s = derive_scales(cfg.trap, cfg.feedback)
+    return {k: float(f"{v:.15g}") for k, v in s.to_dict().items()}, {}, None
 
 
-def _cmd_criteria(cfg: RunConfig) -> tuple[dict, dict]:
-    fb = cfg.require_feedback()
-    include_transient = cfg.param("include_transient", False)
-    if not isinstance(include_transient, bool):
-        raise ConfigError(f"include_transient must be true or false, got {include_transient!r}")
-    times, s, g = _curve_inputs(cfg.trap, fb, cfg.param("samples", 129), include_transient)
+def _cmd_criteria(cfg: RunConfig) -> tuple:
+    p = cfg.params
+    times, s, g = _curve_inputs(cfg.trap, cfg.feedback, p["samples"], p["include_transient"])
     state, basis = build_state(cfg.state_doc, cfg.trap)
     h = criteria.quadrature_harmonics(state, basis)
     report = criteria.evaluate_criteria(s, h)
     return _curve(h, state, basis, times, s, g), {
-        **report.to_dict(), "min_sigma_q_sq": report.min_sigma_q_sq, "notes": list(report.notes)}
+        **report.to_dict(), "min_sigma_q_sq": report.min_sigma_q_sq,
+        "notes": list(report.notes)}, None
 
 
-def _cmd_evolve(cfg: RunConfig) -> tuple[dict, dict]:
-    engine = cfg.param("engine", "moments")
-    if engine != "moments":
-        raise ConfigError(f"evolve runs the moment flow (engine moments), got engine "
-                          f"{engine!r}; the exact oracle is the oracle subcommand")
-    fb = cfg.require_feedback()
-    t_max = _as_float(cfg.param("t_max", 6.0 * math.pi / cfg.trap.trap_freq), "t_max")
-    samples = _as_rows(cfg.param("samples", 301), "samples")
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise ConfigError(f"t_max must be finite and > 0, got {t_max!r}")
-    g = moments.build_generators(cfg.trap, fb)
+def _cmd_evolve(cfg: RunConfig) -> tuple:
+    g = moments.build_generators(cfg.trap, cfg.feedback)
     state, basis = build_state(cfg.state_doc, cfg.trap)
     m0 = moments.init_moments(state, basis)
-    times = np.linspace(0.0, t_max, samples)
-    return _moment_columns(times, [moments.evolve(m0, g, t) for t in times.tolist()]), {}
+    times = np.linspace(0.0, cfg.params["t_max"], cfg.params["samples"])
+    return _moment_columns(times, [moments.evolve(m0, g, t) for t in times.tolist()]), {}, None
 
 
-def _cmd_oracle(cfg: RunConfig) -> tuple[dict, dict]:
-    fb = cfg.require_feedback()
-    t_max = _as_float(cfg.param("t_max", 6.0 * math.pi / cfg.trap.trap_freq), "t_max")
-    if not t_max > 0:
-        raise ConfigError(f"t_max must be > 0, got {t_max!r}")
-    dt = cfg.param("dt")
-    stride = _as_int(cfg.param("stride", 10), "stride")
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride!r}")
+def _cmd_oracle(cfg: RunConfig) -> tuple:
+    p = cfg.params
     # every stride-th instant of the step clock, and nothing in between
-    times = oracle.step_times(cfg.trap, t_max,
-                              None if dt is None else _as_float(dt, "dt"))[::stride]
+    times = oracle.step_times(cfg.trap, p["t_max"], p["dt"])[::p["stride"]]
     start = time.perf_counter()
     # the generator refuses an oversized sector before the state is enumerated
-    gen = oracle.build_generator(cfg.trap, fb, _state_basis(cfg.state_doc, cfg.trap)[1])
+    gen = oracle.build_generator(cfg.trap, cfg.feedback, _state_basis(cfg.state_doc, cfg.trap)[1])
     rho0 = oracle.DensityMatrix.from_state(*build_state(cfg.state_doc, cfg.trap))
     built = time.perf_counter()
     traj = oracle.integrate(rho0, gen, times)
@@ -458,68 +456,42 @@ def _cmd_oracle(cfg: RunConfig) -> tuple[dict, dict]:
                    "max_top_pop": float(traj.top_pop.max()),
                    "min_eigenvalue": float(traj.min_eig.min()),
                    "sectors": traj.sectors},
-    }
+    }, None
 
 
-def _cmd_loop(cfg: RunConfig) -> tuple[dict, dict]:
-    if cfg.discrete is None:
-        raise ConfigError("loop needs the discrete triple gamma, sigma0, zeta0")
-    gamma, sigma0, zeta0 = cfg.discrete
-    t_max = cfg.param("t_max")
-    if t_max is None:
-        raise ConfigError("loop needs task parameter t_max")
-    t_max = _as_float(t_max, "t_max")
-    record_stride = _as_int(cfg.param("record_stride", 1), "record_stride")
-    lcfg = loop.LoopConfig(
-        gamma=gamma, sigma0=sigma0, zeta0=zeta0,
-        schedule=cfg.param("schedule", "regular"),
-        rng_seed=cfg.seed,
-        trajectories=_as_int(cfg.param("trajectories", 1000), "trajectories"),
-    )
-    loop.plan_run(lcfg, cfg.trap, t_max, record_stride)
+def _cmd_loop(cfg: RunConfig) -> tuple:
+    p = cfg.params
+    lcfg = loop.LoopConfig(*cfg.discrete, schedule=p["schedule"], rng_seed=cfg.seed,
+                           trajectories=p["trajectories"])
+    loop.plan_run(lcfg, cfg.trap, p["t_max"], p["record_stride"])
     state, basis = build_state(cfg.state_doc, cfg.trap)
     init = moments.init_moments(state, basis)
-    traj = loop.run_ensemble(init, lcfg, cfg.trap, t_max, record_stride=record_stride)
+    traj = loop.run_ensemble(init, lcfg, cfg.trap, p["t_max"], record_stride=p["record_stride"])
     # n_events holds the ensemble's mean count; the column prints its whole part
     return {"t": traj.times, "mean_X": traj.mean_X, "var_X": traj.var_X,
             "mean_P": traj.mean_P, "var_P": traj.var_P,
-            "n_events": traj.n_events.astype(int)}, traj.summary()
+            "n_events": traj.n_events.astype(int)}, traj.summary(), None
 
 
-def _cmd_scan(cfg: RunConfig) -> tuple[dict, dict]:
+def _cmd_scan(cfg: RunConfig) -> tuple:
+    p = cfg.params
     zeta = cfg.feedback.shift_rate if cfg.feedback is not None else 1.0
-    rows = scan_eta(
-        cfg.trap,
-        zeta,
-        _as_float(cfg.param("eta_min", 1e-2), "eta_min"),
-        _as_float(cfg.param("eta_max", 1e2), "eta_max"),
-        cfg.param("steps", 25),
-    )
-    return {key: [row[key] for row in rows] for key in rows[0]}, {}
+    rows = scan_eta(cfg.trap, zeta, p["eta_min"], p["eta_max"], p["steps"])
+    return {key: [row[key] for row in rows] for key in rows[0]}, {}, None
 
 
-def _cmd_search(cfg: RunConfig) -> tuple[dict, dict]:
-    state_out = cfg.param("state_out")
-    if state_out is not None and not isinstance(state_out, str):
-        raise ConfigError(f"state_out must be a path string, got {state_out!r}")
-    spec = search.SearchSpec(
-        n=cfg.trap.atom_count,
-        m=_as_int(cfg.param("m", 3), "m"),
-        family=cfg.param("family", "fixed_N_pure"),
-        restarts=_as_int(cfg.param("restarts", 8), "restarts"),
-        max_iter=_as_int(cfg.param("max_iter", 20000), "max_iter"),
-        tol=_as_float(cfg.param("tol", 1e-9), "tol"),
-        seed=cfg.seed,
-    )
+def _cmd_search(cfg: RunConfig) -> tuple:
+    p = cfg.params
+    spec = search.SearchSpec(n=cfg.trap.atom_count, m=p["m"], family=p["family"],
+                             restarts=p["restarts"], max_iter=p["max_iter"], tol=p["tol"],
+                             seed=cfg.seed)
     state, value, report = search.search_state(spec, cfg.trap)
-    if state_out is not None:
-        if isinstance(state, fock.FockState):
-            doc = fock.state_to_dict(state)
-        else:
-            doc = {"family": spec.family,
-                   "alpha": [[float(a.real), float(a.imag)] for a in state],
-                   "mean_n": float(np.vdot(state, state).real)}
-        write_json(state_out, doc)
+    doc = None
+    if p["state_out"] is not None:
+        doc = (fock.state_to_dict(state) if isinstance(state, fock.FockState) else
+               {"family": spec.family,
+                "alpha": [[float(a.real), float(a.imag)] for a in state],
+                "mean_n": float(np.vdot(state, state).real)})
     rows = report["rows"]
     return {key: [row[key] for row in rows] for key in rows[0]}, {
         "family": spec.family,
@@ -528,17 +500,37 @@ def _cmd_search(cfg: RunConfig) -> tuple[dict, dict]:
         "evaluations": report["evaluations"],
         "timings_s": report["timings_s"],
         "health": {"converged": sum(r["converged"] for r in rows)},
-    }
+    }, doc
 
 
-_DISPATCH = {
-    "scales": _cmd_scales,
-    "criteria": _cmd_criteria,
-    "evolve": _cmd_evolve,
-    "oracle": _cmd_oracle,
-    "loop": _cmd_loop,
-    "scan": _cmd_scan,
-    "search": _cmd_search,
+class _Task(NamedTuple):
+    run: Callable  # RunConfig -> (artifact, record fields, state document or None)
+    needs: tuple  # keys of _NEEDS the run cannot do without
+    keys: dict  # task key -> _Key
+
+
+_T_MAX = _Key(lambda trap: 6.0 * math.pi / trap.trap_freq, _as_t_max)  # six trap periods
+# every subcommand, with what it needs and each of its task keys
+_TASKS = {
+    "scales": _Task(_cmd_scales, ("feedback",), {}),
+    "criteria": _Task(_cmd_criteria, ("feedback",), {
+        "samples": _Key(129, _as_rows), "include_transient": _Key(False, _as_bool)}),
+    "evolve": _Task(_cmd_evolve, ("feedback",), {
+        "engine": _Key("moments", _as_engine), "t_max": _T_MAX,
+        "samples": _Key(301, _as_rows)}),
+    "oracle": _Task(_cmd_oracle, ("feedback",), {
+        "t_max": _T_MAX, "dt": _Key(None, _or_none(_as_float)),
+        "stride": _Key(10, _int_in(1))}),
+    "loop": _Task(_cmd_loop, ("discrete", "t_max"), {
+        "t_max": _Key(None, _or_none(_as_t_max)), "schedule": _Key("regular", _as_str),
+        "trajectories": _Key(1000, _as_int), "record_stride": _Key(1, _as_int)}),
+    "scan": _Task(_cmd_scan, (), {
+        "eta_min": _Key(1e-2, _as_float), "eta_max": _Key(1e2, _as_float),
+        "steps": _Key(25, _as_rows)}),
+    "search": _Task(_cmd_search, (), {
+        "m": _Key(3, _as_int), "family": _Key("fixed_N_pure", _as_str),
+        "restarts": _Key(8, _as_int), "max_iter": _Key(20000, _as_int),
+        "tol": _Key(1e-9, _as_float), "state_out": _Key(None, _or_none(_as_path))}),
 }
 
 
@@ -546,29 +538,28 @@ _DISPATCH = {
 # command line
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command-line error is a ConfigError, reported on its JSON line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache  # parse_args leaves the parser unchanged; build it once
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--out", help="output artifact path (default stdout)")
-    common.add_argument("--seed", type=int, help="rng seed")
-    common.add_argument("--n", type=int, help="atom count")
-    common.add_argument("--mass", type=float, help="atom mass")
-    common.add_argument("--omega", type=float, help="trap frequency")
-    common.add_argument("--hbar", type=float, help="reduced Planck constant")
-    common.add_argument("--zeta", type=float, help="feedback shift rate")
-    common.add_argument("--sigma", type=float, help="integrated measurement resolution")
-    common.add_argument("--gamma", type=float, help="loop event rate")
-    common.add_argument("--sigma0", type=float, help="single-shot resolution")
-    common.add_argument("--zeta0", type=float, help="single-shot kick gain")
+    for key, spec in _KEYS.items():
+        if spec.flag is not None:
+            common.add_argument(f"--{key}", type=spec.flag, help=spec.help)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cloudfeedback",
         description="Cloud-size dynamics of a trapped ideal Bose gas "
                     "under center-of-mass feedback.",
     )
     sub = parser.add_subparsers(dest="task", required=True)
-    for task in TASKS:
+    for task in _TASKS:
         sub.add_parser(task, parents=[common])
     return parser
 
@@ -580,22 +571,27 @@ def _drop_stdout() -> int:
 
 
 def cli_main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in (
-        "n", "mass", "omega", "hbar", "zeta", "sigma", "gamma", "sigma0",
-        "zeta0", "seed", "out")}
     try:
+        args = _build_parser().parse_args(argv)
         doc = _load_document(args.config) if args.config else {}
-        cfg = RunConfig(args.task, doc, overrides)
+        cfg = RunConfig(args.task, doc, {key: getattr(args, key)
+                                         for key, spec in _KEYS.items() if spec.flag})
+        task = _TASKS[args.task]
+        given = {"feedback": cfg.feedback, "discrete": cfg.discrete, **cfg.params}
+        for need in task.needs:
+            if given[need] is None:
+                raise ConfigError(f"task {args.task!r} needs {_NEEDS[need]}")
         start = time.perf_counter()
         # warnings go into the record, under the caller's filters: one an
         # "error" filter turns into an exception still raises
         with warnings.catch_warnings(record=True) as caught:
-            artifact, record = _DISPATCH[args.task](cfg)
+            artifact, record, state = task.run(cfg)
         timings = {"compute": time.perf_counter() - start}
         if caught:
             record["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
         (write_json if args.task == "scales" else write_csv)(cfg.out, artifact)
+        if state is not None:  # the searched state, once the artifact is out
+            write_json(cfg.params["state_out"], state)
         from . import __version__
 
         sys.stderr.write(json.dumps({"task": args.task, "version": __version__,

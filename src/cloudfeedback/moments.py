@@ -101,8 +101,10 @@ def build_generators(trap: TrapConfig, fb: FeedbackConfig) -> DriftDiffusion:
         raise ConfigError(f"feedback (zeta={zeta!r}, sigma={sigma!r}) puts a noise rate "
                           "in the trap's units outside the float range")
 
+    # c w^2; w^2 alone overflows from 1.3e154 on, where the trap's checked (m w) w does not
+    spring = (lambda c: c * w**2) if w < 1e154 else (lambda c: c * w * w)
     if n == 1:
-        A = np.array([[-zeta, 1.0 / m], [-m * w**2, 0.0]])
+        A = np.array([[-zeta, 1.0 / m], [spring(-m), 0.0]])
         D = 0.5 * np.array([[kick, 0.0], [0.0, back]])
         return DriftDiffusion(A=A, D=D, n=1, trap=trap, fb=fb)
 
@@ -113,10 +115,10 @@ def build_generators(trap: TrapConfig, fb: FeedbackConfig) -> DriftDiffusion:
     A = np.zeros((4, 4))
     A[0] = -zeta * drag
     A[0, 1] = 1.0 / m
-    A[1, 0] = -m * w**2
+    A[1, 0] = spring(-m)
     A[2] = -zeta * drag
     A[2, 3] = 1.0 / ((n - 1) * m)
-    A[3, 2] = -(n - 1) * m * w**2
+    A[3, 2] = spring(-(n - 1) * m)
 
     D = 0.5 * (kick * np.outer(v, v) + back * np.outer(u, u))
     return DriftDiffusion(A=A, D=D, n=n, trap=trap, fb=fb)

@@ -392,9 +392,10 @@ def step_times(trap: TrapConfig, t_max: float, dt: float | None = None) -> np.nd
         raise ConfigError(f"dt {dt!r} exceeds 2 pi / (500 omega)")
     if not (t_max >= 0 and math.isfinite(t_max)):
         raise ConfigError(f"t_max must be finite and >= 0, got {t_max!r}")
-    steps = max(0, math.ceil(t_max / dt - 1e-12))
-    if steps > _STEP_BUDGET:
-        raise ConfigError(f"{steps} steps are over the clock budget of {_STEP_BUDGET}")
+    ratio = t_max / dt - 1e-12  # compared as a float: a tiny dt makes it inf
+    if ratio > _STEP_BUDGET:
+        raise ConfigError(f"{ratio:.6g} steps are over the clock budget of {_STEP_BUDGET}")
+    steps = max(0, math.ceil(ratio))
     times = np.concatenate(([0.0], np.cumsum(np.full(steps, dt))))
     times[steps] = t_max
     return times
@@ -474,9 +475,9 @@ def compare_with_moments(state: fock.FockState, trap: TrapConfig, fb: FeedbackCo
         dt = 2.0 * math.pi / (1000.0 * trap.trap_freq)
     grid = np.asarray(t_grid, dtype=float)
     if (grid.ndim != 1 or not len(grid) or not np.all(np.isfinite(grid)) or np.any(grid < 0)
-            or not dt > 0):
-        raise ConfigError("t_grid must be a nonempty 1-D array of finite instants >= 0, "
-                          f"on a clock of dt > 0 (got {dt!r})")
+            or not dt > 0 or not float(grid.max()) / dt <= _STEP_BUDGET):
+        raise ConfigError("t_grid must be a nonempty 1-D array of finite instants >= 0, on a "
+                          f"clock of dt > 0 and at most {_STEP_BUDGET} steps (got dt {dt!r})")
     snapped = sorted({round(t / dt) for t in grid})
     clock = step_times(trap, snapped[-1] * dt, dt)
     gen = build_generator(trap, fb, basis)

@@ -153,8 +153,9 @@ def classify_regime(n: int, eta: float) -> RegimeClass:
         raise ConfigError(f"n must be >= 1, got {n!r}")
     if not eta > 0:
         raise ConfigError(f"eta must be > 0, got {eta!r}")
-    root = math.sqrt(float(n) ** 2 - 1.0)
-    lo, hi = n - root, n + root
+    # lo = 1/hi exactly (lo hi = 1): no N^2 to overflow, no N - root to cancel
+    root = math.sqrt(n - 1.0) * math.sqrt(n + 1.0)
+    lo, hi = 1.0 / (n + root), n + root
     if _close(eta, lo) or _close(eta, hi):
         kind = RegimeKind.BOUNDARY
     elif lo < eta < hi:

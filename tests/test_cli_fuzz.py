@@ -1,0 +1,131 @@
+"""Seeded fuzz of the command line.
+
+Configs are drawn from the driver's own tables: each draw takes a small run
+of one subcommand and sets one to three of its top-level keys (`_KEYS`) or
+task keys (`_TASKS`) to a small value, an edge value, a value of the wrong
+type or nothing, and may add a command-line flag with a malformed value.  Every run must exit
+0, 2 or 3, write exactly one JSON line to stderr and only finite numbers to
+stdout, and finish within a fixed bound.  The runs see Python's default
+warning filters, as the console script does: cli_main records a warning
+into the run record, where the suite's filters would raise it.
+"""
+
+import io
+import json
+import math
+import random
+import time
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from cloudfeedback import driver
+
+# the edges of the float range, signs, non-finite numbers, a JSON null and
+# values of the wrong type
+EDGES = [0, 1, -1, 1e-300, 5e-324, 1e300, math.inf, -math.inf, math.nan, None,
+         "x", [1], {"k": 1}, True]
+# small values that many keys take
+SMALL = [2, 3, 0.25, 0.5, 2.5, False, "poisson", "indefinite_N_coherent"]
+# flag values as a shell passes them
+FLAG_EDGES = ["0", "-1", "1e-300", "5e-324", "1e300", "inf", "-inf", "nan", "abc", ""]
+# keys that name files: a drawn string is written under the test's directory
+PATHS = ("out", "state_out")
+STATES = [
+    {"kind": "condensate", "m": 4, "squeeze": 0.2},
+    {"kind": "condensate", "m": 3, "displacement": 0.3},
+    {"kind": "occupation", "occupation": [1, 1]},
+    {"kind": "superposition", "m": 3,
+     "terms": [{"occupation": [2, 0, 0], "amp": [1, 0]}, {"occupation": [0, 2, 0], "amp": [0, 1]}]},
+    {"kind": "thermal", "m": 4, "temperature": 0.5, "cutoff": 4.0},
+]
+# one small run of each subcommand, well inside every budget
+BASE = {
+    "scales": {"n": 2, "zeta": 0.5, "sigma": 0.7},
+    "criteria": {"n": 2, "zeta": 0.5, "sigma": 0.7, "task": {"samples": 5}},
+    "evolve": {"n": 2, "zeta": 0.5, "sigma": 0.7, "task": {"t_max": 0.5, "samples": 3}},
+    "oracle": {"n": 1, "zeta": 0.5, "sigma": 0.7, "state": {"kind": "condensate", "m": 4},
+               "task": {"t_max": 0.05, "stride": 5}},
+    "loop": {"n": 1, "gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002,
+             "task": {"t_max": 0.1, "trajectories": 4}},
+    "scan": {"n": 2, "zeta": 1.0, "sigma": 0.5, "task": {"steps": 5}},
+    "search": {"n": 2, "task": {"m": 2, "restarts": 1, "max_iter": 500}},
+}
+# configs that ended in a traceback: a subnormal dt (ceil(inf) in
+# step_times), N = 1e300 (N^2 in classify_regime), omega = 1e300 at
+# m omega^2 = 1e300 (omega^2 in the moment drift), DXs = 3.6e299 (DXs^2 in
+# the criteria) and zeta * eta_min = 0 (a division by it in the scan)
+CORPUS = [
+    ("oracle", {"n": 1, "zeta": 0.5, "sigma": 0.7, "task": {"t_max": 0.01, "dt": 5e-324}}, []),
+    ("scan", {"n": 1e300, "zeta": 1, "sigma": 0.5}, []),
+    ("evolve", {"n": 2, "zeta": 0.5, "sigma": 0.7, "mass": 1e-300, "task": {"samples": 3}},
+     ["--omega", "1e300"]),
+    ("criteria", {"n": 2, "zeta": 0.5, "sigma": 0.7, "mass": 1e-300}, []),
+    ("scan", {"n": 2, "zeta": 5e-324, "sigma": 2}, []),
+]
+SEED, DRAWS, BOUND_S = 20261019, 1500, 5.0
+
+
+def draw(rng: random.Random, task: str, workdir: str) -> tuple:
+    """(task, config, extra argv) of one drawn run."""
+    doc = json.loads(json.dumps(BASE[task]))
+    section = doc.setdefault("task", {})
+    keys = [(doc, key) for key in driver._KEYS if key != "task"]
+    keys += [(section, key) for key in driver._TASKS[task].keys]
+    for _ in range(rng.randint(1, 3)):
+        target, key = rng.choice(keys)
+        roll = rng.random()
+        if roll < 0.15:
+            target.pop(key, None)
+            continue
+        value = rng.choice(SMALL if rng.random() < 0.5 else EDGES)
+        if key == "state":
+            value = rng.choice(STATES + [value])
+        if key in PATHS and isinstance(value, str):
+            value = f"{workdir}/{key}.out"
+        target[key] = value
+    argv = []
+    if rng.random() < 0.2:
+        flag = rng.choice([key for key, spec in driver._KEYS.items()
+                           if spec.flag is not None and key not in PATHS])
+        argv = [f"--{flag}", rng.choice(FLAG_EDGES)]
+    return task, doc, argv
+
+
+def cases(workdir: str) -> list:
+    rng = random.Random(SEED)
+    return CORPUS + [draw(rng, rng.choice(sorted(BASE)), workdir) for _ in range(DRAWS)]
+
+
+def check_run(code: int, out: str, err: str) -> None:
+    assert code in (0, 2, 3)
+    (line,) = err.splitlines()
+    json.loads(line)
+    if code != 0:
+        assert out == ""
+    elif out.startswith("{"):
+        assert all(math.isfinite(v) for v in json.loads(out).values())
+    else:
+        for row in out.splitlines()[1:]:
+            for cell in row.split(","):
+                if cell[:1].isdigit() or cell[:1] in "-.":
+                    assert math.isfinite(float(cell)), row
+
+
+def test_cli_fuzz(tmp_path):
+    cfg = tmp_path / "run.json"
+    for task, doc, argv in cases(str(tmp_path)):
+        cfg.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.resetwarnings()
+            code = driver.cli_main([task, "--config", str(cfg), *argv])
+        took = time.perf_counter() - start
+        try:
+            check_run(code, out.getvalue(), err.getvalue())
+            assert took < BOUND_S
+        except AssertionError:
+            pytest.fail(f"{task} {json.dumps(doc)} {argv}: exit {code} in {took:.2f} s, "
+                        f"stderr {err.getvalue()[:300]!r}")

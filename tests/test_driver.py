@@ -74,6 +74,35 @@ def test_config_flag_overrides_file():
     assert cfg.feedback.shift_rate == 1.0
 
 
+def test_config_parses_every_task_key_with_its_default():
+    cfg = driver.RunConfig("evolve", {"n": 2, "omega": 2.0, "zeta": 0.5, "sigma": 0.7}, {})
+    assert cfg.params == {"engine": "moments", "t_max": 3 * math.pi, "samples": 301}
+    assert (cfg.seed, cfg.out, cfg.state_doc) == (0, None, None)
+    cfg = driver.RunConfig("search", {"task": {"m": 4.0, "state_out": None}}, {})
+    assert cfg.params == {"m": 4, "family": "fixed_N_pure", "restarts": 8, "max_iter": 20000,
+                          "tol": 1e-9, "state_out": None}
+    assert type(cfg.params["m"]) is int
+
+
+def test_config_null_is_absent_for_exactly_the_optional_keys():
+    def takes_null(task, doc):
+        try:
+            driver.RunConfig(task, doc, {})
+        except ConfigError:
+            return False
+        return True
+
+    top = {key for key in driver._KEYS if takes_null("scan", {"n": 2, key: None})}
+    assert top == {"zeta", "sigma", "gamma", "sigma0", "zeta0", "out", "state"}
+    task_keys = {(task, key) for task, spec in driver._TASKS.items() for key in spec.keys
+                 if takes_null(task, {"n": 2, "task": {key: None}})}
+    # a null loop t_max is missing, which cli_main refuses as it does an absent one
+    assert task_keys == {("oracle", "dt"), ("search", "state_out"), ("loop", "t_max")}
+    code, _, err = run_cli(["loop", "--n", "1", "--gamma", "100", "--sigma0", "5",
+                            "--zeta0", "0.002"])
+    assert code == 2 and "t_max" in json.loads(err)["detail"]
+
+
 def test_config_partial_parameter_pairs_rejected():
     with pytest.raises(ConfigError):
         driver.RunConfig("scales", {"zeta": 1.0}, {})
@@ -232,6 +261,17 @@ def test_scan_validates_inputs():
         driver.scan_eta(trap, zeta=0.0, eta_min=1.0, eta_max=4.0, steps=5)
 
 
+@pytest.mark.parametrize("n", [2, 10**6, 10**8])
+def test_scan_regime_agrees_with_the_thresholds_it_reports(n):
+    # eta_low as N - sqrt(N^2 - 1) cancelled to 0.0 at N = 1e8, which put
+    # rows with DXs > dx0 inside the interval
+    rows = driver.scan_eta(TrapConfig(atom_count=n), zeta=1.0, eta_min=1e-3 / n,
+                           eta_max=1e3 * n, steps=201)
+    assert {r["regime"] for r in rows} == {"qs_threshold_above", "schwarz_threshold_above"}
+    for r in rows:
+        assert (r["regime"] == "qs_threshold_above") == (r["DXs"] <= r["dx0"]), r
+
+
 # ---------------------------------------------------------------------------
 # breathing_curve
 
@@ -330,9 +370,9 @@ def test_cli_warning_joins_the_one_line_record(tmp_path):
 def test_cli_records_warnings_under_the_callers_filters(monkeypatch):
     def warns(cfg):
         warnings.warn("overflow in a stand-in kernel", RuntimeWarning)
-        return {"a": 1.0}, {}
+        return {"a": 1.0}, {}, None
 
-    monkeypatch.setitem(driver._DISPATCH, "scales", warns)
+    monkeypatch.setitem(driver._TASKS, "scales", driver._TASKS["scales"]._replace(run=warns))
     argv = ["scales", "--n", "2", "--zeta", "1", "--sigma", "0.5"]
     with warnings.catch_warnings():
         warnings.simplefilter("always")
@@ -1178,6 +1218,10 @@ _LATE_KEYS = {
     # 13,200,000 products at d = 2: 6.3e8 multiply-adds, but minutes of
     # per-product overhead on the default clock
     ("oracle", {"n": 1, "zeta": 0.5, "sigma": 1e-3, "state": {"kind": "condensate", "m": 2}}),
+    # DXs = 3.6e299 is in the float range, the DXs^2 of the criteria is not
+    ("criteria", {"n": 2, "zeta": 0.5, "sigma": 0.7, "mass": 1e-300}),
+    # zeta * eta_min underflows to 0, which the scan divided by
+    ("scan", {"n": 2, "zeta": 5e-324, "sigma": 2}),
 ] + list(_LATE_KEYS.values())
   + [(task, dict(run, **trap)) for trap in _EDGE_TRAPS.values() for task, run in _RUNS.items()]
   + [(task, {"n": 1, **pair}) for pair in _EDGE_FEEDBACK.values()
@@ -1185,7 +1229,8 @@ _LATE_KEYS = {
     ids=["unhashable-engine", "unhashable-kind", "underflowing-eta", "overflowing-eta",
          "underflowing-dX0", "boolean-occupation", "boolean-term-occupation",
          "unrankable-condensate", "over-taylor-budget", "over-work-budget",
-         "over-product-budget-small-sector"]
+         "over-product-budget-small-sector", "overflowing-dxs-squared",
+         "underflowing-zeta-eta-min"]
     + list(_LATE_KEYS)
     + [f"{name}-{task}" for name in _EDGE_TRAPS for task in _RUNS]
     + [f"{name}-{task}" for name in _EDGE_FEEDBACK
@@ -1374,3 +1419,45 @@ def test_cli_include_transient_must_be_boolean(tmp_path, flag):
     code, out, _ = run_cli(["criteria", "--config", str(cfg)])
     assert code == 0
     assert out.splitlines()[0] == "t,sigma_q_sq,dxa,dx0,DXs"
+
+
+@pytest.mark.parametrize("argv", [["scales", "--n", "abc"], ["bogus"], []],
+                         ids=["bad-flag-value", "unknown-task", "no-task"])
+def test_cli_command_line_errors_exit_2_with_the_json_line(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "ConfigError"
+
+
+def test_cli_help_lists_the_key_tables_flags():
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as done:
+        driver.cli_main(["loop", "--help"])
+    assert done.value.code == 0
+    flagged = {key for key, spec in driver._KEYS.items() if spec.flag is not None}
+    assert set(driver._KEYS) - flagged == {"state", "task"}
+    assert set(re.findall(r"--(\w+)", out.getvalue())) == flagged | {"config", "help"}
+
+
+def test_cli_search_writes_state_out_after_its_artifact(tmp_path):
+    # an artifact that cannot be written leaves no state file behind
+    cfg = tmp_path / "run.json"
+    state_path = tmp_path / "state.json"
+    cfg.write_text(json.dumps({"n": 2, "task": {"family": "fixed_N_pure", "m": 2, "restarts": 1,
+                                                "state_out": str(state_path)}}))
+    out = tmp_path / "missing_dir" / "search.csv"
+    code, _, err = run_cli(["search", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert json.loads(err)["error"] == "FileNotFoundError"
+    assert not state_path.exists()
+
+
+def test_cli_scan_at_n_1e300(tmp_path):
+    # N^2 overflowed in classify_regime; [1/2N, 2N] holds every eta scanned
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 1e300, "zeta": 1, "sigma": 0.5}))
+    code, out, err = run_cli(["scan", "--config", str(cfg)])
+    assert code == 0
+    assert len(err.splitlines()) == 1 and json.loads(err)["task"] == "scan"
+    assert {line.split(",")[-1] for line in out.splitlines()[1:]} == {"qs_threshold_above"}

@@ -133,7 +133,9 @@ def test_oracle_loads_no_scipy_optimize(tmp_path):
 
 
 def test_subcommands_leave_all_emission_to_cli_main():
-    # each _cmd_* returns (artifact, record); cli_main alone writes them
+    # each _cmd_* computes from the parsed cfg.params and returns (artifact,
+    # record, state document); cli_main alone writes them, and RunConfig
+    # alone parses and refuses keys
     tree = _parse_source("driver.py")
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     commands = [node for node in tree.body
@@ -145,10 +147,13 @@ def test_subcommands_leave_all_emission_to_cli_main():
             assert not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                         and node.value.id == "sys" and node.attr in ("stdout", "stderr")), \
                 command.name
+            assert not isinstance(node, ast.Raise), command.name
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                assert name != "write_csv", command.name
+                assert name not in ("write_csv", "write_json", "_write", "open", "param"), \
+                    command.name
+                assert not (name or "").startswith("_as_"), command.name
 
 
 # public functions and methods that no module of the package calls, each kept

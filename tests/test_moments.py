@@ -66,6 +66,18 @@ def test_drift_entries():
     assert two_d[0, 1] == 0.0 and two_d[2, 3] == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_drift_of_a_trap_whose_omega_squared_overflows(n):
+    # m omega^2 = 1e300 is in the float range, omega^2 = 1e600 is not: the
+    # spring is formed as (m omega) omega there, where it raised OverflowError
+    trap = TrapConfig(atom_count=n, mass=1e-300, trap_freq=1e300)
+    g = moments.build_generators(trap, FeedbackConfig(shift_rate=0.5, meas_resolution=0.7))
+    assert np.all(np.isfinite(g.A))
+    assert g.A[1, 0] == pytest.approx(-1e300, rel=1e-12)
+    if n > 1:
+        assert g.A[3, 2] == pytest.approx(-(n - 1) * 1e300, rel=1e-12)
+
+
 def test_drift_spectrum_damped():
     for zeta in (0.0, 0.2, 1.5):
         g = moments.build_generators(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,25 @@ def test_build_generator_guards():
     # times is an array of instants, never a scalar t_max
     with pytest.raises(ConfigError):
         oracle.integrate(rho, gen, 1.0)
+
+
+def test_step_counts_are_budgeted_as_floats():
+    # t_max / dt is inf for a subnormal dt: refused, where ceil() and round()
+    # of it raised OverflowError; the count prints in %.6g, not in full
+    trap = trap_for(1)
+    for t_max, dt in ((0.01, 5e-324), (1e300, None)):
+        with pytest.raises(ConfigError, match="budget") as info:
+            oracle.step_times(trap, t_max, dt)
+        assert not re.search(r"\d{10}", str(info.value))
+    dt = 2 * math.pi / 1000
+    assert len(oracle.step_times(trap, oracle._STEP_BUDGET * dt, dt)) == oracle._STEP_BUDGET + 1
+    with pytest.raises(ConfigError, match="budget"):
+        oracle.step_times(trap, (oracle._STEP_BUDGET + 1) * dt, dt)
+    basis = fock.OrbitalBasis(mode_count=4, trap=trap)
+    state = fock.condensate_state(np.eye(4)[0], 1)
+    with pytest.raises(ConfigError, match="steps"):
+        oracle.compare_with_moments(state, trap, feedback_for_eta(trap, 1.0, zeta=0.2),
+                                    np.array([0.0, 0.01]), basis, dt=5e-324)
 
 
 def test_density_matrix_validation():
