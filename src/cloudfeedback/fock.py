@@ -171,9 +171,15 @@ def quadrature_sq_matrix(basis: OrbitalBasis, t: float) -> OneBodyOperator:
 # occupation basis
 
 
+def _sig(count: int) -> str:
+    """An int to six significant digits for a message; past the float range,
+    as a power of ten."""
+    return f"{count:.6g}" if count < 1e308 else f"10^{math.log10(count):.6g}"
+
+
 def _check_rows(count: int, what: str, budget: int = _ROW_BUDGET) -> None:
     if count > budget:
-        raise ConfigError(f"{what}: {count} over the budget of {budget}")
+        raise ConfigError(f"{what}: {_sig(count)} over the budget of {budget}")
 
 
 def sector_dimension(n: int, m: int) -> int:
@@ -183,8 +189,8 @@ def sector_dimension(n: int, m: int) -> int:
 def occupations(n: int, m: int) -> np.ndarray:
     """All length-m occupation vectors summing to n, (dim, m), row k of rank k."""
     dim = sector_dimension(n, m)
-    _check_rows(dim, f"the (n={n}, m={m}) sector")
-    _check_rows(dim * m, f"the cells of the (n={n}, m={m}) sector", _CELL_BUDGET)
+    _check_rows(dim, f"the (n={_sig(n)}, m={m}) sector")
+    _check_rows(dim * m, f"the cells of the (n={_sig(n)}, m={m}) sector", _CELL_BUDGET)
     # stars and bars: the m - 1 bar positions among n + m - 1 slots
     bars = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(n + m - 1), m - 1)), dtype=np.int64, count=dim * (m - 1))
@@ -205,8 +211,9 @@ def _binomials(n: int, m: int) -> np.ndarray:
     """table[r, l] = C(r + l, l) for r <= n, l < m: the sector-rank weights."""
     dim = sector_dimension(n, m)
     if dim >= _RANK_LIMIT:
-        raise ConfigError(f"the (n={n}, m={m}) sector has {dim} states, too many to rank")
-    _check_rows(n + 1, f"the (n={n}, m={m}) rank table")
+        raise ConfigError(f"the (n={_sig(n)}, m={m}) sector has {_sig(dim)} states, "
+                          "too many to rank")
+    _check_rows(n + 1, f"the (n={_sig(n)}, m={m}) rank table")
     table = np.ones((n + 1, m), dtype=np.int64)
     for col in range(1, m):
         table[:, col] = np.cumsum(table[:, col - 1])

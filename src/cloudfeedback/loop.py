@@ -13,7 +13,9 @@ direction s = (1, 0) and the back-action direction u = (0, 1).  Everything
 is Gaussian: the conditional covariance follows a deterministic Kalman
 recursion and only the conditional means are stochastic.  Trajectory i
 always draws from its own stream (spawn key = trajectory index), so results
-do not depend on how the draws are blocked.
+do not depend on how the draws are blocked.  The K streams are the same
+spawn children as numpy's SeedSequence gives, seeded in one vectorized pass,
+and their draws are stored event-major (_Streams).
 """
 
 from __future__ import annotations
@@ -41,6 +43,17 @@ _MAX_TRAJ_EVENTS = 2**28
 # of this many floats, and at least 4, which spreads numpy's per-call cost
 # at large K
 _CHUNK_FLOATS = 2**12
+# a refill passes draws to the event-major buffer through a tile of at most
+# this many floats (512 KB) and trajectories; it holds as many whole blocks as
+# fit, since every call to a trajectory's Generator has a fixed cost
+_TILE_FLOATS = 2**16
+_TILE_ROWS = 64
+# NumPy's SeedSequence hash (O'Neill's seed_seq_fe; NEP 19): the multipliers
+# of its hashmix, of generate_state and of mix, all in 32-bit arithmetic
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -192,35 +205,105 @@ class LoopTrajectory:
         }
 
 
+def _spawn_states(seed: int, k: int) -> np.ndarray:
+    """PCG64 seeds of the first k spawn children of seed, (k, 4) uint64.
+
+    Row i equals SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4,
+    np.uint64) for seed < 2^64 and k <= 2^32.  The child's entropy is the
+    seed's two 32-bit words padded with zeros to the pool of four, then i;
+    the pool mixed from the seed is shared, and only the mixing of i in and
+    the output hash run on uint32 arrays over all k children at once.
+    numpy's unsigned arithmetic wraps modulo 2^32 as the C code does.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _WORD
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ r >> 16
+
+    seed_words = np.array([[seed & _WORD], [seed >> 32], [0], [0]], dtype=np.uint32)
+    pool = [hashmix(word) for word in seed_words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    spawn = np.arange(k, dtype=np.uint32)
+    pool = [mix(word, hashmix(spawn)) for word in pool]
+    const = _INIT_B
+    out = np.empty((k, 8), dtype=np.uint64)
+    for j in range(8):
+        value = pool[j % 4] ^ const
+        const = const * _MULT_B & _WORD
+        value = value * const
+        out[:, j] = value ^ value >> 16
+    # little-endian pairs of 32-bit words, as generate_state views them
+    return out[:, 0::2] | out[:, 1::2] << 32
+
+
 class _Streams:
     """Per-trajectory random streams, read a block of events at a time.
 
-    Trajectory i owns the stream with spawn key i.  A refill fills one block
-    per trajectory from each named Generator method in turn (say
+    Trajectory i owns the stream of spawn child i of the seed, the PCG64 that
+    SeedSequence(entropy=seed, spawn_key=(i,)) seeds; the K seeds are
+    expanded in one pass (_spawn_states).  A refill draws one block per
+    trajectory from each named Generator method in turn (say
     standard_exponential, then standard_normal), so the numbers a trajectory
     sees do not depend on the batch, and with a single method they equal
-    one long draw.
+    one long draw.  The buffer is event-major, (methods, block, K), so that
+    an event reads one contiguous row.  The draws reach it through a
+    trajectory-major tile of at most _TILE_FLOATS floats: up to _TILE_ROWS
+    trajectories draw into its rows, whole blocks where they fit, and the
+    tile is copied in transposed.  At K = 1 the two layouts coincide.
     """
 
     def __init__(self, seed: int, k: int, block: int, methods: tuple[str, ...]):
-        self._rngs = [
-            np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(i,)))
-            for i in range(k)
-        ]
-        self._methods = methods
-        self._buf = np.empty((len(methods), k, block))
+        # numpy.random costs milliseconds to import, so only a loop run loads it
+        from numpy.random import PCG64, Generator
+        from numpy.random.bit_generator import ISeedSequence
+
+        class Seeded(ISeedSequence):
+            """Hands PCG64 the state words computed for it."""
+
+            def __init__(self, words):
+                self.words = words
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                return self.words  # PCG64 asks for its four uint64 words
+
+        rngs = [Generator(PCG64(Seeded(words))) for words in _spawn_states(int(seed), k)]
+        self._draws = [[getattr(rng, method) for rng in rngs] for method in methods]
+        self._buf = np.empty((len(methods), block, k))
+        rows = min(k, _TILE_ROWS, max(1, _TILE_FLOATS // block))
+        self._tile = np.empty((rows, min(block, _TILE_FLOATS // rows)))
 
     def blocks(self, live=None):
-        """Refill the streams and yield the buffer, (methods, k, block), forever.
+        """Refill the streams and yield the buffer, (methods, block, k), forever.
 
         live, if given, is called before each refill for the indices of the
         streams to refill; the others keep their old draws.  Each refill
         overwrites the array the previous one yielded.
         """
+        k = self._buf.shape[2]
+        rows, width = self._tile.shape
         while True:
-            for i in range(len(self._rngs)) if live is None else live():
-                for method, out in zip(self._methods, self._buf[:, i]):
-                    getattr(self._rngs[i], method)(out=out)
+            refill = list(range(k)) if live is None else live().tolist()
+            for g0 in range(0, len(refill), rows):
+                group = refill[g0:g0 + rows]
+                cols = (slice(group[0], group[-1] + 1)
+                        if group[-1] - group[0] == len(group) - 1 else group)
+                for draws, out in zip(self._draws, self._buf):
+                    for c0 in range(0, len(out), width):
+                        tile = self._tile[:len(group), :len(out) - c0]
+                        for row, i in zip(tile, group):
+                            draws[i](out=row)
+                        out[c0:c0 + width, cols] = tile.T
             yield self._buf
 
 
@@ -232,8 +315,9 @@ def _moments(k: int, sx, sxx, vx, sp, spp, vp) -> tuple:
 
 
 def _ensemble_moments(st: _Pair) -> tuple:
-    return _moments(st.x.shape[0], st.x.sum(), (st.x**2).sum(), np.mean(st.xx),
-                    st.p.sum(), (st.p**2).sum(), np.mean(st.pp))
+    """Moments of a batch whose covariance the batch shares (scalar xx and pp)."""
+    return _moments(st.x.shape[0], st.x.sum(), (st.x**2).sum(), st.xx,
+                    st.p.sum(), (st.p**2).sum(), st.pp)
 
 
 def _edges_before(t: np.ndarray, step: float, count: int) -> np.ndarray:
@@ -338,11 +422,12 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
     physics = (cfg.sigma0, cfg.zeta0, trap.hbar)
     rows = n_events // record_stride + 1
     rec = np.empty((rows, 4))
-    rec[0] = _ensemble_moments(st)
+    rec[0] = _ensemble_moments(
+        st if shared else st._replace(xx=np.mean(st.xx), pp=np.mean(st.pp)))
     if shared:
         rot = _rotation(trap, 1.0 / cfg.gamma)
         blocks = _Streams(cfg.rng_seed, k, block, ("standard_normal",)).blocks()
-        draws = (zs[:, j] for (zs,) in blocks for j in range(block))
+        draws = (z for (zs,) in blocks for z in zs)
         for ev, z in zip(range(n_events), draws):
             st, _ = _filter_event(st, rot, z, *physics)
             if (ev + 1) % record_stride == 0:
@@ -365,17 +450,17 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
         blocks = _Streams(cfg.rng_seed, k, block, ("standard_exponential", "standard_normal")
                           ).blocks(lambda: np.flatnonzero(t[0] <= t_end))
         # event gaps in units of the mean spacing 1/gamma
-        chunks = ((gaps[:, c0:c0 + chunk], zs[:, c0:c0 + chunk])
+        chunks = ((gaps[c0:c0 + chunk], zs[c0:c0 + chunk])
                   for gaps, zs in blocks for c0 in range(0, block, chunk))
         for gaps, zs in chunks:
-            c = gaps.shape[1]
+            c = len(gaps)
             tc = t[:c + 1]
-            np.divide(gaps.T, cfg.gamma, out=tc[1:])
+            np.divide(gaps, cfg.gamma, out=tc[1:])
             np.cumsum(tc, axis=0, out=tc)
             past = np.flatnonzero(tc[1:].min(axis=1) > t_end)
             steps = int(past[0]) if past.size else c
             rot = _rotation(trap, np.diff(tc[:steps + 1], axis=0))
-            for j, (rot_j, z) in enumerate(zip(zip(*rot), zs.T), 1):
+            for j, (rot_j, z) in enumerate(zip(zip(*rot), zs), 1):
                 st, _ = _filter_event(st, rot_j, z, *physics)
                 hist[:, j] = st
             kept = steps + 1 if past.size else c

@@ -330,9 +330,12 @@ def _taylor_plan(norm: float, h: float) -> tuple[int, float]:
     """(degree, substeps) with the fewest products for exp(hA), ||A||_1 = norm.
 
     substeps stays a float, so that an infinite or NaN norm * h reaches the
-    budget, which refuses it, rather than an integer conversion.
+    budget, which refuses it, rather than an integer conversion.  A finite
+    norm * h whose quotient by theta overflows reaches it as inf as well,
+    with no warning that a caller's filters could raise.
     """
-    substeps = np.maximum(1.0, np.ceil(norm * h / _THETA))
+    with np.errstate(over="ignore"):
+        substeps = np.maximum(1.0, np.ceil(norm * h / _THETA))
     k = int(np.argmin(_DEGREES * substeps))
     return int(_DEGREES[k]), float(substeps[k])
 

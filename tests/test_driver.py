@@ -513,6 +513,31 @@ def test_cli_oracle_budgets_its_step_clock(tmp_path):
     assert "budget" in doc["detail"]
 
 
+def test_cli_oracle_refuses_an_overflowing_taylor_plan_quietly():
+    # mass 1e-300 puts norm * h / theta past the float range; the suite's
+    # filters, set here too, turn a numpy overflow warning into an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["oracle", "--n", "1", "--zeta", "0.5", "--sigma", "0.7",
+                                  "--mass", "1e-300"])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert "generator products" in doc["detail"]
+
+
+def test_cli_sector_refusal_prints_n_to_six_digits(tmp_path):
+    # N = 1e300 has 301 digits, and its sector C(N + 5, 5) is past the float range
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 1e300, "zeta": 0.5, "sigma": 0.7}))
+    code, out, err = run_cli(["criteria", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert "(n=1e+300, m=6) sector" in doc["detail"] and len(doc["detail"]) < 100
+
+
 @pytest.mark.parametrize("task, key", [("criteria", "samples"), ("evolve", "samples"),
                                        ("scan", "steps")])
 def test_cli_grid_over_row_budget_exits_2_at_once(tmp_path, task, key):

@@ -167,6 +167,15 @@ def test_occupations_lexicographic():
     assert fock.sector_dimension(4, 8) == math.comb(11, 4)
 
 
+@pytest.mark.parametrize("n, m", [(10**20, 6), (10**400, 6), (10**300, 1000)])
+@pytest.mark.parametrize("build", [fock.occupations, fock._binomials])
+def test_sector_refusals_stay_short_at_any_n(build, n, m):
+    # the counts pass the float range and str()'s 4300-digit limit
+    with pytest.raises(ConfigError, match="sector") as info:
+        build(n, m)
+    assert len(str(info.value)) < 100
+
+
 def test_condensate_amplitudes_two_atoms():
     c = np.array([1 / math.sqrt(2), 1 / math.sqrt(2), 0.0])
     amp = terms(fock.condensate_state(c, 2))

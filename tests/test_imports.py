@@ -1,4 +1,5 @@
-"""The public names, and which scipy modules a bare import and each subcommand load.
+"""The public names, and which scipy modules (and numpy.random) a bare import and each
+subcommand load.
 
 Every probe runs in a fresh interpreter, since the test process itself has
 scipy loaded (the warning filters in pyproject.toml name scipy classes).
@@ -18,25 +19,26 @@ _PROBE = """
 import contextlib, io, json, sys
 import cloudfeedback
 code = None
-argv = json.loads(sys.argv[1])
+argv, prefix = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 if argv:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cloudfeedback.cli_main(argv)
-print(json.dumps({"code": code,
-                  "scipy": sorted(k for k in sys.modules if k.split(".")[0] == "scipy")}))
+print(json.dumps({"code": code, "loaded": sorted(
+    k for k in sys.modules if k.split(".")[:len(prefix)] == prefix)}))
 """
 
 
-def probe(argv, tmp_path):
-    """(exit code or None, sorted scipy modules loaded) of one cold run."""
+def probe(argv, tmp_path, prefix=("scipy",)):
+    """(exit code or None, sorted modules under prefix loaded) of one cold run."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cloudfeedback.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv),
+                           json.dumps(list(prefix))],
                           capture_output=True, text=True, cwd=tmp_path, env=env,
                           timeout=120, check=True)
     doc = json.loads(proc.stdout.splitlines()[-1])
-    return doc["code"], doc["scipy"]
+    return doc["code"], doc["loaded"]
 
 
 def test_public_names_resolve_once():
@@ -48,6 +50,17 @@ def test_public_names_resolve_once():
 
 def test_package_import_loads_no_scipy(tmp_path):
     assert probe([], tmp_path) == (None, [])
+
+
+def test_package_import_loads_no_numpy_random(tmp_path):
+    # numpy.random takes milliseconds to import; the loop loads it when it runs
+    assert probe([], tmp_path, prefix=("numpy", "random")) == (None, [])
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"task": {"t_max": 0.5, "trajectories": 8}}))
+    loop = ["loop", "--n", "1", "--gamma", "100", "--sigma0", "5", "--zeta0", "0.002",
+            "--config", str(cfg)]
+    code, loaded = probe(loop, tmp_path, prefix=("numpy", "random"))
+    assert code == 0 and "numpy.random.bit_generator" in loaded
 
 
 @pytest.mark.parametrize("argv, task", [

@@ -297,6 +297,76 @@ def test_ensemble_rerun_is_deterministic():
     assert np.array_equal(poisson[0].var_X, poisson[1].var_X)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_spawn_states_are_numpys_spawn_children(seed):
+    states = loop._spawn_states(seed, 2**16)
+    assert states.shape == (2**16, 4) and states.dtype == np.uint64
+    assert states.flags.c_contiguous  # PCG64 reads each row's memory as it is
+    for i in (0, 1, 63, 64, 65, 2**16 - 1):
+        want = np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(states[i], want)
+
+
+@pytest.mark.parametrize("k, block, tile", [(1, 40, 2**16), (65, 40, 2**16),
+                                            (130, 40, 2**16), (3, 100, 32)])
+def test_streams_fill_event_major_rows_from_each_trajectorys_stream(monkeypatch, k, block,
+                                                                     tile):
+    # a tile of 32 floats splits a 100-draw block into calls of 32, 32, 32 and 4
+    monkeypatch.setattr(loop, "_TILE_FLOATS", tile)
+    refills = iter([np.arange(k), np.arange(0, k, 2)])
+    blocks = loop._Streams(7, k, block, ("standard_exponential", "standard_normal")
+                           ).blocks(lambda: next(refills))
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(i,)))
+            for i in range(k)]
+    want = np.empty((2, block, k))
+    for live in (np.arange(k), np.arange(0, k, 2)):
+        for i in live:
+            want[0, :, i] = rngs[i].standard_exponential(block)
+            want[1, :, i] = rngs[i].standard_normal(block)
+        np.testing.assert_array_equal(next(blocks), want)
+
+
+def regular_reference(init, cfg, trap, t_max, record_stride):
+    """Event-by-event reference for the regular schedule.
+
+    Trajectory i draws all its normals from its own numpy stream (spawn key
+    i) at once; the batch steps through the filter kernel with the shared
+    covariance, and every record_stride-th event is recorded as the mean
+    of the means and the shared variance plus the spread of the means.
+    """
+    k, n_events = cfg.trajectories, round(t_max * cfg.gamma)
+    zs = np.array([np.random.default_rng(
+        np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(i,))).standard_normal(n_events)
+        for i in range(k)])
+    mean0, cov0 = moments.project_collective(init)
+    st = loop._Pair(np.full(k, mean0[0]), np.full(k, mean0[1]),
+                    cov0[0, 0], cov0[0, 1], cov0[1, 1])
+
+    def record(st):
+        mx, mp = st.x.sum() / k, st.p.sum() / k
+        return (mx, st.xx + ((st.x**2).sum() / k - mx**2),
+                mp, st.pp + ((st.p**2).sum() / k - mp**2))
+
+    rot = loop._rotation(trap, 1.0 / cfg.gamma)
+    rows = [record(st)]
+    for ev in range(n_events):
+        st, _ = loop._filter_event(st, rot, zs[:, ev], cfg.sigma0, cfg.zeta0, trap.hbar)
+        if (ev + 1) % record_stride == 0:
+            rows.append(record(st))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("k", [1, 63, 65, 130])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_regular_ensemble_matches_event_by_event_reference(k, stride):
+    trap = trap_for(2)
+    cfg = loop_for(trap, zeta=0.5, eta=1.0, gamma=40.0, rng_seed=2**40 + k,
+                   trajectories=k)
+    traj = loop.run_ensemble(ground_moments(2), cfg, trap, 3.0, record_stride=stride)
+    got = np.column_stack([traj.mean_X, traj.var_X, traj.mean_P, traj.var_P])
+    assert np.array_equal(got, regular_reference(ground_moments(2), cfg, trap, 3.0, stride))
+
+
 def grid_walk_poisson(init, cfg, trap, t_max, record_stride):
     """Grid-by-grid reference for the poisson schedule.
 
