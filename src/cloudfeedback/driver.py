@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import criteria, fock, loop, moments, oracle, search
-from .errors import ConfigError, NonFiniteCell, ToolkitError
+from .errors import ConfigError, NonFiniteCell, ToolkitError, check_budget, sig
 from .scales import (DerivedScales, FeedbackConfig, TrapConfig, classify_regime,
                      continuous_limit_params, derive_scales, same_feedback)
 
@@ -40,10 +40,6 @@ _STATE_KEYS = {
     "superposition": {"kind", "m", "terms"},
     "thermal": {"kind", "m", "temperature", "cutoff"},
 }
-
-# most rows a criteria, evolve or scan grid may ask for, checked before the
-# grid is built: an evolve row costs one matrix exponential
-_GRID_ROWS = 100_000
 
 _MOMENT_HEADER = [
     "t", "mean_x", "mean_p", "mean_Xbar", "mean_Pbar",
@@ -62,10 +58,9 @@ def _load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    # ValueError: not JSON, not UTF-8, or an integer of over 4300 digits
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     return _as_object(doc, "config root")
 
 
@@ -79,23 +74,28 @@ def _as_int(value, key: str) -> int:
     return int(value)
 
 
-def _int_in(low: int, high: float = math.inf):
-    """The parser of an integer in [low, high]."""
+def _int_in(low: int, budget: str | None = None):
+    """The parser of an integer >= low, and within the named budget if given."""
     def parse(value, key: str) -> int:
         number = _as_int(value, key)
-        if not low <= number <= high:
-            raise ConfigError(f"{key} must be in [{low}, {high}], got {number!r}")
+        if number < low:
+            raise ConfigError(f"{key} must be >= {low}, got {sig(number)}")
+        if budget is not None:
+            check_budget(budget, number, key)
         return number
     return parse
 
 
-_as_rows = _int_in(2, _GRID_ROWS)  # the row count of a CSV grid
+_as_rows = _int_in(2, "grid")  # the row count of a CSV grid
 
 
 def _as_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ConfigError(f"{key} must be in the float range, got {sig(value)}") from None
 
 
 def _as_t_max(value, key: str) -> float:
@@ -119,7 +119,7 @@ _as_path, _as_object = _of_type(str, "a path string"), _of_type(dict, "an object
 
 
 def _as_engine(value, key: str) -> str:
-    if value != "moments":
+    if _as_str(value, key) != "moments":
         raise ConfigError(f"evolve runs the moment flow (engine moments), got engine "
                           f"{value!r}; the exact oracle is the oracle subcommand")
     return value
@@ -135,10 +135,12 @@ def _as_occupation(occ, m: int | None, trap: TrapConfig) -> list:
     if (not isinstance(occ, list) or not occ or (m is not None and len(occ) != m)
             or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
                        for v in occ)):
+        shown = f"[{', '.join(map(sig, occ))}]" if isinstance(occ, list) else sig(occ)
         raise ConfigError(f"occupation must list nonnegative integers ({m or 'any'} of them), "
-                          f"got {occ!r}")
+                          f"got {shown}")
     if sum(occ) != trap.atom_count:
-        raise ConfigError(f"occupation holds {sum(occ)} atoms but the trap has {trap.atom_count}")
+        raise ConfigError(f"occupation holds {sig(sum(occ))} atoms but the trap has "
+                          f"{sig(trap.atom_count)}")
     return occ
 
 

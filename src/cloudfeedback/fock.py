@@ -35,29 +35,17 @@ from .errors import (
     GridTooCoarse,
     NotNormalized,
     TruncationLeak,
+    check_budget,
+    sig,
 )
 from .scales import TrapConfig
 
 _NORM_TOL = 1e-12
 _LEAK_TOL = 1e-10  # top-orbital weight allowed per member under an operator product
-# most occupation rows (M int64 each, with a key and an amplitude beside
-# them) that one sector, state support, applied vector or rank table may
-# hold, about 100 MB at M = 8; also the most entries of the applied vectors
-# one Gram matrix stacks, and of the grid kernels pair_distribution builds
-_ROW_BUDGET = 1_000_000
-# most cells (rows x M) of enumerated occupation rows: a sector wider than 8
-# orbitals gets no more bytes than 8 would
-_CELL_BUDGET = 8 * _ROW_BUDGET
 # most COO entries one_body_chunks asks of one_body_coo at once:
 # one_body_density on a 33,649-row state (N = 18, M = 6), chunk by chunk,
 # peaks at 44 MB under tracemalloc
 _ENTRY_BUDGET = 2**18
-# sector ranks, and the member-labelled row keys, stay below this
-_RANK_LIMIT = 2**62
-# most orbitals a basis may hold, checked before any M x M matrix is built:
-# the oracle's sector cap, so every N = 1 sector the oracle takes fits
-_MODE_LIMIT = 1000
-
 
 @dataclass(frozen=True)
 class OrbitalBasis:
@@ -67,9 +55,9 @@ class OrbitalBasis:
     trap: TrapConfig
 
     def __post_init__(self):
-        if not (isinstance(self.mode_count, int) and 2 <= self.mode_count <= _MODE_LIMIT):
-            raise ConfigError(f"mode_count must be an integer in [2, {_MODE_LIMIT}], "
-                              f"got {self.mode_count!r}")
+        if not (isinstance(self.mode_count, int) and self.mode_count >= 2):
+            raise ConfigError(f"mode_count must be an integer >= 2, got {sig(self.mode_count)}")
+        check_budget("modes", self.mode_count, "mode_count")
 
     @property
     def length_scale(self) -> float:
@@ -171,17 +159,6 @@ def quadrature_sq_matrix(basis: OrbitalBasis, t: float) -> OneBodyOperator:
 # occupation basis
 
 
-def _sig(count: int) -> str:
-    """An int to six significant digits for a message; past the float range,
-    as a power of ten."""
-    return f"{count:.6g}" if count < 1e308 else f"10^{math.log10(count):.6g}"
-
-
-def _check_rows(count: int, what: str, budget: int = _ROW_BUDGET) -> None:
-    if count > budget:
-        raise ConfigError(f"{what}: {_sig(count)} over the budget of {budget}")
-
-
 def sector_dimension(n: int, m: int) -> int:
     return math.comb(n + m - 1, n)
 
@@ -189,8 +166,8 @@ def sector_dimension(n: int, m: int) -> int:
 def occupations(n: int, m: int) -> np.ndarray:
     """All length-m occupation vectors summing to n, (dim, m), row k of rank k."""
     dim = sector_dimension(n, m)
-    _check_rows(dim, f"the (n={_sig(n)}, m={m}) sector")
-    _check_rows(dim * m, f"the cells of the (n={_sig(n)}, m={m}) sector", _CELL_BUDGET)
+    check_budget("rows", dim, f"the (n={sig(n)}, m={m}) sector")
+    check_budget("cells", dim * m, f"the (n={sig(n)}, m={m}) sector")
     # stars and bars: the m - 1 bar positions among n + m - 1 slots
     bars = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(n + m - 1), m - 1)), dtype=np.int64, count=dim * (m - 1))
@@ -210,10 +187,8 @@ def occupation_energies(occ: np.ndarray, trap: TrapConfig) -> np.ndarray:
 def _binomials(n: int, m: int) -> np.ndarray:
     """table[r, l] = C(r + l, l) for r <= n, l < m: the sector-rank weights."""
     dim = sector_dimension(n, m)
-    if dim >= _RANK_LIMIT:
-        raise ConfigError(f"the (n={_sig(n)}, m={m}) sector has {_sig(dim)} states, "
-                          "too many to rank")
-    _check_rows(n + 1, f"the (n={_sig(n)}, m={m}) rank table")
+    check_budget("rank", dim, f"the ranks of the (n={sig(n)}, m={m}) sector")
+    check_budget("rows", n + 1, f"the (n={sig(n)}, m={m}) rank table")
     table = np.ones((n + 1, m), dtype=np.int64)
     for col in range(1, m):
         table[:, col] = np.cumsum(table[:, col - 1])
@@ -337,8 +312,7 @@ class FockState:
         label = (np.cumsum(live) - 1)[label[keep]]
         table = _binomials(self.n, self.m)
         dim = sector_dimension(self.n, self.m)
-        if len(weight) * dim >= _RANK_LIMIT:
-            raise ConfigError(f"{len(weight)} members of a {dim}-state sector are too many to key")
+        check_budget("rank", len(weight) * dim, f"the keys of {len(weight)} members")
         key, order = np.unique(label * dim + _rank(occ, table), return_index=True)
         if len(key) < len(amp):
             raise ConfigError("occupation rows repeat within a member")
@@ -472,7 +446,7 @@ def thermal_ensemble(basis: OrbitalBasis, temperature: float, n: int,
     energy = occupation_energies(sub, t)
     inside = energy <= energy_cutoff
     rows = sub[inside]
-    _check_rows(len(rows) * m, "the cells of the configurations inside the cutoff", _CELL_BUDGET)
+    check_budget("cells", len(rows) * m, "the configurations inside the cutoff")
     occs = np.zeros((len(rows), m), dtype=np.int64)
     occs[:, :top] = rows
     kept = [math.exp(-beta * (e - e0)) for e in energy[inside]]
@@ -520,7 +494,7 @@ def _apply(state: FockState, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for src, tgt, val, _, _ in _hops(state, matrix):
         # each chunk's targets, merged into those of the earlier chunks
         key, inv = np.unique(np.concatenate([key, tgt]), return_inverse=True)
-        _check_rows(len(key), "an applied vector")
+        check_budget("rows", len(key), "an applied vector")
         amp = _sum_by(inv, np.concatenate([amp, val * state.amp[src]]), len(key))
     return key, amp
 
@@ -553,7 +527,7 @@ def few_body_expectation(state: FockState, ops: list[OneBodyOperator]) -> np.nda
     _check_leak(state)
     applied = [_apply(state, op.matrix) for op in ops]
     key = np.unique(np.concatenate([k for k, _ in applied]))
-    _check_rows(len(key) * len(ops), "the applied vectors")
+    check_budget("rows", len(key) * len(ops), "the applied vectors")
     cols = np.zeros((len(key), len(ops)), dtype=complex)
     for col, (k, amp) in enumerate(applied):
         cols[np.searchsorted(key, k), col] = amp
@@ -623,7 +597,7 @@ def pair_distribution(state: FockState, grid: np.ndarray, basis: OrbitalBasis) -
     """
     grid = _check_grid(grid)
     # the kernels' entries, before any is built
-    _check_rows(len(grid) * state.m ** 2, "the pair-distribution kernels")
+    check_budget("rows", len(grid) * state.m ** 2, "the pair-distribution kernels")
     psi = hermite_functions(grid, state.m, basis)
     kernels = [OneBodyOperator(np.outer(row, row), kind="K(x)") for row in psi]
     return few_body_expectation(state, kernels).real / state.n ** 2

@@ -27,18 +27,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, MinResolution, SingularLyapunov, TimescaleViolation
+from .errors import (ConfigError, MinResolution, SingularLyapunov, TimescaleViolation,
+                     check_budget, sig)
 from .moments import JointMoments, project_collective
 from .scales import TrapConfig
 
 # bound on the floats one batch keeps in each draw buffer (8 MB)
 _DRAW_FLOATS = 2**20
-# each trajectory keeps its own Generator (about 1 KB) alive for the whole run
-_MAX_TRAJECTORIES = 2**16
-# events a run may ask for: per trajectory, round(t_max * gamma), and summed
-# over the ensemble; checked before any generator is built
-_MAX_EVENTS = 2**20
-_MAX_TRAJ_EVENTS = 2**28
 # a poisson chunk steps enough events to fill (events, trajectories) arrays
 # of this many floats, and at least 4, which spreads numpy's per-call cost
 # at large K
@@ -74,11 +69,11 @@ class LoopConfig:
             raise ConfigError(f"zeta0 must be finite and >= 0, got {self.zeta0!r}")
         if self.schedule not in ("regular", "poisson"):
             raise ConfigError(f"schedule must be regular or poisson, got {self.schedule!r}")
-        if not 1 <= self.trajectories <= _MAX_TRAJECTORIES:
-            raise ConfigError(
-                f"trajectories must be in [1, {_MAX_TRAJECTORIES}], got {self.trajectories!r}")
+        if not self.trajectories >= 1:
+            raise ConfigError(f"trajectories must be >= 1, got {sig(self.trajectories)}")
+        check_budget("trajectories", self.trajectories, "trajectories")
         if not (0 <= int(self.rng_seed) < 2**64):
-            raise ConfigError(f"rng_seed must fit in 64 bits, got {self.rng_seed!r}")
+            raise ConfigError(f"rng_seed must fit in 64 bits, got {sig(int(self.rng_seed))}")
 
 
 class _Pair(NamedTuple):
@@ -365,22 +360,20 @@ def plan_run(cfg: LoopConfig, trap: TrapConfig, t_max: float,
              record_stride: int = 1) -> tuple[int, float]:
     """(events per trajectory, spectral radius) of a run, checked before any state.
 
-    round(t_max * gamma) may not exceed _MAX_EVENTS, nor K times it _MAX_TRAJ_EVENTS.
+    round(t_max * gamma) and K times it are checked against the events budgets.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ConfigError(f"t_max must be finite and > 0, got {t_max!r}")
     if record_stride < 1:
-        raise ConfigError(f"record_stride must be >= 1, got {record_stride!r}")
-    n_events = int(round(t_max * cfg.gamma))
+        raise ConfigError(f"record_stride must be >= 1, got {sig(record_stride)}")
+    # an overflowing product stays inf, which the budget refuses, not round()
+    n_events = t_max * cfg.gamma
+    n_events = round(n_events) if math.isfinite(n_events) else n_events
     if n_events < 1:
         raise ConfigError("t_max shorter than one loop period")
-    if n_events > _MAX_EVENTS:
-        raise ConfigError(
-            f"t_max * gamma asks for {n_events} events, over the budget of {_MAX_EVENTS}")
-    if cfg.trajectories * n_events > _MAX_TRAJ_EVENTS:
-        raise ConfigError(
-            f"{cfg.trajectories} trajectories x {n_events} events is over the budget of "
-            f"{_MAX_TRAJ_EVENTS} trajectory-events")
+    check_budget("events", n_events, "t_max * gamma")
+    check_budget("traj_events", cfg.trajectories * n_events,
+                 f"{sig(cfg.trajectories)} trajectories x {sig(n_events)} events")
     return n_events, _check_stable(trap, cfg)
 
 
@@ -399,6 +392,9 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
     together.  The run is first checked by plan_run.
     """
     n_events, radius = plan_run(cfg, trap, t_max, record_stride)
+    # any stride past the last event records the start alone, as n_events + 1
+    # does, and record_stride / gamma stays in the float range
+    record_stride = min(record_stride, n_events + 1)
     if init.n != trap.atom_count:
         raise ConfigError(f"initial moments have n={init.n}, trap has {trap.atom_count}")
     if cfg.gamma < 20.0 * trap.trap_freq:

@@ -33,12 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fock
-from .errors import (
-    ConfigError,
-    DimensionTooLarge,
-    PositivityLoss,
-    TruncationLeak,
-)
+from .errors import ConfigError, PositivityLoss, TruncationLeak, check_budget, sig
 from .moments import (
     JointMoments,
     build_generators,
@@ -50,17 +45,6 @@ from .moments import (
 from .scales import FeedbackConfig, TrapConfig
 
 _ALL_TERMS = ("hamiltonian", "friction", "measurement", "noise")
-# largest sector the oracle takes: rho and each Taylor term are dense d x d
-# complex matrices, 16 MB at d = 1000
-_DIM_CAP = 1000
-# most steps one step clock may hold
-_STEP_BUDGET = 2**20
-# most generator products (degree x substeps, summed over the emitted instants)
-# and multiply-adds (products x stored stack entries x d) one integrate call may
-# plan, checked first.  On one BLAS thread of a 2-vCPU Xeon VM a product takes
-# 22 us at d = 2 and 0.13 s at d = 969: each cap is under a minute of work
-_PRODUCT_BUDGET = 2**18
-_WORK_BUDGET = 2**34
 
 # Al-Mohy & Higham, Table A.3: theta_m is the largest ||hA||_1 for which the
 # degree-m Taylor polynomial meets the double-precision tolerance unscaled
@@ -93,8 +77,7 @@ class DensityMatrix:
 
     @classmethod
     def from_state(cls, state: fock.FockState, basis: fock.OrbitalBasis) -> "DensityMatrix":
-        if state.dim > _DIM_CAP:
-            raise DimensionTooLarge(f"sector dimension {state.dim} exceeds {_DIM_CAP}")
+        check_budget("sector", state.dim, f"the (n={sig(state.n)}, m={state.m}) sector")
         vecs = np.zeros((len(state.weight), state.dim), dtype=complex)
         vecs[state.label, state.key % state.dim] = state.amp
         rho = sum(w * np.outer(vec, vec.conj()) for w, vec in zip(state.weight, vecs))
@@ -298,8 +281,7 @@ def build_generator(trap: TrapConfig, fb: FeedbackConfig, basis: fock.OrbitalBas
     if not all(map(math.isfinite, chosen.values())):
         raise ConfigError(f"the generator's coefficients {chosen} leave the float range")
     dim = fock.sector_dimension(n, basis.mode_count)
-    if dim > _DIM_CAP:
-        raise DimensionTooLarge(f"sector dimension {dim} exceeds {_DIM_CAP}")
+    check_budget("sector", dim, f"the (n={sig(n)}, m={basis.mode_count}) sector")
 
     import scipy.sparse
 
@@ -396,8 +378,7 @@ def step_times(trap: TrapConfig, t_max: float, dt: float | None = None) -> np.nd
     if not (t_max >= 0 and math.isfinite(t_max)):
         raise ConfigError(f"t_max must be finite and >= 0, got {t_max!r}")
     ratio = t_max / dt - 1e-12  # compared as a float: a tiny dt makes it inf
-    if ratio > _STEP_BUDGET:
-        raise ConfigError(f"{ratio:.6g} steps are over the clock budget of {_STEP_BUDGET}")
+    check_budget("steps", ratio, "the step clock")
     steps = max(0, math.ceil(ratio))
     times = np.concatenate(([0.0], np.cumsum(np.full(steps, dt))))
     times[steps] = t_max
@@ -429,10 +410,9 @@ def integrate(rho0: DensityMatrix, gen: LindbladGenerator,
     plans = {h: _taylor_plan(gen.norm, h) for h in set(steps) if h > 0}
     products = sum(math.prod(plans[h]) for h in steps if h > 0)
     entries, dim = sum(stack.size for stack in gen.stacks), len(gen.h_diag)
-    if not (products <= _PRODUCT_BUDGET and products * entries * dim <= _WORK_BUDGET):
-        raise ConfigError(f"the Taylor plan asks for {products:.6g} generator products of "
-                          f"{entries} stored entries at d = {dim}, over the budget of "
-                          f"{_PRODUCT_BUDGET} products or {_WORK_BUDGET} multiply-adds")
+    plan = f"the Taylor plan ({entries} stored entries at d = {dim})"
+    check_budget("products", products, plan)
+    check_budget("work", products * entries * dim, plan)
 
     packed = gen.blocks.pack(rho0.matrix)
     # a packed rho narrower than rho carries the even half alone
@@ -478,9 +458,10 @@ def compare_with_moments(state: fock.FockState, trap: TrapConfig, fb: FeedbackCo
         dt = 2.0 * math.pi / (1000.0 * trap.trap_freq)
     grid = np.asarray(t_grid, dtype=float)
     if (grid.ndim != 1 or not len(grid) or not np.all(np.isfinite(grid)) or np.any(grid < 0)
-            or not dt > 0 or not float(grid.max()) / dt <= _STEP_BUDGET):
-        raise ConfigError("t_grid must be a nonempty 1-D array of finite instants >= 0, on a "
-                          f"clock of dt > 0 and at most {_STEP_BUDGET} steps (got dt {dt!r})")
+            or not dt > 0):
+        raise ConfigError("t_grid must be a nonempty 1-D array of finite instants >= 0, and "
+                          f"dt > 0 (got dt {dt!r})")
+    check_budget("steps", float(grid.max()) / dt, "the t_grid clock")
     snapped = sorted({round(t / dt) for t in grid})
     clock = step_times(trap, snapped[-1] * dt, dt)
     gen = build_generator(trap, fb, basis)

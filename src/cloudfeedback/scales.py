@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, NonPositiveRate, ZeroShiftRate
+from .errors import ConfigError, NonPositiveRate, ZeroShiftRate, sig
 
 # Relative tolerance for the discrete/continuous consistency check and for
 # regime boundary detection; pure arithmetic warrants a tight value.
@@ -31,7 +31,7 @@ class TrapConfig:
 
     def __post_init__(self):
         if not isinstance(self.atom_count, int) or self.atom_count < 1:
-            raise ConfigError(f"atom_count must be a positive integer, got {self.atom_count!r}")
+            raise ConfigError(f"atom_count must be a positive integer, got {sig(self.atom_count)}")
         for name in ("mass", "trap_freq", "hbar"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
@@ -46,7 +46,7 @@ class TrapConfig:
         except (ZeroDivisionError, OverflowError):
             scales = (math.nan,)
         if not all(0.0 < v < math.inf for v in scales):
-            raise ConfigError(f"trap (N={n}, mass={m!r}, omega={w!r}, hbar={hbar!r}) puts "
+            raise ConfigError(f"trap (N={sig(n)}, mass={m!r}, omega={w!r}, hbar={hbar!r}) puts "
                               "a length, momentum, energy or rate scale outside the float range")
 
 

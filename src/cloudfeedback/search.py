@@ -33,17 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria, fock
-from .errors import ConfigError, NonConvergence
+from .errors import ConfigError, NonConvergence, check_budget, sig
 from .scales import TrapConfig
 
 _FAMILIES = ("fixed_N_pure", "indefinite_N_coherent")
-_MAX_PARAMS = 64
 _BARRIER = 1e6
-# Nelder-Mead iterations a search may ask for, restarts * max_iter
-_ITERATION_BUDGET = 2**22
-# objective evaluations the restarts spend before their first iteration:
-# the start point and the p + 1 vertices of the first simplex, restarts * (p + 2)
-_SETUP_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -59,33 +53,19 @@ class SearchSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ConfigError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ConfigError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.m, int) or self.m < 2:
-            raise ConfigError(f"m must be an integer >= 2, got {self.m!r}")
-        if not isinstance(self.restarts, int) or self.restarts < 1:
-            raise ConfigError(f"restarts must be >= 1, got {self.restarts!r}")
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        for name, low in (("n", 1), ("m", 2), ("restarts", 1), ("max_iter", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= low):
+                raise ConfigError(f"{name} must be an integer >= {low}, got {sig(value)}")
         if not (isinstance(self.tol, (int, float)) and math.isfinite(self.tol)
                 and self.tol > 0):
             raise ConfigError(f"tol must be finite and > 0, got {self.tol!r}")
-        if self.restarts * self.max_iter > _ITERATION_BUDGET:
-            raise ConfigError(
-                f"restarts * max_iter = {self.restarts * self.max_iter} Nelder-Mead "
-                f"iterations, budget is {_ITERATION_BUDGET}"
-            )
+        check_budget("iterations", self.restarts * self.max_iter, "restarts * max_iter")
+        # C(n + m - 1, n) is slow to count, or past math.comb, when n and m are both large
+        check_budget("modes", self.m, "m")
         p = self.parameter_count
-        if p > _MAX_PARAMS:
-            raise ConfigError(
-                f"family {self.family} on (n={self.n}, m={self.m}) needs {p} real "
-                f"parameters, budget is {_MAX_PARAMS}"
-            )
-        if self.restarts * (p + 2) > _SETUP_BUDGET:
-            raise ConfigError(
-                f"restarts * (parameters + 2) = {self.restarts * (p + 2)} set-up "
-                f"evaluations, budget is {_SETUP_BUDGET}"
-            )
+        check_budget("params", p, f"family {self.family} on (n={sig(self.n)}, m={self.m})")
+        check_budget("setup", self.restarts * (p + 2), "restarts * (parameters + 2)")
 
     @property
     def parameter_count(self) -> int:

@@ -4,8 +4,8 @@ Configs are drawn from the driver's own tables: each draw takes a small run
 of one subcommand and sets one to three of its top-level keys (`_KEYS`) or
 task keys (`_TASKS`) to a small value, an edge value, a value of the wrong
 type or nothing, and may add a command-line flag with a malformed value.  Every run must exit
-0, 2 or 3, write exactly one JSON line to stderr and only finite numbers to
-stdout, and finish within a fixed bound.  The runs see Python's default
+0, 2 or 3, write exactly one JSON line to stderr, whose error detail is
+short, and only finite numbers to stdout, and finish within a fixed bound.  The runs see Python's default
 warning filters, as the console script does: cli_main records a warning
 into the run record, where the suite's filters would raise it.
 """
@@ -22,9 +22,9 @@ import pytest
 
 from cloudfeedback import driver
 
-# the edges of the float range, signs, non-finite numbers, a JSON null and
-# values of the wrong type
-EDGES = [0, 1, -1, 1e-300, 5e-324, 1e300, math.inf, -math.inf, math.nan, None,
+# the edges of the float range, an integer past it, signs, non-finite
+# numbers, a JSON null and values of the wrong type
+EDGES = [0, 1, -1, 1e-300, 5e-324, 1e300, 10**400, math.inf, -math.inf, math.nan, None,
          "x", [1], {"k": 1}, True]
 # small values that many keys take
 SMALL = [2, 3, 0.25, 0.5, 2.5, False, "poisson", "indefinite_N_coherent"]
@@ -55,7 +55,8 @@ BASE = {
 # configs that ended in a traceback: a subnormal dt (ceil(inf) in
 # step_times), N = 1e300 (N^2 in classify_regime), omega = 1e300 at
 # m omega^2 = 1e300 (omega^2 in the moment drift), DXs = 3.6e299 (DXs^2 in
-# the criteria) and zeta * eta_min = 0 (a division by it in the scan)
+# the criteria), zeta * eta_min = 0 (a division by it in the scan) and a
+# record stride past the float range (record_stride / gamma in the loop)
 CORPUS = [
     ("oracle", {"n": 1, "zeta": 0.5, "sigma": 0.7, "task": {"t_max": 0.01, "dt": 5e-324}}, []),
     ("scan", {"n": 1e300, "zeta": 1, "sigma": 0.5}, []),
@@ -63,8 +64,11 @@ CORPUS = [
      ["--omega", "1e300"]),
     ("criteria", {"n": 2, "zeta": 0.5, "sigma": 0.7, "mass": 1e-300}, []),
     ("scan", {"n": 2, "zeta": 5e-324, "sigma": 2}, []),
+    ("loop", {**BASE["loop"], "task": {"t_max": 0.1, "record_stride": 10**400}}, []),
+    ("loop", {**BASE["loop"], "task": {"t_max": 0.1, "record_stride": 10**400,
+                                       "schedule": "poisson"}}, []),
 ]
-SEED, DRAWS, BOUND_S = 20261019, 1500, 5.0
+SEED, DRAWS, BOUND_S, DETAIL_CHARS = 20261019, 1500, 5.0, 300
 
 
 def draw(rng: random.Random, task: str, workdir: str) -> tuple:
@@ -101,7 +105,9 @@ def cases(workdir: str) -> list:
 def check_run(code: int, out: str, err: str) -> None:
     assert code in (0, 2, 3)
     (line,) = err.splitlines()
-    json.loads(line)
+    doc = json.loads(line)
+    # a refusal echoes its counts to six digits, never in full
+    assert len(doc.get("detail", "")) <= DETAIL_CHARS
     if code != 0:
         assert out == ""
     elif out.startswith("{"):

@@ -481,7 +481,7 @@ def test_cli_oracle_refuses_superoperator_over_budget(tmp_path):
     assert out == ""
     doc = json.loads(err)
     assert doc["error"] == "DimensionTooLarge"
-    assert "sector dimension 1001 exceeds 1000" in doc["detail"]
+    assert "the (n=4, m=11) sector: 1001 states, over the budget of 1000" in doc["detail"]
 
 
 def test_cli_oracle_reaches_four_atoms(tmp_path):
@@ -536,13 +536,43 @@ def test_cli_sector_refusal_prints_n_to_six_digits(tmp_path):
     doc = json.loads(err)
     assert doc["error"] == "ConfigError"
     assert "(n=1e+300, m=6) sector" in doc["detail"] and len(doc["detail"]) < 100
+    # every other refusal that echoes a count prints it the same way, to six
+    # significant digits and past the float range as a power of ten
+    feedback, discrete = {"zeta": 0.5, "sigma": 0.7}, {"gamma": 100.0, "sigma0": 5.0,
+                                                       "zeta0": 0.002}
+    for task, doc, text in [
+        ("criteria", {"n": 10**400, **feedback}, "trap (N=10^400, "),
+        ("loop", {"n": 1, **discrete, "seed": 10**400, "task": {"t_max": 0.1}},
+         "rng_seed must fit in 64 bits, got 10^400"),
+        ("loop", {"n": 1, **discrete, "task": {"t_max": 0.1, "trajectories": 10**400}},
+         "trajectories: 10^400 trajectories, over the budget of 65536"),
+        ("criteria", {"n": 2, **feedback, "task": {"samples": 10**400}},
+         "samples: 10^400 rows, over the budget of 100000"),
+        ("oracle", {"n": 1, **feedback, "task": {"stride": -10**400}},
+         "stride must be >= 1, got -10^400"),
+        ("criteria", {"n": 2, **feedback, "state": {"kind": "condensate", "m": 10**400}},
+         "mode_count: 10^400 orbitals, over the budget of 1000"),
+        ("criteria", {"n": 2, **feedback,
+                      "state": {"kind": "occupation", "occupation": [-10**400, "x", 2]}},
+         "got [-10^400, 'x', 2]"),
+        ("search", {"n": 2, "task": {"restarts": 10**400}},
+         "restarts * max_iter: 10^404.301 Nelder-Mead iterations"),
+        ("search", {"n": 2, "task": {"m": 10**400}}, "m: 10^400 orbitals, over the budget"),
+        ("search", {"n": 1e300, "task": {"m": 3}},
+         "(n=1e+300, m=3): 10^600 real parameters, over the budget of 64"),
+    ]:
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli([task, "--config", str(cfg)])
+        assert code == 2 and out == ""
+        detail = json.loads(err)["detail"]
+        assert text in detail and not re.search(r"\d{7}", detail), detail
 
 
 @pytest.mark.parametrize("task, key", [("criteria", "samples"), ("evolve", "samples"),
                                        ("scan", "steps")])
 def test_cli_grid_over_row_budget_exits_2_at_once(tmp_path, task, key):
     cfg = tmp_path / "run.json"
-    for rows in (10**9, driver._GRID_ROWS + 1):
+    for rows in (10**9, errors.BUDGETS["grid"].cap + 1):
         cfg.write_text(json.dumps({"n": 2, "zeta": 0.5, "sigma": 0.7,
                                    "task": {"name": task, key: rows}}))
         t0 = time.perf_counter()
@@ -1247,6 +1277,19 @@ _LATE_KEYS = {
     ("criteria", {"n": 2, "zeta": 0.5, "sigma": 0.7, "mass": 1e-300}),
     # zeta * eta_min underflows to 0, which the scan divided by
     ("scan", {"n": 2, "zeta": 5e-324, "sigma": 2}),
+    # JSON integers past the float range on float keys, which float() raised on
+    ("criteria", {"n": 2, "zeta": 0.5, "sigma": 0.7, "mass": 10**400}),
+    ("criteria", {"n": 2, "zeta": 10**400, "sigma": 0.7}),
+    ("oracle", {"n": 1, "zeta": 0.5, "sigma": 0.7, "task": {"t_max": 10**400}}),
+    ("search", {"n": 2, "task": {"tol": 10**400}}),
+    ("criteria", {"n": 2, "zeta": 0.5, "sigma": 0.7,
+                  "state": {"kind": "condensate", "m": 4, "displacement": 10**400}}),
+    # t_max * gamma overflows to inf, which round() raised on
+    ("loop", {"n": 1, "gamma": 1e300, "sigma0": 5, "zeta0": 0, "task": {"t_max": 1e10}}),
+    # a budget refusal on a count of over 4300 digits, which str() raised on
+    ("search", {"n": 2, "task": {"restarts": 10**4299}}),
+    # a sector C(N + m - 1, N) with both N and m past 2^63, which math.comb raised on
+    ("search", {"n": 1e300, "task": {"m": 1e300}}),
 ] + list(_LATE_KEYS.values())
   + [(task, dict(run, **trap)) for trap in _EDGE_TRAPS.values() for task, run in _RUNS.items()]
   + [(task, {"n": 1, **pair}) for pair in _EDGE_FEEDBACK.values()
@@ -1255,7 +1298,9 @@ _LATE_KEYS = {
          "underflowing-dX0", "boolean-occupation", "boolean-term-occupation",
          "unrankable-condensate", "over-taylor-budget", "over-work-budget",
          "over-product-budget-small-sector", "overflowing-dxs-squared",
-         "underflowing-zeta-eta-min"]
+         "underflowing-zeta-eta-min", "huge-int-mass", "huge-int-zeta", "huge-int-t-max",
+         "huge-int-tol", "huge-int-displacement", "overflowing-loop-events",
+         "search-budget-past-str-digits", "search-sector-past-comb"]
     + list(_LATE_KEYS)
     + [f"{name}-{task}" for name in _EDGE_TRAPS for task in _RUNS]
     + [f"{name}-{task}" for name in _EDGE_FEEDBACK
@@ -1283,6 +1328,17 @@ def test_cli_task_keys_are_checked_before_the_state(tmp_path, monkeypatch, task,
     code, _, err = run_cli([task, "--config", str(cfg)])
     assert code == 2
     assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_cli_config_integer_past_the_digit_limit_exits_2(tmp_path):
+    # json.load refuses an integer of over 4300 digits with a ValueError that
+    # is no JSONDecodeError; json.dumps cannot write one, so the text is raw
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"n": 1' + "0" * 4300 + ', "zeta": 0.5, "sigma": 0.7}')
+    code, out, err = run_cli(["scales", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError" and "4300 digits" in doc["detail"]
 
 
 def test_cli_oracle_refuses_a_wide_sector_before_the_state(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 import helpers
 from cloudfeedback import criteria, fock, moments
 from cloudfeedback.errors import (
+    BUDGETS,
     ConfigError,
     CutoffTooTight,
     GridTooCoarse,
@@ -610,7 +611,7 @@ def test_validation_errors():
     with pytest.raises(ConfigError, match="not finite"):
         fock.OneBodyOperator(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(ConfigError, match="mode_count"):
-        fock.OrbitalBasis(mode_count=fock._MODE_LIMIT + 1, trap=TRAP1)
+        fock.OrbitalBasis(mode_count=BUDGETS["modes"].cap + 1, trap=TRAP1)
 
 
 def test_members_are_labelled_rows_of_one_state():

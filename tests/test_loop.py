@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from cloudfeedback import fock, loop, moments, oracle
-from cloudfeedback.errors import ConfigError, MinResolution, TimescaleViolation
+from cloudfeedback.errors import BUDGETS, ConfigError, MinResolution, TimescaleViolation
 from cloudfeedback.scales import (FeedbackConfig, TrapConfig, continuous_limit_params,
                                   derive_scales)
 
@@ -59,10 +59,10 @@ def test_loop_config_validation_and_continuous_map():
     with pytest.raises(ConfigError):
         loop.LoopConfig(gamma=10.0, sigma0=1.0, zeta0=0.1, trajectories=0)
     # one Generator per trajectory stays alive: a cap, checked before any work
-    loop.LoopConfig(gamma=10.0, sigma0=1.0, zeta0=0.1, trajectories=loop._MAX_TRAJECTORIES)
+    cap = BUDGETS["trajectories"].cap
+    loop.LoopConfig(gamma=10.0, sigma0=1.0, zeta0=0.1, trajectories=cap)
     with pytest.raises(ConfigError):
-        loop.LoopConfig(gamma=10.0, sigma0=1.0, zeta0=0.1,
-                        trajectories=loop._MAX_TRAJECTORIES + 1)
+        loop.LoopConfig(gamma=10.0, sigma0=1.0, zeta0=0.1, trajectories=cap + 1)
     cfg = loop.LoopConfig(gamma=100.0, sigma0=5.0, zeta0=0.002)
     fb = continuous_feedback(cfg)
     assert fb.shift_rate == pytest.approx(0.2)
@@ -365,6 +365,20 @@ def test_regular_ensemble_matches_event_by_event_reference(k, stride):
     traj = loop.run_ensemble(ground_moments(2), cfg, trap, 3.0, record_stride=stride)
     got = np.column_stack([traj.mean_X, traj.var_X, traj.mean_P, traj.var_P])
     assert np.array_equal(got, regular_reference(ground_moments(2), cfg, trap, 3.0, stride))
+
+
+@pytest.mark.parametrize("schedule", ["regular", "poisson"])
+def test_record_stride_past_the_last_event_records_the_start_alone(schedule):
+    # 10 events: any stride from 11 on, past the float range too, gives one record
+    trap = trap_for(1)
+    cfg = loop_for(trap, zeta=0.5, eta=1.0, gamma=100.0, rng_seed=7, trajectories=3,
+                   schedule=schedule)
+    runs = [loop.run_ensemble(ground_moments(1), cfg, trap, 0.1, record_stride=stride)
+            for stride in (11, 10**400)]
+    assert len(runs[0].times) == 1
+    for name in ("times", "mean_X", "var_X", "mean_P", "var_P", "n_events"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
+    assert runs[0].traj_events == runs[1].traj_events
 
 
 def grid_walk_poisson(init, cfg, trap, t_max, record_stride):

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from cloudfeedback import fock, moments, oracle
 from cloudfeedback.errors import (
+    BUDGETS,
     ConfigError,
     DimensionTooLarge,
     PositivityLoss,
@@ -103,7 +104,8 @@ def test_build_generator_guards():
     trap = trap_for(2)
     basis = fock.OrbitalBasis(mode_count=5, trap=trap)
     # N = 4 over eleven orbitals is a 1001-state sector: one over the cap
-    with pytest.raises(DimensionTooLarge, match="1001 exceeds 1000"):
+    with pytest.raises(DimensionTooLarge,
+                       match=re.escape("(n=4, m=11) sector: 1001 states, over the budget of 1000")):
         oracle.build_generator(trap_for(4), feedback_for_eta(trap_for(4), 1.0, zeta=0.2),
                                fock.OrbitalBasis(mode_count=11, trap=trap_for(4)))
     with pytest.raises(DimensionTooLarge):
@@ -136,9 +138,10 @@ def test_step_counts_are_budgeted_as_floats():
             oracle.step_times(trap, t_max, dt)
         assert not re.search(r"\d{10}", str(info.value))
     dt = 2 * math.pi / 1000
-    assert len(oracle.step_times(trap, oracle._STEP_BUDGET * dt, dt)) == oracle._STEP_BUDGET + 1
+    cap = BUDGETS["steps"].cap
+    assert len(oracle.step_times(trap, cap * dt, dt)) == cap + 1
     with pytest.raises(ConfigError, match="budget"):
-        oracle.step_times(trap, (oracle._STEP_BUDGET + 1) * dt, dt)
+        oracle.step_times(trap, (cap + 1) * dt, dt)
     basis = fock.OrbitalBasis(mode_count=4, trap=trap)
     state = fock.condensate_state(np.eye(4)[0], 1)
     with pytest.raises(ConfigError, match="steps"):
