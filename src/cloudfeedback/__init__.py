@@ -24,9 +24,11 @@ from .fock import (
 from .loop import LoopConfig, LoopTrajectory, run_ensemble, stationary_discrete
 from .moments import (
     JointMoments,
+    MomentGrid,
     build_generators,
     cloud_size,
     evolve,
+    evolve_grid,
     init_moments,
 )
 from .oracle import DensityMatrix, OracleTrajectory, compare_with_moments, integrate
@@ -52,6 +54,7 @@ __all__ = [
     "JointMoments",
     "LoopConfig",
     "LoopTrajectory",
+    "MomentGrid",
     "NonConvergence",
     "OneBodyOperator",
     "OracleTrajectory",
@@ -77,6 +80,7 @@ __all__ = [
     "displaced_orbital",
     "evaluate_criteria",
     "evolve",
+    "evolve_grid",
     "init_moments",
     "integrate",
     "quadrature_harmonics",

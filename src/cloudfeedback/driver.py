@@ -385,24 +385,35 @@ def _curve_inputs(trap: TrapConfig, fb: FeedbackConfig, samples,
     return times, derive_scales(trap, fb), g
 
 
+def _psd_health(flow: moments.MomentGrid | None) -> dict:
+    """The PSD clips of a moment flow, none without one."""
+    if flow is None:
+        return {"psd_clips": 0, "psd_clip_min": 0.0}
+    return {"psd_clips": flow.psd_clips, "psd_clip_min": flow.psd_clip_min}
+
+
 def _curve(h: criteria.QuadratureHarmonics, state, basis, times: np.ndarray,
-           s: DerivedScales, g: moments.DriftDiffusion | None) -> dict:
+           s: DerivedScales, g: moments.DriftDiffusion | None) -> tuple[dict, dict]:
+    """(columns, health) of a breathing curve; dx is the moment flow's."""
     ts = times.tolist()
     columns = {"t": ts, "sigma_q_sq": [h.value(t) for t in ts],
                "dxa": [criteria.asymptotic_cloud_size(s, h, t) for t in ts],
                "dx0": [s.dx0] * len(ts), "DXs": [s.DXs] * len(ts)}
+    flow = None
     if g is not None:
-        m0 = moments.init_moments(state, basis)
-        columns["dx"] = [moments.cloud_size(moments.evolve(m0, g, t)) for t in ts]
-    return columns
+        flow = moments.evolve_grid(moments.init_moments(state, basis), g, times)
+        columns["dx"] = moments.cloud_size(flow).tolist()
+    return columns, _psd_health(flow)
 
 
-def _moment_columns(times, joint) -> dict:
-    """The _MOMENT_HEADER columns; a single atom's collective ones are zero."""
-    mean, cov = np.zeros((len(joint), 4)), np.zeros((len(joint), 4, 4))
-    for k, m in enumerate(joint):
-        dim = m.mean.shape[0]
-        mean[k, :dim], cov[k, :dim, :dim] = m.mean, m.cov
+def _moment_columns(times, mean, cov) -> dict:
+    """The _MOMENT_HEADER columns of stacked moments; a single atom's
+    collective ones are zero."""
+    mean, cov = np.asarray(mean), np.asarray(cov)
+    dim = mean.shape[1]
+    if dim < 4:
+        mean = np.pad(mean, ((0, 0), (0, 4 - dim)))
+        cov = np.pad(cov, ((0, 0), (0, 4 - dim), (0, 4 - dim)))
     i, j = np.triu_indices(4)
     var = cov[:, 0, 0]
     return dict(zip(_MOMENT_HEADER, [times, *mean.T, *cov[:, i, j].T,
@@ -425,9 +436,9 @@ def _cmd_criteria(cfg: RunConfig) -> tuple:
     state, basis = build_state(cfg.state_doc, cfg.trap)
     h = criteria.quadrature_harmonics(state, basis)
     report = criteria.evaluate_criteria(s, h)
-    return _curve(h, state, basis, times, s, g), {
-        **report.to_dict(), "min_sigma_q_sq": report.min_sigma_q_sq,
-        "notes": list(report.notes)}, None
+    columns, health = _curve(h, state, basis, times, s, g)
+    return columns, {**report.to_dict(), "min_sigma_q_sq": report.min_sigma_q_sq,
+                     "notes": list(report.notes), "health": health}, None
 
 
 def _cmd_evolve(cfg: RunConfig) -> tuple:
@@ -435,7 +446,8 @@ def _cmd_evolve(cfg: RunConfig) -> tuple:
     state, basis = build_state(cfg.state_doc, cfg.trap)
     m0 = moments.init_moments(state, basis)
     times = np.linspace(0.0, cfg.params["t_max"], cfg.params["samples"])
-    return _moment_columns(times, [moments.evolve(m0, g, t) for t in times.tolist()]), {}, None
+    flow = moments.evolve_grid(m0, g, times)
+    return _moment_columns(times, flow.mean, flow.cov), {"health": _psd_health(flow)}, None
 
 
 def _cmd_oracle(cfg: RunConfig) -> tuple:
@@ -449,7 +461,8 @@ def _cmd_oracle(cfg: RunConfig) -> tuple:
     built = time.perf_counter()
     traj = oracle.integrate(rho0, gen, times)
     done = time.perf_counter()
-    return {**_moment_columns(traj.times, traj.joint),
+    return {**_moment_columns(traj.times, [m.mean for m in traj.joint],
+                              [m.cov for m in traj.joint]),
             "trace_err": traj.trace_err, "top_pop": traj.top_pop}, {
         "instants": len(traj.times),
         "sector_dim": len(gen.h_diag),

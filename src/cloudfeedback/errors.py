@@ -121,7 +121,8 @@ BUDGETS = {
     "setup": Budget(2**22, "set-up evaluations", ConfigError,
                     "start point and first simplex of each restart, restarts * (p + 2)"),
     "grid": Budget(100_000, "rows", ConfigError,  # driver
-                   "rows of a criteria, evolve or scan grid; an evolve row is one expm"),
+                   "rows of a criteria, evolve or scan grid; an evolve row is one expm "
+                   "slice, stacked 4096 to a pass"),
 }
 
 

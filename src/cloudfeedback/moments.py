@@ -4,7 +4,11 @@ The master equation closes on first and second moments of the joint Wigner
 function of one tagged atom (x, p) and the center of mass of the remaining
 N - 1 atoms (Xbar, Pbar).  This module builds the linear drift and diffusion
 generator for those four variables, maps initial quantum states to moments,
-and propagates them in closed form.
+and propagates them in closed form.  `evolve_grid` propagates a whole time
+grid in stacked passes of at most _CHUNK (4096) instants, so that its work
+arrays stay bounded: one `expm` call on the stack of Van Loan blocks,
+stacked products for the moments and one stacked `eigh` per covariance
+check.  `evolve` is its one-instant case, with the same bits per instant.
 
 Conventions, stated once:
   * covariance evolves as dS/dt = A S + S A^T + 2 D, so the physical noise
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,24 +32,49 @@ from .errors import ConfigError, StepRejected
 from .scales import FeedbackConfig, TrapConfig
 
 _PSD_FLOOR = 1e-10
+# instants per stacked pass of evolve_grid: at d = 4 one (chunk, 8, 8) stack of
+# Van Loan blocks is 2 MiB, however long the grid
+_CHUNK = 4096
 
 
-def _checked_cov(cov: np.ndarray, exc=ConfigError) -> np.ndarray:
+def _checked_cov(cov: np.ndarray, exc=ConfigError) -> tuple:
+    """Check a stack (k, d, d) of covariances slice by slice, in order.
+
+    Returns (checked, smallest, refusal).  refusal is an exc for the first
+    slice with a non-finite entry, a symmetry defect or an eigenvalue below
+    the PSD floor, or None; checked holds the slices before it, symmetrized,
+    with a negative spectrum clipped to 0, and smallest their smallest
+    eigenvalue before the clip.
+    """
     cov = np.asarray(cov, dtype=float)
     # a NaN passes every comparison below and stops eigh from converging
-    if not np.isfinite(cov).all():
-        raise exc("covariance has a non-finite entry")
-    scale = max(1.0, float(np.max(np.abs(np.diag(cov)))))
-    if np.max(np.abs(cov - cov.T)) > 1e-8 * scale:
-        raise exc(f"covariance not symmetric (defect {np.max(np.abs(cov - cov.T))!r})")
-    cov = 0.5 * (cov + cov.T)
-    w, v = np.linalg.eigh(cov)
-    if w.min() < -_PSD_FLOOR * scale:
-        raise exc(f"covariance eigenvalue {w.min()!r} below the PSD floor")
-    if w.min() < 0.0:
-        cov = (v * np.clip(w, 0.0, None)) @ v.T
-        cov = 0.5 * (cov + cov.T)
-    return cov
+    finite = np.isfinite(cov).all(axis=(1, 2))
+    stop = len(cov) if finite.all() else int(np.argmin(finite))
+    head = cov[:stop]
+    scale = np.abs(head.diagonal(0, 1, 2)).max(axis=1, initial=1.0)
+    defect = np.abs(head - head.transpose(0, 2, 1)).max(axis=(1, 2))
+    skew = defect > 1e-8 * scale
+    if skew.any():
+        stop = int(np.argmax(skew))
+        head = cov[:stop]
+    sym = 0.5 * (head + head.transpose(0, 2, 1))
+    w, v = np.linalg.eigh(sym)
+    smallest = w[:, 0]  # eigh's eigenvalues ascend
+    negative = (smallest < 0.0).nonzero()[0]
+    if len(negative):
+        low = negative[smallest[negative] < -_PSD_FLOOR * scale[negative]]
+        if len(low):
+            k = low[0]
+            return sym[:k], smallest[:k], exc(f"covariance eigenvalue {smallest[k]!r} "
+                                              "below the PSD floor")
+        for k in negative:
+            c = (v[k] * np.clip(w[k], 0.0, None)) @ v[k].T
+            sym[k] = 0.5 * (c + c.T)
+    refusal = None
+    if stop < len(cov):
+        refusal = exc(f"covariance not symmetric (defect {defect[stop]!r})" if skew.any() else
+                      "covariance has a non-finite entry")
+    return sym, smallest, refusal
 
 
 @dataclass(frozen=True)
@@ -66,8 +96,11 @@ class JointMoments:
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (dim, dim):
             raise ConfigError(f"cov must have shape ({dim}, {dim}) for n={self.n}")
+        cov, _, refusal = _checked_cov(cov[None])
+        if refusal is not None:
+            raise refusal
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", _checked_cov(cov))
+        object.__setattr__(self, "cov", cov[0])
 
 
 @dataclass(frozen=True)
@@ -200,13 +233,33 @@ def init_moments(state: fock.FockState, basis: fock.OrbitalBasis) -> JointMoment
     return moments_from_raw(n, x1, p1, x2, p2, s, g[0, 0], g[1, 1], g[0, 1])
 
 
-def evolve(m0: JointMoments, g: DriftDiffusion, t: float) -> JointMoments:
-    """Propagate moments for time t by the augmented-block matrix exponential,
-    exact for the linear FPE."""
-    if t < 0:
-        raise ConfigError(f"t must be >= 0, got {t!r}")
+class MomentGrid(NamedTuple):
+    """Moments at each instant of a grid, and the PSD clips behind them."""
+
+    mean: np.ndarray  # (instants, d)
+    cov: np.ndarray  # (instants, d, d)
+    psd_clips: int  # instants whose covariance was clipped to PSD
+    psd_clip_min: float  # the most negative eigenvalue clipped, 0.0 without a clip
+
+
+def _checked_times(m0: JointMoments, g: DriftDiffusion, times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ConfigError(f"times must be a 1-D grid, got shape {times.shape}")
+    if np.any(times < 0):
+        raise ConfigError(f"t must be >= 0, got {times[times < 0].tolist()[0]!r}")
     if m0.n != g.n:
         raise ConfigError(f"moments have n={m0.n} but generator has n={g.n}")
+    return times
+
+
+def _flow(m0: JointMoments, g: DriftDiffusion, times: np.ndarray) -> tuple:
+    """(means, checked covariances, smallest eigenvalues, refusal) at times,
+    through one Van Loan exponential per instant, all in one expm call.
+
+    The covariances have had the StepRejected check of _checked_cov, not yet
+    the ConfigError check that JointMoments gives them.
+    """
     from scipy.linalg import expm
 
     a, d2 = g.A, 2.0 * g.D
@@ -222,13 +275,51 @@ def evolve(m0: JointMoments, g: DriftDiffusion, t: float) -> JointMoments:
     blk[dim:, dim:] = -a.T
     # a long enough t overflows the exponential: refused as non-finite, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        e = expm(blk * t)
-        f = e[:dim, :dim]
-        gblk = np.ldexp(e[:dim, dim:], k)
-        mean, cov = f @ m0.mean, f @ m0.cov @ f.T + gblk @ f.T
-    return JointMoments(mean=mean, cov=_checked_cov(cov, exc=StepRejected), n=m0.n)
+        e = expm(blk * times[:, None, None])
+        f = e[:, :dim, :dim]
+        ft = f.transpose(0, 2, 1)
+        gblk = np.ldexp(e[:, :dim, dim:], k)
+        mean, cov = f @ m0.mean, f @ m0.cov @ ft + gblk @ ft
+    return (mean, *_checked_cov(cov, exc=StepRejected))
 
 
-def cloud_size(m: JointMoments) -> float:
-    """rms spread of the single-atom marginal."""
-    return math.sqrt(m.cov[0, 0])
+def evolve_grid(m0: JointMoments, g: DriftDiffusion, times) -> MomentGrid:
+    """Propagate moments to each instant of times (1-D, each >= 0), exact for
+    the linear FPE: evolve at every instant, to the bit.
+
+    The grid runs in stacked passes of at most _CHUNK instants, so that its
+    work arrays stay bounded.  Each covariance gets the two checks that
+    evolve gives it; the first instant that fails either raises its refusal.
+    """
+    times = _checked_times(m0, g, times)
+    dim = m0.mean.shape[0]
+    means, covs = np.empty((len(times), dim)), np.empty((len(times), dim, dim))
+    clips, clip_min = 0, 0.0
+    for lo in range(0, len(times), _CHUNK):
+        hi = lo + _CHUNK
+        mean, cov, smallest, refusal = _flow(m0, g, times[lo:hi])
+        # JointMoments' check leaves a slice the first check did not clip as
+        # it is, and sees only slices ahead of the first check's refusal
+        clipped = np.flatnonzero(smallest < 0.0)
+        fixed, again, earlier = _checked_cov(cov[clipped])
+        for stop in (earlier, refusal):
+            if stop is not None:
+                raise stop
+        cov[clipped] = fixed
+        means[lo:hi], covs[lo:hi] = mean, cov
+        clips += len(clipped)
+        clip_min = min(clip_min, float(smallest.min(initial=0.0)), float(again.min(initial=0.0)))
+    return MomentGrid(mean=means, cov=covs, psd_clips=clips, psd_clip_min=clip_min)
+
+
+def evolve(m0: JointMoments, g: DriftDiffusion, t: float) -> JointMoments:
+    """Propagate moments for time t: the one-instant case of evolve_grid."""
+    mean, cov, _, refusal = _flow(m0, g, _checked_times(m0, g, [t]))
+    if refusal is not None:
+        raise refusal
+    return JointMoments(mean=mean[0], cov=cov[0], n=m0.n)
+
+
+def cloud_size(m: JointMoments | MomentGrid):
+    """rms spread of the single-atom marginal; one per instant of a MomentGrid."""
+    return np.sqrt(m.cov[..., 0, 0])

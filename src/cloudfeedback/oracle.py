@@ -37,7 +37,7 @@ from .errors import ConfigError, PositivityLoss, TruncationLeak, check_budget, s
 from .moments import (
     JointMoments,
     build_generators,
-    evolve as evolve_moments,
+    evolve_grid,
     init_moments,
     moments_from_raw,
     project_collective,
@@ -469,10 +469,8 @@ def compare_with_moments(state: fock.FockState, trap: TrapConfig, fb: FeedbackCo
 
     m0 = init_moments(state, basis)
     g = build_generators(trap, fb)
-    dev_mean = 0.0
-    dev_cov = 0.0
-    for exact, idx in zip(traj.joint, snapped):
-        gauss = evolve_moments(m0, g, idx * dt)
-        dev_mean = max(dev_mean, float(np.max(np.abs(exact.mean - gauss.mean))))
-        dev_cov = max(dev_cov, float(np.max(np.abs(exact.cov - gauss.cov))))
-    return {"mean": dev_mean, "cov": dev_cov}
+    gauss = evolve_grid(m0, g, np.asarray(snapped) * dt)
+    exact_mean = np.array([m.mean for m in traj.joint])
+    exact_cov = np.array([m.cov for m in traj.joint])
+    return {"mean": float(np.max(np.abs(exact_mean - gauss.mean))),
+            "cov": float(np.max(np.abs(exact_cov - gauss.cov)))}

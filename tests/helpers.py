@@ -310,4 +310,6 @@ def classical_schwarz_check(intensity, q_values, grid):
 def breathing_curve(state, basis, trap, fb, samples=129, include_transient=False):
     """The criteria subcommand's columns for this state."""
     times, s, g = driver._curve_inputs(trap, fb, samples, include_transient)
-    return driver._curve(criteria.quadrature_harmonics(state, basis), state, basis, times, s, g)
+    columns, _ = driver._curve(criteria.quadrature_harmonics(state, basis), state, basis,
+                               times, s, g)
+    return columns

@@ -716,6 +716,19 @@ def test_cli_evolve_refuses_an_overflowing_exponential(tmp_path, zeta, t_max):
     assert json.loads(err)["error"] == "StepRejected"
 
 
+def test_cli_evolve_long_time_loss_exits_3_with_its_error_line(tmp_path):
+    # the Van Loan exponential loses the covariance's symmetry at long times
+    # for N >= 2; the stacked grid refuses it as the per-instant flow did
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 2, "zeta": 0.5, "sigma": 0.7, "task": {"t_max": 200}}))
+    out = tmp_path / "flow.csv"
+    code, stdout, err = run_cli(["evolve", "--config", str(cfg), "--out", str(out)])
+    assert (code, stdout) == (3, "")
+    assert err == ('{"error": "StepRejected", "detail": "covariance not symmetric '
+                   '(defect np.float64(1.1866969185092557e-08))"}\n')
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("task", ["criteria", "evolve"])
 @pytest.mark.parametrize("temperature", [1e16, 1e17, 1e300])
 def test_cli_hot_thermal_state_exits_3(tmp_path, task, temperature):
@@ -1381,11 +1394,11 @@ _EVERY_TASK = {
                   "task": {"samples": 9, "include_transient": True}},
                  "03fc3954ba6101f15dcab3b6712ed46404a93d8efdc7d448745f29a021b34016",
                  {"min_dxa", "t_star", "qs", "schwarz", "dx0", "DXs", "min_sigma_q_sq",
-                  "notes"}),
+                  "notes", "health"}),
     "evolve": ({"n": 2, "zeta": 0.5, "sigma": 0.7,
                 "state": {"kind": "condensate", "m": 6, "displacement": 0.2},
                 "task": {"t_max": 1.0, "samples": 5}},
-               "40c8181df37c6be50ea14ea2e09d4eb0eb36e1ebd3a976685e2226b103d379b1", set()),
+               "40c8181df37c6be50ea14ea2e09d4eb0eb36e1ebd3a976685e2226b103d379b1", {"health"}),
     "oracle": ({"n": 2, "zeta": 0.5, "sigma": 0.7, "state": {"kind": "condensate", "m": 6},
                 "task": {"t_max": 0.5, "stride": 20}},
                "cb9aa22bbc0d5505842bdb3dc0a82c3cb07de741b5bf66187bc7a19e38da0c26",
@@ -1425,6 +1438,9 @@ def test_cli_every_task_writes_its_artifact_and_one_record(tmp_path, task):
     if task == "oracle":
         # d = 21 has dense stacks, so the ground condensate keeps the full rho
         assert record["health"]["sectors"] == 2
+    if task in ("criteria", "evolve"):
+        # the moment flow of a pure condensate keeps a positive spectrum
+        assert record["health"] == {"psd_clips": 0, "psd_clip_min": 0.0}
 
 
 def test_cli_truncation_leak_exits_3():

@@ -275,6 +275,96 @@ def test_covariance_psd_along_trajectory():
         assert np.linalg.eigvalsh(mt.cov).min() >= -1e-10 * scale
 
 
+def _condensate_flow(n, kind, zeta=0.5, sigma=0.7):
+    trap = TrapConfig(atom_count=n)
+    b = fock.OrbitalBasis(mode_count=12, trap=trap)
+    orbital = {"ground": np.eye(12)[0], "displaced": fock.displaced_orbital(b, 0.3),
+               "squeezed": fock.squeezed_orbital(b, 0.3)}[kind]
+    m0 = moments.init_moments(fock.condensate_state(orbital, n), b)
+    return m0, moments.build_generators(trap, FeedbackConfig(zeta, sigma))
+
+
+def _assert_instants_bitwise(grid, m0, g, times, instants):
+    for k in instants:
+        one = moments.evolve(m0, g, float(times[k]))
+        assert np.array_equal(grid.mean[k], one.mean), k
+        assert np.array_equal(grid.cov[k], one.cov), k
+
+
+@pytest.mark.parametrize("kind", ["ground", "displaced", "squeezed"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evolve_grid_equals_one_instant_calls_bit_for_bit(monkeypatch, n, kind):
+    m0, g = _condensate_flow(n, kind)
+    # a short chunk, so that this grid of 2 chunks + 3 crosses two edges
+    monkeypatch.setattr(moments, "_CHUNK", 4)
+    times = np.linspace(0.0, 9.0, 2 * 4 + 3)
+    grid = moments.evolve_grid(m0, g, times)
+    dim = 2 if n == 1 else 4
+    assert grid.mean.shape == (len(times), dim) and grid.cov.shape == (len(times), dim, dim)
+    _assert_instants_bitwise(grid, m0, g, times, range(len(times)))
+    assert np.array_equal(grid.mean[0], m0.mean)  # t = 0 is the identity
+    assert (grid.psd_clips, grid.psd_clip_min) == (0, 0.0)
+
+
+def test_evolve_grid_crosses_its_chunk_edges_bit_for_bit(monkeypatch):
+    m0, g = _condensate_flow(2, "displaced")
+    chunk = moments._CHUNK
+    times = np.linspace(0.0, 20.0, 2 * chunk + 3)
+    grid = moments.evolve_grid(m0, g, times)
+    edges = [0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 2 * chunk + 2]
+    _assert_instants_bitwise(grid, m0, g, times, edges)
+    # and every instant equals one stacked pass over the whole grid
+    monkeypatch.setattr(moments, "_CHUNK", len(times))
+    whole = moments.evolve_grid(m0, g, times)
+    assert np.array_equal(grid.mean, whole.mean) and np.array_equal(grid.cov, whole.cov)
+
+
+def test_evolve_grid_counts_the_psd_clips_of_a_singular_covariance():
+    # a rank-1 covariance under a pure rotation: rounding leaves its zero
+    # eigenvalue slightly negative at some instants, which the check clips
+    trap = TrapConfig(atom_count=1)
+    m0 = moments.JointMoments(mean=np.zeros(2), cov=np.full((2, 2), 0.5), n=1)
+    g = moments.build_generators(trap, FeedbackConfig(shift_rate=0.0, meas_resolution=math.inf))
+    times = np.linspace(0.0, 10.0, 200)
+    grid = moments.evolve_grid(m0, g, times)
+    assert 0 < grid.psd_clips < len(times)
+    assert -1e-15 < grid.psd_clip_min < 0.0
+    _assert_instants_bitwise(grid, m0, g, times, range(len(times)))
+    assert np.linalg.eigvalsh(grid.cov).min() >= -1e-15
+
+
+def test_evolve_grid_refuses_at_its_first_failing_instant():
+    m0, g = _condensate_flow(2, "displaced")
+    # the symmetry defect of t = 100 is reported ahead of the overflow of t = 1e5
+    for t in (100.0, 1e5):
+        with pytest.raises(StepRejected) as one:
+            moments.evolve(m0, g, t)
+        with pytest.raises(StepRejected) as grid:
+            moments.evolve_grid(m0, g, [0.0, t])
+        assert str(grid.value) == str(one.value)
+    with pytest.raises(StepRejected, match="not symmetric"):
+        moments.evolve_grid(m0, g, [0.0, 100.0, 1e5])
+    with pytest.raises(StepRejected, match="non-finite"):
+        moments.evolve_grid(m0, g, [0.0, 1e5, 100.0])
+    with pytest.raises(ConfigError, match="t must be >= 0, got -1.0"):
+        moments.evolve_grid(m0, g, [0.0, 1.0, -1.0])
+
+
+def test_checked_cov_stops_at_the_first_failing_slice():
+    good = np.diag([1.0, 2.0])
+    skew = np.array([[1.0, 0.5], [0.0, 1.0]])
+    nan = np.full((2, 2), np.nan)
+    checked, smallest, refusal = moments._checked_cov(np.stack([good, skew, nan]))
+    assert isinstance(refusal, ConfigError) and "not symmetric" in str(refusal)
+    assert np.array_equal(checked, [good]) and np.array_equal(smallest, [1.0])
+    checked, _, refusal = moments._checked_cov(np.stack([good, good, nan, skew]), StepRejected)
+    assert isinstance(refusal, StepRejected) and "non-finite" in str(refusal)
+    assert len(checked) == 2
+    low = np.diag([1.0, -1.0])
+    _, _, refusal = moments._checked_cov(np.stack([low, nan]))
+    assert "below the PSD floor" in str(refusal)
+
+
 # ---------------------------------------------------------------------------
 # cloud size and stationary spread
 
