@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
 import math
 import os
@@ -320,22 +321,22 @@ def build_state(doc: dict | None, trap: TrapConfig):
 # emission
 
 
-def _write(target: str | None, text: str) -> None:
+def _write(target: str | None, chunks) -> None:
     if target is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def write_csv(target: str | None, columns: dict) -> None:
-    """Named columns of equal length, all formatted before anything is written.
+    """Named columns of equal length, written 4096 rows at a time once all are checked.
 
     Floats print as %.11e (12 significant digits), integers in full,
     booleans as true/false and strings as given; a non-finite float is
     refused.
     """
-    formats, cells = [], []
+    formats, cols = [], []
     for col in map(np.asarray, columns.values()):
         if col.dtype.kind == "f" and not np.isfinite(col).all():
             bad = float(col[~np.isfinite(col)][0])
@@ -343,13 +344,16 @@ def write_csv(target: str | None, columns: dict) -> None:
         if col.dtype.kind == "b":
             col = np.where(col, "true", "false")
         formats.append({"f": "%.11e", "i": "%d", "u": "%d"}.get(col.dtype.kind, "%s"))
-        cells.append(col.tolist())
-    line = ",".join(formats)
-    _write(target, "\n".join([",".join(columns), *(line % row for row in zip(*cells))]) + "\n")
+        cols.append(col)
+    # 4096 rows of 16 float columns hold about 4 MiB of Python cells at once
+    line, rows = ",".join(formats) + "\n", min(map(len, cols), default=0)
+    _write(target, itertools.chain([",".join(columns) + "\n"], (
+        "".join(line % row for row in zip(*(col[lo:lo + 4096].tolist() for col in cols)))
+        for lo in range(0, rows, 4096))))
 
 
 def write_json(target: str | None, doc: dict) -> None:
-    _write(target, json.dumps(doc, indent=2) + "\n")
+    _write(target, [json.dumps(doc, indent=2) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +390,7 @@ def _curve_inputs(trap: TrapConfig, fb: FeedbackConfig, samples,
 
 
 def _psd_health(flow: moments.MomentGrid | None) -> dict:
-    """The PSD clips of a moment flow, none without one."""
+    """The PSD clips of a moment grid, none without one."""
     if flow is None:
         return {"psd_clips": 0, "psd_clip_min": 0.0}
     return {"psd_clips": flow.psd_clips, "psd_clip_min": flow.psd_clip_min}
@@ -406,10 +410,10 @@ def _curve(h: criteria.QuadratureHarmonics, state, basis, times: np.ndarray,
     return columns, _psd_health(flow)
 
 
-def _moment_columns(times, mean, cov) -> dict:
-    """The _MOMENT_HEADER columns of stacked moments; a single atom's
+def _moment_columns(times, grid: moments.MomentGrid) -> dict:
+    """The _MOMENT_HEADER columns of a moment grid; a single atom's
     collective ones are zero."""
-    mean, cov = np.asarray(mean), np.asarray(cov)
+    mean, cov = grid.mean, grid.cov
     dim = mean.shape[1]
     if dim < 4:
         mean = np.pad(mean, ((0, 0), (0, 4 - dim)))
@@ -447,7 +451,7 @@ def _cmd_evolve(cfg: RunConfig) -> tuple:
     m0 = moments.init_moments(state, basis)
     times = np.linspace(0.0, cfg.params["t_max"], cfg.params["samples"])
     flow = moments.evolve_grid(m0, g, times)
-    return _moment_columns(times, flow.mean, flow.cov), {"health": _psd_health(flow)}, None
+    return _moment_columns(times, flow), {"health": _psd_health(flow)}, None
 
 
 def _cmd_oracle(cfg: RunConfig) -> tuple:
@@ -461,8 +465,7 @@ def _cmd_oracle(cfg: RunConfig) -> tuple:
     built = time.perf_counter()
     traj = oracle.integrate(rho0, gen, times)
     done = time.perf_counter()
-    return {**_moment_columns(traj.times, [m.mean for m in traj.joint],
-                              [m.cov for m in traj.joint]),
+    return {**_moment_columns(traj.times, traj.moments),
             "trace_err": traj.trace_err, "top_pop": traj.top_pop}, {
         "instants": len(traj.times),
         "sector_dim": len(gen.h_diag),
@@ -470,7 +473,7 @@ def _cmd_oracle(cfg: RunConfig) -> tuple:
         "health": {"max_trace_err": float(traj.trace_err.max()),
                    "max_top_pop": float(traj.top_pop.max()),
                    "min_eigenvalue": float(traj.min_eig.min()),
-                   "sectors": traj.sectors},
+                   "sectors": traj.sectors, **_psd_health(traj.moments)},
     }, None
 
 

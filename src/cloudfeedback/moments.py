@@ -9,6 +9,7 @@ grid in stacked passes of at most _CHUNK (4096) instants, so that its work
 arrays stay bounded: one `expm` call on the stack of Van Loan blocks,
 stacked products for the moments and one stacked `eigh` per covariance
 check.  `evolve` is its one-instant case, with the same bits per instant.
+Every time series of moments, the oracle's too, is a checked `MomentGrid`.
 
 Conventions, stated once:
   * covariance evolves as dS/dt = A S + S A^T + 2 D, so the physical noise
@@ -172,15 +173,15 @@ def _collective_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
     return c, s
 
 
-def project_collective(m: JointMoments) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of (X_tot, P_tot)."""
+def project_collective(m: JointMoments | MomentGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of (X_tot, P_tot); one pair per instant of a MomentGrid."""
     c, _ = _collective_maps(m.n)
-    return c @ m.mean, c @ m.cov @ c.T
+    return (c @ m.mean.T).T, c @ m.cov @ c.T
 
 
 def moments_from_raw(n: int, x1: float, p1: float, x2: float, p2: float,
-                     s: float, xx: float, pp: float, xp_sym: float) -> JointMoments:
-    """Map one-body and collective raw moments to the joint representation.
+                     s: float, xx: float, pp: float, xp_sym: float) -> tuple:
+    """Map one-body and collective raw moments to the joint (mean, cov), unchecked.
 
     Inputs: per-atom one-body moments x1 = <x>_1, x2 = <x^2>_1, s = <sym xp>_1
     (each (1/N) Tr[rho1 *]), and collective products xx = <T_x T_x>,
@@ -191,7 +192,7 @@ def moments_from_raw(n: int, x1: float, p1: float, x2: float, p2: float,
     if n == 1:
         mean = np.array([x1, p1])
         cov = np.array([[x2 - x1**2, s - x1 * p1], [s - x1 * p1, p2 - p1**2]])
-        return JointMoments(mean=mean, cov=cov, n=1)
+        return mean, cov
 
     pairs = n * (n - 1)
     xx_c = (xx - n * x2) / pairs
@@ -210,7 +211,7 @@ def moments_from_raw(n: int, x1: float, p1: float, x2: float, p2: float,
     cov[2, 2] = (x2 + (n - 2) * xx_c) / (n - 1) - x1**2
     cov[2, 3] = cov[3, 2] = s + (n - 2) * xp_c - (n - 1) * x1 * p1
     cov[3, 3] = (n - 1) * p2 + (n - 1) * (n - 2) * pp_c - ((n - 1) * p1) ** 2
-    return JointMoments(mean=mean, cov=cov, n=n)
+    return mean, cov
 
 
 def init_moments(state: fock.FockState, basis: fock.OrbitalBasis) -> JointMoments:
@@ -226,11 +227,9 @@ def init_moments(state: fock.FockState, basis: fock.OrbitalBasis) -> JointMoment
     p2 = rho1.expectation(fock.momentum_sq_matrix(basis)) / n
     s = rho1.expectation(fock.sym_xp_matrix(basis)) / n
 
-    if n == 1:
-        return moments_from_raw(1, x1, p1, x2, p2, s, 0.0, 0.0, 0.0)
-
-    g = fock.few_body_expectation(state, [xm, pm]).real
-    return moments_from_raw(n, x1, p1, x2, p2, s, g[0, 0], g[1, 1], g[0, 1])
+    g = np.zeros((2, 2)) if n == 1 else fock.few_body_expectation(state, [xm, pm]).real
+    return JointMoments(*moments_from_raw(n, x1, p1, x2, p2, s, g[0, 0], g[1, 1], g[0, 1]),
+                        n=n)
 
 
 class MomentGrid(NamedTuple):
@@ -238,8 +237,25 @@ class MomentGrid(NamedTuple):
 
     mean: np.ndarray  # (instants, d)
     cov: np.ndarray  # (instants, d, d)
+    n: int
     psd_clips: int  # instants whose covariance was clipped to PSD
     psd_clip_min: float  # the most negative eigenvalue clipped, 0.0 without a clip
+
+
+def checked_grid(n: int, mean: np.ndarray, cov: np.ndarray, reclip: bool = False) -> MomentGrid:
+    """The grid of raw (instants, d) means and (instants, d, d) covariances,
+    checked in one stacked pass, each slice with its bits on its own; the
+    first refused raises its StepRejected.  reclip checks the clipped slices
+    again, as JointMoments checks evolve's result, which only re-clips them."""
+    cov, smallest, refusal = _checked_cov(cov, exc=StepRejected)
+    if refusal is not None:
+        raise refusal
+    clipped = np.flatnonzero(smallest < 0.0)
+    low = float(smallest.min(initial=0.0))
+    if reclip:
+        cov[clipped], again, _ = _checked_cov(cov[clipped])
+        low = min(low, float(again.min(initial=0.0)))
+    return MomentGrid(mean, cov, n, len(clipped), low)
 
 
 def _checked_times(m0: JointMoments, g: DriftDiffusion, times) -> np.ndarray:
@@ -248,18 +264,16 @@ def _checked_times(m0: JointMoments, g: DriftDiffusion, times) -> np.ndarray:
         raise ConfigError(f"times must be a 1-D grid, got shape {times.shape}")
     if np.any(times < 0):
         raise ConfigError(f"t must be >= 0, got {times[times < 0].tolist()[0]!r}")
+    if not np.isfinite(times).all():
+        raise ConfigError(f"t must be finite, got {times[~np.isfinite(times)].tolist()[0]!r}")
     if m0.n != g.n:
         raise ConfigError(f"moments have n={m0.n} but generator has n={g.n}")
     return times
 
 
 def _flow(m0: JointMoments, g: DriftDiffusion, times: np.ndarray) -> tuple:
-    """(means, checked covariances, smallest eigenvalues, refusal) at times,
-    through one Van Loan exponential per instant, all in one expm call.
-
-    The covariances have had the StepRejected check of _checked_cov, not yet
-    the ConfigError check that JointMoments gives them.
-    """
+    """(means, covariances) at times, unchecked, through one Van Loan
+    exponential per instant, all in one expm call."""
     from scipy.linalg import expm
 
     a, d2 = g.A, 2.0 * g.D
@@ -279,17 +293,16 @@ def _flow(m0: JointMoments, g: DriftDiffusion, times: np.ndarray) -> tuple:
         f = e[:, :dim, :dim]
         ft = f.transpose(0, 2, 1)
         gblk = np.ldexp(e[:, :dim, dim:], k)
-        mean, cov = f @ m0.mean, f @ m0.cov @ ft + gblk @ ft
-    return (mean, *_checked_cov(cov, exc=StepRejected))
+        return f @ m0.mean, f @ m0.cov @ ft + gblk @ ft
 
 
 def evolve_grid(m0: JointMoments, g: DriftDiffusion, times) -> MomentGrid:
-    """Propagate moments to each instant of times (1-D, each >= 0), exact for
-    the linear FPE: evolve at every instant, to the bit.
+    """Propagate moments to each instant of times (1-D, each finite and >= 0),
+    exact for the linear FPE: evolve at every instant, to the bit.
 
     The grid runs in stacked passes of at most _CHUNK instants, so that its
-    work arrays stay bounded.  Each covariance gets the two checks that
-    evolve gives it; the first instant that fails either raises its refusal.
+    work arrays stay bounded.  Each pass is checked as evolve checks one
+    instant, and the first instant refused raises its refusal.
     """
     times = _checked_times(m0, g, times)
     dim = m0.mean.shape[0]
@@ -297,27 +310,17 @@ def evolve_grid(m0: JointMoments, g: DriftDiffusion, times) -> MomentGrid:
     clips, clip_min = 0, 0.0
     for lo in range(0, len(times), _CHUNK):
         hi = lo + _CHUNK
-        mean, cov, smallest, refusal = _flow(m0, g, times[lo:hi])
-        # JointMoments' check leaves a slice the first check did not clip as
-        # it is, and sees only slices ahead of the first check's refusal
-        clipped = np.flatnonzero(smallest < 0.0)
-        fixed, again, earlier = _checked_cov(cov[clipped])
-        for stop in (earlier, refusal):
-            if stop is not None:
-                raise stop
-        cov[clipped] = fixed
-        means[lo:hi], covs[lo:hi] = mean, cov
-        clips += len(clipped)
-        clip_min = min(clip_min, float(smallest.min(initial=0.0)), float(again.min(initial=0.0)))
-    return MomentGrid(mean=means, cov=covs, psd_clips=clips, psd_clip_min=clip_min)
+        part = checked_grid(m0.n, *_flow(m0, g, times[lo:hi]), reclip=True)
+        means[lo:hi], covs[lo:hi] = part.mean, part.cov
+        clips += part.psd_clips
+        clip_min = min(clip_min, part.psd_clip_min)
+    return MomentGrid(mean=means, cov=covs, n=m0.n, psd_clips=clips, psd_clip_min=clip_min)
 
 
 def evolve(m0: JointMoments, g: DriftDiffusion, t: float) -> JointMoments:
     """Propagate moments for time t: the one-instant case of evolve_grid."""
-    mean, cov, _, refusal = _flow(m0, g, _checked_times(m0, g, [t]))
-    if refusal is not None:
-        raise refusal
-    return JointMoments(mean=mean[0], cov=cov[0], n=m0.n)
+    grid = checked_grid(m0.n, *_flow(m0, g, _checked_times(m0, g, [t])))
+    return JointMoments(mean=grid.mean[0], cov=grid.cov[0], n=m0.n)
 
 
 def cloud_size(m: JointMoments | MomentGrid):

@@ -35,12 +35,12 @@ import numpy as np
 from . import fock
 from .errors import ConfigError, PositivityLoss, TruncationLeak, check_budget, sig
 from .moments import (
-    JointMoments,
+    MomentGrid,
     build_generators,
+    checked_grid,
     evolve_grid,
     init_moments,
     moments_from_raw,
-    project_collective,
 )
 from .scales import FeedbackConfig, TrapConfig
 
@@ -125,7 +125,7 @@ class LindbladGenerator:
     shift: complex
     norm: float
 
-    def joint_moments(self, rho: np.ndarray) -> JointMoments:
+    def raw_moments(self, rho: np.ndarray) -> tuple:
         # trace(A rho) = sum_ij A_ij rho_ji; moments_from_raw takes the
         # one-body traces per atom and ignores the collective ones at N = 1
         n = self.trap.atom_count
@@ -348,10 +348,7 @@ def _propagate(apply, mu: complex, rho: np.ndarray, h: float,
 @dataclass(frozen=True)
 class OracleTrajectory:
     times: np.ndarray
-    joint: tuple  # JointMoments per emitted instant
-    mean_X: np.ndarray
-    var_X: np.ndarray
-    dx: np.ndarray
+    moments: MomentGrid  # the joint moments at each emitted instant
     trace_err: np.ndarray
     top_pop: np.ndarray
     min_eig: np.ndarray
@@ -395,7 +392,8 @@ def integrate(rho0: DensityMatrix, gen: LindbladGenerator,
     emitted state is made Hermitian by conjugate-transpose averaging,
     propagation goes on from it packed (see ParityBlocks), and it is checked
     for trace drift, top-orbital population (TruncationLeak above 1e-6) and
-    its minimum eigenvalue (PositivityLoss below -1e-6).
+    its minimum eigenvalue (PositivityLoss below -1e-6); their moments, in
+    one checked_grid (StepRejected) once the last instant is formed.
     """
     if not (isinstance(rho0, DensityMatrix) and rho0.n == gen.trap.atom_count
             and len(rho0.matrix) == len(gen.h_diag)):
@@ -417,7 +415,7 @@ def integrate(rho0: DensityMatrix, gen: LindbladGenerator,
     packed = gen.blocks.pack(rho0.matrix)
     # a packed rho narrower than rho carries the even half alone
     sectors = 1 if packed.shape[1] < dim else 2
-    joint, record = [], []
+    raw, record = [], []
     for t, h in zip(times, steps):
         if h > 0:
             packed = _propagate(gen.blocks.apply, gen.shift, packed, h, *plans[h])
@@ -430,17 +428,13 @@ def integrate(rho0: DensityMatrix, gen: LindbladGenerator,
         eig_min = float(np.linalg.eigvalsh(rho).min())
         if eig_min < -1e-6:
             raise PositivityLoss(f"eigenvalue {eig_min:.3e} at t={t:.6f}")
-        jm = gen.joint_moments(rho)
-        mean_c, cov_c = project_collective(jm)
-        joint.append(jm)
-        record.append((mean_c[0], cov_c[0, 0], math.sqrt(jm.cov[0, 0]),
-                       abs(np.trace(rho).real - 1.0), top, eig_min))
+        raw.append(gen.raw_moments(rho))
+        record.append((abs(np.trace(rho).real - 1.0), top, eig_min))
 
-    mean_x, var_x, dx, trace_err, top_pop, min_eig = np.array(record).T
+    trace_err, top_pop, min_eig = np.array(record).T
     return OracleTrajectory(
-        times=times, joint=tuple(joint), mean_X=mean_x, var_X=var_x, dx=dx,
-        trace_err=trace_err, top_pop=top_pop, min_eig=min_eig, final=rho,
-        sectors=sectors,
+        times=times, moments=checked_grid(gen.trap.atom_count, *map(np.array, zip(*raw))),
+        trace_err=trace_err, top_pop=top_pop, min_eig=min_eig, final=rho, sectors=sectors,
     )
 
 
@@ -467,10 +461,8 @@ def compare_with_moments(state: fock.FockState, trap: TrapConfig, fb: FeedbackCo
     gen = build_generator(trap, fb, basis)
     traj = integrate(DensityMatrix.from_state(state, basis), gen, clock[snapped])
 
-    m0 = init_moments(state, basis)
-    g = build_generators(trap, fb)
-    gauss = evolve_grid(m0, g, np.asarray(snapped) * dt)
-    exact_mean = np.array([m.mean for m in traj.joint])
-    exact_cov = np.array([m.cov for m in traj.joint])
-    return {"mean": float(np.max(np.abs(exact_mean - gauss.mean))),
-            "cov": float(np.max(np.abs(exact_cov - gauss.cov)))}
+    exact = traj.moments
+    gauss = evolve_grid(init_moments(state, basis), build_generators(trap, fb),
+                        np.asarray(snapped) * dt)
+    return {"mean": float(np.max(np.abs(exact.mean - gauss.mean))),
+            "cov": float(np.max(np.abs(exact.cov - gauss.cov)))}

@@ -7,6 +7,8 @@ Exponentially sized, so only for small N and M; used to pin frozen values.
 The others are second routes to what the package computes one way:
   * `reference_integrate`: the oracle's propagation on the full density
     matrix, the bits its packed propagation must reproduce;
+  * `plant_covariance_eigenvalue`: a covariance of the oracle's moments
+    moved off the PSD cone, for the checks that must catch it;
   * `rk4_evolve`: the moment flow by fixed-step RK4, against the closed form;
   * `stationary_cm`: the stationary center-of-mass spread from a Lyapunov
     solve, against the closed-form DXs;
@@ -26,7 +28,6 @@ import numpy as np
 
 from cloudfeedback import criteria, driver, fock, moments, oracle
 from cloudfeedback.errors import ConfigError, MinResolution, SingularLyapunov, ToolkitError
-from cloudfeedback.moments import project_collective
 
 
 def _seq_index(seq, m):
@@ -144,22 +145,39 @@ def reference_integrate(rho0, gen, times):
     """oracle.integrate on the full rho at every step, with the same monitors."""
     steps = np.diff(times, prepend=0.0).tolist()
     rho = np.array(rho0.matrix, dtype=complex)
-    joint, record = [], []
+    raw, record = [], []
     for h in steps:
         if h > 0:
             rho = _full_propagate(gen, rho, h, *oracle._taylor_plan(gen.norm, h))
         rho = 0.5 * (rho + rho.conj().T)
         top = float(np.sum(gen.top_number * np.diag(rho).real))
         eig_min = float(np.linalg.eigvalsh(rho).min())
-        jm = gen.joint_moments(rho)
-        mean_c, cov_c = project_collective(jm)
-        joint.append(jm)
-        record.append((mean_c[0], cov_c[0, 0], math.sqrt(jm.cov[0, 0]),
-                       abs(np.trace(rho).real - 1.0), top, eig_min))
-    mean_x, var_x, dx, trace_err, top_pop, min_eig = np.array(record).T
+        raw.append(gen.raw_moments(rho))
+        record.append((abs(np.trace(rho).real - 1.0), top, eig_min))
+    trace_err, top_pop, min_eig = np.array(record).T
+    grid = moments.checked_grid(gen.trap.atom_count, *map(np.array, zip(*raw)))
     return oracle.OracleTrajectory(
-        times=np.asarray(times, dtype=float), joint=tuple(joint), mean_X=mean_x, var_X=var_x,
-        dx=dx, trace_err=trace_err, top_pop=top_pop, min_eig=min_eig, final=rho, sectors=2)
+        times=np.asarray(times, dtype=float), moments=grid, trace_err=trace_err,
+        top_pop=top_pop, min_eig=min_eig, final=rho, sectors=2)
+
+
+def plant_covariance_eigenvalue(monkeypatch, start, low):
+    """Move the lowest covariance eigenvalue of the oracle's raw moments to
+    low, at every emitted instant from the start-th (0 the first) on,
+    counted across calls."""
+    real, seen = oracle.LindbladGenerator.raw_moments, []
+
+    def planted(self, rho):
+        mean, cov = real(self, rho)
+        seen.append(None)
+        if len(seen) > start:
+            w, v = np.linalg.eigh(cov)
+            w[0] = low
+            cov = (v * w) @ v.T
+            cov = 0.5 * (cov + cov.T)
+        return mean, cov
+
+    monkeypatch.setattr(oracle.LindbladGenerator, "raw_moments", planted)
 
 
 def rk4_evolve(m0, g, t):

@@ -112,9 +112,9 @@ def test_a02_mean_damping_rate_is_half_zeta():
         # every 25th instant of the step clock: 121, as on the moment grid
         traj = oracle.integrate(oracle.DensityMatrix.from_state(st, b12),
                                 gen, oracle.step_times(trap, t_end)[::25])
-        xs = np.array([j.mean[0] if n == 1 else (j.mean[0] + j.mean[2]) / 2.0
-                       for j in traj.joint])
-        vs = np.array([j.mean[1] / trap.mass for j in traj.joint])
+        mean = traj.moments.mean
+        xs = mean[:, 0] if n == 1 else (mean[:, 0] + mean[:, 2]) / 2.0
+        vs = mean[:, 1] / trap.mass
         rate = envelope_rate(np.array(traj.times), xs, vs, zeta)
         assert rate == pytest.approx(target, rel=0.02)
 

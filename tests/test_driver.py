@@ -690,6 +690,57 @@ def test_cli_oracle_reports_the_full_rho_for_a_displaced_condensate(tmp_path):
     assert json.loads(err)["health"]["sectors"] == 2
 
 
+def _one_shot_csv(columns):
+    # every row formatted, then joined into one text
+    cells = [np.where(c, "true", "false").tolist() if c.dtype.kind == "b" else c.tolist()
+             for c in map(np.asarray, columns.values())]
+    line = ",".join("%.11e" if isinstance(c[0], float) else "%d" if isinstance(c[0], int)
+                    else "%s" for c in cells)
+    return "\n".join([",".join(columns), *(line % row for row in zip(*cells))]) + "\n"
+
+
+def test_write_csv_streams_the_bytes_of_one_shot_formatting(tmp_path):
+    # two blocks of 4096 rows and a cut one
+    rows = 2 * 4096 + 3
+    rng = np.random.default_rng(3)
+    columns = {"t": np.linspace(0.0, 1.0, rows), "x": rng.standard_normal(rows) * 1e-300,
+               "n": np.arange(rows) - 5, "u": np.arange(rows, dtype=np.uint8),
+               "flag": np.arange(rows) % 3 == 0, "kind": [f"k{i}" for i in range(rows)]}
+    target = tmp_path / "out.csv"
+    driver.write_csv(str(target), columns)
+    assert target.read_bytes() == _one_shot_csv(columns).encode()
+    out = io.StringIO()
+    with redirect_stdout(out):
+        driver.write_csv(None, columns)
+    assert out.getvalue() == _one_shot_csv(columns)
+    # a header alone without rows
+    driver.write_csv(str(target), {"a": [], "b": []})
+    assert target.read_text() == "a,b\n"
+    # the check of the last column comes before the first byte
+    target.write_text("kept")
+    with pytest.raises(NonFiniteCell):
+        driver.write_csv(str(target), {"a": np.zeros(10), "b": np.append(np.zeros(9), np.nan)})
+    assert target.read_text() == "kept"
+
+
+def test_write_csv_holds_a_block_of_rows_at_a_time(tmp_path):
+    import tracemalloc
+
+    rows = 100_000
+    columns = {f"c{k}": np.linspace(k, k + 1.0, rows) for k in range(16)}
+    target = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        driver.write_csv(str(target), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one-shot formatting peaked at 110.6 MiB here
+    assert peak < 16 * 2**20
+    with open(target, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == rows + 1
+
+
 def test_write_csv_refuses_non_finite_cells(tmp_path, monkeypatch):
     target = tmp_path / "bad.csv"
     for bad in (math.nan, math.inf, np.float64(-np.inf)):
@@ -1438,9 +1489,31 @@ def test_cli_every_task_writes_its_artifact_and_one_record(tmp_path, task):
     if task == "oracle":
         # d = 21 has dense stacks, so the ground condensate keeps the full rho
         assert record["health"]["sectors"] == 2
+        # the oracle's moments of a pure condensate need no PSD clip either
+        assert (record["health"]["psd_clips"], record["health"]["psd_clip_min"]) == (0, 0.0)
     if task in ("criteria", "evolve"):
         # the moment flow of a pure condensate keeps a positive spectrum
         assert record["health"] == {"psd_clips": 0, "psd_clip_min": 0.0}
+
+
+@pytest.mark.parametrize("low", [-1e-12, -1.0])
+def test_cli_oracle_reports_its_psd_clips_and_refuses_as_numerics(tmp_path, monkeypatch, low):
+    # the oracle's moments go through the same stacked check as the flow's:
+    # a slightly negative eigenvalue is clipped and counted at each of the
+    # last three of five instants, one below the PSD floor exits 3 with no
+    # artifact
+    helpers.plant_covariance_eigenvalue(monkeypatch, 2, low)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_EVERY_TASK["oracle"][0]))
+    code, out, err = run_cli(["oracle", "--config", str(cfg)])
+    if low > -1e-10:
+        assert code == 0
+        health = json.loads(err)["health"]
+        assert health["psd_clips"] == 3 and -1.1e-12 < health["psd_clip_min"] < -0.9e-12
+    else:
+        assert (code, out) == (3, "")
+        error = json.loads(err)
+        assert error["error"] == "StepRejected" and "below the PSD floor" in error["detail"]
 
 
 def test_cli_truncation_leak_exits_3():

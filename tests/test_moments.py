@@ -350,6 +350,50 @@ def test_evolve_grid_refuses_at_its_first_failing_instant():
         moments.evolve_grid(m0, g, [0.0, 1.0, -1.0])
 
 
+@pytest.mark.parametrize("times", [[math.nan], [math.inf], [0.0, math.nan]],
+                         ids=["nan", "inf", "zero-nan"])
+def test_non_finite_instants_are_refused_as_config_errors(times):
+    m0, g = _condensate_flow(2, "displaced")
+    shown = repr(times[-1])
+    with pytest.raises(ConfigError, match=f"t must be finite, got {shown}"):
+        moments.evolve_grid(m0, g, times)
+    with pytest.raises(ConfigError, match=f"t must be finite, got {shown}"):
+        moments.evolve(m0, g, times[-1])
+
+
+def test_a_clipped_slice_passes_its_second_check():
+    # a clipped slice is symmetric and finite, its scale >= 1 and its
+    # eigenvalues off zero by rounding only: the second check of evolve_grid
+    # re-clips it and never refuses
+    rng = np.random.default_rng(5)
+    for dim in (2, 4):
+        q = np.linalg.qr(rng.standard_normal((200, dim, dim)))[0]
+        w = rng.uniform(0.0, 10.0, (200, dim))
+        w[:, 0] = -rng.uniform(0.0, 1e-11, 200)
+        cov = (q * w[:, None, :]) @ q.transpose(0, 2, 1)
+        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+        checked, smallest, refusal = moments._checked_cov(cov)
+        assert refusal is None and np.all(smallest < 0.0)
+        again, low, refusal = moments._checked_cov(checked)
+        assert refusal is None and len(again) == len(cov)
+        assert low.min() > -1e-14 * np.abs(cov).max()
+
+
+def test_collective_projection_of_a_grid_matches_each_instant():
+    m0, g = _condensate_flow(3, "squeezed")
+    grid = moments.evolve_grid(m0, g, np.linspace(0.0, 5.0, 17))
+    mean, cov = moments.project_collective(grid)
+    assert mean.shape == (17, 2) and cov.shape == (17, 2, 2)
+    c, _ = moments._collective_maps(3)
+    for k in range(17):
+        one = moments.JointMoments(mean=grid.mean[k], cov=grid.cov[k], n=3)
+        mean_k, cov_k = moments.project_collective(one)
+        # one instant keeps the bits of its contraction
+        assert np.array_equal(mean_k, c @ one.mean) and np.array_equal(cov_k, c @ one.cov @ c.T)
+        assert np.max(np.abs(mean[k] - mean_k)) <= 1e-15
+        assert np.max(np.abs(cov[k] - cov_k)) <= 1e-15
+
+
 def test_checked_cov_stops_at_the_first_failing_slice():
     good = np.diag([1.0, 2.0])
     skew = np.array([[1.0, 0.5], [0.0, 1.0]])

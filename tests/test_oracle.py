@@ -12,11 +12,17 @@ from cloudfeedback.errors import (
     ConfigError,
     DimensionTooLarge,
     PositivityLoss,
+    StepRejected,
     TruncationLeak,
 )
 from cloudfeedback.scales import FeedbackConfig, TrapConfig, derive_scales
 
-from helpers import _full_apply, random_fock_amplitudes, reference_integrate
+from helpers import (
+    _full_apply,
+    plant_covariance_eigenvalue,
+    random_fock_amplitudes,
+    reference_integrate,
+)
 
 
 def trap_for(n):
@@ -189,8 +195,9 @@ def test_unitary_limit_oscillates_and_conserves_energy():
         oracle.DensityMatrix.from_state(state, basis), gen,
         oracle.step_times(trap, 3 * 2 * math.pi)
     )
-    expected = traj.mean_X[0] * np.cos(trap.trap_freq * traj.times)
-    assert np.max(np.abs(traj.mean_X - expected)) < 1e-8
+    mean_x = moments.project_collective(traj.moments)[0][:, 0]
+    expected = mean_x[0] * np.cos(trap.trap_freq * traj.times)
+    assert np.max(np.abs(mean_x - expected)) < 1e-8
     assert np.max(traj.trace_err) < 1e-12
 
     energies = []
@@ -327,11 +334,56 @@ def test_parity_blocks_reproduce_the_full_rho_to_the_bit(n, m, start):
     assert traj.sectors == (2 if start == "displaced" or m == 8 else 1)
     for f in dataclasses.fields(traj):
         got, ref = getattr(traj, f.name), getattr(want, f.name)
-        if f.name == "joint":
-            assert all(np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
-                       for a, b in zip(got, ref, strict=True))
+        if f.name == "moments":
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref, strict=True))
         elif f.name != "sectors":
             assert np.array_equal(got, ref), f.name
+
+
+def _spied(monkeypatch, owner, name):
+    """The argument tuples of every call of owner.name from here on."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_integrate_checks_its_moments_once_as_one_grid(monkeypatch):
+    trap = trap_for(2)
+    basis = fock.OrbitalBasis(mode_count=6, trap=trap)
+    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis)
+    state = fock.condensate_state(fock.displaced_orbital(basis, 0.3), 2)
+    rho0 = oracle.DensityMatrix.from_state(state, basis)
+    times = oracle.step_times(trap, 0.5)[::10]
+    checks = _spied(monkeypatch, moments, "_checked_cov")
+    built = _spied(monkeypatch, moments.JointMoments, "__post_init__")
+    traj = oracle.integrate(rho0, gen, times)
+    assert len(checks) == 1 and checks[0][0].shape == (len(times), 4, 4)
+    assert built == []
+    grid = traj.moments
+    assert isinstance(grid, moments.MomentGrid) and grid.n == 2
+    assert grid.mean.shape == (len(times), 4) and (grid.psd_clips, grid.psd_clip_min) == (0, 0.0)
+    assert not {"joint", "mean_X", "var_X", "dx"} & {f.name for f in dataclasses.fields(traj)}
+
+
+def test_integrate_refuses_its_moments_as_numerics_after_the_last_instant(monkeypatch):
+    trap = trap_for(1)
+    basis = fock.OrbitalBasis(mode_count=4, trap=trap)
+    rho = oracle.DensityMatrix.from_state(fock.basis_state((1, 0, 0, 0)), basis)
+    plant_covariance_eigenvalue(monkeypatch, 1, -1.0)
+    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis)
+    with pytest.raises(StepRejected, match="below the PSD floor"):
+        oracle.integrate(rho, gen, oracle.step_times(trap, 0.1))
+    # the moments are checked once every instant is formed: a leak wins over
+    # the covariance planted at every instant before it
+    gen = oracle.build_generator(trap, FeedbackConfig(shift_rate=0.0, meas_resolution=0.1),
+                                 basis)
+    with pytest.raises(TruncationLeak):
+        oracle.integrate(rho, gen, oracle.step_times(trap, 4 * 2 * math.pi))
 
 
 def test_integrate_takes_a_density_matrix_of_its_sector_only():
@@ -367,9 +419,8 @@ def test_instants_asked_for_match_the_full_clock():
     sparse = oracle.integrate(rho0, gen, clock[::25])
     assert np.array_equal(sparse.times, full.times[::25])
     assert sparse.times[-1] == pytest.approx(150 * 2 * math.pi / 1000, rel=1e-14)
-    for a, b in zip(sparse.joint, full.joint[::25]):
-        assert np.max(np.abs(a.cov - b.cov)) < 1e-12
-        assert np.max(np.abs(a.mean - b.mean)) < 1e-12
+    assert np.max(np.abs(sparse.moments.cov - full.moments.cov[::25])) < 1e-12
+    assert np.max(np.abs(sparse.moments.mean - full.moments.mean[::25])) < 1e-12
     with pytest.raises(ConfigError):
         oracle.integrate(rho0, gen, np.array([0.0, 0.5, 0.4]))
     with pytest.raises(ConfigError):
@@ -436,7 +487,7 @@ def test_n1_cloud_settles_to_asymptotic_size():
         oracle.step_times(trap, 12.0, 2 * math.pi / 500)
     )
     target = derive_scales(trap, fb).DXs
-    assert abs(traj.dx[-1] - target) < 1e-3
+    assert abs(moments.cloud_size(traj.moments)[-1] - target) < 1e-3
 
 
 def test_mean_damping_rate_is_half_zeta():
@@ -450,7 +501,7 @@ def test_mean_damping_rate_is_half_zeta():
         oracle.DensityMatrix.from_state(state, basis), gen,
         oracle.step_times(trap, 10 * 2 * math.pi, 2 * math.pi / 500),
     )
-    x = traj.mean_X
+    x = moments.project_collective(traj.moments)[0][:, 0]
     peaks = [
         i for i in range(1, len(x) - 1)
         if abs(x[i]) >= abs(x[i - 1]) and abs(x[i]) > abs(x[i + 1]) and abs(x[i]) > 1e-3
@@ -516,7 +567,8 @@ def test_compare_with_moments_n2_noon_collective_variance():
     m0 = moments.init_moments(state, basis)
     g = moments.build_generators(trap, fb)
     _, cov_c = moments.project_collective(moments.evolve(m0, g, math.pi))
-    assert traj.var_X[-1] == pytest.approx(cov_c[0, 0], abs=1e-5)
+    assert moments.project_collective(traj.moments)[1][-1, 0, 0] == pytest.approx(
+        cov_c[0, 0], abs=1e-5)
 
 
 def test_compare_with_moments_n3_checks_the_n_minus_two_terms():
