@@ -23,11 +23,9 @@ from .fock import (
 )
 from .loop import LoopConfig, LoopTrajectory, run_ensemble, stationary_discrete
 from .moments import (
-    JointMoments,
     MomentGrid,
     build_generators,
     cloud_size,
-    evolve,
     evolve_grid,
     init_moments,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "DerivedScales",
     "FeedbackConfig",
     "FockState",
-    "JointMoments",
     "LoopConfig",
     "LoopTrajectory",
     "MomentGrid",
@@ -79,7 +76,6 @@ __all__ = [
     "derive_scales",
     "displaced_orbital",
     "evaluate_criteria",
-    "evolve",
     "evolve_grid",
     "init_moments",
     "integrate",

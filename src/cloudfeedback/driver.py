@@ -419,9 +419,8 @@ def _moment_columns(times, grid: moments.MomentGrid) -> dict:
         mean = np.pad(mean, ((0, 0), (0, 4 - dim)))
         cov = np.pad(cov, ((0, 0), (0, 4 - dim), (0, 4 - dim)))
     i, j = np.triu_indices(4)
-    var = cov[:, 0, 0]
     return dict(zip(_MOMENT_HEADER, [times, *mean.T, *cov[:, i, j].T,
-                                     np.sqrt(np.where(var < 0.0, 0.0, var))]))
+                                     moments.cloud_size(grid)]))
 
 
 # ---------------------------------------------------------------------------

@@ -415,6 +415,15 @@ def squeezed_orbital(basis: OrbitalBasis, r: float) -> np.ndarray:
     return c / math.sqrt(np.vdot(c, c).real)
 
 
+def _ladder_partition(n: int, beta_hw: float) -> float:
+    """Z e^{beta E0} of n ideal bosons on the untruncated oscillator ladder,
+    prod_{k=1..n} 1 / (1 - e^{-k beta hw}): the configurations of excitation
+    E are the partitions of E into at most n parts.  inf past the float range."""
+    # expm1: 1 - exp(-x) rounds to 0 once x is below 2^-53
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(np.prod(1.0 / -np.expm1(-np.arange(1, n + 1) * beta_hw)))
+
+
 def thermal_ensemble(basis: OrbitalBasis, temperature: float, n: int,
                      energy_cutoff: float) -> FockState:
     """Canonical fixed-N ensemble: one member per occupation configuration.
@@ -422,7 +431,7 @@ def thermal_ensemble(basis: OrbitalBasis, temperature: float, n: int,
     Weights ~ exp(-E/T) with E = sum_k n_k hbar w (k + 1/2), truncated to
     configurations inside the basis with E <= energy_cutoff.  The retained
     weight is measured against the exact partition function of the
-    untruncated oscillator ladder (standard N-boson recursion), so the
+    untruncated oscillator ladder (_ladder_partition, in closed form), so the
     reported truncation_loss bounds everything the cutoff discards.
     """
     if not (math.isfinite(temperature) and temperature >= 0) or math.isnan(energy_cutoff):
@@ -451,21 +460,10 @@ def thermal_ensemble(basis: OrbitalBasis, temperature: float, n: int,
     occs[:, :top] = rows
     kept = [math.exp(-beta * (e - e0)) for e in energy[inside]]
 
-    # exact Z * e^{beta e0} by the canonical boson recursion, overflow-free
-    z = [1.0]
-    for j in range(1, n + 1):
-        acc = 0.0
-        for k in range(1, j + 1):
-            # expm1: 1 - exp(-x) rounds to 0 once x is below 2^-53
-            zk = 1.0 / -math.expm1(-k * beta * hw)
-            acc += zk * z[j - k]
-        z.append(acc / j)
-    z_exact = z[n]
-
-    retained = sum(kept) / z_exact
+    tot = sum(kept)
+    retained = tot / _ladder_partition(n, beta * hw)
     if retained < 0.999:
         raise CutoffTooTight(f"retained weight {retained:.6f} < 0.999")
-    tot = sum(kept)
     return FockState(n=n, m=m, occ=occs, amp=np.ones(len(kept)),
                      label=np.arange(len(kept)), weight=np.array(kept) / tot,
                      truncation_loss=1.0 - retained)

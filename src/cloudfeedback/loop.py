@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (ConfigError, MinResolution, SingularLyapunov, TimescaleViolation,
                      check_budget, sig)
-from .moments import JointMoments, project_collective
+from .moments import MomentGrid, project_collective, start_moments
 from .scales import TrapConfig
 
 # bound on the floats one batch keeps in each draw buffer (8 MB)
@@ -377,7 +377,7 @@ def plan_run(cfg: LoopConfig, trap: TrapConfig, t_max: float,
     return n_events, _check_stable(trap, cfg)
 
 
-def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
+def run_ensemble(init: MomentGrid, cfg: LoopConfig, trap: TrapConfig,
                  t_max: float, record_stride: int = 1) -> LoopTrajectory:
     """Ensemble-averaged loop trajectory recorded every record_stride events.
 
@@ -389,14 +389,14 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
     j-th event of every trajectory is stepped at once, in chunks of events
     whose times come from one cumulative sum, until every trajectory is past
     the last record edge; the edges each chunk covers are then recorded
-    together.  The run is first checked by plan_run.
+    together.  The run is first checked by plan_run, and init must be one
+    instant of the trap's moments (ConfigError otherwise).
     """
     n_events, radius = plan_run(cfg, trap, t_max, record_stride)
     # any stride past the last event records the start alone, as n_events + 1
     # does, and record_stride / gamma stays in the float range
     record_stride = min(record_stride, n_events + 1)
-    if init.n != trap.atom_count:
-        raise ConfigError(f"initial moments have n={init.n}, trap has {trap.atom_count}")
+    start_moments(init, trap.atom_count)
     if cfg.gamma < 20.0 * trap.trap_freq:
         warnings.warn(
             TimescaleViolation(
@@ -405,7 +405,7 @@ def run_ensemble(init: JointMoments, cfg: LoopConfig, trap: TrapConfig,
             )
         )
     k = cfg.trajectories
-    mean0, cov0 = project_collective(init)
+    (mean0,), (cov0,) = project_collective(init)
     if cfg.sigma0 < 1e-7 * math.sqrt(max(cov0[0, 0], 0.0)):
         raise MinResolution(
             f"sigma0 {cfg.sigma0!r} below machine-meaningful resolution for "

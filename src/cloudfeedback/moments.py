@@ -4,12 +4,13 @@ The master equation closes on first and second moments of the joint Wigner
 function of one tagged atom (x, p) and the center of mass of the remaining
 N - 1 atoms (Xbar, Pbar).  This module builds the linear drift and diffusion
 generator for those four variables, maps initial quantum states to moments,
-and propagates them in closed form.  `evolve_grid` propagates a whole time
-grid in stacked passes of at most _CHUNK (4096) instants, so that its work
-arrays stay bounded: one `expm` call on the stack of Van Loan blocks,
-stacked products for the moments and one stacked `eigh` per covariance
-check.  `evolve` is its one-instant case, with the same bits per instant.
-Every time series of moments, the oracle's too, is a checked `MomentGrid`.
+and propagates them in closed form.  Moments have one type, the checked
+`MomentGrid`: an initial state's are a grid of one instant, and every time
+series, the oracle's too, is one.  `evolve_grid` propagates such a start to
+a whole time grid in stacked passes of at most _CHUNK (4096) instants, so
+that its work arrays stay bounded: one `expm` call on the stack of Van Loan
+blocks, stacked products for the moments and one stacked `eigh` per
+covariance check.
 
 Conventions, stated once:
   * covariance evolves as dS/dt = A S + S A^T + 2 D, so the physical noise
@@ -36,72 +37,6 @@ _PSD_FLOOR = 1e-10
 # instants per stacked pass of evolve_grid: at d = 4 one (chunk, 8, 8) stack of
 # Van Loan blocks is 2 MiB, however long the grid
 _CHUNK = 4096
-
-
-def _checked_cov(cov: np.ndarray, exc=ConfigError) -> tuple:
-    """Check a stack (k, d, d) of covariances slice by slice, in order.
-
-    Returns (checked, smallest, refusal).  refusal is an exc for the first
-    slice with a non-finite entry, a symmetry defect or an eigenvalue below
-    the PSD floor, or None; checked holds the slices before it, symmetrized,
-    with a negative spectrum clipped to 0, and smallest their smallest
-    eigenvalue before the clip.
-    """
-    cov = np.asarray(cov, dtype=float)
-    # a NaN passes every comparison below and stops eigh from converging
-    finite = np.isfinite(cov).all(axis=(1, 2))
-    stop = len(cov) if finite.all() else int(np.argmin(finite))
-    head = cov[:stop]
-    scale = np.abs(head.diagonal(0, 1, 2)).max(axis=1, initial=1.0)
-    defect = np.abs(head - head.transpose(0, 2, 1)).max(axis=(1, 2))
-    skew = defect > 1e-8 * scale
-    if skew.any():
-        stop = int(np.argmax(skew))
-        head = cov[:stop]
-    sym = 0.5 * (head + head.transpose(0, 2, 1))
-    w, v = np.linalg.eigh(sym)
-    smallest = w[:, 0]  # eigh's eigenvalues ascend
-    negative = (smallest < 0.0).nonzero()[0]
-    if len(negative):
-        low = negative[smallest[negative] < -_PSD_FLOOR * scale[negative]]
-        if len(low):
-            k = low[0]
-            return sym[:k], smallest[:k], exc(f"covariance eigenvalue {smallest[k]!r} "
-                                              "below the PSD floor")
-        for k in negative:
-            c = (v[k] * np.clip(w[k], 0.0, None)) @ v[k].T
-            sym[k] = 0.5 * (c + c.T)
-    refusal = None
-    if stop < len(cov):
-        refusal = exc(f"covariance not symmetric (defect {defect[stop]!r})" if skew.any() else
-                      "covariance has a non-finite entry")
-    return sym, smallest, refusal
-
-
-@dataclass(frozen=True)
-class JointMoments:
-    """mean = (<x>, <p>, <Xbar>, <Pbar>), cov the matching symmetric 4x4.
-
-    For n = 1 both shrink to the (x, p) pair.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        dim = 2 if self.n == 1 else 4
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.shape != (dim,):
-            raise ConfigError(f"mean must have shape ({dim},) for n={self.n}")
-        cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (dim, dim):
-            raise ConfigError(f"cov must have shape ({dim}, {dim}) for n={self.n}")
-        cov, _, refusal = _checked_cov(cov[None])
-        if refusal is not None:
-            raise refusal
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov[0])
 
 
 @dataclass(frozen=True)
@@ -173,8 +108,8 @@ def _collective_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
     return c, s
 
 
-def project_collective(m: JointMoments | MomentGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of (X_tot, P_tot); one pair per instant of a MomentGrid."""
+def project_collective(m: MomentGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of (X_tot, P_tot), one pair per instant."""
     c, _ = _collective_maps(m.n)
     return (c @ m.mean.T).T, c @ m.cov @ c.T
 
@@ -214,8 +149,9 @@ def moments_from_raw(n: int, x1: float, p1: float, x2: float, p2: float,
     return mean, cov
 
 
-def init_moments(state: fock.FockState, basis: fock.OrbitalBasis) -> JointMoments:
-    """Joint moments of a fixed-N state at t = 0; sym(T_x T_p) is Re <T_x T_p>."""
+def init_moments(state: fock.FockState, basis: fock.OrbitalBasis) -> MomentGrid:
+    """Joint moments of a fixed-N state at t = 0, a checked grid of that one
+    instant; sym(T_x T_p) is Re <T_x T_p>."""
     n = state.n
     rho1 = fock.one_body_density(state)
     xm = fock.position_matrix(basis)
@@ -228,8 +164,8 @@ def init_moments(state: fock.FockState, basis: fock.OrbitalBasis) -> JointMoment
     s = rho1.expectation(fock.sym_xp_matrix(basis)) / n
 
     g = np.zeros((2, 2)) if n == 1 else fock.few_body_expectation(state, [xm, pm]).real
-    return JointMoments(*moments_from_raw(n, x1, p1, x2, p2, s, g[0, 0], g[1, 1], g[0, 1]),
-                        n=n)
+    mean, cov = moments_from_raw(n, x1, p1, x2, p2, s, g[0, 0], g[1, 1], g[0, 1])
+    return checked_grid(n, mean[None], cov[None])
 
 
 class MomentGrid(NamedTuple):
@@ -242,23 +178,54 @@ class MomentGrid(NamedTuple):
     psd_clip_min: float  # the most negative eigenvalue clipped, 0.0 without a clip
 
 
-def checked_grid(n: int, mean: np.ndarray, cov: np.ndarray, reclip: bool = False) -> MomentGrid:
+def checked_grid(n: int, mean: np.ndarray, cov: np.ndarray) -> MomentGrid:
     """The grid of raw (instants, d) means and (instants, d, d) covariances,
-    checked in one stacked pass, each slice with its bits on its own; the
-    first refused raises its StepRejected.  reclip checks the clipped slices
-    again, as JointMoments checks evolve's result, which only re-clips them."""
-    cov, smallest, refusal = _checked_cov(cov, exc=StepRejected)
-    if refusal is not None:
-        raise refusal
+    checked in one stacked pass, each slice with its bits on its own.
+
+    The first slice in grid order with a non-finite entry, a symmetry defect
+    or an eigenvalue below the PSD floor raises its StepRejected; every other
+    slice is symmetrized, with a negative spectrum clipped to 0 and counted.
+    """
+    cov = np.asarray(cov, dtype=float)
+    # a NaN passes every comparison below and stops eigh from converging
+    finite = np.isfinite(cov).all(axis=(1, 2))
+    stop = len(cov) if finite.all() else int(np.argmin(finite))
+    refusal = "covariance has a non-finite entry"
+    head = cov[:stop]
+    scale = np.abs(head.diagonal(0, 1, 2)).max(axis=1, initial=1.0)
+    defect = np.abs(head - head.transpose(0, 2, 1)).max(axis=(1, 2))
+    skew = defect > 1e-8 * scale
+    if skew.any():
+        stop = int(np.argmax(skew))
+        refusal = f"covariance not symmetric (defect {defect[stop]!r})"
+        head = cov[:stop]
+    sym = 0.5 * (head + head.transpose(0, 2, 1))
+    w, v = np.linalg.eigh(sym)
+    smallest = w[:, 0]  # eigh's eigenvalues ascend
+    low = np.flatnonzero(smallest < -_PSD_FLOOR * scale[:stop])
+    if len(low):
+        raise StepRejected(f"covariance eigenvalue {smallest[low[0]]!r} below the PSD floor")
+    if stop < len(cov):
+        raise StepRejected(refusal)
     clipped = np.flatnonzero(smallest < 0.0)
-    low = float(smallest.min(initial=0.0))
-    if reclip:
-        cov[clipped], again, _ = _checked_cov(cov[clipped])
-        low = min(low, float(again.min(initial=0.0)))
-    return MomentGrid(mean, cov, n, len(clipped), low)
+    for k in clipped:
+        c = (v[k] * np.clip(w[k], 0.0, None)) @ v[k].T
+        sym[k] = 0.5 * (c + c.T)
+    return MomentGrid(mean, sym, n, len(clipped), float(smallest.min(initial=0.0)))
 
 
-def _checked_times(m0: JointMoments, g: DriftDiffusion, times) -> np.ndarray:
+def start_moments(m0: MomentGrid, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, cov) of a start, which must be one instant of the moments of n
+    atoms (ConfigError otherwise)."""
+    dim = 2 if n == 1 else 4
+    shapes = np.shape(m0.mean), np.shape(m0.cov)
+    if m0.n != n or shapes != ((1, dim), (1, dim, dim)):
+        raise ConfigError(f"a start must be one instant of the {dim} moments of n={n}, got "
+                          f"n={m0.n} with means {shapes[0]} and covariances {shapes[1]}")
+    return m0.mean[0], m0.cov[0]
+
+
+def _checked_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ConfigError(f"times must be a 1-D grid, got shape {times.shape}")
@@ -266,12 +233,10 @@ def _checked_times(m0: JointMoments, g: DriftDiffusion, times) -> np.ndarray:
         raise ConfigError(f"t must be >= 0, got {times[times < 0].tolist()[0]!r}")
     if not np.isfinite(times).all():
         raise ConfigError(f"t must be finite, got {times[~np.isfinite(times)].tolist()[0]!r}")
-    if m0.n != g.n:
-        raise ConfigError(f"moments have n={m0.n} but generator has n={g.n}")
     return times
 
 
-def _flow(m0: JointMoments, g: DriftDiffusion, times: np.ndarray) -> tuple:
+def _flow(mean: np.ndarray, cov: np.ndarray, g: DriftDiffusion, times: np.ndarray) -> tuple:
     """(means, covariances) at times, unchecked, through one Van Loan
     exponential per instant, all in one expm call."""
     from scipy.linalg import expm
@@ -293,36 +258,31 @@ def _flow(m0: JointMoments, g: DriftDiffusion, times: np.ndarray) -> tuple:
         f = e[:, :dim, :dim]
         ft = f.transpose(0, 2, 1)
         gblk = np.ldexp(e[:, :dim, dim:], k)
-        return f @ m0.mean, f @ m0.cov @ ft + gblk @ ft
+        return f @ mean, f @ cov @ ft + gblk @ ft
 
 
-def evolve_grid(m0: JointMoments, g: DriftDiffusion, times) -> MomentGrid:
-    """Propagate moments to each instant of times (1-D, each finite and >= 0),
-    exact for the linear FPE: evolve at every instant, to the bit.
+def evolve_grid(m0: MomentGrid, g: DriftDiffusion, times) -> MomentGrid:
+    """Propagate a start m0, one instant of g's moments, to each instant of
+    times (1-D, each finite and >= 0), exact for the linear FPE.
 
     The grid runs in stacked passes of at most _CHUNK instants, so that its
-    work arrays stay bounded.  Each pass is checked as evolve checks one
-    instant, and the first instant refused raises its refusal.
+    work arrays stay bounded, each checked by checked_grid: the first instant
+    refused raises its refusal.  Any instant of the result is itself a start.
     """
-    times = _checked_times(m0, g, times)
-    dim = m0.mean.shape[0]
+    times = _checked_times(times)
+    mean0, cov0 = start_moments(m0, g.n)
+    dim = len(mean0)
     means, covs = np.empty((len(times), dim)), np.empty((len(times), dim, dim))
     clips, clip_min = 0, 0.0
     for lo in range(0, len(times), _CHUNK):
         hi = lo + _CHUNK
-        part = checked_grid(m0.n, *_flow(m0, g, times[lo:hi]), reclip=True)
+        part = checked_grid(g.n, *_flow(mean0, cov0, g, times[lo:hi]))
         means[lo:hi], covs[lo:hi] = part.mean, part.cov
         clips += part.psd_clips
         clip_min = min(clip_min, part.psd_clip_min)
-    return MomentGrid(mean=means, cov=covs, n=m0.n, psd_clips=clips, psd_clip_min=clip_min)
+    return MomentGrid(mean=means, cov=covs, n=g.n, psd_clips=clips, psd_clip_min=clip_min)
 
 
-def evolve(m0: JointMoments, g: DriftDiffusion, t: float) -> JointMoments:
-    """Propagate moments for time t: the one-instant case of evolve_grid."""
-    grid = checked_grid(m0.n, *_flow(m0, g, _checked_times(m0, g, [t])))
-    return JointMoments(mean=grid.mean[0], cov=grid.cov[0], n=m0.n)
-
-
-def cloud_size(m: JointMoments | MomentGrid):
-    """rms spread of the single-atom marginal; one per instant of a MomentGrid."""
+def cloud_size(m: MomentGrid) -> np.ndarray:
+    """rms spread of the single-atom marginal, one per instant."""
     return np.sqrt(m.cov[..., 0, 0])

@@ -181,13 +181,14 @@ def plant_covariance_eigenvalue(monkeypatch, start, low):
 
 
 def rk4_evolve(m0, g, t):
-    """moments.evolve by fixed-step RK4 with h <= 2 pi / (1000 omega)."""
+    """moments.evolve_grid from a start m0 to the one instant t, by fixed-step
+    RK4 with h <= 2 pi / (1000 omega)."""
     a, d2 = g.A, 2.0 * g.D
     h_max = 2.0 * math.pi / (1000.0 * g.trap.trap_freq)
     steps = max(1, math.ceil(t / h_max)) if t > 0 else 0
     h = t / steps if steps else 0.0
-    mean = m0.mean.copy()
-    cov = m0.cov.copy()
+    mean = m0.mean[0].copy()
+    cov = m0.cov[0].copy()
 
     def rhs(mn, cv):
         return a @ mn, a @ cv + cv @ a.T + d2
@@ -199,7 +200,7 @@ def rk4_evolve(m0, g, t):
         k4m, k4c = rhs(mean + h * k3m, cov + h * k3c)
         mean = mean + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
         cov = cov + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-    return moments.JointMoments(mean=mean, cov=cov, n=m0.n)
+    return moments.checked_grid(m0.n, mean[None], cov[None])
 
 
 def stationary_cm(g):

@@ -91,18 +91,18 @@ def test_a02_mean_damping_rate_is_half_zeta():
         b4 = fock.OrbitalBasis(mode_count=4, trap=trap)
         ground = fock.condensate_state(np.eye(4, dtype=complex)[0], n)
         m0 = moments.init_moments(ground, b4)
-        mean = m0.mean.copy()
+        mean = m0.mean[0].copy()
         mean[0] = 1.0
         if n > 1:
             mean[2] = 1.0
-        m0 = moments.JointMoments(mean=mean, cov=m0.cov, n=n)
+        m0 = moments.checked_grid(n, mean[None], m0.cov)
         ts = np.linspace(0.0, t_end, 121)
         xs, vs = [], []
         for t in ts:
-            mt = moments.evolve(m0, g, float(t))
-            cm = mt.mean[0] if n == 1 else (mt.mean[0] + mt.mean[2]) / 2.0
+            mt = moments.evolve_grid(m0, g, [float(t)])
+            cm = mt.mean[0, 0] if n == 1 else (mt.mean[0, 0] + mt.mean[0, 2]) / 2.0
             xs.append(cm)
-            vs.append(mt.mean[1] / trap.mass)
+            vs.append(mt.mean[0, 1] / trap.mass)
         rate = envelope_rate(ts, np.array(xs), np.array(vs), zeta)
         assert rate == pytest.approx(target, rel=0.02)
 
@@ -165,7 +165,7 @@ def test_a04a_asymptotic_law_sup_bound():
         h = criteria.quadrature_harmonics(st, b)
         worst = 0.0
         for t in np.linspace(t0, t0 + math.pi, 60):
-            dx = moments.cloud_size(moments.evolve(m0, g, float(t)))
+            dx = moments.cloud_size(moments.evolve_grid(m0, g, [float(t)]))[0]
             dxa = criteria.asymptotic_cloud_size(s, h, float(t))
             worst = max(worst, abs(dx - dxa))
         assert worst < 1e-3 * s.dx0
@@ -192,7 +192,7 @@ def test_a04b_deviation_rate_claim():
     h = criteria.quadrature_harmonics(st, b)
     ts = np.arange(6.0 / zeta, 12.0 / zeta, 0.02)
     dev = np.array([
-        abs(moments.cloud_size(moments.evolve(m0, g, float(t)))
+        abs(moments.cloud_size(moments.evolve_grid(m0, g, [float(t)]))[0]
             - criteria.asymptotic_cloud_size(s, h, float(t)))
         for t in ts
     ])
@@ -371,15 +371,15 @@ def test_a10_breathing_at_twice_trap_frequency():
 
     periods = 5
     per = 64
-    base = moments.evolve(m0, g, 32.0)
+    base = moments.evolve_grid(m0, g, [32.0])
     dt = 2.0 * math.pi / per
     npts = per * periods
     ts = 32.0 + np.arange(npts) * dt
     vals = np.empty(npts)
     cur = base
     for i in range(npts):
-        vals[i] = moments.cloud_size(cur) ** 2
-        cur = moments.evolve(cur, g, dt)
+        vals[i] = moments.cloud_size(cur)[0] ** 2
+        cur = moments.evolve_grid(cur, g, [dt])
 
     spectrum = np.abs(np.fft.rfft(vals - vals.mean()))
     peak = int(np.argmax(spectrum[1:]) + 1)

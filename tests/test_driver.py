@@ -324,11 +324,11 @@ def test_breathing_curve_transient_column_starts_at_initial_size():
                                       include_transient=True)
     assert list(columns)[-1] == "dx"
     m0 = moments.init_moments(state, basis)
-    assert columns["dx"][0] == pytest.approx(moments.cloud_size(m0), rel=1e-12)
+    assert columns["dx"][0] == pytest.approx(moments.cloud_size(m0)[0], rel=1e-12)
     g = moments.build_generators(trap, fb)
     t_mid = columns["t"][8]
     assert columns["dx"][8] == pytest.approx(
-        moments.cloud_size(moments.evolve(m0, g, t_mid)), rel=1e-12)
+        moments.cloud_size(moments.evolve_grid(m0, g, [t_mid]))[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1263,6 +1263,20 @@ def test_cli_wide_thermal_sector_exits_2_at_once(tmp_path):
     doc = json.loads(err)
     assert doc["error"] == "ConfigError"
     assert "cells" in doc["detail"]
+
+
+def test_cli_thermal_near_the_rows_cap_runs_at_once(tmp_path):
+    # two orbitals under the cutoff admit N + 1 rows, N up to the rows cap;
+    # the partition function is a product of N factors, not an N^2 recursion
+    n = 999_999
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": n, "zeta": 0.5, "sigma": 0.7, "task": {"samples": 3},
+        "state": {"kind": "thermal", "m": 3, "temperature": 0.1, "cutoff": n / 2 + 0.5}}))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["criteria", "--config", str(cfg)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and len(out.splitlines()) == 4
 
 
 def test_cli_thermal_enumerates_only_the_orbitals_its_cutoff_reaches(tmp_path):

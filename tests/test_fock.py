@@ -441,6 +441,26 @@ def test_thermal_partition_recursion_matches_enumeration():
     assert brute == pytest.approx(0.5 * (z1 * z1 + z2), rel=1e-12)
 
 
+def _recursion_partition(n, beta_hw):
+    """Z e^{beta E0} of n ideal bosons by the canonical N-boson recursion."""
+    z = [1.0]
+    for j in range(1, n + 1):
+        acc = 0.0
+        for k in range(1, j + 1):
+            acc += z[j - k] / -math.expm1(-k * beta_hw)
+        z.append(acc / j)
+    return z[n]
+
+
+def test_ladder_partition_closed_form_matches_the_recursion():
+    for beta_hw in (0.05, 0.3, 1.0, 2.5, 10.0, 40.0):
+        for n in range(1, 41):
+            assert fock._ladder_partition(n, beta_hw) == pytest.approx(
+                _recursion_partition(n, beta_hw), rel=1e-12), (n, beta_hw)
+    # past the float range both are inf, which the 0.999 gate refuses
+    assert fock._ladder_partition(40, 1e-10) == _recursion_partition(40, 1e-10) == math.inf
+
+
 def test_thermal_two_atom_weight_ratio():
     b = basis(12, TRAP2)
     ens = fock.thermal_ensemble(b, temperature=0.5, n=2, energy_cutoff=10.0)

@@ -6,8 +6,10 @@ scipy loaded (the warning filters in pyproject.toml name scipy classes).
 """
 
 import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -181,7 +183,6 @@ _UNCALLED = {
     "fixed_sector_harmonics": "the fixed-N family's breathing signal",
     "stationary_discrete": "the loop's fixed point, for a loop record's residual",
     "compare_with_moments": "the oracle against the moment flow, for an oracle record's residual",
-    "evolve": "the moment flow at one instant, evolve_grid's one-instant case",
     "main": "the console script pyproject.toml names",
 }
 
@@ -205,3 +206,26 @@ def test_every_public_function_is_called_in_the_package_or_kept_on_purpose():
                     used.add(node.attr)
     assert "evolve_grid" in defined and "evolve_grid" in used
     assert defined - used == set(_UNCALLED)
+
+
+_README = os.path.join(os.path.dirname(os.path.dirname(_PACKAGE)), "README.md")
+
+
+def test_readme_module_names_resolve_in_the_package():
+    # every backticked `module.name` of a package module, `errors.py` being a file
+    modules = {name[:-3] for name in os.listdir(_PACKAGE) if name.endswith(".py")}
+    with open(_README, encoding="utf-8") as handle:
+        spans = re.findall(r"`([A-Za-z_][\w.]*)`", handle.read())
+    refs = [span.removeprefix("cloudfeedback.").split(".") for span in spans]
+    refs = [ref for ref in refs if len(ref) > 1 and ref[0] in modules and ref[-1] != "py"]
+    assert ["moments", "evolve_grid"] in refs
+
+    def resolves(module, *names):
+        obj = importlib.import_module(f"cloudfeedback.{module}")
+        for name in names:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+
+    assert [".".join(ref) for ref in refs if not resolves(*ref)] == []

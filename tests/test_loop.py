@@ -134,8 +134,8 @@ def test_no_signalling_of_the_average():
         [0.2, 0.0, 0.5, 0.05],
         [0.0, 0.1, 0.05, 0.8],
     ])
-    mean, pair_cov = moments.project_collective(moments.JointMoments(
-        mean=np.array([0.3, -0.1, 0.2, 0.4]), cov=cov, n=2))
+    (mean,), (pair_cov,) = moments.project_collective(moments.checked_grid(
+        2, np.array([0.3, -0.1, 0.2, 0.4])[None], cov[None]))
     sigma0 = 0.6
     rng = np.random.default_rng(99)
     n_samp = 1_000_000
@@ -203,6 +203,19 @@ def test_zero_gain_backaction_heats_at_measurement_rate():
     assert slope == pytest.approx(expected, rel=0.035)
 
 
+def test_run_ensemble_refuses_a_start_that_is_not_one_instant_of_its_moments():
+    trap = trap_for(2)
+    cfg = loop_for(trap, zeta=0.5, eta=1.0, gamma=40.0, trajectories=4)
+    m0 = ground_moments(2)
+    g = moments.build_generators(trap, continuous_feedback(cfg))
+    # two instants; one atom's two moments, with n wrong and right
+    for start in (moments.evolve_grid(m0, g, [0.0, 1.0]), ground_moments(1),
+                  ground_moments(1)._replace(n=2)):
+        with pytest.raises(ConfigError, match="a start must be one instant"):
+            loop.run_ensemble(start, cfg, trap, 1.0)
+    assert loop.run_ensemble(m0, cfg, trap, 1.0).traj_events == 4 * 40
+
+
 def test_full_loop_mean_matches_continuous_prediction():
     trap = trap_for(1)
     zeta, gamma = 0.5, 100.0
@@ -210,11 +223,11 @@ def test_full_loop_mean_matches_continuous_prediction():
                    rng_seed=11, trajectories=10_000)
     fb = continuous_feedback(cfg)
     m0 = ground_moments(1)
-    m0 = moments.JointMoments(mean=np.array([2.0, 0.0]), cov=m0.cov, n=1)
+    m0 = moments.checked_grid(1, np.array([2.0, 0.0])[None], m0.cov)
     traj = loop.run_ensemble(m0, cfg, trap, 6.0, record_stride=2)
 
     g = moments.build_generators(trap, fb)
-    pred = np.array([moments.evolve(m0, g, t).mean[0] for t in traj.times])
+    pred = np.array([moments.evolve_grid(m0, g, [t]).mean[0, 0] for t in traj.times])
     stat = 3.0 * np.sqrt(traj.var_X / cfg.trajectories)
     tol = np.maximum(0.02 * 2.0 * np.exp(-0.5 * zeta * traj.times), stat + 0.02)
     assert np.all(np.abs(traj.mean_X - pred) < tol)
@@ -338,7 +351,7 @@ def regular_reference(init, cfg, trap, t_max, record_stride):
     zs = np.array([np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(i,))).standard_normal(n_events)
         for i in range(k)])
-    mean0, cov0 = moments.project_collective(init)
+    (mean0,), (cov0,) = moments.project_collective(init)
     st = loop._Pair(np.full(k, mean0[0]), np.full(k, mean0[1]),
                     cov0[0, 0], cov0[0, 1], cov0[1, 1])
 
@@ -413,7 +426,7 @@ def grid_walk_poisson(init, cfg, trap, t_max, record_stride):
         return (st.x.mean(), st.xx.mean() + np.var(st.x),
                 st.p.mean(), st.pp.mean() + np.var(st.p))
 
-    mean0, cov0 = moments.project_collective(init)
+    (mean0,), (cov0,) = moments.project_collective(init)
     st = loop._Pair(*(np.full(k, v) for v in
                       (mean0[0], mean0[1], cov0[0, 0], cov0[0, 1], cov0[1, 1])))
     gaps, z = take(np.arange(k))
@@ -472,7 +485,7 @@ def test_kraus_sample_follows_predictive_distribution():
         trap, FeedbackConfig(shift_rate=0.0, meas_resolution=math.inf), basis)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.6), 1)
     rho = oracle.DensityMatrix.from_state(state, basis).matrix
-    mean, cov = moments.project_collective(moments.init_moments(state, basis))
+    (mean,), (cov,) = moments.project_collective(moments.init_moments(state, basis))
     sigma0 = 1.5
     rng = np.random.default_rng(2)
     n_samp = 40_000
@@ -508,7 +521,8 @@ def test_kraus_backend_agrees_with_gaussian_filter():
         trap, FeedbackConfig(shift_rate=0.0, meas_resolution=math.inf), basis)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.4), 1)
     rho = oracle.DensityMatrix.from_state(state, basis).matrix
-    filt = pair_state(*moments.project_collective(moments.init_moments(state, basis)))
+    (mean,), (cov,) = moments.project_collective(moments.init_moments(state, basis))
+    filt = pair_state(mean, cov)
 
     sigma0, zeta0, dt = 2.5, 0.05, 0.05
     x_hat, p_hat = gen.x_hat.toarray(), gen.p_hat.toarray()

@@ -128,10 +128,10 @@ def test_init_ground_condensate():
         orb[0] = 1.0
         m0 = moments.init_moments(fock.condensate_state(orb, n), b)
         assert np.allclose(m0.mean, 0.0, atol=1e-14)
-        assert m0.cov[0, 0] == pytest.approx(0.5)
+        assert m0.cov[0][0, 0] == pytest.approx(0.5)
         _, cov_c = moments.project_collective(m0)
-        assert cov_c[0, 0] == pytest.approx(0.5 / n, abs=1e-14)
-        assert cov_c[1, 1] == pytest.approx(n / 2, abs=1e-13)
+        assert cov_c[0][0, 0] == pytest.approx(0.5 / n, abs=1e-14)
+        assert cov_c[0][1, 1] == pytest.approx(n / 2, abs=1e-13)
 
 
 def test_init_displaced_condensate():
@@ -139,10 +139,10 @@ def test_init_displaced_condensate():
     b = fock.OrbitalBasis(mode_count=16, trap=trap)
     st = fock.condensate_state(fock.displaced_orbital(b, 0.35), 3)
     m0 = moments.init_moments(st, b)
-    assert m0.mean[0] == pytest.approx(0.35, abs=1e-10)
-    assert m0.mean[2] == pytest.approx(0.35, abs=1e-10)
-    assert m0.mean[1] == pytest.approx(0.0, abs=1e-10)
-    assert m0.mean[3] == pytest.approx(0.0, abs=1e-10)
+    assert m0.mean[0][0] == pytest.approx(0.35, abs=1e-10)
+    assert m0.mean[0][2] == pytest.approx(0.35, abs=1e-10)
+    assert m0.mean[0][1] == pytest.approx(0.0, abs=1e-10)
+    assert m0.mean[0][3] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_init_single_atom_reduction():
@@ -156,11 +156,11 @@ def test_init_single_atom_reduction():
     p = fock.momentum_matrix(b).matrix
     mx = np.trace(x @ rho).real
     mp = np.trace(p @ rho).real
-    assert m0.mean == pytest.approx([mx, mp])
-    assert m0.cov[0, 0] == pytest.approx(
+    assert m0.mean[0] == pytest.approx([mx, mp])
+    assert m0.cov[0][0, 0] == pytest.approx(
         np.trace(fock.position_sq_matrix(b).matrix @ rho).real - mx**2
     )
-    assert m0.cov[0, 1] == pytest.approx(np.trace(fock.sym_xp_matrix(b).matrix @ rho).real - mx * mp)
+    assert m0.cov[0][0, 1] == pytest.approx(np.trace(fock.sym_xp_matrix(b).matrix @ rho).real - mx * mp)
 
 
 def test_init_moments_against_first_quantized():
@@ -186,8 +186,8 @@ def test_init_moments_against_first_quantized():
             for j in range(4):
                 sym = 0.5 * (ops[i] @ ops[j] + ops[j] @ ops[i])
                 cov[i, j] = np.vdot(vec, sym @ vec).real - mean[i] * mean[j]
-        assert np.allclose(got.mean, mean, atol=1e-12)
-        assert np.allclose(got.cov, cov, atol=1e-12)
+        assert np.allclose(got.mean[0], mean, atol=1e-12)
+        assert np.allclose(got.cov[0], cov, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_evolve_t0_identity():
     st = clean_random_state(rng, 2, 5)
     m0 = moments.init_moments(st, b)
     g = moments.build_generators(trap, FeedbackConfig(shift_rate=0.4, meas_resolution=0.9))
-    m1 = moments.evolve(m0, g, 0.0)
+    m1 = moments.evolve_grid(m0, g, [0.0])
     assert np.allclose(m1.mean, m0.mean)
     assert np.allclose(m1.cov, m0.cov, atol=1e-14)
 
@@ -214,8 +214,8 @@ def test_evolve_pure_rotation_is_periodic():
     m0 = moments.init_moments(st, b)
     g = moments.build_generators(trap, FeedbackConfig(shift_rate=0.0, meas_resolution=math.inf))
     for k in (1, 3):
-        mt = moments.evolve(m0, g, k * math.pi)
-        assert abs(mt.cov[0, 0] - m0.cov[0, 0]) < 1e-10
+        mt = moments.evolve_grid(m0, g, [k * math.pi])
+        assert abs(mt.cov[0][0, 0] - m0.cov[0][0, 0]) < 1e-10
 
 
 def test_evolve_mean_envelope_rate():
@@ -231,7 +231,7 @@ def test_evolve_mean_envelope_rate():
     import scipy.linalg
 
     f_step = scipy.linalg.expm(g.A * 0.01)
-    mean = m0.mean.copy()
+    mean = m0.mean[0].copy()
     c, _ = moments._collective_maps(2)
     for _ in ts:
         xs.append((c @ mean)[0])
@@ -253,13 +253,13 @@ def test_evolve_closed_and_rk4_agree():
     st = clean_random_state(rng, 2, 5)
     m0 = moments.init_moments(st, b)
     g = moments.build_generators(trap, FeedbackConfig(shift_rate=0.4, meas_resolution=0.8))
-    a = moments.evolve(m0, g, 7.3)
+    a = moments.evolve_grid(m0, g, [7.3])
     bb = helpers.rk4_evolve(m0, g, 7.3)
     scale = max(1.0, np.max(np.abs(a.cov)))
     assert np.max(np.abs(a.cov - bb.cov)) / scale < 1e-8
     assert np.max(np.abs(a.mean - bb.mean)) < 1e-8
     with pytest.raises(ConfigError):
-        moments.evolve(m0, g, -1.0)
+        moments.evolve_grid(m0, g, [-1.0])
 
 
 def test_covariance_psd_along_trajectory():
@@ -270,9 +270,9 @@ def test_covariance_psd_along_trajectory():
     m0 = moments.init_moments(st, b)
     g = moments.build_generators(trap, feedback_for_eta(trap, 0.5, zeta=0.7))
     for t in np.linspace(0, 30, 40):
-        mt = moments.evolve(m0, g, t)
-        scale = max(1.0, np.max(np.abs(np.diag(mt.cov))))
-        assert np.linalg.eigvalsh(mt.cov).min() >= -1e-10 * scale
+        mt = moments.evolve_grid(m0, g, [t])
+        scale = max(1.0, np.max(np.abs(np.diag(mt.cov[0]))))
+        assert np.linalg.eigvalsh(mt.cov[0]).min() >= -1e-10 * scale
 
 
 def _condensate_flow(n, kind, zeta=0.5, sigma=0.7):
@@ -286,9 +286,9 @@ def _condensate_flow(n, kind, zeta=0.5, sigma=0.7):
 
 def _assert_instants_bitwise(grid, m0, g, times, instants):
     for k in instants:
-        one = moments.evolve(m0, g, float(times[k]))
-        assert np.array_equal(grid.mean[k], one.mean), k
-        assert np.array_equal(grid.cov[k], one.cov), k
+        one = moments.evolve_grid(m0, g, [float(times[k])])
+        assert np.array_equal(grid.mean[k], one.mean[0]), k
+        assert np.array_equal(grid.cov[k], one.cov[0]), k
 
 
 @pytest.mark.parametrize("kind", ["ground", "displaced", "squeezed"])
@@ -302,7 +302,7 @@ def test_evolve_grid_equals_one_instant_calls_bit_for_bit(monkeypatch, n, kind):
     dim = 2 if n == 1 else 4
     assert grid.mean.shape == (len(times), dim) and grid.cov.shape == (len(times), dim, dim)
     _assert_instants_bitwise(grid, m0, g, times, range(len(times)))
-    assert np.array_equal(grid.mean[0], m0.mean)  # t = 0 is the identity
+    assert np.array_equal(grid.mean[0], m0.mean[0])  # t = 0 is the identity
     assert (grid.psd_clips, grid.psd_clip_min) == (0, 0.0)
 
 
@@ -323,7 +323,7 @@ def test_evolve_grid_counts_the_psd_clips_of_a_singular_covariance():
     # a rank-1 covariance under a pure rotation: rounding leaves its zero
     # eigenvalue slightly negative at some instants, which the check clips
     trap = TrapConfig(atom_count=1)
-    m0 = moments.JointMoments(mean=np.zeros(2), cov=np.full((2, 2), 0.5), n=1)
+    m0 = moments.checked_grid(1, np.zeros(2)[None], np.full((2, 2), 0.5)[None])
     g = moments.build_generators(trap, FeedbackConfig(shift_rate=0.0, meas_resolution=math.inf))
     times = np.linspace(0.0, 10.0, 200)
     grid = moments.evolve_grid(m0, g, times)
@@ -338,7 +338,7 @@ def test_evolve_grid_refuses_at_its_first_failing_instant():
     # the symmetry defect of t = 100 is reported ahead of the overflow of t = 1e5
     for t in (100.0, 1e5):
         with pytest.raises(StepRejected) as one:
-            moments.evolve(m0, g, t)
+            moments.evolve_grid(m0, g, [t])
         with pytest.raises(StepRejected) as grid:
             moments.evolve_grid(m0, g, [0.0, t])
         assert str(grid.value) == str(one.value)
@@ -350,6 +350,16 @@ def test_evolve_grid_refuses_at_its_first_failing_instant():
         moments.evolve_grid(m0, g, [0.0, 1.0, -1.0])
 
 
+def test_evolve_grid_refuses_a_start_that_is_not_one_instant_of_its_moments():
+    m0, g = _condensate_flow(2, "displaced")
+    _, g1 = _condensate_flow(1, "displaced")
+    # two instants; four moments against one atom's two, with n wrong and right
+    for start, gen in [(moments.evolve_grid(m0, g, [0.0, 1.0]), g), (m0, g1),
+                       (m0._replace(n=1), g1)]:
+        with pytest.raises(ConfigError, match="a start must be one instant"):
+            moments.evolve_grid(start, gen, [0.0])
+
+
 @pytest.mark.parametrize("times", [[math.nan], [math.inf], [0.0, math.nan]],
                          ids=["nan", "inf", "zero-nan"])
 def test_non_finite_instants_are_refused_as_config_errors(times):
@@ -358,25 +368,7 @@ def test_non_finite_instants_are_refused_as_config_errors(times):
     with pytest.raises(ConfigError, match=f"t must be finite, got {shown}"):
         moments.evolve_grid(m0, g, times)
     with pytest.raises(ConfigError, match=f"t must be finite, got {shown}"):
-        moments.evolve(m0, g, times[-1])
-
-
-def test_a_clipped_slice_passes_its_second_check():
-    # a clipped slice is symmetric and finite, its scale >= 1 and its
-    # eigenvalues off zero by rounding only: the second check of evolve_grid
-    # re-clips it and never refuses
-    rng = np.random.default_rng(5)
-    for dim in (2, 4):
-        q = np.linalg.qr(rng.standard_normal((200, dim, dim)))[0]
-        w = rng.uniform(0.0, 10.0, (200, dim))
-        w[:, 0] = -rng.uniform(0.0, 1e-11, 200)
-        cov = (q * w[:, None, :]) @ q.transpose(0, 2, 1)
-        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-        checked, smallest, refusal = moments._checked_cov(cov)
-        assert refusal is None and np.all(smallest < 0.0)
-        again, low, refusal = moments._checked_cov(checked)
-        assert refusal is None and len(again) == len(cov)
-        assert low.min() > -1e-14 * np.abs(cov).max()
+        moments.evolve_grid(m0, g, [times[-1]])
 
 
 def test_collective_projection_of_a_grid_matches_each_instant():
@@ -386,27 +378,26 @@ def test_collective_projection_of_a_grid_matches_each_instant():
     assert mean.shape == (17, 2) and cov.shape == (17, 2, 2)
     c, _ = moments._collective_maps(3)
     for k in range(17):
-        one = moments.JointMoments(mean=grid.mean[k], cov=grid.cov[k], n=3)
-        mean_k, cov_k = moments.project_collective(one)
+        one = moments.checked_grid(3, grid.mean[k][None], grid.cov[k][None])
+        (mean_k,), (cov_k,) = moments.project_collective(one)
         # one instant keeps the bits of its contraction
-        assert np.array_equal(mean_k, c @ one.mean) and np.array_equal(cov_k, c @ one.cov @ c.T)
+        assert (np.array_equal(mean_k, c @ one.mean[0])
+                and np.array_equal(cov_k, c @ one.cov[0] @ c.T))
         assert np.max(np.abs(mean[k] - mean_k)) <= 1e-15
         assert np.max(np.abs(cov[k] - cov_k)) <= 1e-15
 
 
-def test_checked_cov_stops_at_the_first_failing_slice():
+def test_checked_grid_stops_at_the_first_failing_slice():
     good = np.diag([1.0, 2.0])
     skew = np.array([[1.0, 0.5], [0.0, 1.0]])
     nan = np.full((2, 2), np.nan)
-    checked, smallest, refusal = moments._checked_cov(np.stack([good, skew, nan]))
-    assert isinstance(refusal, ConfigError) and "not symmetric" in str(refusal)
-    assert np.array_equal(checked, [good]) and np.array_equal(smallest, [1.0])
-    checked, _, refusal = moments._checked_cov(np.stack([good, good, nan, skew]), StepRejected)
-    assert isinstance(refusal, StepRejected) and "non-finite" in str(refusal)
-    assert len(checked) == 2
     low = np.diag([1.0, -1.0])
-    _, _, refusal = moments._checked_cov(np.stack([low, nan]))
-    assert "below the PSD floor" in str(refusal)
+    for covs, text in [([good, skew, nan], "not symmetric"), ([good, good, nan, skew], "non-finite"),
+                       ([low, nan], "below the PSD floor")]:
+        with pytest.raises(StepRejected, match=text):
+            moments.checked_grid(1, np.zeros((len(covs), 2)), np.stack(covs))
+    grid = moments.checked_grid(1, np.zeros((2, 2)), np.stack([good, good]))
+    assert np.array_equal(grid.cov, [good, good]) and (grid.psd_clips, grid.psd_clip_min) == (0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +411,7 @@ def test_cloud_size_ground():
         orb = np.zeros(3)
         orb[0] = 1.0
         m0 = moments.init_moments(fock.condensate_state(orb, n), b)
-        assert moments.cloud_size(m0) == pytest.approx(math.sqrt(0.5), rel=1e-12)
+        assert moments.cloud_size(m0)[0] == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
 
 def test_cloud_size_single_atom_settles_to_stationary():
@@ -432,8 +423,8 @@ def test_cloud_size_single_atom_settles_to_stationary():
     orb[0] = 1.0
     m0 = moments.init_moments(fock.condensate_state(orb, 1), b)
     g = moments.build_generators(trap, fb)
-    late = moments.evolve(m0, g, 40.0 / 0.8)
-    assert moments.cloud_size(late) == pytest.approx(scales.DXs, rel=1e-8)
+    late = moments.evolve_grid(m0, g, [40.0 / 0.8])
+    assert moments.cloud_size(late)[0] == pytest.approx(scales.DXs, rel=1e-8)
 
 
 def test_stationary_cm_matches_closed_form_grid():
@@ -483,7 +474,7 @@ def test_cloud_size_approaches_asymptotic_law():
     t0 = 12.0 / zeta
     worst = 0.0
     for t in np.linspace(t0, t0 + math.pi, 60):
-        dx = moments.cloud_size(moments.evolve(m0, g, t))
+        dx = moments.cloud_size(moments.evolve_grid(m0, g, [t]))[0]
         dxa = criteria.asymptotic_cloud_size(scales, h, t)
         worst = max(worst, abs(dx - dxa))
     assert worst < 1e-3 * scales.dx0
@@ -501,10 +492,10 @@ def test_collective_relative_cross_block_vanishes():
         m0 = moments.init_moments(st, b)
         c, _ = moments._collective_maps(n)
         r = np.array([[1.0, 0, -1.0, 0], [0, 1.0, 0, -1.0 / (n - 1)]])
-        assert np.max(np.abs(c @ m0.cov @ r.T)) < 1e-12
+        assert np.max(np.abs(c @ m0.cov[0] @ r.T)) < 1e-12
         g = moments.build_generators(trap, feedback_for_eta(trap, 0.7, zeta=0.4))
-        mt = moments.evolve(m0, g, 11.0)
-        assert np.max(np.abs(c @ mt.cov @ r.T)) < 1e-10
+        mt = moments.evolve_grid(m0, g, [11.0])
+        assert np.max(np.abs(c @ mt.cov[0] @ r.T)) < 1e-10
 
 
 def test_deviation_decays_at_zeta():
@@ -527,7 +518,7 @@ def test_deviation_decays_at_zeta():
     dev = np.array(
         [
             abs(
-                moments.cloud_size(moments.evolve(m0, g, t))
+                moments.cloud_size(moments.evolve_grid(m0, g, [t]))[0]
                 - criteria.asymptotic_cloud_size(scales, h, t)
             )
             for t in ts
@@ -556,9 +547,9 @@ def test_breathing_amplitude_survives_feedback():
     g = moments.build_generators(trap, fb)
 
     def amplitude(t0):
-        s0 = moments.evolve(m0, g, t0).cov[0, 0]
-        s90 = moments.evolve(m0, g, t0 + math.pi / 2).cov[0, 0]
-        s45 = moments.evolve(m0, g, t0 + math.pi / 4).cov[0, 0]
+        s0 = moments.evolve_grid(m0, g, [t0]).cov[0][0, 0]
+        s90 = moments.evolve_grid(m0, g, [t0 + math.pi / 2]).cov[0][0, 0]
+        s45 = moments.evolve_grid(m0, g, [t0 + math.pi / 4]).cov[0][0, 0]
         a = 0.5 * (s0 + s90)
         return math.hypot(0.5 * (s0 - s90), s45 - a)
 

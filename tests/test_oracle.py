@@ -359,11 +359,9 @@ def test_integrate_checks_its_moments_once_as_one_grid(monkeypatch):
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.3), 2)
     rho0 = oracle.DensityMatrix.from_state(state, basis)
     times = oracle.step_times(trap, 0.5)[::10]
-    checks = _spied(monkeypatch, moments, "_checked_cov")
-    built = _spied(monkeypatch, moments.JointMoments, "__post_init__")
+    checks = _spied(monkeypatch, oracle, "checked_grid")
     traj = oracle.integrate(rho0, gen, times)
-    assert len(checks) == 1 and checks[0][0].shape == (len(times), 4, 4)
-    assert built == []
+    assert len(checks) == 1 and checks[0][2].shape == (len(times), 4, 4)
     grid = traj.moments
     assert isinstance(grid, moments.MomentGrid) and grid.n == 2
     assert grid.mean.shape == (len(times), 4) and (grid.psd_clips, grid.psd_clip_min) == (0, 0.0)
@@ -566,9 +564,9 @@ def test_compare_with_moments_n2_noon_collective_variance():
     )
     m0 = moments.init_moments(state, basis)
     g = moments.build_generators(trap, fb)
-    _, cov_c = moments.project_collective(moments.evolve(m0, g, math.pi))
+    _, cov_c = moments.project_collective(moments.evolve_grid(m0, g, [math.pi]))
     assert moments.project_collective(traj.moments)[1][-1, 0, 0] == pytest.approx(
-        cov_c[0, 0], abs=1e-5)
+        cov_c[0][0, 0], abs=1e-5)
 
 
 def test_compare_with_moments_n3_checks_the_n_minus_two_terms():
