@@ -445,6 +445,7 @@ def thermal_ensemble(basis: OrbitalBasis, temperature: float, n: int,
     if temperature == 0:
         return basis_state([n] + [0] * (m - 1))
 
+    _binomials(n, m)  # an unrankable sector is refused before any row is enumerated
     beta = 1.0 / temperature
     # no atom inside the cutoff sits above orbital (cutoff - e0) / hw, so the
     # rows are enumerated over the orbitals up to one past it (a margin for

@@ -39,10 +39,9 @@ _DRAW_FLOATS = 2**20
 # at large K
 _CHUNK_FLOATS = 2**12
 # a refill passes draws to the event-major buffer through a tile of at most
-# this many floats (512 KB) and trajectories; it holds as many whole blocks as
-# fit, since every call to a trajectory's Generator has a fixed cost
+# this many floats (512 KB); it holds as many whole blocks as fit, since
+# every call to a trajectory's Generator has a fixed cost
 _TILE_FLOATS = 2**16
-_TILE_ROWS = 64
 # NumPy's SeedSequence hash (O'Neill's seed_seq_fe; NEP 19): the multipliers
 # of its hashmix, of generate_state and of mix, all in 32-bit arithmetic
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -91,29 +90,40 @@ class _Pair(NamedTuple):
     pp: float | np.ndarray
 
 
-def _rotation(trap: TrapConfig, dt) -> tuple:
+def _rotation(trap: TrapConfig, dt, out=(None,) * 9) -> tuple:
     """Free evolution R = [[c, a], [-b, c]] of the pair over dt, as the
     products the kernel uses: (c, a, b, c^2, 2ca, a^2, c^2 - ab, b^2, 2cb).
 
-    dt is one time or an array of them.
+    dt is one time or an array of them; out, nine arrays of its shape to
+    write the products to.
     """
     mw = trap.atom_count * trap.mass * trap.trap_freq
-    c = np.cos(trap.trap_freq * dt)
+    c, a, b, cc, ca2, aa, ccab, bb, cb2 = out
+    c = np.cos(trap.trap_freq * dt, c)
     sn = np.sin(trap.trap_freq * dt)
-    a, b = sn / mw, mw * sn
-    return c, a, b, c * c, 2.0 * c * a, a * a, c * c - a * b, b * b, 2.0 * c * b
+    a, b, cc, c2 = np.divide(sn, mw, a), np.multiply(mw, sn, b), np.multiply(c, c, cc), 2.0 * c
+    return (c, a, b, cc, np.multiply(c2, a, ca2), np.multiply(a, a, aa),
+            np.subtract(cc, a * b, ccab), np.multiply(b, b, bb), np.multiply(c2, b, cb2))
 
 
-def _rotate(st: _Pair, rot: tuple) -> _Pair:
+def _rotate(st: _Pair, rot: tuple, out=None) -> _Pair:
+    """The pair after the free evolution rot: the means in out = (x, p, scratch,
+    scratch), four arrays apart from st's (fresh ones if None), the covariance
+    as values.  No ufunc writes over its own operand: on one-element arrays
+    numpy's overlap check for that costs more than the arithmetic."""
     c, a, b, cc, ca2, aa, ccab, bb, cb2 = rot
-    return _Pair(c * st.x + a * st.p, c * st.p - b * st.x,
-                 cc * st.xx + ca2 * st.xp + aa * st.pp,
+    if out is None:
+        out = [np.empty(np.broadcast(st.x, st.p, c).shape) for _ in range(4)]
+    x, p, u, v = out
+    np.add(np.multiply(c, st.x, u), np.multiply(a, st.p, v), x)
+    np.subtract(np.multiply(c, st.p, v), np.multiply(b, st.x, u), p)
+    return _Pair(x, p, cc * st.xx + ca2 * st.xp + aa * st.pp,
                  c * (a * st.pp - b * st.xx) + ccab * st.xp,
                  bb * st.xx - cb2 * st.xp + cc * st.pp)
 
 
-def _filter_event(st: _Pair, rot: tuple, z, sigma0: float, zeta0: float,
-                  hbar: float) -> tuple[_Pair, np.ndarray]:
+def _filter_event(st: _Pair, rot: tuple, z, sigma0: float, zeta0: float, hbar: float,
+                  out: _Pair | None = None, work=None) -> tuple[_Pair, np.ndarray]:
     """One loop event for a batch: rotate by rot, measure X, kick, back-action.
 
     The outcome is x_m = X + sqrt(Var X + sigma0^2) z for standard normal z.
@@ -122,15 +132,32 @@ def _filter_event(st: _Pair, rot: tuple, z, sigma0: float, zeta0: float,
     is the exact unconditional effect of the Gaussian position channel and
     keeps the filter closed without sampling a momentum kick.  Returns the
     new state and the outcomes.
+
+    The covariance half needs no outcome, so a shared one runs in floats.
+    out, the pair written to, keeps the means from allocating: arrays x and
+    p (st's may be reused) and xx, xp, pp, arrays or None for a shared
+    covariance, which then comes back as values.  work is four arrays of the
+    means' shape; the outcomes returned are work[3].
     """
-    x, p, xx, xp, pp = _rotate(st, rot)
+    if out is None:
+        shape = np.broadcast(*st, z, *rot).shape
+        out = _Pair(np.empty(shape), np.empty(shape), None, None, None)
+        work = [np.empty(shape) for _ in range(4)]
+    x, p, e, x_m = work
+    _, _, xx, xp, pp = _rotate(st, rot, work)
     innov = xx + sigma0**2
-    e = np.sqrt(innov) * z
-    x_m = x + e
     gx, gp = xx / innov, xp / innov
-    return _Pair(x + gx * e - zeta0 * x_m, p + gp * e,
-                 xx - gx * xx, xp - gx * xp,
-                 pp - gp * xp + hbar**2 / (4.0 * sigma0**2)), x_m
+    np.multiply(math.sqrt(innov) if isinstance(innov, float) else np.sqrt(innov), z, e)
+    np.add(p, np.multiply(gp, e, x_m), out.p)  # st is read: out may be st
+    np.add(x, np.multiply(gx, e, x_m), p)  # x + gx e
+    np.add(x, e, x_m)  # the outcome
+    np.subtract(p, np.multiply(zeta0, x_m, x), out.x)  # x + gx e - zeta0 x_m
+    cov = (xx - gx * xx, xp - gx * xp, pp - gp * xp + hbar**2 / (4.0 * sigma0**2))
+    if out.xx is not None:
+        for dst, value in zip(out[2:], cov):
+            dst[...] = value
+        cov = out[2:]
+    return _Pair(out.x, out.p, *cov), x_m
 
 
 def _check_stable(trap: TrapConfig, cfg: LoopConfig) -> float:
@@ -187,6 +214,8 @@ class LoopTrajectory:
     trap: TrapConfig
     spectral_radius: float  # of the event-to-event mean map; <= 1
     traj_events: int        # trajectory-events stepped, lockstep overrun included
+    draws: int              # random numbers drawn, over every stream and method
+    draws_unread: int       # of those, the ones no stepped event read
 
     def summary(self) -> dict:
         return {
@@ -197,6 +226,7 @@ class LoopTrajectory:
             "seed": int(self.config.rng_seed),
             "spectral_radius": self.spectral_radius,
             "traj_events": self.traj_events,
+            "health": {"draws": self.draws, "draws_unread": self.draws_unread},
         }
 
 
@@ -253,9 +283,10 @@ class _Streams:
     sees do not depend on the batch, and with a single method they equal
     one long draw.  The buffer is event-major, (methods, block, K), so that
     an event reads one contiguous row.  The draws reach it through a
-    trajectory-major tile of at most _TILE_FLOATS floats: up to _TILE_ROWS
-    trajectories draw into its rows, whole blocks where they fit, and the
-    tile is copied in transposed.  At K = 1 the two layouts coincide.
+    trajectory-major tile of at most _TILE_FLOATS floats: trajectories draw
+    into its rows, whole blocks where they fit, and the tile is copied in
+    transposed.  At K = 1 the two layouts coincide.  drawn counts the
+    numbers drawn so far.
     """
 
     def __init__(self, seed: int, k: int, block: int, methods: tuple[str, ...]):
@@ -275,8 +306,10 @@ class _Streams:
         rngs = [Generator(PCG64(Seeded(words))) for words in _spawn_states(int(seed), k)]
         self._draws = [[getattr(rng, method) for rng in rngs] for method in methods]
         self._buf = np.empty((len(methods), block, k))
-        rows = min(k, _TILE_ROWS, max(1, _TILE_FLOATS // block))
+        rows = min(k, max(1, _TILE_FLOATS // block))
         self._tile = np.empty((rows, min(block, _TILE_FLOATS // rows)))
+        self._rows = list(self._tile)  # a whole-width tile's rows, made once
+        self.drawn = self._refills = self._last = 0
 
     def blocks(self, live=None):
         """Refill the streams and yield the buffer, (methods, block, k), forever.
@@ -289,6 +322,8 @@ class _Streams:
         rows, width = self._tile.shape
         while True:
             refill = list(range(k)) if live is None else live().tolist()
+            self._refills, self._last = self._refills + 1, len(refill)
+            self.drawn += len(refill) * len(self._draws) * len(self._buf[0])
             for g0 in range(0, len(refill), rows):
                 group = refill[g0:g0 + rows]
                 cols = (slice(group[0], group[-1] + 1)
@@ -296,10 +331,16 @@ class _Streams:
                 for draws, out in zip(self._draws, self._buf):
                     for c0 in range(0, len(out), width):
                         tile = self._tile[:len(group), :len(out) - c0]
-                        for row, i in zip(tile, group):
+                        for row, i in zip(self._rows if tile.shape[1] == width else tile, group):
                             draws[i](out=row)
                         out[c0:c0 + width, cols] = tile.T
             yield self._buf
+
+    def unread(self, stepped: int) -> int:
+        """Numbers drawn that `stepped` events left unread: every refill but the
+        last is read whole, and a stream left out of one reads no new draws."""
+        methods, block, _ = self._buf.shape
+        return self._last * methods * (self._refills * block - stepped)
 
 
 def _moments(k: int, sx, sxx, vx, sp, spp, vp) -> tuple:
@@ -389,7 +430,9 @@ def run_ensemble(init: MomentGrid, cfg: LoopConfig, trap: TrapConfig,
     j-th event of every trajectory is stepped at once, in chunks of events
     whose times come from one cumulative sum, until every trajectory is past
     the last record edge; the edges each chunk covers are then recorded
-    together.  The run is first checked by plan_run, and init must be one
+    together.  Both loops step the means in preallocated arrays, so no
+    event allocates one; the poisson states go straight into the chunk's
+    history.  The run is first checked by plan_run, and init must be one
     instant of the trap's moments (ConfigError otherwise).
     """
     n_events, radius = plan_run(cfg, trap, t_max, record_stride)
@@ -411,21 +454,25 @@ def run_ensemble(init: MomentGrid, cfg: LoopConfig, trap: TrapConfig,
             f"sigma0 {cfg.sigma0!r} below machine-meaningful resolution for "
             f"variance {cov0[0, 0]!r}")
 
-    shared = cfg.schedule == "regular"
-    st = _Pair(np.full(k, mean0[0]), np.full(k, mean0[1]),
-               *(v if shared else np.full(k, v) for v in (cov0[0, 0], cov0[0, 1], cov0[1, 1])))
     block = max(16, min(n_events, _DRAW_FLOATS // k))
     physics = (cfg.sigma0, cfg.zeta0, trap.hbar)
+    work = [np.empty(k) for _ in range(4)]
     rows = n_events // record_stride + 1
     rec = np.empty((rows, 4))
-    rec[0] = _ensemble_moments(
-        st if shared else st._replace(xx=np.mean(st.xx), pp=np.mean(st.pp)))
-    if shared:
-        rot = _rotation(trap, 1.0 / cfg.gamma)
-        blocks = _Streams(cfg.rng_seed, k, block, ("standard_normal",)).blocks()
-        draws = (z for (zs,) in blocks for z in zs)
+    if cfg.schedule == "regular":
+        st = _Pair(np.full(k, mean0[0]), np.full(k, mean0[1]),
+                   float(cov0[0, 0]), float(cov0[0, 1]), float(cov0[1, 1]))
+        # the means step in place, the shared covariance in floats
+        out = _Pair(st.x, st.p, None, None, None)
+        rec[0] = _ensemble_moments(st)
+        rot = tuple(map(float, _rotation(trap, 1.0 / cfg.gamma)))
+        # one method's draws are one long stream however they are blocked, so
+        # the refills split the events evenly: less than an event each unread
+        refills = -(-n_events // block)
+        streams = _Streams(cfg.rng_seed, k, -(-n_events // refills), ("standard_normal",))
+        draws = (z for (zs,) in streams.blocks() for z in zs)
         for ev, z in zip(range(n_events), draws):
-            st, _ = _filter_event(st, rot, z, *physics)
+            st, _ = _filter_event(st, rot, z, *physics, out, work)
             if (ev + 1) % record_stride == 0:
                 rec[(ev + 1) // record_stride] = _ensemble_moments(st)
         events = np.arange(rows, dtype=float) * record_stride
@@ -436,18 +483,25 @@ def run_ensemble(init: MomentGrid, cfg: LoopConfig, trap: TrapConfig,
         t_end = (rows - 1) * step
         sums = np.zeros((7, rows - 1))
         chunk = min(block, max(4, _CHUNK_FLOATS // k))
-        # t[0] and hist[:, 0]: time of and state after the last event stepped
+        # t[0] and hist[:, 0]: time of and state after the last event stepped;
+        # event j reads the views of hist[:, j - 1] and writes those of hist[:, j],
+        # with the rotation of rots[:, j - 1]
         t = np.zeros((chunk + 1, k))
         hist = np.empty((5, chunk + 1, k))
-        hist[:, 0] = st
+        hist[:, 0] = np.array([mean0[0], mean0[1], cov0[0, 0], cov0[0, 1], cov0[1, 1]])[:, None]
+        states = [_Pair(*col) for col in zip(*hist)]
+        rots = np.empty((9, chunk, k))
+        rot_rows = list(zip(*rots))
+        st = states[0]
+        rec[0] = _ensemble_moments(st._replace(xx=np.mean(st.xx), pp=np.mean(st.pp)))
         stepped = 0
         # a trajectory already past the last edge is never recorded again,
         # so its stream is not refilled: stale draws only feed its overrun
-        blocks = _Streams(cfg.rng_seed, k, block, ("standard_exponential", "standard_normal")
-                          ).blocks(lambda: np.flatnonzero(t[0] <= t_end))
+        streams = _Streams(cfg.rng_seed, k, block, ("standard_exponential", "standard_normal"))
         # event gaps in units of the mean spacing 1/gamma
         chunks = ((gaps[c0:c0 + chunk], zs[c0:c0 + chunk])
-                  for gaps, zs in blocks for c0 in range(0, block, chunk))
+                  for gaps, zs in streams.blocks(lambda: np.flatnonzero(t[0] <= t_end))
+                  for c0 in range(0, block, chunk))
         for gaps, zs in chunks:
             c = len(gaps)
             tc = t[:c + 1]
@@ -455,10 +509,9 @@ def run_ensemble(init: MomentGrid, cfg: LoopConfig, trap: TrapConfig,
             np.cumsum(tc, axis=0, out=tc)
             past = np.flatnonzero(tc[1:].min(axis=1) > t_end)
             steps = int(past[0]) if past.size else c
-            rot = _rotation(trap, np.diff(tc[:steps + 1], axis=0))
-            for j, (rot_j, z) in enumerate(zip(zip(*rot), zs), 1):
-                st, _ = _filter_event(st, rot_j, z, *physics)
-                hist[:, j] = st
+            _rotation(trap, np.diff(tc[:steps + 1], axis=0), rots[:, :steps])
+            for st, new, rot_j, z in zip(states, states[1:steps + 1], rot_rows, zs):
+                _filter_event(st, rot_j, z, *physics, new, work)
             kept = steps + 1 if past.size else c
             _record_edges(sums, step, tc[:kept + 1], hist[:, :kept], stepped, trap)
             stepped += steps
@@ -473,5 +526,5 @@ def run_ensemble(init: MomentGrid, cfg: LoopConfig, trap: TrapConfig,
         times=np.arange(rows) * (record_stride / cfg.gamma),
         mean_X=rec[:, 0], var_X=rec[:, 1], mean_P=rec[:, 2], var_P=rec[:, 3],
         n_events=events, config=cfg, trap=trap, spectral_radius=radius,
-        traj_events=k * stepped,
+        traj_events=k * stepped, draws=streams.drawn, draws_unread=streams.unread(stepped),
     )

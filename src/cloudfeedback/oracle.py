@@ -326,23 +326,27 @@ def _propagate(apply, mu: complex, rho: np.ndarray, h: float,
                degree: int, substeps: int) -> np.ndarray:
     """exp(hL) rho: Al-Mohy & Higham's Algorithm 3.2 on the shifted L - shift I.
 
-    apply is L on the packed rho.
+    apply is L on the packed rho, into a fresh array.  Each substep sums its
+    series in place in the array its first term makes, so rho, which may be
+    the caller's rho0 itself, is never written.
     """
     scale = h / substeps
     eta = np.exp(mu * scale)
-    out = rho
     for _ in range(int(substeps)):
-        c1 = np.max(np.abs(rho))
+        out, term = None, rho
+        c1 = abs(rho).max()
         for j in range(1, degree + 1):
-            rho = (scale / j) * (apply(rho) - mu * rho)
-            c2 = np.max(np.abs(rho))
-            out = out + rho
-            if c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(out)):
+            new = apply(term)
+            new -= mu * term
+            term = np.multiply(scale / j, new, new)
+            c2 = abs(term).max()
+            out = rho + term if out is None else np.add(out, term, out)
+            if c1 + c2 <= _TAYLOR_TOL * abs(out).max():
                 break
             c1 = c2
-        out = eta * out
-        rho = out
-    return out
+        # eta first: numpy's complex product is not bitwise symmetric
+        rho = np.multiply(eta, out, out)
+    return rho
 
 
 @dataclass(frozen=True)

@@ -1471,7 +1471,7 @@ _EVERY_TASK = {
     "loop": ({"n": 1, "gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002, "seed": 3,
               "task": {"t_max": 0.2, "schedule": "poisson", "trajectories": 16}},
              "60b91f65acbe33dd6ba243e38d45aea2d699c497c0e65f301665d1b398b44cc4",
-             {"gamma", "sigma0", "zeta0", "K", "spectral_radius", "traj_events"}),
+             {"gamma", "sigma0", "zeta0", "K", "spectral_radius", "traj_events", "health"}),
     "scan": ({"n": 2, "zeta": 1.0, "sigma": 0.5, "task": {"steps": 5}},
              "694026bfa38245221138f4d72db83f7fe91eab8076e428fb5be91d3d713db315", set()),
     "search": ({"n": 2, "seed": 5,
@@ -1508,6 +1508,33 @@ def test_cli_every_task_writes_its_artifact_and_one_record(tmp_path, task):
     if task in ("criteria", "evolve"):
         # the moment flow of a pure condensate keeps a positive spectrum
         assert record["health"] == {"psd_clips": 0, "psd_clip_min": 0.0}
+    if task == "loop":
+        # 20-event blocks: 16 streams refill, 12 of them refill again, and the
+        # lockstep stops after 33 events, so each of those 12 leaves 7 events
+        # of exponentials and normals unread
+        assert record["health"] == {"draws": 1120, "draws_unread": 12 * 7 * 2}
+
+
+# K = 300 loop runs at N = 2: 400-event draw blocks fill the buffer in more
+# than one group of trajectories, and the poisson run refills part of its
+# streams a second time; the digests fix every byte of both schedules
+_LOOP_PINS = {
+    "regular": (41, "1825256cf38000553e2d10ffa3073f91720a3a8bd9d217e9ce591bdda84fb4cc"),
+    "poisson": (42, "4ce5ba881aad407d629d0e88aa4475ad142d8c9dc826e8dde82f5fde08abe601"),
+}
+
+
+@pytest.mark.parametrize("schedule", list(_LOOP_PINS))
+def test_cli_loop_artifact_at_300_trajectories_keeps_its_bytes(tmp_path, schedule):
+    seed, sha = _LOOP_PINS[schedule]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": 2, "gamma": 100.0, "sigma0": 5.0, "zeta0": 0.005, "seed": seed,
+        "task": {"t_max": 4.0, "schedule": schedule, "trajectories": 300,
+                 "record_stride": 5}}))
+    code, out, _ = run_cli(["loop", "--config", str(cfg)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 @pytest.mark.parametrize("low", [-1e-12, -1.0])

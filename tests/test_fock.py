@@ -420,6 +420,19 @@ def test_thermal_cutoff_too_tight():
         fock.thermal_ensemble(b, temperature=1.0, n=1, energy_cutoff=3.5)
 
 
+def test_thermal_refuses_an_unrankable_sector_before_enumerating_a_row(monkeypatch):
+    # the rank budget depends on N and M alone; a million rows under the
+    # cutoff used to be enumerated and weighted before it was read
+    def never(*args):
+        raise AssertionError("a row was enumerated")
+
+    monkeypatch.setattr(fock, "occupations", never)
+    n = 999_999
+    with pytest.raises(ConfigError, match=r"the ranks of the \(n=999999, m=6\) sector"):
+        fock.thermal_ensemble(basis(6, TrapConfig(atom_count=n)), temperature=0.1, n=n,
+                              energy_cutoff=500_000.0)
+
+
 def test_thermal_zero_temperature():
     b = basis(5, TRAP2)
     ens = fock.thermal_ensemble(b, temperature=0.0, n=2, energy_cutoff=1.0)

@@ -369,7 +369,7 @@ def regular_reference(init, cfg, trap, t_max, record_stride):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("k", [1, 63, 65, 130])
+@pytest.mark.parametrize("k", [1, 63, 65, 130, 300])
 @pytest.mark.parametrize("stride", [1, 7])
 def test_regular_ensemble_matches_event_by_event_reference(k, stride):
     trap = trap_for(2)
@@ -378,6 +378,19 @@ def test_regular_ensemble_matches_event_by_event_reference(k, stride):
     traj = loop.run_ensemble(ground_moments(2), cfg, trap, 3.0, record_stride=stride)
     got = np.column_stack([traj.mean_X, traj.var_X, traj.mean_P, traj.var_P])
     assert np.array_equal(got, regular_reference(ground_moments(2), cfg, trap, 3.0, stride))
+
+
+@pytest.mark.parametrize("k", [1, 130])
+def test_regular_ensemble_across_many_refills_matches_the_reference(monkeypatch, k):
+    # draw blocks of 32 events at K = 1 and of 16, the floor, at K = 130 make
+    # the 120 events cross four and eight refills
+    monkeypatch.setattr(loop, "_DRAW_FLOATS", 32)
+    trap = trap_for(2)
+    cfg = loop_for(trap, zeta=0.5, eta=1.0, gamma=40.0, rng_seed=2**40 + k,
+                   trajectories=k)
+    traj = loop.run_ensemble(ground_moments(2), cfg, trap, 3.0, record_stride=7)
+    got = np.column_stack([traj.mean_X, traj.var_X, traj.mean_P, traj.var_P])
+    assert np.array_equal(got, regular_reference(ground_moments(2), cfg, trap, 3.0, 7))
 
 
 @pytest.mark.parametrize("schedule", ["regular", "poisson"])
@@ -465,6 +478,55 @@ def test_poisson_lockstep_matches_grid_walk(n, k, stride):
     np.testing.assert_allclose(got, rows, rtol=1e-12, atol=0.0)
     # lockstep steps every trajectory until the last one is past the final edge
     assert traj.traj_events >= k * counts[-1]
+
+
+def test_poisson_lockstep_across_many_refills_matches_grid_walk(monkeypatch):
+    # 16-event blocks at K = 130: every trajectory refills several times,
+    # and those already past the last edge are left out of the later ones
+    monkeypatch.setattr(loop, "_DRAW_FLOATS", 32)
+    trap = trap_for(2)
+    cfg = loop_for(trap, zeta=0.5, eta=1.0, gamma=40.0, rng_seed=77, trajectories=130,
+                   schedule="poisson")
+    traj = loop.run_ensemble(ground_moments(2), cfg, trap, 3.0, record_stride=7)
+    rows, counts = grid_walk_poisson(ground_moments(2), cfg, trap, 3.0, 7)
+    np.testing.assert_array_equal(traj.n_events, counts)
+    got = np.column_stack([traj.mean_X, traj.var_X, traj.mean_P, traj.var_P])
+    np.testing.assert_allclose(got, rows, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("schedule", ["regular", "poisson"])
+def test_draw_counts_follow_each_streams_refills(monkeypatch, schedule):
+    # 16-event blocks at K = 130 refill every stream several times; a stream
+    # refilled r times has drawn r blocks of each method, and its events read
+    # the first of them, one number of each method per event
+    monkeypatch.setattr(loop, "_DRAW_FLOATS", 32)
+    refills = np.zeros(130, dtype=int)
+    blocks = loop._Streams.blocks
+
+    def counted(self, live=None):
+        def spy():
+            idx = np.arange(130) if live is None else live()
+            refills[idx] += 1
+            return idx
+        return blocks(self, spy)
+
+    monkeypatch.setattr(loop._Streams, "blocks", counted)
+    trap = trap_for(2)
+    cfg = loop_for(trap, zeta=0.5, eta=1.0, gamma=40.0, rng_seed=5, trajectories=130,
+                   schedule=schedule)
+    traj = loop.run_ensemble(ground_moments(2), cfg, trap, 3.0, record_stride=7)
+    methods = 1 if schedule == "regular" else 2
+    stepped = traj.traj_events // 130
+    # the regular schedule splits its 120 events evenly: 8 blocks of 15
+    block = 15 if schedule == "regular" else 16
+    assert refills.max() > 2
+    assert traj.draws == methods * block * refills.sum()
+    assert traj.draws_unread == methods * np.maximum(block * refills - stepped, 0).sum()
+    assert traj.summary()["health"] == {"draws": traj.draws, "draws_unread": traj.draws_unread}
+    if schedule == "regular":
+        assert (traj.draws, traj.draws_unread) == (130 * 120, 0)
+    else:
+        assert traj.draws_unread > 0
 
 
 def test_edges_before_matches_a_search_of_the_edge_times():

@@ -340,6 +340,22 @@ def test_parity_blocks_reproduce_the_full_rho_to_the_bit(n, m, start):
             assert np.array_equal(got, ref), f.name
 
 
+@pytest.mark.parametrize("n, m", [(1, 12), (2, 10)])
+def test_integrate_leaves_rho0_unchanged(n, m):
+    # the Taylor sums run in place: on the dense stacks of N = 1 over twelve
+    # orbitals the packed rho is rho0.matrix itself, which is never written;
+    # the first instant is past 0, so rho0 is propagated as it was packed
+    trap = trap_for(n)
+    basis = fock.OrbitalBasis(mode_count=m, trap=trap)
+    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis)
+    rho0 = oracle.DensityMatrix.from_state(_start(basis, n, "displaced"), basis)
+    before = rho0.matrix.copy()
+    assert (gen.blocks.pack(rho0.matrix) is rho0.matrix) == (n == 1)
+    traj = oracle.integrate(rho0, gen, oracle.step_times(trap, 0.3)[10::10])
+    assert not np.array_equal(traj.final, before)
+    assert np.array_equal(rho0.matrix, before)
+
+
 def _spied(monkeypatch, owner, name):
     """The argument tuples of every call of owner.name from here on."""
     calls, real = [], getattr(owner, name)
