@@ -241,7 +241,7 @@ def _state_basis(doc: dict | None, trap: TrapConfig) -> tuple[dict, fock.Orbital
         doc = {"kind": "condensate", "m": 6}
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _STATE_KEYS:
-        raise ConfigError(f"state kind must be one of {sorted(_STATE_KEYS)}, got {kind!r}")
+        raise ConfigError(f"state kind must be one of {sorted(_STATE_KEYS)}, got {sig(kind)}")
     unknown = set(doc) - _STATE_KEYS[kind]
     if unknown:
         raise ConfigError(f"unknown state keys for kind {kind!r}: {sorted(unknown)}")
@@ -288,6 +288,9 @@ def build_state(doc: dict | None, trap: TrapConfig):
         amp, given = {}, 0.0
         for term in terms:
             term = _as_object(term, "superposition term")
+            unknown = set(term) - {"occupation", "amp"}
+            if unknown:
+                raise ConfigError(f"unknown superposition term keys: {sorted(unknown)}")
             occ = tuple(_as_occupation(term.get("occupation"), m, trap))
             a = _as_complex(term.get("amp"), "term amp")
             amp[occ] = amp.get(occ, 0.0) + a
@@ -389,11 +392,11 @@ def _curve_inputs(trap: TrapConfig, fb: FeedbackConfig, samples,
     return times, derive_scales(trap, fb), g
 
 
-def _psd_health(flow: moments.MomentGrid | None) -> dict:
-    """The PSD clips of a moment grid, none without one."""
-    if flow is None:
-        return {"psd_clips": 0, "psd_clip_min": 0.0}
-    return {"psd_clips": flow.psd_clips, "psd_clip_min": flow.psd_clip_min}
+def _health(state: fock.FockState, flow: moments.MomentGrid | None) -> dict:
+    """The weight the state's cutoff left out, and the PSD clips of a moment
+    grid, none without one."""
+    clips, low = (0, 0.0) if flow is None else (flow.psd_clips, flow.psd_clip_min)
+    return {"truncation_loss": state.truncation_loss, "psd_clips": clips, "psd_clip_min": low}
 
 
 def _curve(h: criteria.QuadratureHarmonics, state, basis, times: np.ndarray,
@@ -407,7 +410,7 @@ def _curve(h: criteria.QuadratureHarmonics, state, basis, times: np.ndarray,
     if g is not None:
         flow = moments.evolve_grid(moments.init_moments(state, basis), g, times)
         columns["dx"] = moments.cloud_size(flow).tolist()
-    return columns, _psd_health(flow)
+    return columns, _health(state, flow)
 
 
 def _moment_columns(times, grid: moments.MomentGrid) -> dict:
@@ -450,17 +453,19 @@ def _cmd_evolve(cfg: RunConfig) -> tuple:
     m0 = moments.init_moments(state, basis)
     times = np.linspace(0.0, cfg.params["t_max"], cfg.params["samples"])
     flow = moments.evolve_grid(m0, g, times)
-    return _moment_columns(times, flow), {"health": _psd_health(flow)}, None
+    return _moment_columns(times, flow), {"health": _health(state, flow)}, None
 
 
 def _cmd_oracle(cfg: RunConfig) -> tuple:
     p = cfg.params
-    # every stride-th instant of the step clock, and nothing in between
-    times = oracle.step_times(cfg.trap, p["t_max"], p["dt"])[::p["stride"]]
+    # every stride-th instant of the step clock and its last, t_max
+    clock = oracle.step_times(cfg.trap, p["t_max"], p["dt"])
+    times = np.append(clock[:-1:p["stride"]], clock[-1])
     start = time.perf_counter()
     # the generator refuses an oversized sector before the state is enumerated
     gen = oracle.build_generator(cfg.trap, cfg.feedback, _state_basis(cfg.state_doc, cfg.trap)[1])
-    rho0 = oracle.DensityMatrix.from_state(*build_state(cfg.state_doc, cfg.trap))
+    state, basis = build_state(cfg.state_doc, cfg.trap)
+    rho0 = oracle.DensityMatrix.from_state(state, basis)
     built = time.perf_counter()
     traj = oracle.integrate(rho0, gen, times)
     done = time.perf_counter()
@@ -472,7 +477,7 @@ def _cmd_oracle(cfg: RunConfig) -> tuple:
         "health": {"max_trace_err": float(traj.trace_err.max()),
                    "max_top_pop": float(traj.top_pop.max()),
                    "min_eigenvalue": float(traj.min_eig.min()),
-                   "sectors": traj.sectors, **_psd_health(traj.moments)},
+                   "sectors": traj.sectors, **_health(state, traj.moments)},
     }, None
 
 
@@ -484,10 +489,12 @@ def _cmd_loop(cfg: RunConfig) -> tuple:
     state, basis = build_state(cfg.state_doc, cfg.trap)
     init = moments.init_moments(state, basis)
     traj = loop.run_ensemble(init, lcfg, cfg.trap, p["t_max"], record_stride=p["record_stride"])
+    record = traj.summary()
+    record["health"]["truncation_loss"] = state.truncation_loss
     # n_events holds the ensemble's mean count; the column prints its whole part
     return {"t": traj.times, "mean_X": traj.mean_X, "var_X": traj.var_X,
             "mean_P": traj.mean_P, "var_P": traj.var_P,
-            "n_events": traj.n_events.astype(int)}, traj.summary(), None
+            "n_events": traj.n_events.astype(int)}, record, None
 
 
 def _cmd_scan(cfg: RunConfig) -> tuple:

@@ -569,16 +569,19 @@ def hermite_functions(grid: np.ndarray, m: int, basis: OrbitalBasis) -> np.ndarr
     return out / math.sqrt(ell)
 
 
-def _check_grid(grid: np.ndarray):
+def _check_grid(grid: np.ndarray, m: int, basis: OrbitalBasis):
+    """The grid as floats, refused unless strictly increasing and the basis of m orbitals."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ConfigError("grid must be 1-d and strictly increasing")
+    if basis.mode_count != m:
+        raise ConfigError(f"a basis of {basis.mode_count} orbitals for a state of {m}")
     return grid
 
 
 def density_profile(rho1: OneBodyDensity, grid: np.ndarray, basis: OrbitalBasis) -> np.ndarray:
     """P(x) = (1/N) sum_nm rho1[n][m] psi_n(x) psi_m(x); unit trapezoid norm."""
-    grid = _check_grid(grid)
+    grid = _check_grid(grid, len(rho1.matrix), basis)
     psi = hermite_functions(grid, basis.mode_count, basis)
     p = np.einsum("gn,nm,gm->g", psi, rho1.matrix, psi).real / rho1.n
     norm = np.trapezoid(p, grid)
@@ -594,7 +597,7 @@ def pair_distribution(state: FockState, grid: np.ndarray, basis: OrbitalBasis) -
     one-body operator, so P is the Gram matrix of the K(x) on the grid
     over N^2, from few_body_expectation.
     """
-    grid = _check_grid(grid)
+    grid = _check_grid(grid, state.m, basis)
     # the kernels' entries, before any is built
     check_budget("rows", len(grid) * state.m ** 2, "the pair-distribution kernels")
     psi = hermite_functions(grid, state.m, basis)

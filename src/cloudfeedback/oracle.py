@@ -363,11 +363,11 @@ class OracleTrajectory:
 def step_times(trap: TrapConfig, t_max: float, dt: float | None = None) -> np.ndarray:
     """The instants 0, dt, 2 dt, ... of a fixed-step clock over [0, t_max].
 
-    Steps are summed one after the other and the last one is cut short to
-    land on t_max, so the grid is the clock of a fixed-step integrator to
-    the last bit.  dt defaults to 2 pi / (1000 omega) and may not exceed
-    2 pi / (500 omega); the clock holds at most 2^20 steps, checked before
-    it is built.
+    It only names the instants the oracle CLI writes: every stride-th one
+    and the last, t_max.  Steps are summed one after the other and the
+    last one is cut short to land on t_max.  dt defaults to
+    2 pi / (1000 omega) and may not exceed 2 pi / (500 omega); the clock
+    holds at most 2^20 steps, checked before it is built.
     """
     w = trap.trap_freq
     if dt is None:
@@ -391,13 +391,14 @@ def integrate(rho0: DensityMatrix, gen: LindbladGenerator,
     """rho(t) = exp(tL) rho0 at each instant of `times`, with monitors.
 
     rho0 is a DensityMatrix of the generator's sector (ConfigError
-    otherwise), times a nondecreasing array of instants >= 0, such as a
-    slice of step_times.  Only those instants are formed and checked.  Each
-    emitted state is made Hermitian by conjugate-transpose averaging,
-    propagation goes on from it packed (see ParityBlocks), and it is checked
-    for trace drift, top-orbital population (TruncationLeak above 1e-6) and
-    its minimum eigenvalue (PositivityLoss below -1e-6); their moments, in
-    one checked_grid (StepRejected) once the last instant is formed.
+    otherwise), times a nondecreasing array of any instants >= 0: each gap
+    is reached directly by its own Taylor plan, on no step clock.  Only
+    those instants are formed and checked.  Each emitted state is made
+    Hermitian by conjugate-transpose averaging, propagation goes on from it
+    packed (see ParityBlocks), and it is checked for trace drift,
+    top-orbital population (TruncationLeak above 1e-6) and its minimum
+    eigenvalue (PositivityLoss below -1e-6); their moments, in one
+    checked_grid (StepRejected) once the last instant is formed.
     """
     if not (isinstance(rho0, DensityMatrix) and rho0.n == gen.trap.atom_count
             and len(rho0.matrix) == len(gen.h_diag)):
@@ -443,30 +444,19 @@ def integrate(rho0: DensityMatrix, gen: LindbladGenerator,
 
 
 def compare_with_moments(state: fock.FockState, trap: TrapConfig, fb: FeedbackConfig,
-                         t_grid: np.ndarray, basis: fock.OrbitalBasis,
-                         dt: float | None = None) -> dict:
+                         t_grid: np.ndarray, basis: fock.OrbitalBasis) -> dict:
     """Max deviation between the exact oracle and the moment propagator.
 
-    t_grid is a nonempty 1-D array of finite instants >= 0.  Grid times are
-    snapped to the steps of step_times(trap, t, dt), and the oracle is
-    evaluated at those instants only, so the two paths are compared at
-    identical instants.
+    t_grid is a nonempty 1-D array of finite instants >= 0, in any order and
+    with repeats.  integrate and evolve_grid both run at np.unique(t_grid),
+    so the two paths are compared at identical instants.
     """
-    if dt is None:
-        dt = 2.0 * math.pi / (1000.0 * trap.trap_freq)
     grid = np.asarray(t_grid, dtype=float)
-    if (grid.ndim != 1 or not len(grid) or not np.all(np.isfinite(grid)) or np.any(grid < 0)
-            or not dt > 0):
-        raise ConfigError("t_grid must be a nonempty 1-D array of finite instants >= 0, and "
-                          f"dt > 0 (got dt {dt!r})")
-    check_budget("steps", float(grid.max()) / dt, "the t_grid clock")
-    snapped = sorted({round(t / dt) for t in grid})
-    clock = step_times(trap, snapped[-1] * dt, dt)
+    if grid.ndim != 1 or not len(grid) or not np.all(np.isfinite(grid)) or np.any(grid < 0):
+        raise ConfigError("t_grid must be a nonempty 1-D array of finite instants >= 0")
+    times = np.unique(grid)
     gen = build_generator(trap, fb, basis)
-    traj = integrate(DensityMatrix.from_state(state, basis), gen, clock[snapped])
-
-    exact = traj.moments
-    gauss = evolve_grid(init_moments(state, basis), build_generators(trap, fb),
-                        np.asarray(snapped) * dt)
+    exact = integrate(DensityMatrix.from_state(state, basis), gen, times).moments
+    gauss = evolve_grid(init_moments(state, basis), build_generators(trap, fb), times)
     return {"mean": float(np.max(np.abs(exact.mean - gauss.mean))),
             "cov": float(np.max(np.abs(exact.cov - gauss.cov)))}

@@ -1,9 +1,11 @@
 """Seeded fuzz of the command line.
 
 Configs are drawn from the driver's own tables: each draw takes a small run
-of one subcommand and sets one to three of its top-level keys (`_KEYS`) or
-task keys (`_TASKS`) to a small value, an edge value, a value of the wrong
-type or nothing, and may add a command-line flag with a malformed value.  Every run must exit
+of one subcommand and sets one to three of its top-level keys (`_KEYS`),
+task keys (`_TASKS`), state keys (`_STATE_KEYS`, by kind) or keys of a
+superposition term, a stray one among them, to a small value, an edge
+value, a value of the wrong type or nothing, and may add a command-line
+flag with a malformed value.  Every run must exit
 0, 2 or 3, write exactly one JSON line to stderr, whose error detail is
 short, and only finite numbers to stdout, and finish within a fixed bound.  The runs see Python's default
 warning filters, as the console script does: cli_main records a warning
@@ -40,6 +42,10 @@ STATES = [
      "terms": [{"occupation": [2, 0, 0], "amp": [1, 0]}, {"occupation": [0, 2, 0], "amp": [0, 1]}]},
     {"kind": "thermal", "m": 4, "temperature": 0.5, "cutoff": 4.0},
 ]
+# the keys of a superposition term, and a misspelt one
+TERM_KEYS = ("occupation", "amp", "ampl")
+# the subcommands that build the state section
+READS_STATE = ("criteria", "evolve", "oracle", "loop")
 # one small run of each subcommand, well inside every budget
 BASE = {
     "scales": {"n": 2, "zeta": 0.5, "sigma": 0.7},
@@ -71,21 +77,46 @@ CORPUS = [
 SEED, DRAWS, BOUND_S, DETAIL_CHARS = 20261019, 1500, 5.0, 300
 
 
+def state_section(doc: dict, kind: str) -> dict:
+    """The object a state draw sets a key of: the config's state if it is of
+    this kind, else a small state of it put in its place; for "term" the
+    first term of a superposition."""
+    def fresh(kind):
+        return json.loads(json.dumps(next(s for s in STATES if s["kind"] == kind)))
+
+    want = "superposition" if kind == "term" else kind
+    state = doc.get("state")
+    if not (isinstance(state, dict) and state.get("kind") == want):
+        state = doc["state"] = fresh(want)
+    if kind != "term":
+        return state
+    terms = state.get("terms")
+    if not (isinstance(terms, list) and terms and isinstance(terms[0], dict)):
+        terms = state["terms"] = fresh("superposition")["terms"]
+    return terms[0]
+
+
 def draw(rng: random.Random, task: str, workdir: str) -> tuple:
     """(task, config, extra argv) of one drawn run."""
     doc = json.loads(json.dumps(BASE[task]))
     section = doc.setdefault("task", {})
     keys = [(doc, key) for key in driver._KEYS if key != "task"]
     keys += [(section, key) for key in driver._TASKS[task].keys]
+    if task in READS_STATE:
+        keys += [(kind, key) for kind in sorted(driver._STATE_KEYS)
+                 for key in sorted(driver._STATE_KEYS[kind])]
+        keys += [("term", key) for key in TERM_KEYS]
     for _ in range(rng.randint(1, 3)):
         target, key = rng.choice(keys)
+        if isinstance(target, str):
+            target = state_section(doc, target)
         roll = rng.random()
         if roll < 0.15:
             target.pop(key, None)
             continue
         value = rng.choice(SMALL if rng.random() < 0.5 else EDGES)
         if key == "state":
-            value = rng.choice(STATES + [value])
+            value = json.loads(json.dumps(rng.choice(STATES + [value])))
         if key in PATHS and isinstance(value, str):
             value = f"{workdir}/{key}.out"
         target[key] = value
@@ -100,6 +131,15 @@ def draw(rng: random.Random, task: str, workdir: str) -> tuple:
 def cases(workdir: str) -> list:
     rng = random.Random(SEED)
     return CORPUS + [draw(rng, rng.choice(sorted(BASE)), workdir) for _ in range(DRAWS)]
+
+
+def misspelt(doc: dict) -> bool:
+    """Whether the config's superposition holds a term with the misspelt key."""
+    state = doc.get("state")
+    if not (isinstance(state, dict) and state.get("kind") == "superposition"):
+        return False
+    terms = state.get("terms")
+    return isinstance(terms, list) and any(isinstance(t, dict) and "ampl" in t for t in terms)
 
 
 def check_run(code: int, out: str, err: str) -> None:
@@ -131,6 +171,8 @@ def test_cli_fuzz(tmp_path):
         took = time.perf_counter() - start
         try:
             check_run(code, out.getvalue(), err.getvalue())
+            # a misspelt term key never runs as if it were absent
+            assert code != 0 or task not in READS_STATE or not misspelt(doc)
             assert took < BOUND_S
         except AssertionError:
             pytest.fail(f"{task} {json.dumps(doc)} {argv}: exit {code} in {took:.2f} s, "

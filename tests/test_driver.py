@@ -161,6 +161,9 @@ def test_build_state_rejects_conflicting_condensate_options():
                             "orbital": [[1, 0], [0, 0]]}, trap)
     with pytest.raises(ConfigError):
         driver.build_state({"kind": "nonsense"}, trap)
+    # a kind past the float range is echoed as a power of ten, not in full
+    with pytest.raises(ConfigError, match=re.escape("got 10^400")):
+        driver.build_state({"kind": 10**400}, trap)
     # malformed orbital entries: a short pair, a pair of strings, a bare number
     for entry in ([1], ["a", "b"], 1):
         with pytest.raises(ConfigError):
@@ -180,6 +183,10 @@ def test_build_state_superposition_normalizes():
         bad = {"kind": "superposition", "m": 3,
                "terms": [{"occupation": [1, 0, 0], "amp": [1.0, 0.0]}]}
         driver.build_state(bad, trap)
+    # a misspelt key inside a term is refused by name, not read as absent
+    with pytest.raises(ConfigError, match=re.escape("unknown superposition term keys: ['ampl']")):
+        driver.build_state({"kind": "superposition", "m": 3, "terms": [
+            {"occupation": [2, 0, 0], "amp": [1, 0], "ampl": [0, 1]}]}, trap)
     # a term that is not an object, and an amplitude that is not numeric
     for term in (5, {"occupation": [2, 0, 0], "amp": ["x", 0]}):
         with pytest.raises(ConfigError):
@@ -457,7 +464,9 @@ def test_cli_invalid_json_config_exits_2(tmp_path):
     # well-formed JSON, malformed state documents
     states = [{"kind": "superposition", "m": 2, "terms": [5]},
               {"kind": "superposition", "m": 2,
-               "terms": [{"occupation": [1, 0], "amp": ["x", 0]}]}]
+               "terms": [{"occupation": [1, 0], "amp": ["x", 0]}]},
+              {"kind": "superposition", "m": 2,
+               "terms": [{"occupation": [1, 0], "amp": [1, 0], "ampl": [0, 1]}]}]
     states += [{"kind": "condensate", "m": 2, "orbital": [[1, 0], entry]}
                for entry in ([1], ["a", "b"], 1)]
     for state in states:
@@ -495,7 +504,8 @@ def test_cli_oracle_reaches_four_atoms(tmp_path):
     assert code == 0
     doc = json.loads(err)
     assert doc["sector_dim"] == 330
-    assert doc["instants"] == len(out_path.read_text().splitlines()) - 1 == 2
+    # steps 0 and 10 of the 16-step clock, and its last, t_max
+    assert doc["instants"] == len(out_path.read_text().splitlines()) - 1 == 3
 
 
 def test_cli_oracle_budgets_its_step_clock(tmp_path):
@@ -662,13 +672,13 @@ def test_cli_oracle_reports_run_record_at_three_atoms(tmp_path):
                               "--out", str(out_path)])
     assert code == 0 and out == ""
     lines = out_path.read_text().splitlines()
-    # every 25th step of 2 pi / 1000 up to step 150; t_max = 1.0 is step 160
+    # every 25th step of 2 pi / 1000 up to step 150, then t_max = 1.0, step 160
     times = [float(line.split(",")[0]) for line in lines[1:]]
-    assert times == pytest.approx([k * 25 * 2 * math.pi / 1000 for k in range(7)],
+    assert times == pytest.approx([k * 25 * 2 * math.pi / 1000 for k in range(7)] + [1.0],
                                   rel=1e-11)
     doc = json.loads(err)
     assert doc["task"] == "oracle"
-    assert doc["instants"] == len(lines) - 1 == 7
+    assert doc["instants"] == len(lines) - 1 == 8
     assert doc["sector_dim"] == 56
     assert set(doc["timings_s"]) == {"build", "propagate"}
     health = doc["health"]
@@ -1171,9 +1181,15 @@ _PINNED_THERMAL = {
 def test_cli_thermal_reproduces_pinned_artifacts(tmp_path, task):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(_THERMAL_RUNS[task]))
-    code, out, _ = run_cli([task, "--config", str(cfg)])
+    code, out, err = run_cli([task, "--config", str(cfg)])
     assert code == 0
     assert out == _PINNED_THERMAL[task]
+    # the record reports the weight the cutoff left out, as the ensemble holds it
+    doc = _THERMAL_RUNS[task]
+    trap = TrapConfig(atom_count=doc["n"])
+    ensemble, _ = driver.build_state(doc["state"], trap)
+    assert 0.0 < ensemble.truncation_loss < 1e-3
+    assert json.loads(err)["health"]["truncation_loss"] == ensemble.truncation_loss
 
 
 def test_cli_search_single_atom_is_immediate():
@@ -1505,14 +1521,18 @@ def test_cli_every_task_writes_its_artifact_and_one_record(tmp_path, task):
         assert record["health"]["sectors"] == 2
         # the oracle's moments of a pure condensate need no PSD clip either
         assert (record["health"]["psd_clips"], record["health"]["psd_clip_min"]) == (0, 0.0)
+    if task in ("criteria", "evolve", "oracle", "loop"):
+        # a pure state leaves no weight out
+        assert record["health"]["truncation_loss"] == 0.0
     if task in ("criteria", "evolve"):
         # the moment flow of a pure condensate keeps a positive spectrum
-        assert record["health"] == {"psd_clips": 0, "psd_clip_min": 0.0}
+        assert record["health"] == {"truncation_loss": 0.0, "psd_clips": 0, "psd_clip_min": 0.0}
     if task == "loop":
         # 20-event blocks: 16 streams refill, 12 of them refill again, and the
         # lockstep stops after 33 events, so each of those 12 leaves 7 events
         # of exponentials and normals unread
-        assert record["health"] == {"draws": 1120, "draws_unread": 12 * 7 * 2}
+        assert record["health"] == {"draws": 1120, "draws_unread": 12 * 7 * 2,
+                                    "truncation_loss": 0.0}
 
 
 # K = 300 loop runs at N = 2: 400-event draw blocks fill the buffer in more

@@ -512,6 +512,13 @@ def test_density_profile_grid_too_coarse():
         fock.density_profile(rho, np.array([1.0, 0.5]), b)
 
 
+def test_density_profile_refuses_a_basis_of_another_orbital_count():
+    rho = fock.one_body_density(fock.basis_state((1, 0, 0)))
+    for m in (2, 4):
+        with pytest.raises(ConfigError, match=f"a basis of {m} orbitals for a state of 3"):
+            fock.density_profile(rho, np.linspace(-8, 8, 321), basis(m))
+
+
 def test_hermite_functions_high_order_orthonormal():
     b = basis(61)
     grid = np.linspace(-13, 13, 2601)
@@ -586,6 +593,13 @@ def test_pair_distribution_matches_dense_sector_products():
         st = fock.state_from_amplitudes(n, m, vec)
         want = np.array([[np.vdot(vec, a @ (c @ vec)).real for c in t_k] for a in t_k]) / n**2
         assert np.max(np.abs(fock.pair_distribution(st, grid, b) - want)) < 1e-12
+
+
+def test_pair_distribution_refuses_a_basis_of_another_orbital_count():
+    st = fock.basis_state((1, 1, 0))
+    for m in (2, 4):
+        with pytest.raises(ConfigError, match=f"a basis of {m} orbitals for a state of 3"):
+            fock.pair_distribution(st, np.linspace(-4, 4, 11), basis(m, TRAP2))
 
 
 def test_pair_distribution_leaky_state_raises():
