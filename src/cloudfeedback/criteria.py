@@ -65,7 +65,10 @@ class QuadratureHarmonics:
         return _lowest(self.A, self.B, self.C)
 
     def argmin(self) -> float:
-        """Earliest nonnegative minimizer; the signal has period pi/omega."""
+        """Earliest nonnegative minimizer; the signal has period pi/omega, and
+        a flat one (B = C = 0) is least at t = 0."""
+        if self.B == 0.0 and self.C == 0.0:
+            return 0.0
         phase = math.atan2(self.C, self.B) + math.pi
         period = math.pi / self.omega
         return (phase / (2.0 * self.omega)) % period
@@ -81,16 +84,6 @@ class CriterionReport:
     DXs: float
     min_sigma_q_sq: float
     notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "min_dxa": self.min_dxa,
-            "t_star": self.t_star,
-            "qs": self.qs_violated,
-            "schwarz": self.schwarz_violated,
-            "dx0": self.dx0,
-            "DXs": self.DXs,
-        }
 
 
 @functools.lru_cache(maxsize=8)

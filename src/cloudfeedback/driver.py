@@ -4,10 +4,12 @@ Parse, compute, emit.  `RunConfig` parses every key of the config (its
 top-level keys, which the CLI flags --n, --zeta, ... mirror and override,
 and its task section) into a typed value, from one key table and one task
 registry.  The subcommand computes its artifact (named CSV columns, or the
-scales document) and its run record's fields.  `cli_main` alone writes the
-artifact, a search's `state_out`, then one stderr JSON line.  Physical
-defaults are hbar = m = omega = 1.  CSV cells carry 12 significant digits
-under a fixed header, so a seeded rerun reproduces its artifact byte for byte.
+scales document) and forms its run record's fields, and a searched state's
+document, from typed library results: no other module forms JSON.
+`cli_main` alone writes the artifact, a search's `state_out`, then one
+stderr JSON line.  Physical defaults are hbar = m = omega = 1.  CSV cells
+carry 12 significant digits under a fixed header, so a seeded rerun
+reproduces its artifact byte for byte.
 
 Exit codes: 0 on success, 2 for configuration problems (the command line
 included), 3 when the numerics refuse (positivity loss, truncation leak,
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import functools
 import itertools
 import json
@@ -433,7 +436,7 @@ def _moment_columns(times, grid: moments.MomentGrid) -> dict:
 
 def _cmd_scales(cfg: RunConfig) -> tuple:
     s = derive_scales(cfg.trap, cfg.feedback)
-    return {k: float(f"{v:.15g}") for k, v in s.to_dict().items()}, {}, None
+    return {k: float(f"{v:.15g}") for k, v in dataclasses.asdict(s).items()}, {}, None
 
 
 def _cmd_criteria(cfg: RunConfig) -> tuple:
@@ -443,7 +446,10 @@ def _cmd_criteria(cfg: RunConfig) -> tuple:
     h = criteria.quadrature_harmonics(state, basis)
     report = criteria.evaluate_criteria(s, h)
     columns, health = _curve(h, state, basis, times, s, g)
-    return columns, {**report.to_dict(), "min_sigma_q_sq": report.min_sigma_q_sq,
+    return columns, {"min_dxa": report.min_dxa, "t_star": report.t_star,
+                     "qs": report.qs_violated, "schwarz": report.schwarz_violated,
+                     "dx0": report.dx0, "DXs": report.DXs,
+                     "min_sigma_q_sq": report.min_sigma_q_sq,
                      "notes": list(report.notes), "health": health}, None
 
 
@@ -489,12 +495,14 @@ def _cmd_loop(cfg: RunConfig) -> tuple:
     state, basis = build_state(cfg.state_doc, cfg.trap)
     init = moments.init_moments(state, basis)
     traj = loop.run_ensemble(init, lcfg, cfg.trap, p["t_max"], record_stride=p["record_stride"])
-    record = traj.summary()
-    record["health"]["truncation_loss"] = state.truncation_loss
     # n_events holds the ensemble's mean count; the column prints its whole part
     return {"t": traj.times, "mean_X": traj.mean_X, "var_X": traj.var_X,
             "mean_P": traj.mean_P, "var_P": traj.var_P,
-            "n_events": traj.n_events.astype(int)}, record, None
+            "n_events": traj.n_events.astype(int)}, {
+        "gamma": lcfg.gamma, "sigma0": lcfg.sigma0, "zeta0": lcfg.zeta0, "K": lcfg.trajectories,
+        "spectral_radius": traj.spectral_radius, "traj_events": traj.traj_events,
+        "health": {"draws": traj.draws, "draws_unread": traj.draws_unread,
+                   "truncation_loss": state.truncation_loss}}, None
 
 
 def _cmd_scan(cfg: RunConfig) -> tuple:
@@ -512,7 +520,11 @@ def _cmd_search(cfg: RunConfig) -> tuple:
     state, value, report = search.search_state(spec, cfg.trap)
     doc = None
     if p["state_out"] is not None:
-        doc = (fock.state_to_dict(state) if isinstance(state, fock.FockState) else
+        # a fixed-N state as the superposition section that build_state reads
+        doc = ({"kind": "superposition", "m": state.m,
+                "terms": [{"occupation": occ, "amp": [a.real, a.imag]}
+                          for occ, a in zip(state.occ.tolist(), state.amp.tolist())]}
+               if isinstance(state, fock.FockState) else
                {"family": spec.family,
                 "alpha": [[float(a.real), float(a.imag)] for a in state],
                 "mean_n": float(np.vdot(state, state).real)})
@@ -610,12 +622,15 @@ def cli_main(argv=None) -> int:
         # "error" filter turns into an exception still raises
         with warnings.catch_warnings(record=True) as caught:
             artifact, record, state = task.run(cfg)
-        timings = {"compute": time.perf_counter() - start}
+        computed = time.perf_counter()
         if caught:
             record["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
         (write_json if args.task == "scales" else write_csv)(cfg.out, artifact)
         if state is not None:  # the searched state, once the artifact is out
             write_json(cfg.params["state_out"], state)
+        # the phases a task times itself sit beside its compute and write
+        timings = {"compute": computed - start, "write": time.perf_counter() - computed,
+                   **record.pop("timings_s", {})}
         from . import __version__
 
         sys.stderr.write(json.dumps({"task": args.task, "version": __version__,

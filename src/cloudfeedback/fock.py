@@ -290,6 +290,8 @@ class FockState:
     dim: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.n >= 1:  # the spreads and moments divide by n
+            raise ConfigError(f"a state needs n >= 1 atoms, got {sig(self.n)}")
         occ = np.asarray(self.occ, dtype=np.int64)
         amp = np.asarray(self.amp, dtype=complex).reshape(-1)
         label = np.asarray(np.zeros(len(amp), dtype=np.int64) if self.label is None
@@ -604,14 +606,3 @@ def pair_distribution(state: FockState, grid: np.ndarray, basis: OrbitalBasis) -
     kernels = [OneBodyOperator(np.outer(row, row), kind="K(x)") for row in psi]
     return few_body_expectation(state, kernels).real / state.n ** 2
 
-
-# ---------------------------------------------------------------------------
-# serialization (the JSON boundary)
-
-
-def state_to_dict(state: FockState) -> dict:
-    if len(state.weight) > 1:
-        raise ConfigError(f"a mixture of {len(state.weight)} members has no terms form")
-    terms = [{"occ": occ, "re": a.real, "im": a.imag}
-             for occ, a in zip(state.occ.tolist(), state.amp.tolist())]
-    return {"n": state.n, "m": state.m, "terms": terms}

@@ -217,18 +217,6 @@ class LoopTrajectory:
     draws: int              # random numbers drawn, over every stream and method
     draws_unread: int       # of those, the ones no stepped event read
 
-    def summary(self) -> dict:
-        return {
-            "gamma": self.config.gamma,
-            "sigma0": self.config.sigma0,
-            "zeta0": self.config.zeta0,
-            "K": self.config.trajectories,
-            "seed": int(self.config.rng_seed),
-            "spectral_radius": self.spectral_radius,
-            "traj_events": self.traj_events,
-            "health": {"draws": self.draws, "draws_unread": self.draws_unread},
-        }
-
 
 def _spawn_states(seed: int, k: int) -> np.ndarray:
     """PCG64 seeds of the first k spawn children of seed, (k, 4) uint64.

@@ -104,9 +104,6 @@ class DerivedScales:
     eta: float
     DXs: float
 
-    def to_dict(self) -> dict:
-        return {"dX0": self.dX0, "dx0": self.dx0, "eta": self.eta, "DXs": self.DXs}
-
 
 class RegimeKind(enum.Enum):
     # Which threshold sits above the stationary cm noise DXs.

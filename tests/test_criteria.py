@@ -109,6 +109,10 @@ def test_harmonics_minimum_and_argmin():
     # sampled curve never goes below the closed-form minimum
     ts = np.linspace(0, math.pi, 2001)
     assert min(h.value(x) for x in ts) >= h.minimum() - 1e-12
+    # a flat signal (B = C = 0) is least at every instant, first at t = 0
+    flat = criteria.QuadratureHarmonics.from_samples(0.25, 0.25, 0.25, omega=0.7)
+    assert (flat.B, flat.C) == (0.0, 0.0)
+    assert flat.argmin() == 0.0
 
 
 def test_periodicity_at_twice_trap_frequency():
@@ -195,9 +199,8 @@ def test_evaluate_criteria_squeezed_violates_qs():
     want = math.sqrt(0.25 + 0.25 * math.exp(-2 * r))
     assert rep.min_dxa == pytest.approx(want, rel=1e-12)
     assert rep.min_dxa == pytest.approx(0.5327605661168563, rel=1e-12)
-    assert rep.qs_violated
+    assert rep.qs_violated is True
     assert not rep.schwarz_violated
-    assert rep.to_dict()["qs"] is True
 
 
 def test_schwarz_identity_random_states():

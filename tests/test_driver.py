@@ -1,5 +1,6 @@
 """Config assembly, scan and curve artifacts, CLI formats and exit codes."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -424,7 +425,7 @@ def test_cli_calls_in_a_row_share_no_values(tmp_path):
     code, out, _ = run_cli(["scales", "--n", "2", "--zeta", "1", "--sigma", "0.5"])
     assert code == 0
     fb = FeedbackConfig(shift_rate=1.0, meas_resolution=0.5)
-    want = derive_scales(TrapConfig(atom_count=2), fb).to_dict()
+    want = dataclasses.asdict(derive_scales(TrapConfig(atom_count=2), fb))
     assert json.loads(out) == {k: float(f"{v:.15g}") for k, v in want.items()}
     args = driver._build_parser().parse_args(["loop"])
     assert args.task == "loop"
@@ -442,7 +443,7 @@ def test_cli_scales_json_has_fifteen_significant_digits(tmp_path):
     assert set(doc) == {"dX0", "dx0", "eta", "DXs"}
     trap = TrapConfig(atom_count=3)
     fb = FeedbackConfig(shift_rate=0.7, meas_resolution=0.31)
-    for key, exact in derive_scales(trap, fb).to_dict().items():
+    for key, exact in dataclasses.asdict(derive_scales(trap, fb)).items():
         assert doc[key] == float(f"{exact:.15g}")
 
 
@@ -680,7 +681,7 @@ def test_cli_oracle_reports_run_record_at_three_atoms(tmp_path):
     assert doc["task"] == "oracle"
     assert doc["instants"] == len(lines) - 1 == 8
     assert doc["sector_dim"] == 56
-    assert set(doc["timings_s"]) == {"build", "propagate"}
+    assert set(doc["timings_s"]) == {"compute", "write", "build", "propagate"}
     health = doc["health"]
     assert 0.0 <= health["max_trace_err"] < 1e-10
     assert 0.0 < health["max_top_pop"] < 1e-6
@@ -859,6 +860,17 @@ def test_cli_criteria_emits_curve_and_report(tmp_path):
     # squeezed pair near eta = 1: the cloud dips under the one-atom size
     assert report["qs"] is True
     assert report["min_dxa"] < report["dx0"]
+
+
+@pytest.mark.parametrize("n, level", [(1, 0.0), (2, 0.25)])
+def test_cli_criteria_flat_curve_is_least_at_t_zero(n, level):
+    # a ground condensate does not breathe: every instant is a minimizer,
+    # and the earliest is t = 0
+    code, out, err = run_cli(["criteria", "--n", str(n), "--zeta", "0.5", "--sigma", "0.7"])
+    assert code == 0
+    report = json.loads(err)
+    assert report["min_sigma_q_sq"] == pytest.approx(level, abs=1e-15)
+    assert report["t_star"] == 0.0
 
 
 def test_cli_criteria_large_n_and_row_budget(tmp_path):
@@ -1057,10 +1069,39 @@ def test_cli_search_rerun_is_byte_identical(tmp_path):
     # simplex (12 real parameters) and at least one point an iteration
     iterations = sum(int(line.split(",")[3]) for line in lines[1:])
     assert summary["evaluations"] >= iterations + 3 * 14
-    assert set(summary["timings_s"]) == {"build", "search"}
+    assert set(summary["timings_s"]) == {"compute", "write", "build", "search"}
     assert all(v >= 0.0 for v in summary["timings_s"].values())
     assert summary["health"] == {
         "converged": sum(line.endswith("true") for line in lines[1:])}
+
+
+def test_cli_searched_state_runs_through_the_other_subcommands(tmp_path):
+    # the fixed-N state_out is a superposition section over the M + 1 orbitals
+    state_path, cfg, out = tmp_path / "state.json", tmp_path / "run.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({
+        "n": 2, "task": {"family": "fixed_N_pure", "m": 3, "restarts": 2,
+                         "state_out": str(state_path)}}))
+    code, _, err = run_cli(["search", "--config", str(cfg), "--seed", "5", "--out", str(out)])
+    assert code == 0
+    best = json.loads(err)["best_value"]
+    state = json.loads(state_path.read_text())
+    assert (state["kind"], state["m"]) == ("superposition", 4)
+    runs = {"criteria": {"zeta": 0.5, "sigma": 0.7},
+            "evolve": {"zeta": 0.5, "sigma": 0.7, "task": {"t_max": 1.0, "samples": 5}},
+            "loop": {"gamma": 100.0, "sigma0": 5.0, "zeta0": 0.002,
+                     "task": {"t_max": 0.2, "trajectories": 16}},
+            "oracle": {"zeta": 0.5, "sigma": 0.7, "task": {"t_max": 0.5}}}
+    records = {}
+    for task, doc in runs.items():
+        cfg.write_text(json.dumps({"n": 2, "state": state, **doc}))
+        code, _, err = run_cli([task, "--config", str(cfg), "--out", str(out)])
+        records[task] = code, json.loads(err)
+    assert {task: code for task, (code, _) in records.items()} == {
+        "criteria": 0, "evolve": 0, "loop": 0, "oracle": 3}
+    # criteria's Gram kernel finds the minimum of the search's dense quadratic forms
+    assert records["criteria"][1]["min_sigma_q_sq"] == pytest.approx(best, abs=1e-12)
+    # one guard orbital above M: the breathing state soon populates the top one
+    assert records["oracle"][1]["error"] == "TruncationLeak"
 
 
 @pytest.mark.parametrize("task", [
@@ -1495,7 +1536,7 @@ _EVERY_TASK = {
                "cdf86d0285692fb4ae6b41629b47bd8dbe004cbf5abf00f87ee9d2e8a65a6470",
                {"family", "best_value", "best_restart", "evaluations", "health"}),
 }
-# the phases a task times itself; every other task is timed as one
+# the phases a task times itself, beside the compute and write of every task
 _PHASES = {"oracle": {"build", "propagate"}, "search": {"build", "search"}}
 
 
@@ -1514,8 +1555,11 @@ def test_cli_every_task_writes_its_artifact_and_one_record(tmp_path, task):
     assert record["task"] == task
     assert record["version"] == cloudfeedback.__version__
     assert record["seed"] == doc.get("seed", 0)
-    assert set(record["timings_s"]) == _PHASES.get(task, {"compute"})
-    assert all(v >= 0.0 for v in record["timings_s"].values())
+    timings = record["timings_s"]
+    assert set(timings) == {"compute", "write"} | _PHASES.get(task, set())
+    assert all(v >= 0.0 for v in timings.values())
+    # a task times its own phases within its compute
+    assert sum(timings[phase] for phase in _PHASES.get(task, ())) <= timings["compute"]
     if task == "oracle":
         # d = 21 has dense stacks, so the ground condensate keeps the full rho
         assert record["health"]["sectors"] == 2

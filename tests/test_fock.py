@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -610,21 +609,7 @@ def test_pair_distribution_leaky_state_raises():
 
 
 # ---------------------------------------------------------------------------
-# serialization and validation
-
-
-def test_state_roundtrip_through_json():
-    rng = np.random.default_rng(8)
-    dim = fock.sector_dimension(2, 3)
-    vec = helpers.random_fock_amplitudes(rng, dim)
-    st = fock.state_from_amplitudes(2, 3, vec)
-    doc = json.loads(json.dumps(fock.state_to_dict(st)))
-    assert doc["n"] == 2 and doc["m"] == 3
-    occs = [t["occ"] for t in doc["terms"]]
-    assert occs == sorted(occs) == fock.occupations(2, 3).tolist()
-    for term, a in zip(doc["terms"], vec):
-        assert term["re"] == pytest.approx(a.real, abs=1e-15)
-        assert term["im"] == pytest.approx(a.imag, abs=1e-15)
+# validation
 
 
 def test_validation_errors():
@@ -661,6 +646,14 @@ def test_validation_errors():
         fock.OrbitalBasis(mode_count=BUDGETS["modes"].cap + 1, trap=TRAP1)
 
 
+def test_a_state_of_no_atoms_is_refused():
+    # the spreads and moments divide by n: no state has n = 0 to divide by
+    with pytest.raises(ConfigError, match="n >= 1"):
+        fock.basis_state([0, 0, 0])
+    with pytest.raises(ConfigError, match="n >= 1"):
+        fock.FockState(n=0, m=2, occ=[(0, 0)], amp=[1.0])
+
+
 def test_members_are_labelled_rows_of_one_state():
     # rows come in any order; zero-weight members go and the rest renumber
     st = fock.FockState(n=1, m=3, occ=[(0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0)],
@@ -688,10 +681,3 @@ def test_members_are_labelled_rows_of_one_state():
                            weight=[0.5, 0.5])
     with pytest.raises(ConfigError):
         fock.FockState(n=1, m=2, occ=[(1, 0)], amp=[1.0], weight=[])
-
-
-def test_state_to_dict_refuses_a_mixture():
-    ens = fock.thermal_ensemble(basis(6), temperature=0.5, n=1, energy_cutoff=5.4)
-    assert len(ens.weight) > 1
-    with pytest.raises(ConfigError, match="members"):
-        fock.state_to_dict(ens)

@@ -7,6 +7,7 @@ scipy loaded (the warning filters in pyproject.toml name scipy classes).
 
 import ast
 import importlib
+import itertools
 import json
 import os
 import re
@@ -16,6 +17,7 @@ import sys
 import pytest
 
 import cloudfeedback
+from cloudfeedback import driver
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -229,3 +231,25 @@ def test_readme_module_names_resolve_in_the_package():
         return True
 
     assert [".".join(ref) for ref in refs if not resolves(*ref)] == []
+
+
+def _readme_table(header):
+    """The cells of each row of the README table under the given header line."""
+    with open(_README, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    rows = itertools.takewhile(lambda line: line.startswith("|"),
+                               lines[lines.index(header) + 2:])  # past the rule
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+
+def _names(cell):
+    # backticked identifiers; a quoted default such as `"moments"` is none
+    return re.findall(r"`([A-Za-z_]\w*)`", cell)
+
+
+def test_readme_key_tables_match_the_driver():
+    keys = _readme_table("| key | default | flag |")
+    assert [name for row in keys for name in _names(row[0])] == list(driver._KEYS)
+    tasks = _readme_table("| task | task keys | needs |")
+    assert [(_names(row[0]), _names(row[1])) for row in tasks] == [
+        ([task], list(spec.keys)) for task, spec in driver._TASKS.items()]

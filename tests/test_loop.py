@@ -1,10 +1,13 @@
+import io
+import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
 import helpers
-from cloudfeedback import fock, loop, moments, oracle
+from cloudfeedback import driver, fock, loop, moments, oracle
 from cloudfeedback.errors import BUDGETS, ConfigError, MinResolution, TimescaleViolation
 from cloudfeedback.scales import (FeedbackConfig, TrapConfig, continuous_limit_params,
                                   derive_scales)
@@ -45,6 +48,21 @@ def ground_moments(n):
     orb = np.zeros(4, dtype=complex)
     orb[0] = 1.0
     return moments.init_moments(fock.condensate_state(orb, n), basis)
+
+
+def loop_record(tmp_path, cfg, trap, t_max, record_stride=1):
+    """The run record cli_main writes for the loop cfg over t_max, from the
+    default ground condensate."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "n": trap.atom_count, "gamma": cfg.gamma, "sigma0": cfg.sigma0, "zeta0": cfg.zeta0,
+        "seed": cfg.rng_seed,
+        "task": {"t_max": t_max, "schedule": cfg.schedule, "trajectories": cfg.trajectories,
+                 "record_stride": record_stride}}))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert driver.cli_main(["loop", "--config", str(path)]) == 0
+    return json.loads(err.getvalue())
 
 
 def test_loop_config_validation_and_continuous_map():
@@ -495,7 +513,7 @@ def test_poisson_lockstep_across_many_refills_matches_grid_walk(monkeypatch):
 
 
 @pytest.mark.parametrize("schedule", ["regular", "poisson"])
-def test_draw_counts_follow_each_streams_refills(monkeypatch, schedule):
+def test_draw_counts_follow_each_streams_refills(monkeypatch, tmp_path, schedule):
     # 16-event blocks at K = 130 refill every stream several times; a stream
     # refilled r times has drawn r blocks of each method, and its events read
     # the first of them, one number of each method per event
@@ -522,7 +540,9 @@ def test_draw_counts_follow_each_streams_refills(monkeypatch, schedule):
     assert refills.max() > 2
     assert traj.draws == methods * block * refills.sum()
     assert traj.draws_unread == methods * np.maximum(block * refills - stepped, 0).sum()
-    assert traj.summary()["health"] == {"draws": traj.draws, "draws_unread": traj.draws_unread}
+    # the run record reports the same counts
+    assert loop_record(tmp_path, cfg, trap, 3.0, record_stride=7)["health"] == {
+        "draws": traj.draws, "draws_unread": traj.draws_unread, "truncation_loss": 0.0}
     if schedule == "regular":
         assert (traj.draws, traj.draws_unread) == (130 * 120, 0)
     else:
@@ -558,12 +578,11 @@ def test_kraus_sample_follows_predictive_distribution():
     assert np.var(draws) == pytest.approx(target, rel=4 * math.sqrt(2.0 / n_samp))
 
 
-def test_trajectory_summary_reports_run_parameters():
+def test_trajectory_summary_reports_run_parameters(tmp_path):
     trap = trap_for(1)
     cfg = loop_for(trap, zeta=0.5, eta=1.0, gamma=40.0, rng_seed=8,
                    trajectories=32)
-    traj = loop.run_ensemble(ground_moments(1), cfg, trap, 1.0)
-    doc = traj.summary()
+    doc = loop_record(tmp_path, cfg, trap, 1.0)
     assert doc["gamma"] == pytest.approx(40.0)
     assert doc["K"] == 32
     assert doc["seed"] == 8
