@@ -469,9 +469,10 @@ def _cmd_oracle(cfg: RunConfig) -> tuple:
     times = np.append(clock[:-1:p["stride"]], clock[-1])
     start = time.perf_counter()
     # the generator refuses an oversized sector before the state is enumerated
-    gen = oracle.build_generator(cfg.trap, cfg.feedback, _state_basis(cfg.state_doc, cfg.trap)[1])
-    state, basis = build_state(cfg.state_doc, cfg.trap)
-    rho0 = oracle.DensityMatrix.from_state(state, basis)
+    m = _state_basis(cfg.state_doc, cfg.trap)[1].mode_count
+    gen = oracle.build_generator(cfg.trap, cfg.feedback, m)
+    state, _ = build_state(cfg.state_doc, cfg.trap)
+    rho0 = oracle.DensityMatrix.from_state(state)
     built = time.perf_counter()
     traj = oracle.integrate(rho0, gen, times)
     done = time.perf_counter()

@@ -337,6 +337,8 @@ class OneBodyDensity:
 
     def expectation(self, op: OneBodyOperator) -> float:
         """<T_A> = Tr(A rho1) of a Hermitian one-body operator."""
+        if op.matrix.shape != self.matrix.shape:
+            raise ConfigError("operator dimension does not match state mode count")
         return float(np.trace(op.matrix @ self.matrix).real)
 
 

@@ -72,22 +72,18 @@ def build_generators(trap: TrapConfig, fb: FeedbackConfig) -> DriftDiffusion:
 
     # c w^2; w^2 alone overflows from 1.3e154 on, where the trap's checked (m w) w does not
     spring = (lambda c: c * w**2) if w < 1e154 else (lambda c: c * w * w)
-    if n == 1:
-        A = np.array([[-zeta, 1.0 / m], [spring(-m), 0.0]])
-        D = 0.5 * np.array([[kick, 0.0], [0.0, back]])
-        return DriftDiffusion(A=A, D=D, n=1, trap=trap, fb=fb)
-
     # drag along the measured row, kicks along the section's position column,
-    # back-action along its momentum column
+    # back-action along its momentum column; at N = 1 both maps are the identity
     contract, section = _collective_maps(n)
     drag, v, u = contract[0], section[:, 0], section[:, 1]
-    A = np.zeros((4, 4))
+    A = np.zeros((len(drag), len(drag)))
     A[0] = -zeta * drag
     A[0, 1] = 1.0 / m
     A[1, 0] = spring(-m)
-    A[2] = -zeta * drag
-    A[2, 3] = 1.0 / ((n - 1) * m)
-    A[3, 2] = spring(-(n - 1) * m)
+    if n > 1:
+        A[2] = -zeta * drag
+        A[2, 3] = 1.0 / ((n - 1) * m)
+        A[3, 2] = spring(-(n - 1) * m)
 
     D = 0.5 * (kick * np.outer(v, v) + back * np.outer(u, u))
     return DriftDiffusion(A=A, D=D, n=n, trap=trap, fb=fb)

@@ -60,28 +60,30 @@ _THETA = np.array([
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    matrix: np.ndarray
-    basis: fock.OrbitalBasis
-    n: int
+    matrix: np.ndarray  # Hermitian and of unit trace, over the (n, m) sector
+    n: int  # atoms
+    m: int  # orbitals
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        dim = fock.sector_dimension(self.n, self.basis.mode_count)
-        if m.shape != (dim, dim):
+        if not all(isinstance(k, (int, np.integer)) and k >= 1 for k in (self.n, self.m)):
+            raise ConfigError(f"a sector takes integer counts >= 1, got ({self.n!r}, {self.m!r})")
+        rho = np.asarray(self.matrix, dtype=complex)
+        dim = fock.sector_dimension(self.n, self.m)
+        if rho.shape != (dim, dim):
             raise ConfigError(f"density matrix must be {dim}x{dim} for this sector")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(rho))):
             raise ConfigError("density matrix not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-8:
-            raise ConfigError(f"density matrix trace {np.trace(m).real!r} != 1")
-        object.__setattr__(self, "matrix", m)
+        if abs(np.trace(rho).real - 1.0) > 1e-8:
+            raise ConfigError(f"density matrix trace {np.trace(rho).real!r} != 1")
+        object.__setattr__(self, "matrix", rho)
 
     @classmethod
-    def from_state(cls, state: fock.FockState, basis: fock.OrbitalBasis) -> "DensityMatrix":
+    def from_state(cls, state: fock.FockState) -> "DensityMatrix":
         check_budget("sector", state.dim, f"the (n={sig(state.n)}, m={state.m}) sector")
         vecs = np.zeros((len(state.weight), state.dim), dtype=complex)
         vecs[state.label, state.key % state.dim] = state.amp
         rho = sum(w * np.outer(vec, vec.conj()) for w, vec in zip(state.weight, vecs))
-        return cls(matrix=rho, basis=basis, n=state.n)
+        return cls(matrix=rho, n=state.n, m=state.m)
 
 
 def _coefficients(trap: TrapConfig, fb: FeedbackConfig) -> dict:
@@ -112,7 +114,7 @@ class LindbladGenerator:
     numbers the Taylor propagator is planned from.
     """
 
-    trap: TrapConfig
+    basis: fock.OrbitalBasis  # the m orbitals of the trap, which holds N
     fb: FeedbackConfig
     x_hat: scipy.sparse.csr_matrix
     p_hat: scipy.sparse.csr_matrix
@@ -128,7 +130,7 @@ class LindbladGenerator:
     def raw_moments(self, rho: np.ndarray) -> tuple:
         # trace(A rho) = sum_ij A_ij rho_ji; moments_from_raw takes the
         # one-body traces per atom and ignores the collective ones at N = 1
-        n = self.trap.atom_count
+        n = self.basis.trap.atom_count
         traces = [np.dot(a.data, rho[a.col, a.row]).real for a in self.traced]
         return moments_from_raw(n, *(t / n for t in traces[:5]), *traces[5:])
 
@@ -266,26 +268,26 @@ def _stacks(x, p, h_diag: np.ndarray, coefficients: tuple):
     return stacks, shift, norm
 
 
-def build_generator(trap: TrapConfig, fb: FeedbackConfig, basis: fock.OrbitalBasis,
+def build_generator(trap: TrapConfig, fb: FeedbackConfig, m: int,
                     terms: tuple = _ALL_TERMS) -> LindbladGenerator:
-    """The generator of the chosen terms, its sector operators built once.
+    """The generator of the chosen terms in the trap's first m orbitals, built once.
 
     Refused (ConfigError) before any operator is built when a chosen term's
     coefficient leaves the float range.
     """
-    n = trap.atom_count
+    n, basis = trap.atom_count, fock.OrbitalBasis(m, trap)
     unknown = set(terms) - set(_ALL_TERMS)
     if unknown:
         raise ConfigError(f"unknown generator terms {sorted(unknown)}")
     chosen = {t: c if t in terms else 0.0 for t, c in _coefficients(trap, fb).items()}
     if not all(map(math.isfinite, chosen.values())):
         raise ConfigError(f"the generator's coefficients {chosen} leave the float range")
-    dim = fock.sector_dimension(n, basis.mode_count)
-    check_budget("sector", dim, f"the (n={sig(n)}, m={basis.mode_count}) sector")
+    dim = fock.sector_dimension(n, m)
+    check_budget("sector", dim, f"the (n={sig(n)}, m={m}) sector")
 
     import scipy.sparse
 
-    occs = fock.occupations(n, basis.mode_count)
+    occs = fock.occupations(n, m)
 
     def collective(build):
         src, tgt, val, _, _ = map(np.concatenate,
@@ -300,9 +302,9 @@ def build_generator(trap: TrapConfig, fb: FeedbackConfig, basis: fock.OrbitalBas
     h_diag = fock.occupation_energies(occs, trap)
     x_hat = t_x / n
     stacks, shift, norm = _stacks(x_hat, t_p, h_diag, tuple(chosen.values()))
-    odd = occs @ np.arange(basis.mode_count) % 2 == 1
+    odd = occs @ np.arange(m) % 2 == 1
     return LindbladGenerator(
-        trap=trap, fb=fb, x_hat=x_hat, p_hat=t_p, h_diag=h_diag,
+        basis=basis, fb=fb, x_hat=x_hat, p_hat=t_p, h_diag=h_diag,
         top_number=occs[:, -1].astype(float), traced=tuple(a.tocoo() for a in traced),
         stacks=stacks, blocks=ParityBlocks.build(stacks, odd), shift=shift, norm=norm,
     )
@@ -400,10 +402,9 @@ def integrate(rho0: DensityMatrix, gen: LindbladGenerator,
     eigenvalue (PositivityLoss below -1e-6); their moments, in one
     checked_grid (StepRejected) once the last instant is formed.
     """
-    if not (isinstance(rho0, DensityMatrix) and rho0.n == gen.trap.atom_count
-            and len(rho0.matrix) == len(gen.h_diag)):
-        raise ConfigError("rho0 must be a DensityMatrix of the generator's sector, "
-                          f"N = {gen.trap.atom_count} and d = {len(gen.h_diag)}")
+    n, m = gen.basis.trap.atom_count, gen.basis.mode_count
+    if not (isinstance(rho0, DensityMatrix) and (rho0.n, rho0.m) == (n, m)):
+        raise ConfigError(f"rho0 must be a DensityMatrix of the generator's ({n}, {m}) sector")
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or not len(times) or not np.all(np.isfinite(times))
             or times[0] < 0 or np.any(np.diff(times) < 0)):
@@ -438,14 +439,14 @@ def integrate(rho0: DensityMatrix, gen: LindbladGenerator,
 
     trace_err, top_pop, min_eig = np.array(record).T
     return OracleTrajectory(
-        times=times, moments=checked_grid(gen.trap.atom_count, *map(np.array, zip(*raw))),
+        times=times, moments=checked_grid(n, *map(np.array, zip(*raw))),
         trace_err=trace_err, top_pop=top_pop, min_eig=min_eig, final=rho, sectors=sectors,
     )
 
 
 def compare_with_moments(state: fock.FockState, trap: TrapConfig, fb: FeedbackConfig,
-                         t_grid: np.ndarray, basis: fock.OrbitalBasis) -> dict:
-    """Max deviation between the exact oracle and the moment propagator.
+                         t_grid: np.ndarray) -> dict:
+    """Max deviation between the exact oracle and the moment flow, in the state's m orbitals.
 
     t_grid is a nonempty 1-D array of finite instants >= 0, in any order and
     with repeats.  integrate and evolve_grid both run at np.unique(t_grid),
@@ -455,8 +456,8 @@ def compare_with_moments(state: fock.FockState, trap: TrapConfig, fb: FeedbackCo
     if grid.ndim != 1 or not len(grid) or not np.all(np.isfinite(grid)) or np.any(grid < 0):
         raise ConfigError("t_grid must be a nonempty 1-D array of finite instants >= 0")
     times = np.unique(grid)
-    gen = build_generator(trap, fb, basis)
-    exact = integrate(DensityMatrix.from_state(state, basis), gen, times).moments
-    gauss = evolve_grid(init_moments(state, basis), build_generators(trap, fb), times)
+    gen = build_generator(trap, fb, int(state.m))  # a state's m may be a NumPy integer
+    exact = integrate(DensityMatrix.from_state(state), gen, times).moments
+    gauss = evolve_grid(init_moments(state, gen.basis), build_generators(trap, fb), times)
     return {"mean": float(np.max(np.abs(exact.mean - gauss.mean))),
             "cov": float(np.max(np.abs(exact.cov - gauss.cov)))}

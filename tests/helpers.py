@@ -155,7 +155,7 @@ def reference_integrate(rho0, gen, times):
         raw.append(gen.raw_moments(rho))
         record.append((abs(np.trace(rho).real - 1.0), top, eig_min))
     trace_err, top_pop, min_eig = np.array(record).T
-    grid = moments.checked_grid(gen.trap.atom_count, *map(np.array, zip(*raw)))
+    grid = moments.checked_grid(gen.basis.trap.atom_count, *map(np.array, zip(*raw)))
     return oracle.OracleTrajectory(
         times=np.asarray(times, dtype=float), moments=grid, trace_err=trace_err,
         top_pop=top_pop, min_eig=min_eig, final=rho, sectors=2)

@@ -108,9 +108,9 @@ def test_a02_mean_damping_rate_is_half_zeta():
 
         b12 = fock.OrbitalBasis(mode_count=12, trap=trap)
         st = fock.condensate_state(fock.displaced_orbital(b12, 0.8), n)
-        gen = oracle.build_generator(trap, fb, b12)
+        gen = oracle.build_generator(trap, fb, b12.mode_count)
         # every 25th instant of the step clock: 121, as on the moment grid
-        traj = oracle.integrate(oracle.DensityMatrix.from_state(st, b12),
+        traj = oracle.integrate(oracle.DensityMatrix.from_state(st),
                                 gen, oracle.step_times(trap, t_end)[::25])
         mean = traj.moments.mean
         xs = mean[:, 0] if n == 1 else (mean[:, 0] + mean[:, 2]) / 2.0
@@ -126,15 +126,11 @@ def test_a03_oracle_matches_moment_flow():
     grid = np.linspace(0.0, 6.0 * math.pi, 16)
 
     trap1 = TrapConfig(atom_count=1)
-    b1 = fock.OrbitalBasis(mode_count=12, trap=trap1)
     ground1 = fock.condensate_state(np.eye(12, dtype=complex)[0], 1)
-    dev = oracle.compare_with_moments(ground1, trap1,
-                                      feedback_for_eta(trap1, 1.0, zeta),
-                                      grid, b1)
+    dev = oracle.compare_with_moments(ground1, trap1, feedback_for_eta(trap1, 1.0, zeta), grid)
     assert dev["mean"] < 1e-6 and dev["cov"] < 1e-6
 
     trap2 = TrapConfig(atom_count=2)
-    b2 = fock.OrbitalBasis(mode_count=12, trap=trap2)
     fb2 = feedback_for_eta(trap2, 1.0, zeta)
     amp = 1.0 / math.sqrt(2.0)
     starts = [
@@ -144,7 +140,7 @@ def test_a03_oracle_matches_moment_flow():
         fock.basis_state((1, 1) + (0,) * 10),
     ]
     for st in starts:
-        dev = oracle.compare_with_moments(st, trap2, fb2, grid, b2)
+        dev = oracle.compare_with_moments(st, trap2, fb2, grid)
         assert dev["mean"] < 1e-5 and dev["cov"] < 1e-5
 
 

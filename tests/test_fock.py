@@ -601,6 +601,22 @@ def test_pair_distribution_refuses_a_basis_of_another_orbital_count():
             fock.pair_distribution(st, np.linspace(-4, 4, 11), basis(m, TRAP2))
 
 
+def test_one_body_expectation_refuses_an_operator_of_another_orbital_count():
+    # init_moments and schwarz_identity_check reach a one-body operator through
+    # rho1 first, and at N = 1 only through it
+    for occ in ((1, 0, 0), (2, 0, 0)):
+        st = fock.basis_state(occ)
+        for m in (2, 4):
+            b = basis(m, TrapConfig(atom_count=st.n))
+            with pytest.raises(ConfigError, match="operator dimension does not match state "
+                                                  "mode count"):
+                fock.one_body_density(st).expectation(fock.position_matrix(b))
+            with pytest.raises(ConfigError, match="operator dimension does not match"):
+                moments.init_moments(st, b)
+            with pytest.raises(ConfigError, match="operator dimension does not match"):
+                criteria.schwarz_identity_check(st, b, 0.3)
+
+
 def test_pair_distribution_leaky_state_raises():
     b = basis(3, TRAP2)
     st = fock.basis_state((1, 0, 1))

@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import cloudfeedback
-from cloudfeedback import driver
+from cloudfeedback import driver, errors
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -253,3 +253,19 @@ def test_readme_key_tables_match_the_driver():
     tasks = _readme_table("| task | task keys | needs |")
     assert [(_names(row[0]), _names(row[1])) for row in tasks] == [
         ([task], list(spec.keys)) for task, spec in driver._TASKS.items()]
+
+
+def _cap(cell):
+    """A README cap: digits grouped by commas, or 2^k less an optional count."""
+    power = re.fullmatch(r"2\^(\d+)(?: \u2212 (\d+))?", cell)
+    if power:
+        return 2 ** int(power[1]) - int(power[2] or 0)
+    return int(cell.replace(",", ""))
+
+
+def test_readme_budget_table_matches_the_budgets():
+    rows = _readme_table("| name | cap | unit | error | what it bounds |")
+    assert [(_names(name), _cap(cap), unit, _names(error), reason)
+            for name, cap, unit, error, reason in rows] == [
+        ([name], b.cap, b.unit, [b.error.__name__], b.reason)
+        for name, b in errors.BUDGETS.items()]

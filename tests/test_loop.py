@@ -564,9 +564,9 @@ def test_kraus_sample_follows_predictive_distribution():
     trap = trap_for(1)
     basis = fock.OrbitalBasis(mode_count=16, trap=trap)
     gen = oracle.build_generator(
-        trap, FeedbackConfig(shift_rate=0.0, meas_resolution=math.inf), basis)
+        trap, FeedbackConfig(shift_rate=0.0, meas_resolution=math.inf), basis.mode_count)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.6), 1)
-    rho = oracle.DensityMatrix.from_state(state, basis).matrix
+    rho = oracle.DensityMatrix.from_state(state).matrix
     (mean,), (cov,) = moments.project_collective(moments.init_moments(state, basis))
     sigma0 = 1.5
     rng = np.random.default_rng(2)
@@ -599,9 +599,9 @@ def test_kraus_backend_agrees_with_gaussian_filter():
     trap = trap_for(1)
     basis = fock.OrbitalBasis(mode_count=28, trap=trap)
     gen = oracle.build_generator(
-        trap, FeedbackConfig(shift_rate=0.0, meas_resolution=math.inf), basis)
+        trap, FeedbackConfig(shift_rate=0.0, meas_resolution=math.inf), basis.mode_count)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.4), 1)
-    rho = oracle.DensityMatrix.from_state(state, basis).matrix
+    rho = oracle.DensityMatrix.from_state(state).matrix
     (mean,), (cov,) = moments.project_collective(moments.init_moments(state, basis))
     filt = pair_state(mean, cov)
 

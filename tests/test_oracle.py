@@ -53,7 +53,7 @@ def test_commutator_is_i_hbar_on_interior():
     for n in (1, 2):
         trap = trap_for(n)
         basis = fock.OrbitalBasis(mode_count=7, trap=trap)
-        gen = oracle.build_generator(trap, no_feedback(), basis)
+        gen = oracle.build_generator(trap, no_feedback(), basis.mode_count)
         comm = (gen.x_hat @ gen.p_hat - gen.p_hat @ gen.x_hat).toarray()
         occs = fock.occupations(n, 7)
         interior = [i for i, occ in enumerate(occs) if occ[-1] == 0]
@@ -67,7 +67,7 @@ def test_commutator_is_i_hbar_on_interior():
 def test_generator_preserves_trace_on_random_hermitian():
     trap = trap_for(2)
     basis = fock.OrbitalBasis(mode_count=5, trap=trap)
-    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.7, zeta=0.4), basis)
+    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.7, zeta=0.4), basis.mode_count)
     dim = fock.sector_dimension(2, 5)
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -85,9 +85,9 @@ def test_generator_is_sum_of_terms():
     dim = fock.sector_dimension(2, 5)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = 0.5 * (g + g.conj().T)
-    full = oracle.build_generator(trap, fb, basis).apply(h)
+    full = oracle.build_generator(trap, fb, basis.mode_count).apply(h)
     parts = sum(
-        oracle.build_generator(trap, fb, basis, terms=(term,)).apply(h)
+        oracle.build_generator(trap, fb, basis.mode_count, terms=(term,)).apply(h)
         for term in ("hamiltonian", "friction", "measurement", "noise")
     )
     assert np.max(np.abs(full - parts)) < 1e-13
@@ -96,8 +96,8 @@ def test_generator_is_sum_of_terms():
 def test_coefficients_degrade_gracefully():
     trap = trap_for(1)
     basis = fock.OrbitalBasis(mode_count=4, trap=trap)
-    gen = oracle.build_generator(trap, no_feedback(), basis)
-    coefficients = oracle._coefficients(gen.trap, gen.fb)
+    gen = oracle.build_generator(trap, no_feedback(), basis.mode_count)
+    coefficients = oracle._coefficients(gen.basis.trap, gen.fb)
     assert coefficients["friction"] == 0.0
     assert coefficients["measurement"] == 0.0
     assert coefficients["noise"] == 0.0
@@ -108,19 +108,16 @@ def test_coefficients_degrade_gracefully():
 
 def test_build_generator_guards():
     trap = trap_for(2)
-    basis = fock.OrbitalBasis(mode_count=5, trap=trap)
     # N = 4 over eleven orbitals is a 1001-state sector: one over the cap
     with pytest.raises(DimensionTooLarge,
                        match=re.escape("(n=4, m=11) sector: 1001 states, over the budget of 1000")):
-        oracle.build_generator(trap_for(4), feedback_for_eta(trap_for(4), 1.0, zeta=0.2),
-                               fock.OrbitalBasis(mode_count=11, trap=trap_for(4)))
+        oracle.build_generator(trap_for(4), feedback_for_eta(trap_for(4), 1.0, zeta=0.2), 11)
     with pytest.raises(DimensionTooLarge):
-        big = fock.OrbitalBasis(mode_count=150, trap=trap)
-        oracle.build_generator(trap, no_feedback(), big)
+        oracle.build_generator(trap, no_feedback(), 150)
     with pytest.raises(ConfigError):
-        oracle.build_generator(trap, no_feedback(), basis, terms=("hamiltonian", "drift"))
-    gen = oracle.build_generator(trap, no_feedback(), basis)
-    rho = oracle.DensityMatrix.from_state(fock.basis_state((2, 0, 0, 0, 0)), basis)
+        oracle.build_generator(trap, no_feedback(), 5, terms=("hamiltonian", "drift"))
+    gen = oracle.build_generator(trap, no_feedback(), 5)
+    rho = oracle.DensityMatrix.from_state(fock.basis_state((2, 0, 0, 0, 0)))
     with pytest.raises(ConfigError):
         oracle.step_times(trap, 1.0, dt=2.0 * math.pi / 400.0)
     with pytest.raises(ConfigError):
@@ -151,29 +148,35 @@ def test_step_counts_are_budgeted_as_floats():
 
 
 def test_density_matrix_validation():
-    trap = trap_for(2)
-    basis = fock.OrbitalBasis(mode_count=3, trap=trap)
     dim = fock.sector_dimension(2, 3)
     with pytest.raises(ConfigError):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[0, 1] = 1.0
-        m[0, 0] = 1.0
-        oracle.DensityMatrix(matrix=m, basis=basis, n=2)
+        skew = np.zeros((dim, dim), dtype=complex)
+        skew[0, 1] = 1.0
+        skew[0, 0] = 1.0
+        oracle.DensityMatrix(matrix=skew, n=2, m=3)
     with pytest.raises(ConfigError):
-        oracle.DensityMatrix(matrix=0.5 * np.eye(dim), basis=basis, n=2)
+        oracle.DensityMatrix(matrix=0.5 * np.eye(dim), n=2, m=3)
     noon = fock.state_from_amplitudes(
         2, 3, np.array([0.0, 0.0, 1 / math.sqrt(2), 0.0, 0.0, -1 / math.sqrt(2)])
     )
-    rho = oracle.DensityMatrix.from_state(noon, basis)
+    rho = oracle.DensityMatrix.from_state(noon)
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-14
     assert np.min(np.linalg.eigvalsh(rho.matrix)) > -1e-14
+
+
+def test_density_matrix_refuses_a_sector_of_no_counts():
+    # checked before math.comb, which raises a bare ValueError or TypeError on them
+    for n, m in ((-1, 3), (2.5, 3), (math.nan, 3), (2, 2.5), (2, 0)):
+        with pytest.raises(ConfigError, match="integer counts"):
+            oracle.DensityMatrix(np.eye(6) / 6, n, m)
+    assert oracle.DensityMatrix(np.eye(6) / 6, np.int64(2), 3).n == 2
 
 
 def test_density_matrix_from_thermal_ensemble():
     trap = trap_for(2)
     basis = fock.OrbitalBasis(mode_count=6, trap=trap)
     ens = fock.thermal_ensemble(basis, temperature=0.8, n=2, energy_cutoff=9.0)
-    rho = oracle.DensityMatrix.from_state(ens, basis)
+    rho = oracle.DensityMatrix.from_state(ens)
     evals = np.linalg.eigvalsh(rho.matrix)
     assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
     assert evals.min() > -1e-14
@@ -184,10 +187,10 @@ def test_density_matrix_from_thermal_ensemble():
 def test_unitary_limit_oscillates_and_conserves_energy():
     trap = trap_for(2)
     basis = fock.OrbitalBasis(mode_count=8, trap=trap)
-    gen = oracle.build_generator(trap, no_feedback(), basis)
+    gen = oracle.build_generator(trap, no_feedback(), basis.mode_count)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.3), 2)
     traj = oracle.integrate(
-        oracle.DensityMatrix.from_state(state, basis), gen,
+        oracle.DensityMatrix.from_state(state), gen,
         oracle.step_times(trap, 3 * 2 * math.pi)
     )
     mean_x = moments.project_collective(traj.moments)[0][:, 0]
@@ -196,9 +199,9 @@ def test_unitary_limit_oscillates_and_conserves_energy():
     assert np.max(traj.trace_err) < 1e-12
 
     energies = []
-    rho = oracle.DensityMatrix.from_state(state, basis).matrix
+    rho = oracle.DensityMatrix.from_state(state).matrix
     for _ in range(6):
-        t = oracle.integrate(oracle.DensityMatrix(rho, basis, 2), gen,
+        t = oracle.integrate(oracle.DensityMatrix(rho, 2, 8), gen,
                              oracle.step_times(trap, math.pi, 2 * math.pi / 1000))
         rho = t.final
         energies.append(float(np.sum(gen.h_diag * np.diag(rho).real)))
@@ -210,9 +213,9 @@ def test_propagator_matches_dense_expm_and_trace_stays_put():
     trap = trap_for(1)
     fb = feedback_for_eta(trap, 1.0, zeta=0.4)
     basis = fock.OrbitalBasis(mode_count=10, trap=trap)
-    gen = oracle.build_generator(trap, fb, basis)
+    gen = oracle.build_generator(trap, fb, basis.mode_count)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.4), 1)
-    rho0 = oracle.DensityMatrix.from_state(state, basis)
+    rho0 = oracle.DensityMatrix.from_state(state)
     t_end = 2 * math.pi
     # L as a dense matrix on the row-major vec(rho): column k is L(E_k)
     dim = len(gen.h_diag)
@@ -235,7 +238,7 @@ def test_superoperator_matches_dense_master_equation():
         trap = trap_for(n)
         fb = feedback_for_eta(trap, 0.7, zeta=0.4)
         basis = fock.OrbitalBasis(mode_count=m, trap=trap)
-        gen = oracle.build_generator(trap, fb, basis)
+        gen = oracle.build_generator(trap, fb, basis.mode_count)
         x = fock.sector_operator(basis, n, fock.position_matrix(basis).matrix) / n
         p = fock.sector_operator(basis, n, fock.momentum_matrix(basis).matrix)
         h = np.diag(fock.occupation_energies(fock.occupations(n, m), trap))
@@ -270,8 +273,8 @@ def test_generator_conserves_excitation_parity(n, m):
     g = rng.normal(size=odd.shape) + 1j * rng.normal(size=odd.shape)
     rho = 0.5 * (g + g.conj().T)
     # the full generator, and the Hamiltonian alone, whose stacks hold one part
-    for gen in (oracle.build_generator(trap, fb, basis),
-                oracle.build_generator(trap, fb, basis, terms=("hamiltonian",))):
+    for gen in (oracle.build_generator(trap, fb, basis.mode_count),
+                oracle.build_generator(trap, fb, basis.mode_count, terms=("hamiltonian",))):
         for kept in (~odd, odd):
             out = gen.apply(np.where(kept, rho, 0.0))
             assert np.all(out[~kept] == 0.0)
@@ -318,8 +321,8 @@ def _start(basis, n, start):
 def test_parity_blocks_reproduce_the_full_rho_to_the_bit(n, m, start):
     trap = trap_for(n)
     basis = fock.OrbitalBasis(mode_count=m, trap=trap)
-    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis)
-    rho0 = oracle.DensityMatrix.from_state(_start(basis, n, start), basis)
+    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis.mode_count)
+    rho0 = oracle.DensityMatrix.from_state(_start(basis, n, start))
     # the Fock row and the squeezed condensate reach the top orbital by t = 1
     times = oracle.step_times(trap, 0.6)[::10]
     traj = oracle.integrate(rho0, gen, times)
@@ -342,8 +345,8 @@ def test_integrate_leaves_rho0_unchanged(n, m):
     # the first instant is past 0, so rho0 is propagated as it was packed
     trap = trap_for(n)
     basis = fock.OrbitalBasis(mode_count=m, trap=trap)
-    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis)
-    rho0 = oracle.DensityMatrix.from_state(_start(basis, n, "displaced"), basis)
+    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis.mode_count)
+    rho0 = oracle.DensityMatrix.from_state(_start(basis, n, "displaced"))
     before = rho0.matrix.copy()
     assert (gen.blocks.pack(rho0.matrix) is rho0.matrix) == (n == 1)
     traj = oracle.integrate(rho0, gen, oracle.step_times(trap, 0.3)[10::10])
@@ -366,9 +369,9 @@ def _spied(monkeypatch, owner, name):
 def test_integrate_checks_its_moments_once_as_one_grid(monkeypatch):
     trap = trap_for(2)
     basis = fock.OrbitalBasis(mode_count=6, trap=trap)
-    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis)
+    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis.mode_count)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.3), 2)
-    rho0 = oracle.DensityMatrix.from_state(state, basis)
+    rho0 = oracle.DensityMatrix.from_state(state)
     times = oracle.step_times(trap, 0.5)[::10]
     checks = _spied(monkeypatch, oracle, "checked_grid")
     traj = oracle.integrate(rho0, gen, times)
@@ -382,15 +385,15 @@ def test_integrate_checks_its_moments_once_as_one_grid(monkeypatch):
 def test_integrate_refuses_its_moments_as_numerics_after_the_last_instant(monkeypatch):
     trap = trap_for(1)
     basis = fock.OrbitalBasis(mode_count=4, trap=trap)
-    rho = oracle.DensityMatrix.from_state(fock.basis_state((1, 0, 0, 0)), basis)
+    rho = oracle.DensityMatrix.from_state(fock.basis_state((1, 0, 0, 0)))
     plant_covariance_eigenvalue(monkeypatch, 1, -1.0)
-    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis)
+    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis.mode_count)
     with pytest.raises(StepRejected, match="below the PSD floor"):
         oracle.integrate(rho, gen, oracle.step_times(trap, 0.1))
     # the moments are checked once every instant is formed: a leak wins over
     # the covariance planted at every instant before it
     gen = oracle.build_generator(trap, FeedbackConfig(shift_rate=0.0, meas_resolution=0.1),
-                                 basis)
+                                 basis.mode_count)
     with pytest.raises(TruncationLeak):
         oracle.integrate(rho, gen, oracle.step_times(trap, 4 * 2 * math.pi))
 
@@ -398,17 +401,15 @@ def test_integrate_refuses_its_moments_as_numerics_after_the_last_instant(monkey
 def test_integrate_takes_a_density_matrix_of_its_sector_only():
     trap = trap_for(2)
     basis = fock.OrbitalBasis(mode_count=10, trap=trap)
-    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis)
+    gen = oracle.build_generator(trap, feedback_for_eta(trap, 0.8, zeta=0.3), basis.mode_count)
     times = oracle.step_times(trap, 0.1)
     # a bare eye(55) of trace 55 read as a leak, and eye(3) / 3 raised IndexError
     for bare in (np.eye(55), np.eye(3) / 3):
         with pytest.raises(ConfigError, match="DensityMatrix"):
             oracle.integrate(bare, gen, times)
     # another sector: N = 2 over six orbitals, and N = 1 over 55 of the same d
-    six, wide = (fock.OrbitalBasis(mode_count=6, trap=trap),
-                 fock.OrbitalBasis(mode_count=55, trap=trap_for(1)))
-    for rho in (oracle.DensityMatrix(np.eye(21) / 21, six, 2),
-                oracle.DensityMatrix(np.eye(55) / 55, wide, 1)):
+    for rho in (oracle.DensityMatrix(np.eye(21) / 21, 2, 6),
+                oracle.DensityMatrix(np.eye(55) / 55, 1, 55)):
         with pytest.raises(ConfigError, match="sector"):
             oracle.integrate(rho, gen, times)
 
@@ -417,9 +418,9 @@ def test_instants_asked_for_match_the_full_clock():
     trap = trap_for(2)
     fb = feedback_for_eta(trap, 0.8, zeta=0.3)
     basis = fock.OrbitalBasis(mode_count=6, trap=trap)
-    gen = oracle.build_generator(trap, fb, basis)
+    gen = oracle.build_generator(trap, fb, basis.mode_count)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.3), 2)
-    rho0 = oracle.DensityMatrix.from_state(state, basis)
+    rho0 = oracle.DensityMatrix.from_state(state)
     clock = oracle.step_times(trap, 1.0)
     # the last step is cut short to land on t_max
     assert len(clock) == 161 and clock[-1] == 1.0
@@ -446,7 +447,7 @@ def test_friction_only_leaves_relative_sector_alone():
     # c_f = zeta / 2 hbar does not read sigma
     fb = FeedbackConfig(shift_rate=zeta, meas_resolution=0.7)
     basis = fock.OrbitalBasis(mode_count=12, trap=trap)
-    gen = oracle.build_generator(trap, fb, basis, terms=("friction",))
+    gen = oracle.build_generator(trap, fb, basis.mode_count, terms=("friction",))
     t_x, t_p, t_x2, t_p2, t_sxp = (
         fock.sector_operator(basis, 2, build(basis).matrix)
         for build in (fock.position_matrix, fock.momentum_matrix, fock.position_sq_matrix,
@@ -458,7 +459,7 @@ def test_friction_only_leaves_relative_sector_alone():
     watch = {"r2": r_sq, "pr2": pr_sq, "rpr": r_pr, "r4": r_sq @ r_sq}
 
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.4), 2)
-    rho = oracle.DensityMatrix.from_state(state, basis).matrix
+    rho = oracle.DensityMatrix.from_state(state).matrix
     start = {k: np.trace(m @ rho).real for k, m in watch.items()}
     x0 = float(np.trace(gen.x_hat @ rho).real)
 
@@ -489,10 +490,10 @@ def test_n1_cloud_settles_to_asymptotic_size():
     trap = trap_for(1)
     fb = feedback_for_eta(trap, 1.0, zeta=1.0)
     basis = fock.OrbitalBasis(mode_count=14, trap=trap)
-    gen = oracle.build_generator(trap, fb, basis)
+    gen = oracle.build_generator(trap, fb, basis.mode_count)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.5), 1)
     traj = oracle.integrate(
-        oracle.DensityMatrix.from_state(state, basis), gen,
+        oracle.DensityMatrix.from_state(state), gen,
         oracle.step_times(trap, 12.0, 2 * math.pi / 500)
     )
     target = derive_scales(trap, fb).DXs
@@ -504,10 +505,10 @@ def test_mean_damping_rate_is_half_zeta():
     trap = trap_for(1)
     fb = feedback_for_eta(trap, 1.0, zeta=zeta)
     basis = fock.OrbitalBasis(mode_count=10, trap=trap)
-    gen = oracle.build_generator(trap, fb, basis)
+    gen = oracle.build_generator(trap, fb, basis.mode_count)
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.5), 1)
     traj = oracle.integrate(
-        oracle.DensityMatrix.from_state(state, basis), gen,
+        oracle.DensityMatrix.from_state(state), gen,
         oracle.step_times(trap, 10 * 2 * math.pi, 2 * math.pi / 500),
     )
     x = moments.project_collective(traj.moments)[0][:, 0]
@@ -523,18 +524,17 @@ def test_mean_damping_rate_is_half_zeta():
 def test_compare_with_moments_n1_random_orbital():
     trap = trap_for(1)
     fb = feedback_for_eta(trap, 1.0, zeta=0.2)
-    basis = fock.OrbitalBasis(mode_count=12, trap=trap)
     rng = np.random.default_rng(20)
     vec = np.zeros(12, dtype=complex)
     vec[:4] = random_fock_amplitudes(rng, 4)
     state = fock.condensate_state(vec, 1)
     t_grid = np.linspace(0.0, 3 * 2 * math.pi, 10)
-    dev = oracle.compare_with_moments(state, trap, fb, t_grid, basis)
+    dev = oracle.compare_with_moments(state, trap, fb, t_grid)
     assert dev["mean"] < 1e-6
     assert dev["cov"] < 1e-6
     for bad in ([], [0.0, math.nan], [0.0, math.inf], [-0.5, 1.0]):
         with pytest.raises(ConfigError, match="t_grid"):
-            oracle.compare_with_moments(state, trap, fb, np.array(bad), basis)
+            oracle.compare_with_moments(state, trap, fb, np.array(bad))
 
 
 def test_compare_with_moments_runs_both_paths_at_the_grids_own_instants():
@@ -547,25 +547,46 @@ def test_compare_with_moments_runs_both_paths_at_the_grids_own_instants():
     state = fock.condensate_state(fock.displaced_orbital(basis, 0.3), 1)
     grid = np.array([1.0, 0.1234, 0.0, 1.0])
     times = np.unique(grid)
-    exact = oracle.integrate(oracle.DensityMatrix.from_state(state, basis),
-                             oracle.build_generator(trap, fb, basis), times).moments
+    exact = oracle.integrate(oracle.DensityMatrix.from_state(state),
+                             oracle.build_generator(trap, fb, basis.mode_count), times).moments
     gauss = moments.evolve_grid(moments.init_moments(state, basis),
                                 moments.build_generators(trap, fb), times)
-    dev = oracle.compare_with_moments(state, trap, fb, grid, basis)
+    dev = oracle.compare_with_moments(state, trap, fb, grid)
     assert dev == {"mean": float(np.max(np.abs(exact.mean - gauss.mean))),
                    "cov": float(np.max(np.abs(exact.cov - gauss.cov)))}
     assert 0.0 < dev["mean"] < 1e-6 and 0.0 < dev["cov"] < 1e-6
 
 
+def test_compare_with_moments_takes_the_orbitals_of_its_one_trap():
+    # the oracle and the moment flow read one trap: the orbitals of a
+    # unit-frequency trap beside this one put the covariance gap at 0.57
+    trap = TrapConfig(atom_count=2, mass=1.0, trap_freq=1.5, hbar=1.0)
+    fb = feedback_for_eta(trap, 0.8, zeta=0.3)
+    state = fock.condensate_state(np.eye(8, dtype=complex)[0], 2)
+    dev = oracle.compare_with_moments(state, trap, fb, np.array([0.0, 0.5, 1.0]))
+    assert dev["mean"] < 1e-6 and dev["cov"] < 1e-6
+    assert oracle.build_generator(trap, fb, 8).basis == fock.OrbitalBasis(mode_count=8, trap=trap)
+
+
+def test_compare_with_moments_takes_a_state_of_a_numpy_orbital_count():
+    # the orbitals come from the state's m, which a caller may give as a NumPy integer
+    trap = trap_for(2)
+    amps = np.zeros(fock.sector_dimension(2, 6))
+    amps[-1] = 1.0  # (2, 0, 0, 0, 0, 0), the last row
+    state = fock.state_from_amplitudes(2, np.int64(6), amps)
+    dev = oracle.compare_with_moments(state, trap, feedback_for_eta(trap, 0.8, zeta=0.3),
+                                      np.array([0.0, 0.5]))
+    assert dev["mean"] < 1e-6 and dev["cov"] < 1e-6
+
+
 def test_compare_with_moments_n2_condensate_cloud_size():
     trap = trap_for(2)
     fb = feedback_for_eta(trap, 0.8, zeta=0.3)
-    basis = fock.OrbitalBasis(mode_count=8, trap=trap)
     ground = np.zeros(8, dtype=complex)
     ground[0] = 1.0
     state = fock.condensate_state(ground, 2)
     t_grid = np.linspace(0.0, 2 * 2 * math.pi, 9)
-    dev = oracle.compare_with_moments(state, trap, fb, t_grid, basis)
+    dev = oracle.compare_with_moments(state, trap, fb, t_grid)
     assert dev["mean"] < 1e-5
     assert dev["cov"] < 1e-5
 
@@ -581,14 +602,14 @@ def test_compare_with_moments_n2_noon_collective_variance():
     state = fock.state_from_amplitudes(2, 8, amps)
 
     dev = oracle.compare_with_moments(
-        state, trap, fb, np.linspace(0.0, 2 * math.pi, 8), basis
+        state, trap, fb, np.linspace(0.0, 2 * math.pi, 8)
     )
     assert dev["mean"] < 1e-5
     assert dev["cov"] < 1e-5
 
-    gen = oracle.build_generator(trap, fb, basis)
+    gen = oracle.build_generator(trap, fb, basis.mode_count)
     traj = oracle.integrate(
-        oracle.DensityMatrix.from_state(state, basis), gen,
+        oracle.DensityMatrix.from_state(state), gen,
         oracle.step_times(trap, math.pi, 2 * math.pi / 1000)
     )
     m0 = moments.init_moments(state, basis)
@@ -611,7 +632,7 @@ def test_compare_with_moments_n3_checks_the_n_minus_two_terms():
     ]
     t_grid = np.linspace(0.0, 2 * 2 * math.pi, 9)
     for state in starts:
-        dev = oracle.compare_with_moments(state, trap, fb, t_grid, basis)
+        dev = oracle.compare_with_moments(state, trap, fb, t_grid)
         assert dev["mean"] < 1e-5
         assert dev["cov"] < 1e-5
 
@@ -636,7 +657,7 @@ def test_compare_with_moments_n4_n5_pins_the_n_minus_two_polynomial(n, m, start,
     else:
         state = fock.basis_state(start + (0,) * (m - len(start)))
     t_grid = np.linspace(0.0, periods * 2 * math.pi, 3)
-    dev = oracle.compare_with_moments(state, trap, fb, t_grid, basis)
+    dev = oracle.compare_with_moments(state, trap, fb, t_grid)
     assert dev["mean"] < 1e-5
     assert dev["cov"] < 1e-5
 
@@ -645,8 +666,8 @@ def test_truncation_leak_detected():
     trap = trap_for(1)
     fb = FeedbackConfig(shift_rate=0.0, meas_resolution=0.1)
     basis = fock.OrbitalBasis(mode_count=4, trap=trap)
-    gen = oracle.build_generator(trap, fb, basis)
-    rho = oracle.DensityMatrix.from_state(fock.basis_state((1, 0, 0, 0)), basis)
+    gen = oracle.build_generator(trap, fb, basis.mode_count)
+    rho = oracle.DensityMatrix.from_state(fock.basis_state((1, 0, 0, 0)))
     with pytest.raises(TruncationLeak):
         oracle.integrate(rho, gen, oracle.step_times(trap, 4 * 2 * math.pi))
 
@@ -654,8 +675,8 @@ def test_truncation_leak_detected():
 def test_positivity_monitor_trips_on_bad_input():
     trap = trap_for(1)
     basis = fock.OrbitalBasis(mode_count=4, trap=trap)
-    gen = oracle.build_generator(trap, no_feedback(), basis)
+    gen = oracle.build_generator(trap, no_feedback(), basis.mode_count)
     bad = np.diag([0.0, 0.5, 0.5 + 1e-5, -1e-5]).astype(complex)
     with pytest.raises(PositivityLoss):
-        oracle.integrate(oracle.DensityMatrix(matrix=bad, basis=basis, n=1), gen,
+        oracle.integrate(oracle.DensityMatrix(matrix=bad, n=1, m=4), gen,
                          oracle.step_times(trap, 1.0))

@@ -1,9 +1,10 @@
-"""Property-based checks of the collective-moment kernel.
+"""Property-based checks of the collective-moment kernel and the oracle's generator.
 
 Derandomized, so a run always draws the same examples: fixed-N states with
 an empty top orbital and Hermitian one-body matrices, against the
-first-quantized product-space reference of `helpers`; and mixtures of such
-states, against the weighted sum over their members.
+first-quantized product-space reference of `helpers`; mixtures of such
+states, against the weighted sum over their members; and generators of
+drawn sectors, traps and feedback, on Hermitian matrices.
 """
 
 import math
@@ -15,9 +16,10 @@ from hypothesis.extra import numpy as hnp
 
 import helpers
 from cloudfeedback import criteria, fock, oracle
-from cloudfeedback.scales import TrapConfig
+from cloudfeedback.scales import FeedbackConfig, TrapConfig
 
 _UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+_SCALE = st.floats(0.5, 2.0)
 
 
 def _guarded_rows(n, m):
@@ -92,8 +94,31 @@ def test_mixture_values_are_weighted_member_averages(case):
         lambda st: fock.one_body_density(st).matrix,
         lambda st: fock.few_body_expectation(st, ops),
         lambda st: fock.pair_distribution(st, grid, basis),
-        lambda st: oracle.DensityMatrix.from_state(st, basis).matrix,
+        lambda st: oracle.DensityMatrix.from_state(st).matrix,
     ]
     for route in routes:
         want = sum(w * route(member) for w, member in members)
         assert np.max(np.abs(route(mixture) - want)) < 1e-12
+
+
+@st.composite
+def generators(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    trap = TrapConfig(atom_count=n, mass=draw(_SCALE), trap_freq=draw(_SCALE),
+                      hbar=draw(_SCALE))
+    fb = FeedbackConfig(shift_rate=draw(st.floats(0.0, 2.0)), meas_resolution=draw(_SCALE))
+    gen = oracle.build_generator(trap, fb, m)
+    dim = len(gen.h_diag)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return gen, 0.5 * (g + g.conj().T)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(generators())
+def test_generator_output_is_traceless_and_hermitian(case):
+    gen, h = case
+    out = gen.apply(h)
+    scale = float(np.max(np.abs(out)))
+    assert abs(np.trace(out)) <= 1e-12 * scale
+    assert np.max(np.abs(out - out.conj().T)) <= 1e-12 * scale
