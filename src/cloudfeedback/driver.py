@@ -446,6 +446,7 @@ def _cmd_criteria(cfg: RunConfig) -> tuple:
     h = criteria.quadrature_harmonics(state, basis)
     report = criteria.evaluate_criteria(s, h)
     columns, health = _curve(h, state, basis, times, s, g)
+    health.update(rows=len(state.occ), leak_headroom=fock.leak_headroom(state))
     return columns, {"min_dxa": report.min_dxa, "t_star": report.t_star,
                      "qs": report.qs_violated, "schwarz": report.schwarz_violated,
                      "dx0": report.dx0, "DXs": report.DXs,

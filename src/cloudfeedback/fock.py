@@ -10,10 +10,11 @@ member, then by exact lexicographic sector rank.  A pure state is one member
 of weight 1, a thermal ensemble one member per configuration.  One kernel,
 `one_body_coo`, gives the COO triplets of sum_ij A_ij a+_i a_j on any rows;
 every expectation, density and dense sector matrix comes from it.  Means
-<T_A> are traces against rho1, products <T_A T_B> overlaps of once-applied
-vectors, weighted by member.  Every enumeration of occupation rows is checked
-against one row budget before it starts, and operators are applied in row
-chunks of bounded size.
+<T_A> are traces against rho1, formed once per state, and products
+<T_A T_B> overlaps of once-applied vectors, weighted by member; operators of
+one nonzero pattern share one walk over the rows.  Every enumeration of
+occupation rows is checked against one row budget before it starts, and
+operators are applied in row chunks of bounded size.
 
 Analytic matrix kinds exist for x^2, p^2, sym(xp) and q^2(t) because squaring
 the truncated x matrix loses the top diagonal elements; diagonal second
@@ -323,9 +324,14 @@ class FockState:
         if len(bad):
             raise NotNormalized(f"state norm^2 = {float(bad[0])!r}")
         for name, value in (("occ", occ[order]), ("amp", amp[order]),
-                            ("label", label[order]), ("weight", weight), ("key", key),
-                            ("dim", dim)):
+                            ("label", label[order]), ("weight", weight), ("key", key)):
+            value.setflags(write=False)  # immutable like the state, so its rho1 holds
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "dim", dim)
+
+    @functools.cached_property
+    def _rho1(self) -> OneBodyDensity:
+        return _one_body_density(self)
 
 
 @dataclass(frozen=True)
@@ -491,24 +497,26 @@ def _hops(state: FockState, matrix: np.ndarray):
         yield src, state.label[src] * state.dim + tgt, val, i, j
 
 
-def _apply(state: FockState, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T_A on each member: the ascending target keys and their amplitudes."""
-    key, amp = state.key[:0], state.amp[:0]
-    for src, tgt, val, _, _ in _hops(state, matrix):
-        # each chunk's targets, merged into those of the earlier chunks
+def _applied(state: FockState, mats: list[np.ndarray]) -> tuple[np.ndarray, list]:
+    """T_A on each member for operators of one nonzero pattern, in one walk:
+    the ascending target keys they share and each operator's amplitudes."""
+    key, amps = state.key[:0], [state.amp[:0]] * len(mats)
+    for src, tgt, hop, i, j in _hops(state, mats[0] != 0):
+        # each chunk's targets, merged into those of the earlier chunks; a
+        # unit pattern's hop is the ladder factor one_body_coo scales A[i][j] by
         key, inv = np.unique(np.concatenate([key, tgt]), return_inverse=True)
         check_budget("rows", len(key), "an applied vector")
-        amp = _sum_by(inv, np.concatenate([amp, val * state.amp[src]]), len(key))
-    return key, amp
+        amps = [_sum_by(inv, np.concatenate([amp, matrix[i, j] * hop * state.amp[src]]),
+                        len(key)) for amp, matrix in zip(amps, mats)]
+    return key, amps
 
 
-def _check_leak(state: FockState) -> None:
-    """Each member's top-orbital weight must stay within _LEAK_TOL."""
+def leak_headroom(state: FockState) -> float:
+    """_LEAK_TOL minus the worst member's top-orbital weight; a product of two
+    operators is refused where it is negative."""
     top = np.bincount(state.label, np.abs(state.amp) ** 2 * (state.occ[:, -1] > 0),
                       len(state.weight))
-    worst = float(top.max())
-    if worst > _LEAK_TOL:
-        raise TruncationLeak(f"top-orbital weight {worst:.3e} under an operator product")
+    return _LEAK_TOL - float(top.max())
 
 
 def few_body_expectation(state: FockState, ops: list[OneBodyOperator]) -> np.ndarray:
@@ -516,7 +524,9 @@ def few_body_expectation(state: FockState, ops: list[OneBodyOperator]) -> np.nda
 
     Each T_a = sum_ij A_a[i][j] a+_i a_j is applied once, and G is the Gram
     matrix sum_w w <T_a psi_w|T_b psi_w> over the members: Hermitian and PSD
-    by construction.  Means <T_A> are Tr(A rho1), from one_body_density.
+    by construction.  Operators of one nonzero pattern share one walk over
+    the rows, each rescaling its hops.  Means <T_A> are Tr(A rho1), from
+    one_body_density.
 
     Leak rule: T_b psi loses the flow out of the basis, which leaves only from
     the top orbital.  A mean never meets it, an overlap of two applied vectors
@@ -527,27 +537,43 @@ def few_body_expectation(state: FockState, ops: list[OneBodyOperator]) -> np.nda
     for op in ops:
         if op.matrix.shape[0] != state.m:
             raise ConfigError("operator dimension does not match state mode count")
-    _check_leak(state)
-    applied = [_apply(state, op.matrix) for op in ops]
-    key = np.unique(np.concatenate([k for k, _ in applied]))
+    headroom = leak_headroom(state)
+    if headroom < 0:
+        raise TruncationLeak(f"top-orbital weight {_LEAK_TOL - headroom:.3e} "
+                             "under an operator product")
+    groups = {}
+    for col, op in enumerate(ops):
+        groups.setdefault((op.matrix != 0).tobytes(), []).append(col)
+    applied = [(group, *_applied(state, [ops[col].matrix for col in group]))
+               for group in groups.values()]
+    key = np.unique(np.concatenate([k for _, k, _ in applied]))
     check_budget("rows", len(key) * len(ops), "the applied vectors")
     cols = np.zeros((len(key), len(ops)), dtype=complex)
-    for col, (k, amp) in enumerate(applied):
-        cols[np.searchsorted(key, k), col] = amp
+    for group, k, amps in applied:
+        rows = np.searchsorted(key, k)
+        for col, amp in zip(group, amps):
+            cols[rows, col] = amp
     gram = cols.conj().T @ (state.weight[key // state.dim][:, None] * cols)
     return 0.5 * (gram + gram.conj().T)
 
 
 def one_body_density(state: FockState) -> OneBodyDensity:
-    """rho1[n][m] = <a+_m a_n>, weight-averaged over the members."""
+    """rho1[n][m] = <a+_m a_n>, weight-averaged over the members; formed once
+    per state and shared, its matrix read-only."""
+    return state._rho1
+
+
+def _one_body_density(state: FockState) -> OneBodyDensity:
     m = state.m
     rho = np.zeros(m * m, dtype=complex)
     for src, key, val, i, j in _hops(state, np.ones((m, m))):
-        hit = np.isin(key, state.key)
-        pos, src = np.searchsorted(state.key, key[hit]), src[hit]
+        pos = np.minimum(np.searchsorted(state.key, key), len(state.key) - 1)
+        hit = state.key[pos] == key
+        pos, src = pos[hit], src[hit]
         terms = (state.weight[state.label[src]] * np.conj(state.amp[pos])
                  * val[hit] * state.amp[src])
         rho += _sum_by(j[hit] * m + i[hit], terms, m * m)
+    rho.setflags(write=False)
     return OneBodyDensity(matrix=rho.reshape(m, m), n=state.n)
 
 

@@ -18,7 +18,9 @@ The others are second routes to what the package computes one way:
     over condensate sectors, against the closed form;
   * `classical_schwarz_check`: the Schwarz inequality on a factorized
     classical pair distribution;
-  * `breathing_curve`: the criteria subcommand's columns for a given state.
+  * `breathing_curve`: the criteria subcommand's columns for a given state;
+  * `single_walk`: one operator applied by a walk of its own matrix, the bits
+    a walk shared by operators of one nonzero pattern must reproduce.
 """
 
 import itertools
@@ -103,6 +105,17 @@ def oracle_one_body_density(state):
             e[mm, nn] = 1.0
             rho[nn, mm] = np.vdot(vec, collective_operator(e, state.n) @ vec)
     return rho
+
+
+def single_walk(state, matrix):
+    """T_A on each member from a walk of A's own matrix alone: one_body_coo's
+    values, merged chunk by chunk into ascending target keys."""
+    key, amp = state.key[:0], state.amp[:0]
+    for src, tgt, val, _, _ in fock.one_body_chunks(state.occ, matrix):
+        key, inv = np.unique(np.concatenate([key, state.label[src] * state.dim + tgt]),
+                             return_inverse=True)
+        amp = fock._sum_by(inv, np.concatenate([amp, val * state.amp[src]]), len(key))
+    return key, amp
 
 
 def random_fock_amplitudes(rng, dim):

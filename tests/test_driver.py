@@ -1570,7 +1570,12 @@ def test_cli_every_task_writes_its_artifact_and_one_record(tmp_path, task):
         assert record["health"]["truncation_loss"] == 0.0
     if task in ("criteria", "evolve"):
         # the moment flow of a pure condensate keeps a positive spectrum
-        assert record["health"] == {"truncation_loss": 0.0, "psd_clips": 0, "psd_clip_min": 0.0}
+        flow = {"truncation_loss": 0.0, "psd_clips": 0, "psd_clip_min": 0.0}
+        if task == "criteria":
+            # N = 2 over the squeezed orbital's three even orbitals below the
+            # top one, which stays empty: the whole leak tolerance is left
+            flow.update(rows=6, leak_headroom=1e-10)
+        assert record["health"] == flow
     if task == "loop":
         # 20-event blocks: 16 streams refill, 12 of them refill again, and the
         # lockstep stops after 33 events, so each of those 12 leaves 7 events

@@ -358,21 +358,59 @@ def test_leak_headroom_makes_noon_exact():
 
 
 def test_each_operator_is_applied_once(monkeypatch):
+    # one walk over the rows per nonzero pattern, and rho1 once per state: the
+    # three quadratures share one walk, x and p another, and init_moments
+    # reads the rho1 that quadrature_harmonics formed
     calls = []
-    apply = fock._apply
+    chunks = fock.one_body_chunks
 
-    def counted(rows, matrix):
+    def counted(occ, matrix):
         calls.append(1)
-        return apply(rows, matrix)
+        return chunks(occ, matrix)
 
-    monkeypatch.setattr(fock, "_apply", counted)
+    monkeypatch.setattr(fock, "one_body_chunks", counted)
     b = basis(6, TrapConfig(atom_count=3))
     st = fock.condensate_state(fock.displaced_orbital(b, 0.1), 3)
-    moments.init_moments(st, b)
-    assert len(calls) == 2
-    calls.clear()
     criteria.quadrature_harmonics(st, b)
+    moments.init_moments(st, b)
     assert len(calls) == 3
+
+
+def test_grouped_walk_over_many_chunks_keeps_each_operators_bits(monkeypatch):
+    # a tiny entry budget splits the rows into many chunks; operators sharing
+    # a walk get the bits of walking alone, and the Gram matches the dense one
+    monkeypatch.setattr(fock, "_LEAK_TOL", 2.0)
+    b = basis(5, TrapConfig(atom_count=3))
+    orbital = fock.displaced_orbital(b, 0.4)
+    whole = fock.one_body_density(fock.condensate_state(orbital, 3)).matrix
+    monkeypatch.setattr(fock, "_ENTRY_BUDGET", 40)
+    st = fock.condensate_state(orbital, 3)
+    quads = [fock.quadrature_matrix(b, t) for t in (0.0, 0.3, math.pi / 2)]
+    ops = [fock.position_matrix(b), *quads, fock.momentum_matrix(b),
+           fock.position_sq_matrix(b), fock.quadrature_sq_matrix(b, 0.3)]
+    assert len(list(fock.one_body_chunks(st.occ, ops[0].matrix))) >= 3
+    for group in (ops[:5], ops[5:]):
+        key, amps = fock._applied(st, [op.matrix for op in group])
+        for op, amp in zip(group, amps):
+            alone_key, alone_amp = helpers.single_walk(st, op.matrix)
+            assert np.array_equal(key, alone_key)
+            assert amp.tobytes() == alone_amp.tobytes()
+    vec = np.zeros(fock.sector_dimension(3, 5), dtype=complex)
+    vec[st.key] = st.amp
+    applied = [fock.sector_operator(b, 3, op.matrix) @ vec for op in ops]
+    want = np.array([[np.vdot(a, c) for c in applied] for a in applied])
+    assert np.max(np.abs(fock.few_body_expectation(st, ops) - want)) < 1e-12
+    # the chunked rho1 of a fresh state matches the one-chunk one
+    assert np.max(np.abs(fock.one_body_density(st).matrix - whole)) < 1e-12
+
+
+def test_a_state_and_its_one_body_density_are_read_only():
+    st = fock.condensate_state(fock.displaced_orbital(basis(4), 0.2), 2)
+    rho1 = fock.one_body_density(st)
+    assert fock.one_body_density(st) is rho1
+    for array in (st.occ, st.amp, st.label, st.weight, st.key, rho1.matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
 
 
 # ---------------------------------------------------------------------------

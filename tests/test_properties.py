@@ -2,9 +2,11 @@
 
 Derandomized, so a run always draws the same examples: fixed-N states with
 an empty top orbital and Hermitian one-body matrices, against the
-first-quantized product-space reference of `helpers`; mixtures of such
-states, against the weighted sum over their members; and generators of
-drawn sectors, traps and feedback, on Hermitian matrices.
+first-quantized product-space reference of `helpers`; lists of operators of
+mixed nonzero patterns on such states, whose shared walks must keep each
+operator's bits; mixtures of such states, against the weighted sum over
+their members; and generators of drawn sectors, traps and feedback, on
+Hermitian matrices.
 """
 
 import math
@@ -66,6 +68,40 @@ def test_gram_matrix_is_hermitian_psd_and_matches_product_space(case):
     assert np.max(np.abs(got - want)) < 1e-12
     basis = fock.OrbitalBasis(mode_count=state.m, trap=TrapConfig(atom_count=state.n))
     assert criteria.sigma_q_sq(state, basis, t) >= -1e-12
+
+
+@st.composite
+def operator_lists(draw):
+    """A drawn case's state with operators of mixed nonzero patterns, in drawn
+    order and with repeats: x, p, x^2, q(t), q^2(t) and the case's dense ones."""
+    state, dense, t = draw(cases())
+    basis = fock.OrbitalBasis(mode_count=state.m, trap=TrapConfig(atom_count=state.n))
+    pool = [fock.position_matrix(basis), fock.momentum_matrix(basis),
+            fock.position_sq_matrix(basis), fock.quadrature_matrix(basis, t),
+            fock.quadrature_sq_matrix(basis, t), *dense]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+    return state, pool, picks
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(operator_lists())
+def test_operators_sharing_a_walk_keep_their_bits_and_the_gram(case):
+    state, pool, picks = case
+    ops = [pool[p] for p in picks]
+    patterns = {}
+    for op in ops:
+        patterns.setdefault((op.matrix != 0).tobytes(), []).append(op.matrix)
+    for group in patterns.values():
+        key, amps = fock._applied(state, group)
+        for matrix, amp in zip(group, amps):
+            alone_key, alone_amp = helpers.single_walk(state, matrix)
+            assert np.array_equal(key, alone_key)
+            assert amp.tobytes() == alone_amp.tobytes()
+    got = fock.few_body_expectation(state, ops)
+    pairs = {(a, b): helpers.oracle_expectation(state, [pool[a].matrix, pool[b].matrix])
+             for a in set(picks) for b in set(picks)}
+    want = np.array([[pairs[a, b] for b in picks] for a in picks])
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 @st.composite
