@@ -331,7 +331,17 @@ class FockState:
 
     @functools.cached_property
     def _rho1(self) -> OneBodyDensity:
-        return _one_body_density(self)
+        m = self.m
+        rho = np.zeros(m * m, dtype=complex)
+        for src, key, val, i, j in _hops(self, np.ones((m, m))):
+            pos = np.minimum(np.searchsorted(self.key, key), len(self.key) - 1)
+            hit = self.key[pos] == key
+            pos, src = pos[hit], src[hit]
+            terms = (self.weight[self.label[src]] * np.conj(self.amp[pos])
+                     * val[hit] * self.amp[src])
+            rho += _sum_by(j[hit] * m + i[hit], terms, m * m)
+        rho.setflags(write=False)
+        return OneBodyDensity(matrix=rho.reshape(m, m), n=self.n)
 
 
 @dataclass(frozen=True)
@@ -561,20 +571,6 @@ def one_body_density(state: FockState) -> OneBodyDensity:
     """rho1[n][m] = <a+_m a_n>, weight-averaged over the members; formed once
     per state and shared, its matrix read-only."""
     return state._rho1
-
-
-def _one_body_density(state: FockState) -> OneBodyDensity:
-    m = state.m
-    rho = np.zeros(m * m, dtype=complex)
-    for src, key, val, i, j in _hops(state, np.ones((m, m))):
-        pos = np.minimum(np.searchsorted(state.key, key), len(state.key) - 1)
-        hit = state.key[pos] == key
-        pos, src = pos[hit], src[hit]
-        terms = (state.weight[state.label[src]] * np.conj(state.amp[pos])
-                 * val[hit] * state.amp[src])
-        rho += _sum_by(j[hit] * m + i[hit], terms, m * m)
-    rho.setflags(write=False)
-    return OneBodyDensity(matrix=rho.reshape(m, m), n=state.n)
 
 
 # ---------------------------------------------------------------------------

@@ -307,14 +307,15 @@ def test_chunked_application_matches_one_chunk(monkeypatch):
     monkeypatch.setattr(fock, "_LEAK_TOL", 2.0)
     rng = np.random.default_rng(11)
     b = basis(4, TrapConfig(atom_count=3))
-    st = fock.state_from_amplitudes(
-        3, 4, helpers.random_fock_amplitudes(rng, fock.sector_dimension(3, 4)))
-    ens = fock.thermal_ensemble(basis(5, TrapConfig(atom_count=3)), temperature=0.45,
-                                n=3, energy_cutoff=5.6)
+    amps = helpers.random_fock_amplitudes(rng, fock.sector_dimension(3, 4))
     mats = [fock.position_matrix(b), fock.momentum_matrix(b), fock.sym_xp_matrix(b)]
     mats5 = [fock.position_matrix(basis(5)), fock.momentum_sq_matrix(basis(5))]
 
     def evaluate():
+        # fresh states, so each rho1 is formed under the budget of the call
+        st = fock.state_from_amplitudes(3, 4, amps)
+        ens = fock.thermal_ensemble(basis(5, TrapConfig(atom_count=3)), temperature=0.45,
+                                    n=3, energy_cutoff=5.6)
         return (fock.few_body_expectation(st, mats),
                 fock.one_body_density(st).matrix,
                 fock.few_body_expectation(ens, mats5),
