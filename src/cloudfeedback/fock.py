@@ -56,7 +56,7 @@ class OrbitalBasis:
     trap: TrapConfig
 
     def __post_init__(self):
-        if not (isinstance(self.mode_count, int) and self.mode_count >= 2):
+        if not (isinstance(self.mode_count, (int, np.integer)) and self.mode_count >= 2):
             raise ConfigError(f"mode_count must be an integer >= 2, got {sig(self.mode_count)}")
         check_budget("modes", self.mode_count, "mode_count")
 

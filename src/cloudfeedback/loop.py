@@ -185,12 +185,18 @@ def stationary_discrete(trap: TrapConfig, cfg: LoopConfig) -> np.ndarray:
     [0, 0] entry.  Over one period the covariance maps as S -> A S A^T + Q,
     and both are read off the filter kernel: A is its mean map without
     noise, Q its output from a sharp state at the origin (the conditional
-    covariance plus the response of the means to a unit innovation).
+    covariance plus the response of the means to a unit innovation).  With
+    S read row by row, the fixed point solves (I - A kron A) vec S = vec Q.
     """
-    from scipy.linalg import solve_discrete_lyapunov
-
     if _check_stable(trap, cfg) >= 1.0:
         raise SingularLyapunov("no stationary loop state: the mean map has spectral radius 1")
+    a, q = _period_map(trap, cfg)
+    s = np.linalg.solve(np.eye(4) - np.kron(a, a), q.reshape(4)).reshape(2, 2)
+    return 0.5 * (s + s.T)
+
+
+def _period_map(trap: TrapConfig, cfg: LoopConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(A, Q) of the covariance's map over one period, S -> A S A^T + Q."""
     rot = _rotation(trap, 1.0 / cfg.gamma)
     basis = _Pair(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 0.0, 0.0)
     unit, _ = _filter_event(basis, rot, 0.0, cfg.sigma0, cfg.zeta0, trap.hbar)
@@ -198,8 +204,7 @@ def stationary_discrete(trap: TrapConfig, cfg: LoopConfig) -> np.ndarray:
                              cfg.sigma0, cfg.zeta0, trap.hbar)
     w = np.array([noise.x, noise.p])
     q = np.array([[noise.xx, noise.xp], [noise.xp, noise.pp]]) + np.outer(w, w)
-    s = solve_discrete_lyapunov(np.array([unit.x, unit.p]), q)
-    return 0.5 * (s + s.T)
+    return np.array([unit.x, unit.p]), q
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ and propagates them in closed form.  Moments have one type, the checked
 `MomentGrid`: an initial state's are a grid of one instant, and every time
 series, the oracle's too, is one.  `evolve_grid` propagates such a start to
 a whole time grid in stacked passes of at most _CHUNK (4096) instants, so
-that its work arrays stay bounded: one `expm` call on the stack of Van Loan
-blocks, stacked products for the moments and one stacked `eigh` per
-covariance check.
+that its work arrays stay bounded: one call of the module's own matrix
+exponential `_expm` on the stack of Van Loan blocks (Al-Mohy & Higham's
+scaling and squaring, SIAM J. Matrix Anal. Appl. 31:970, 2009), stacked
+products for the moments and one stacked `eigh` per covariance check.  The
+module loads no scipy.
 
 Conventions, stated once:
   * covariance evolves as dS/dt = A S + S A^T + 2 D, so the physical noise
@@ -232,11 +234,131 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
+def _pade(m: int) -> list[float]:
+    """b_0 .. b_m of the degree-m diagonal Pade approximant to exp, scaled so
+    that b_m = 1, each rounded once from its integer, and 0 up to b_13."""
+    f = math.factorial
+    return [float(f(2 * m - j) // (f(j) * f(m - j))) if j <= m else 0.0 for j in range(14)]
+
+
+# Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31:970 (2009), Algorithm 5.1:
+# the Pade degrees m, the bound theta_m on a slice's norms under which each
+# is exact to double precision, and log2 |c_{2m+1}|, the leading coefficient
+# of its backward error series, for the l correction
+_DEGREES = np.array([3, 5, 7, 9, 13])
+_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+                   2.097847961257068, 4.25])
+_LOG2_C = np.array([-math.log2(math.comb(2 * m, m) * math.factorial(2 * m + 1))
+                    for m in _DEGREES])
+# each degree's coefficients of A^6, A^4, A^2 and I in the four sums of the
+# degree-13 scheme, U = A (A^6 U_6 + U_0) and V = A^6 V_6 + V_0
+_SUMS = np.array([[[b[13], b[11], b[9], 0.0], [b[7], b[5], b[3], b[1]],
+                   [b[12], b[10], b[8], 0.0], [b[6], b[4], b[2], b[0]]]
+                  for b in map(_pade, _DEGREES)])
+
+
+def _norms1(x: np.ndarray) -> np.ndarray:
+    """1-norm of each (n, n) matrix of a stack: its largest column sum of |x|."""
+    # numpy reduces a short last axis row by row, so the n column sums are
+    # formed as rows by a stacked product and compared as a contiguous first axis
+    sums = np.ones(x.shape[:-2] + (1, x.shape[-1])) @ np.abs(x)
+    return np.moveaxis(sums[..., 0, :], -1, 0).copy().max(axis=0)
+
+
+def _even_powers(pw: np.ndarray) -> None:
+    """A^2, A^4 and A^6 into slots 5, 4 and 3 of a stack of powers of slot 0."""
+    np.matmul(pw[:, 0], pw[:, 0], out=pw[:, 5])
+    np.matmul(pw[:, 5], pw[:, 5], out=pw[:, 4])
+    np.matmul(pw[:, 4], pw[:, 5], out=pw[:, 3])
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each slice of a real (T, n, n) stack, each with its bits on its own.
+
+    Al-Mohy & Higham's scaling and squaring (SIAM J. Matrix Anal. Appl.
+    31:970, 2009, Algorithm 5.1), with the exact 1-norms of A^4 .. A^10 in
+    place of its estimates.  A slice takes the lowest Pade degree of 3, 5, 7
+    and 9 that its norms and l correction allow, else degree 13 after a
+    2^-s scaling, squared back s times.  The l correction of degree m needs
+    the 1-norm of |A|^(2m + 1), which comes from a row of ones carried
+    through |A|, |A|^2, |A|^4 and |A|^8.  Every slice is evaluated with its
+    own degree and its own s, so that its bits do not depend on the others.
+    A diagonal slice gives exp of its diagonal exactly, and one with a
+    non-finite 1-norm gives NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    rows, eye = np.arange(n), np.eye(n)
+    out = np.full(a.shape, np.nan)
+    # a slice whose squarings overflow ends non-finite, for the caller to refuse
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        flat = ~a[:, eye == 0.0].any(axis=1)
+        at = np.flatnonzero(flat)
+        out[at] = 0.0
+        out[at[:, None], rows, rows] = np.exp(a[at[:, None], rows, rows])
+        at = np.flatnonzero(~flat)
+        pw = np.empty((len(at), 7, n, n))  # A, A^8, A^10, A^6, A^4, A^2, I
+        pw[:, 0] = a[at]
+        _even_powers(pw)
+        np.matmul(pw[:, 4], pw[:, 4], out=pw[:, 1])
+        np.matmul(pw[:, 4], pw[:, 3], out=pw[:, 2])
+        norms = _norms1(pw[:, :5]).T
+        keep = np.isfinite(norms[0])
+        if not keep.all():
+            at, pw, norms = at[keep], pw[keep], norms[:, keep]
+        if not len(at):
+            return out
+        x, norm = pw[:, 0], norms[0]
+        d8, d10, d6, d4 = norms[1:] ** (1.0 / np.array([[8], [10], [6], [4]]))
+        eta1, eta3 = np.maximum(d4, d6), np.maximum(d6, d8)
+        # where A^8 or A^10 overflowed, ||A|| bounds each ||A^k||^(1/k) instead
+        eta5 = np.minimum(eta3, np.maximum(d8, d10))
+        eta5 = np.where(np.isfinite(eta5), eta5, norm)
+
+        # log2 alpha_m = log2 (|c_{2m+1}| || |A|^{2m+1} || / ||A||) of each
+        # degree, from |A| scaled to a 1-norm of 1 so that no power overflows:
+        # ones times |A|^3, then |A|^4 four times and |A|^8 once
+        b1 = np.abs(x) / norm[:, None, None]
+        b2 = b1 @ b1
+        b4 = b2 @ b2
+        w = np.empty((len(at), len(_DEGREES), 1, n))
+        np.matmul(np.ones((len(at), 1, n)) @ b1 @ b2, b4, out=w[:, 0])
+        for k, step in enumerate((b4, b4, b4, b4 @ b4), 1):
+            np.matmul(w[:, k - 1], step, out=w[:, k])
+        log2_alpha = (np.log2(np.moveaxis(w[:, :, 0], -1, 0).copy().max(axis=0)).T
+                      + 2 * _DEGREES[:, None] * np.log2(norm) + _LOG2_C[:, None])
+        # a degree below 13 needs its eta under theta and l = 0, that is alpha <= u
+        ok = ((np.array([eta1, eta1, eta3, eta3]) <= _THETA[:4, None])
+              & (log2_alpha[:4] <= -53.0))
+        pick = np.where(ok.any(axis=0), ok.argmax(axis=0), 4)
+        s = np.maximum(np.ceil(np.log2(eta5 / _THETA[4])), 0.0)
+        s += np.maximum(np.ceil((log2_alpha[4] - 26.0 * s + 53.0) / 26.0), 0.0)
+        s = np.where(pick == 4, s, 0.0).astype(int)
+
+        # every slice through the degree-13 scheme with its own 2^-s A and its
+        # own degree's coefficients, those above the degree 0; 2^-s is exact,
+        # as s stays below 1074, and so are the powers' unless they underflow
+        x *= np.ldexp(1.0, -s)[:, None, None]
+        _even_powers(pw)
+        pw[:, 6] = eye
+        sums = _SUMS[pick] @ pw[:, 3:].reshape(len(at), 4, n * n)
+        sums = sums.reshape(len(at), 4, n, n)
+        u = pw[:, 0] @ (pw[:, 3] @ sums[:, 0] + sums[:, 1])
+        v = pw[:, 3] @ sums[:, 2] + sums[:, 3]
+        # (V - U)^-1 (V + U), as I plus its small part
+        r = eye + 2.0 * np.linalg.solve(v - u, u)
+        for k in range(s.max()):
+            sq = np.flatnonzero(s > k)
+            r[sq] = r[sq] @ r[sq]
+        out[at] = r
+    return out
+
+
 def _flow(mean: np.ndarray, cov: np.ndarray, g: DriftDiffusion, times: np.ndarray) -> tuple:
     """(means, covariances) at times, unchecked, through one Van Loan
-    exponential per instant, all in one expm call."""
-    from scipy.linalg import expm
-
+    exponential per instant (Van Loan, IEEE TAC 23:395, 1978), all in one
+    `_expm` call on their stack: Al-Mohy & Higham's Algorithm 5.1 with exact
+    norms, each instant's bits its own."""
     a, d2 = g.A, 2.0 * g.D
     dim = a.shape[0]
     # the top-right block is linear in D: a D that dwarfs A enters as
@@ -248,9 +370,9 @@ def _flow(mean: np.ndarray, cov: np.ndarray, g: DriftDiffusion, times: np.ndarra
     blk[:dim, :dim] = a
     blk[:dim, dim:] = np.ldexp(d2, -k)
     blk[dim:, dim:] = -a.T
+    e = _expm(blk * times[:, None, None])
     # a long enough t overflows the exponential: refused as non-finite, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        e = expm(blk * times[:, None, None])
         f = e[:, :dim, :dim]
         ft = f.transpose(0, 2, 1)
         gblk = np.ldexp(e[:, :dim, dim:], k)

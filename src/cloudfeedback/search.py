@@ -2,8 +2,9 @@
 
 Two families.  fixed_N_pure walks normalized amplitude vectors on the
 (N, M) sector; there the objective, the closed-form minimum over time of
-sigma_q_sq, is a mean square spread about the center of mass and cannot go
-negative, so the search exists to confirm that property empirically.
+sigma_q_sq, cannot go negative, by the operator identity
+T_{q^2}/N - T_q T_q/N^2 = (1/2N^2) sum_{i,j} (q_i - q_j)^2, a sum of squares
+of Hermitian operators, so the search only exhibits that theorem.
 indefinite_N_coherent drops the fixed atom number: a multimode coherent
 state with mean occupation |alpha_k|^2 per orbital and mean atom number
 pinned to n, normalized by that mean, and the objective does reach

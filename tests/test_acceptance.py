@@ -229,9 +229,10 @@ def test_a06_fixed_n_positivity():
     """min over t of sigma_q^2 stays above -1e-10 for 500 random fixed-N
     states (N <= 4, M <= 6) and for every converged fixed-N search result.
 
-    No fixed-N pure state has ever produced a negative minimum here; the
-    scheme's quantumness test needs a state this family appears not to
-    contain, and that empirical finding is asserted rather than hidden.
+    No fixed-N state can produce a negative minimum: as operators,
+    T_{q^2}/N - T_q T_q/N^2 = (1/2N^2) sum_{i,j} (q_i - q_j)^2, a sum of
+    squares of Hermitian operators.  The scheme's quantumness test needs a
+    state outside this family, and the identity is asserted, not hidden.
     """
     rng = np.random.default_rng(78)
     for _ in range(500):

@@ -701,6 +701,15 @@ def test_validation_errors():
         fock.OrbitalBasis(mode_count=BUDGETS["modes"].cap + 1, trap=TRAP1)
 
 
+def test_orbital_basis_takes_a_numpy_count_and_refuses_a_bool():
+    # a state's m may be a NumPy integer; True and False stay below 2 orbitals
+    b = fock.OrbitalBasis(mode_count=np.int64(6), trap=TRAP1)
+    assert np.array_equal(fock.position_matrix(b).matrix, fock.position_matrix(basis(6)).matrix)
+    for flag in (True, False, np.bool_(True)):
+        with pytest.raises(ConfigError, match="mode_count must be an integer >= 2"):
+            fock.OrbitalBasis(mode_count=flag, trap=TRAP1)
+
+
 def test_a_state_of_no_atoms_is_refused():
     # the spreads and moments divide by n: no state has n = 0 to divide by
     with pytest.raises(ConfigError, match="n >= 1"):

@@ -77,25 +77,16 @@ def test_package_import_loads_no_numpy_random(tmp_path):
     (["search", "--n", "2", "--seed", "5"],
      {"family": "fixed_N_pure", "m": 3, "restarts": 1, "max_iter": 2000}),
     (["criteria", "--n", "2", "--zeta", "0.5", "--sigma", "0.7"], {"samples": 3}),
-], ids=["scales", "scan", "loop", "loop-poisson", "search", "criteria"])
+    # the moment flow's matrix exponential is the package's own
+    (["criteria", "--n", "2", "--zeta", "0.5", "--sigma", "0.7"],
+     {"samples": 3, "include_transient": True}),
+    (["evolve", "--n", "2", "--zeta", "0.5", "--sigma", "0.7"], {"samples": 3, "t_max": 1.0}),
+], ids=["scales", "scan", "loop", "loop-poisson", "search", "criteria", "criteria-transient",
+        "evolve"])
 def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv, task):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"task": task}))
     assert probe(argv + ["--config", str(cfg)], tmp_path) == (0, [])
-
-
-@pytest.mark.parametrize("task, params", [
-    ("criteria", {"samples": 3, "include_transient": True}),
-    ("evolve", {"samples": 3, "t_max": 1.0}),
-])
-def test_moment_flow_loads_scipy_linalg_alone(tmp_path, task, params):
-    # the moment flow's matrix exponential, and nothing of the oracle's
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"n": 2, "zeta": 0.5, "sigma": 0.7, "task": params}))
-    code, loaded = probe([task, "--config", str(cfg)], tmp_path)
-    assert code == 0
-    assert "scipy.linalg" in loaded
-    assert not [k for k in loaded if k.split(".")[:2] == ["scipy", "sparse"]]
 
 
 _PACKAGE = os.path.dirname(os.path.abspath(cloudfeedback.__file__))
@@ -127,6 +118,15 @@ def test_no_source_module_imports_scipy_optimize():
                     if module.split(".")[:2] == ["scipy", "optimize"]], name
 
 
+def test_no_source_module_imports_scipy_linalg():
+    # the moment flow's exponential and the loop's Lyapunov solve are numpy's
+    sources = [name for name in sorted(os.listdir(_PACKAGE)) if name.endswith(".py")]
+    assert "scipy.sparse" in _imported_modules(_parse_source("oracle.py"))
+    for name in sources:
+        assert not [module for module in _imported_modules(_parse_source(name))
+                    if module.split(".")[:2] == ["scipy", "linalg"]], name
+
+
 def test_search_does_not_import_the_oracle():
     # its sector matrices come from fock alone
     modules = list(_imported_modules(_parse_source("search.py")))
@@ -144,7 +144,8 @@ def test_oracle_loads_no_scipy_optimize(tmp_path):
     code, loaded = probe(["oracle", "--config", str(cfg)], tmp_path)
     assert code == 0
     assert "scipy.sparse" in loaded  # the probe sees what the oracle loads
-    assert not [k for k in loaded if k.split(".")[:2] == ["scipy", "optimize"]]
+    assert not [k for k in loaded if k.split(".")[:2] in (["scipy", "optimize"],
+                                                           ["scipy", "linalg"])]
     # nothing that could plan the propagator from a random estimate
     assert not [k for k in loaded if k.split(".")[:3] == ["scipy", "sparse", "linalg"]]
 

@@ -280,6 +280,17 @@ def test_stationary_variance_matches_discrete_fixed_point():
         assert np.array_equal(fixed, fixed.T)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stationary_discrete_matches_scipys_lyapunov_solver(n):
+    from scipy.linalg import solve_discrete_lyapunov
+
+    trap = trap_for(n)
+    cfg = loop_for(trap, zeta=0.5, eta=1.0, gamma=50.0)
+    want = solve_discrete_lyapunov(*loop._period_map(trap, cfg))
+    got = loop.stationary_discrete(trap, cfg)
+    assert np.max(np.abs(got - 0.5 * (want + want.T))) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_regular_and_poisson_schedules_share_the_limit():
     trap = trap_for(1)
     zeta = 0.5

@@ -306,6 +306,57 @@ def test_evolve_grid_equals_one_instant_calls_bit_for_bit(monkeypatch, n, kind):
     assert (grid.psd_clips, grid.psd_clip_min) == (0, 0.0)
 
 
+def _van_loan(n, zeta, t):
+    g = moments.build_generators(TrapConfig(atom_count=n),
+                                 FeedbackConfig(shift_rate=zeta, meas_resolution=0.7))
+    d = len(g.A)
+    blk = np.zeros((2 * d, 2 * d))
+    blk[:d, :d], blk[:d, d:], blk[d:, d:] = g.A, 2.0 * g.D, -g.A.T
+    return blk * t
+
+
+def test_expm_is_as_accurate_as_scipys_against_30_digits():
+    # Van Loan blocks from Pade degree 3 to 2^5 squarings, and drawn 8 x 8
+    # matrices of 1-norm 1e-3 .. 1e2; the error is relative to max |e^A|
+    import mpmath
+    import scipy.linalg
+
+    rng = np.random.default_rng(31)
+    cases = [(zeta, t, _van_loan(n, zeta, t)) for n in (1, 2, 3, 5) for zeta, ts in
+             ((0.0, (0.01, 2.5, 40.0)), (0.5, (0.3, 17.0, 40.0)), (2.0, (2.5, 17.0, 40.0)))
+             for t in ts]
+    for norm in 10.0 ** np.arange(-3, 3):
+        a = rng.standard_normal((8, 8))
+        cases.append((None, None, a * (norm / np.abs(a).sum(axis=0).max())))
+    mpmath.mp.dps = 30
+    for zeta, t, a in cases:
+        want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+        scale = np.abs(want).max()
+        mine = np.abs(moments._expm(a[None])[0] - want).max() / scale
+        theirs = np.abs(scipy.linalg.expm(a) - want).max() / scale
+        # the critically damped flow at t >= 17 is scaled by 2^4 or 2^5, as in
+        # scipy, and its squarings amplify each routine's few-ulp Pade
+        # rounding into errors of 7e-16 .. 2e-13 that fall either way; there
+        # the bound is 1e-12, five times the worst error of either routine on
+        # 52 such blocks from t = 10 to 40
+        bound = 1e-12 if zeta == 2.0 and t >= 17.0 else theirs + 1e-15
+        assert mine <= bound, (zeta, t, a.shape, mine, theirs)
+
+
+def test_expm_gives_each_slice_its_own_bits():
+    # slices of every degree and of several squarings, a diagonal one exact,
+    # and a non-finite one NaN without touching the others
+    stack = np.concatenate([_van_loan(2, 0.5, np.linspace(0.0, 40.0, 41)[:, None, None]),
+                            np.diag([0.5, -1.0, 2.0, 0.0, 1e-3, 3.0, -7.0, 1.0])[None],
+                            np.full((1, 8, 8), np.inf)])
+    whole = moments._expm(stack)
+    for k, a in enumerate(stack):
+        assert np.array_equal(whole[k], moments._expm(a[None])[0], equal_nan=True), k
+    assert np.array_equal(whole[0], np.eye(8))
+    assert np.array_equal(whole[41], np.diag(np.exp(np.diag(stack[41]))))
+    assert np.isnan(whole[42]).all() and np.isfinite(whole[:42]).all()
+
+
 def test_evolve_grid_crosses_its_chunk_edges_bit_for_bit(monkeypatch):
     m0, g = _condensate_flow(2, "displaced")
     chunk = moments._CHUNK
