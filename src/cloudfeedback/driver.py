@@ -7,7 +7,9 @@ registry.  The subcommand computes its artifact (named CSV columns, or the
 scales document) and forms its run record's fields, and a searched state's
 document, from typed library results: no other module forms JSON.
 `cli_main` alone writes the artifact, a search's `state_out`, then one
-stderr JSON line.  Physical defaults are hbar = m = omega = 1.  CSV cells
+stderr JSON line.  It imports the package modules a subcommand runs only
+when that subcommand runs, and times the import as the record's `load`.
+Physical defaults are hbar = m = omega = 1.  CSV cells
 carry 12 significant digits under a fixed header, so a seeded rerun
 reproduces its artifact byte for byte.
 
@@ -22,6 +24,7 @@ import argparse
 import cmath
 import dataclasses
 import functools
+import importlib
 import itertools
 import json
 import math
@@ -29,14 +32,16 @@ import os
 import sys
 import time
 import warnings
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from . import criteria, fock, loop, moments, oracle, search
 from .errors import ConfigError, NonFiniteCell, ToolkitError, check_budget, sig
 from .scales import (DerivedScales, FeedbackConfig, TrapConfig, classify_regime,
                      continuous_limit_params, derive_scales, same_feedback)
+
+if TYPE_CHECKING:  # a subcommand loads the modules it runs when it runs
+    from . import criteria, fock, moments
 
 _STATE_KEYS = {
     "condensate": {"kind", "m", "displacement", "squeeze", "orbital"},
@@ -240,6 +245,8 @@ class RunConfig:
 
 def _state_basis(doc: dict | None, trap: TrapConfig) -> tuple[dict, fock.OrbitalBasis]:
     """(state section, its orbital basis): kind and keys checked, no Fock work."""
+    from . import fock
+
     if doc is None:
         doc = {"kind": "condensate", "m": 6}
     kind = doc.get("kind")
@@ -257,6 +264,8 @@ def _state_basis(doc: dict | None, trap: TrapConfig) -> tuple[dict, fock.Orbital
 
 def build_state(doc: dict | None, trap: TrapConfig):
     """State section -> (state, basis).  Default: ground condensate, 6 modes."""
+    from . import fock
+
     doc, basis = _state_basis(doc, trap)
     kind, m = doc["kind"], basis.mode_count
     if kind == "occupation":
@@ -390,6 +399,8 @@ def scan_eta(trap: TrapConfig, zeta: float, eta_min: float, eta_max: float,
 def _curve_inputs(trap: TrapConfig, fb: FeedbackConfig, samples,
                   include_transient: bool) -> tuple:
     """(times, scales, moment generators or None) of a curve; needs no state."""
+    from . import moments
+
     times = np.linspace(0.0, math.pi / trap.trap_freq, samples)
     g = moments.build_generators(trap, fb) if include_transient else None
     return times, derive_scales(trap, fb), g
@@ -405,6 +416,8 @@ def _health(state: fock.FockState, flow: moments.MomentGrid | None) -> dict:
 def _curve(h: criteria.QuadratureHarmonics, state, basis, times: np.ndarray,
            s: DerivedScales, g: moments.DriftDiffusion | None) -> tuple[dict, dict]:
     """(columns, health) of a breathing curve; dx is the moment flow's."""
+    from . import criteria, moments
+
     ts = times.tolist()
     columns = {"t": ts, "sigma_q_sq": [h.value(t) for t in ts],
                "dxa": [criteria.asymptotic_cloud_size(s, h, t) for t in ts],
@@ -419,6 +432,8 @@ def _curve(h: criteria.QuadratureHarmonics, state, basis, times: np.ndarray,
 def _moment_columns(times, grid: moments.MomentGrid) -> dict:
     """The _MOMENT_HEADER columns of a moment grid; a single atom's
     collective ones are zero."""
+    from . import moments
+
     mean, cov = grid.mean, grid.cov
     dim = mean.shape[1]
     if dim < 4:
@@ -440,6 +455,8 @@ def _cmd_scales(cfg: RunConfig) -> tuple:
 
 
 def _cmd_criteria(cfg: RunConfig) -> tuple:
+    from . import criteria, fock
+
     p = cfg.params
     times, s, g = _curve_inputs(cfg.trap, cfg.feedback, p["samples"], p["include_transient"])
     state, basis = build_state(cfg.state_doc, cfg.trap)
@@ -455,6 +472,8 @@ def _cmd_criteria(cfg: RunConfig) -> tuple:
 
 
 def _cmd_evolve(cfg: RunConfig) -> tuple:
+    from . import moments
+
     g = moments.build_generators(cfg.trap, cfg.feedback)
     state, basis = build_state(cfg.state_doc, cfg.trap)
     m0 = moments.init_moments(state, basis)
@@ -464,6 +483,8 @@ def _cmd_evolve(cfg: RunConfig) -> tuple:
 
 
 def _cmd_oracle(cfg: RunConfig) -> tuple:
+    from . import oracle
+
     p = cfg.params
     # every stride-th instant of the step clock and its last, t_max
     clock = oracle.step_times(cfg.trap, p["t_max"], p["dt"])
@@ -490,6 +511,8 @@ def _cmd_oracle(cfg: RunConfig) -> tuple:
 
 
 def _cmd_loop(cfg: RunConfig) -> tuple:
+    from . import loop, moments
+
     p = cfg.params
     lcfg = loop.LoopConfig(*cfg.discrete, schedule=p["schedule"], rng_seed=cfg.seed,
                            trajectories=p["trajectories"])
@@ -515,6 +538,8 @@ def _cmd_scan(cfg: RunConfig) -> tuple:
 
 
 def _cmd_search(cfg: RunConfig) -> tuple:
+    from . import fock, search
+
     p = cfg.params
     spec = search.SearchSpec(n=cfg.trap.atom_count, m=p["m"], family=p["family"],
                              restarts=p["restarts"], max_iter=p["max_iter"], tol=p["tol"],
@@ -545,6 +570,7 @@ class _Task(NamedTuple):
     run: Callable  # RunConfig -> (artifact, record fields, state document or None)
     needs: tuple  # keys of _NEEDS the run cannot do without
     keys: dict  # task key -> _Key
+    modules: tuple = ()  # the package modules the run imports, loaded before it
 
 
 _T_MAX = _Key(lambda trap: 6.0 * math.pi / trap.trap_freq, _as_t_max)  # six trap periods
@@ -552,23 +578,26 @@ _T_MAX = _Key(lambda trap: 6.0 * math.pi / trap.trap_freq, _as_t_max)  # six tra
 _TASKS = {
     "scales": _Task(_cmd_scales, ("feedback",), {}),
     "criteria": _Task(_cmd_criteria, ("feedback",), {
-        "samples": _Key(129, _as_rows), "include_transient": _Key(False, _as_bool)}),
+        "samples": _Key(129, _as_rows), "include_transient": _Key(False, _as_bool)},
+        ("fock", "moments", "criteria")),
     "evolve": _Task(_cmd_evolve, ("feedback",), {
         "engine": _Key("moments", _as_engine), "t_max": _T_MAX,
-        "samples": _Key(301, _as_rows)}),
+        "samples": _Key(301, _as_rows)}, ("fock", "moments")),
     "oracle": _Task(_cmd_oracle, ("feedback",), {
         "t_max": _T_MAX, "dt": _Key(None, _or_none(_as_float)),
-        "stride": _Key(10, _int_in(1))}),
+        "stride": _Key(10, _int_in(1))}, ("fock", "moments", "oracle")),
     "loop": _Task(_cmd_loop, ("discrete", "t_max"), {
         "t_max": _Key(None, _or_none(_as_t_max)), "schedule": _Key("regular", _as_str),
-        "trajectories": _Key(1000, _as_int), "record_stride": _Key(1, _as_int)}),
+        "trajectories": _Key(1000, _as_int), "record_stride": _Key(1, _as_int)},
+        ("fock", "moments", "loop")),
     "scan": _Task(_cmd_scan, (), {
         "eta_min": _Key(1e-2, _as_float), "eta_max": _Key(1e2, _as_float),
         "steps": _Key(25, _as_rows)}),
     "search": _Task(_cmd_search, (), {
         "m": _Key(3, _as_int), "family": _Key("fixed_N_pure", _as_str),
         "restarts": _Key(8, _as_int), "max_iter": _Key(20000, _as_int),
-        "tol": _Key(1e-9, _as_float), "state_out": _Key(None, _or_none(_as_path))}),
+        "tol": _Key(1e-9, _as_float), "state_out": _Key(None, _or_none(_as_path))},
+        ("fock", "criteria", "search")),
 }
 
 
@@ -620,6 +649,9 @@ def cli_main(argv=None) -> int:
             if given[need] is None:
                 raise ConfigError(f"task {args.task!r} needs {_NEEDS[need]}")
         start = time.perf_counter()
+        for module in task.modules:  # a cold run's imports are timed apart from compute
+            importlib.import_module(f"{__package__}.{module}")
+        loaded = time.perf_counter()
         # warnings go into the record, under the caller's filters: one an
         # "error" filter turns into an exception still raises
         with warnings.catch_warnings(record=True) as caught:
@@ -631,7 +663,8 @@ def cli_main(argv=None) -> int:
         if state is not None:  # the searched state, once the artifact is out
             write_json(cfg.params["state_out"], state)
         # the phases a task times itself sit beside its compute and write
-        timings = {"compute": computed - start, "write": time.perf_counter() - computed,
+        timings = {"load": loaded - start, "compute": computed - loaded,
+                   "write": time.perf_counter() - computed,
                    **record.pop("timings_s", {})}
         from . import __version__
 

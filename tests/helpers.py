@@ -16,6 +16,8 @@ The others are second routes to what the package computes one way:
     sector, against the Gaussian filter;
   * `coherent_sigma_q_fock`: a coherent state's sigma_q_sq as a Poisson sum
     over condensate sectors, against the closed form;
+  * `classical_poisson_sigma_q`: sigma_q_sq of a classical gas of a Poisson
+    number of independent particles, against the coherent family's;
   * `classical_schwarz_check`: the Schwarz inequality on a factorized
     classical pair distribution;
   * `breathing_curve`: the criteria subcommand's columns for a given state;
@@ -311,6 +313,36 @@ def coherent_sigma_q_fock(alpha, trap, t, cutoff=12):
         one += weight * fock.one_body_density(st).expectation(op_q2)
         two += weight * float(fock.few_body_expectation(st, [op_q])[0, 0].real)
     return one / nbar - two / nbar**2
+
+
+def classical_poisson_sigma_q(alpha, trap, t):
+    """sigma_q_sq of a classical gas whose coherent twin has amplitudes alpha.
+
+    The gas holds a Poisson number of mean nbar = |alpha|^2 of independent
+    particles, each drawn from a phase-space density f with the orbital
+    c = alpha/|alpha|'s Weyl means and covariance (a Gaussian f exists: the
+    uncertainty relation makes that covariance positive definite).  Then
+    <T_{q^2}> = nbar E_f[q^2] and <T_q T_q> = nbar E_f[q^2] + nbar^2 E_f[q]^2,
+    so sigma_q_sq = (1 - 1/nbar) E_f[q(t)^2] - E_f[q(t)]^2.  <x>, <p>, <x^2>,
+    <p^2> and <sym xp> of c come from ladder matrices built here, with one
+    guard orbital so that their products are exact on c.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    nbar = float(np.vdot(alpha, alpha).real)
+    c = np.append(alpha / math.sqrt(nbar), 0.0)
+    lower = np.diag(np.sqrt(np.arange(1.0, len(c))), 1)
+    mw = trap.mass * trap.trap_freq
+    x = math.sqrt(trap.hbar / (2.0 * mw)) * (lower + lower.T)
+    p = 1j * math.sqrt(trap.hbar * mw / 2.0) * (lower.T - lower)
+
+    def mean(op):
+        return float(np.vdot(c, op @ c).real)
+
+    cos, sin = math.cos(trap.trap_freq * t), math.sin(trap.trap_freq * t) / mw
+    mean_q = mean(x) * cos + mean(p) * sin
+    mean_q_sq = (mean(x @ x) * cos**2 + mean(p @ p) * sin**2
+                 + mean(x @ p + p @ x) * cos * sin)
+    return (1.0 - 1.0 / nbar) * mean_q_sq - mean_q**2
 
 
 class NegativeIntensity(ToolkitError):

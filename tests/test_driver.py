@@ -681,7 +681,7 @@ def test_cli_oracle_reports_run_record_at_three_atoms(tmp_path):
     assert doc["task"] == "oracle"
     assert doc["instants"] == len(lines) - 1 == 8
     assert doc["sector_dim"] == 56
-    assert set(doc["timings_s"]) == {"compute", "write", "build", "propagate"}
+    assert set(doc["timings_s"]) == {"load", "compute", "write", "build", "propagate"}
     health = doc["health"]
     assert 0.0 <= health["max_trace_err"] < 1e-10
     assert 0.0 < health["max_top_pop"] < 1e-6
@@ -1070,7 +1070,7 @@ def test_cli_search_rerun_is_byte_identical(tmp_path):
     # simplex (12 real parameters) and at least one point an iteration
     iterations = sum(int(line.split(",")[3]) for line in lines[1:])
     assert summary["evaluations"] >= iterations + 3 * 14
-    assert set(summary["timings_s"]) == {"compute", "write", "build", "search"}
+    assert set(summary["timings_s"]) == {"load", "compute", "write", "build", "search"}
     assert all(v >= 0.0 for v in summary["timings_s"].values())
     assert summary["health"] == {
         "converged": sum(line.endswith("true") for line in lines[1:])}
@@ -1537,7 +1537,7 @@ _EVERY_TASK = {
                "cdf86d0285692fb4ae6b41629b47bd8dbe004cbf5abf00f87ee9d2e8a65a6470",
                {"family", "best_value", "best_restart", "evaluations", "health"}),
 }
-# the phases a task times itself, beside the compute and write of every task
+# the phases a task times itself, beside the load, compute and write of every task
 _PHASES = {"oracle": {"build", "propagate"}, "search": {"build", "search"}}
 
 
@@ -1557,7 +1557,7 @@ def test_cli_every_task_writes_its_artifact_and_one_record(tmp_path, task):
     assert record["version"] == cloudfeedback.__version__
     assert record["seed"] == doc.get("seed", 0)
     timings = record["timings_s"]
-    assert set(timings) == {"compute", "write"} | _PHASES.get(task, set())
+    assert set(timings) == {"load", "compute", "write"} | _PHASES.get(task, set())
     assert all(v >= 0.0 for v in timings.values())
     # a task times its own phases within its compute
     assert sum(timings[phase] for phase in _PHASES.get(task, ())) <= timings["compute"]

@@ -1,5 +1,5 @@
-"""The public names, and which scipy modules (and numpy.random) a bare import and each
-subcommand load.
+"""The public names, and which package modules, scipy modules (and numpy.random) a bare
+import and each subcommand load.
 
 Every probe runs in a fresh interpreter, since the test process itself has
 scipy loaded (the warning filters in pyproject.toml name scipy classes).
@@ -28,21 +28,49 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cloudfeedback.cli_main(argv)
 print(json.dumps({"code": code, "loaded": sorted(
-    k for k in sys.modules if k.split(".")[:len(prefix)] == prefix)}))
+    k for k in sys.modules if k.split(".")[:len(prefix)] == prefix), "package": sorted(
+    k.split(".")[1] for k in sys.modules if k.startswith("cloudfeedback."))}))
 """
 
 
-def probe(argv, tmp_path, prefix=("scipy",)):
-    """(exit code or None, sorted modules under prefix loaded) of one cold run."""
+_PACKAGE = os.path.dirname(os.path.abspath(cloudfeedback.__file__))
+
+
+def _fresh(tmp_path, script, *args):
+    """The last stdout line of a script run in a fresh interpreter, as JSON."""
     env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cloudfeedback.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv),
-                           json.dumps(list(prefix))],
-                          capture_output=True, text=True, cwd=tmp_path, env=env,
-                          timeout=120, check=True)
-    doc = json.loads(proc.stdout.splitlines()[-1])
-    return doc["code"], doc["loaded"]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(_PACKAGE),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, cwd=tmp_path, env=env, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def probe(argv, tmp_path, prefix=("scipy",)):
+    """(exit code or None, sorted modules under prefix loaded, sorted package
+    modules loaded) of one cold run."""
+    doc = _fresh(tmp_path, _PROBE, json.dumps(argv), json.dumps(list(prefix)))
+    return doc["code"], doc["loaded"], doc["package"]
+
+
+# each subcommand's package modules and scipy subpackages, as README's table
+# lists them; the probes below check every row
+_BASE = ["driver", "errors", "scales"]
+_LOADED = {
+    "scales": (_BASE, []),
+    "scan": (_BASE, []),
+    "evolve": (_BASE + ["fock", "moments"], []),
+    "criteria": (_BASE + ["fock", "moments", "criteria"], []),
+    "loop": (_BASE + ["fock", "moments", "loop"], []),
+    "oracle": (_BASE + ["fock", "moments", "oracle"], ["scipy.sparse"]),
+    "search": (_BASE + ["fock", "criteria", "search"], []),
+}
+
+
+def _subpackages(loaded):
+    # the public scipy subpackages among the loaded modules
+    return sorted({".".join(k.split(".")[:2]) for k in loaded
+                   if k.count(".") and not k.split(".")[1].startswith("_")} - {"scipy.version"})
 
 
 def test_public_names_resolve_once():
@@ -52,18 +80,42 @@ def test_public_names_resolve_once():
     assert [name for name in names if not hasattr(cloudfeedback, name)] == []
 
 
+def test_public_names_bind_in_a_fresh_interpreter(tmp_path):
+    # the lazy names: dir lists them and the modules before any is loaded,
+    # and a star import binds each one
+    script = ("import json, cloudfeedback\n"
+              "listed = dir(cloudfeedback)\n"
+              "from cloudfeedback import *\n"
+              "print(json.dumps([listed, [n for n in cloudfeedback.__all__\n"
+              "                           if n not in globals()]]))")
+    listed, unbound = _fresh(tmp_path, script)
+    assert unbound == []
+    modules = {name[:-3] for name in os.listdir(_PACKAGE) if name.endswith(".py")}
+    assert set(cloudfeedback.__all__) | modules - {"__init__"} <= set(listed)
+
+
+def test_unknown_public_name_is_an_attribute_error():
+    assert not hasattr(cloudfeedback, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cloudfeedback.no_such_name  # noqa: B018
+
+
+def test_package_import_loads_no_package_module_and_no_numpy(tmp_path):
+    assert probe([], tmp_path, prefix=("numpy",)) == (None, [], [])
+
+
 def test_package_import_loads_no_scipy(tmp_path):
-    assert probe([], tmp_path) == (None, [])
+    assert probe([], tmp_path) == (None, [], [])
 
 
 def test_package_import_loads_no_numpy_random(tmp_path):
     # numpy.random takes milliseconds to import; the loop loads it when it runs
-    assert probe([], tmp_path, prefix=("numpy", "random")) == (None, [])
+    assert probe([], tmp_path, prefix=("numpy", "random")) == (None, [], [])
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"task": {"t_max": 0.5, "trajectories": 8}}))
     loop = ["loop", "--n", "1", "--gamma", "100", "--sigma0", "5", "--zeta0", "0.002",
             "--config", str(cfg)]
-    code, loaded = probe(loop, tmp_path, prefix=("numpy", "random"))
+    code, loaded, _ = probe(loop, tmp_path, prefix=("numpy", "random"))
     assert code == 0 and "numpy.random.bit_generator" in loaded
 
 
@@ -86,10 +138,15 @@ def test_package_import_loads_no_numpy_random(tmp_path):
 def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv, task):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"task": task}))
-    assert probe(argv + ["--config", str(cfg)], tmp_path) == (0, [])
+    modules, scipy = _LOADED[argv[0]]
+    assert scipy == []
+    assert probe(argv + ["--config", str(cfg)], tmp_path) == (0, [], sorted(modules))
 
 
-_PACKAGE = os.path.dirname(os.path.abspath(cloudfeedback.__file__))
+def test_each_task_loads_what_it_runs_before_its_compute():
+    # with the probes, nothing a run imports is left to its compute timer
+    assert {task: sorted(_BASE + list(spec.modules)) for task, spec in driver._TASKS.items()} \
+        == {task: sorted(modules) for task, (modules, _) in _LOADED.items()}
 
 
 def _imported_modules(tree):
@@ -141,9 +198,10 @@ def test_oracle_loads_no_scipy_optimize(tmp_path):
         "n": 1, "zeta": 0.5, "sigma": 0.7,
         "state": {"kind": "condensate", "m": 12},
         "task": {"t_max": 0.5}}))
-    code, loaded = probe(["oracle", "--config", str(cfg)], tmp_path)
+    code, loaded, package = probe(["oracle", "--config", str(cfg)], tmp_path)
     assert code == 0
     assert "scipy.sparse" in loaded  # the probe sees what the oracle loads
+    assert (sorted(package), _subpackages(loaded)) == tuple(map(sorted, _LOADED["oracle"]))
     assert not [k for k in loaded if k.split(".")[:2] in (["scipy", "optimize"],
                                                            ["scipy", "linalg"])]
     # nothing that could plan the propagator from a random estimate
@@ -201,7 +259,7 @@ def test_every_public_function_is_called_in_the_package_or_kept_on_purpose():
                 body = node.body
             defined.update(sub.name for sub in body if isinstance(sub, ast.FunctionDef)
                            and not sub.name.startswith("_"))
-        if name != "__init__.py":  # its imports and __all__ call nothing
+        if name != "__init__.py":  # its name table and __all__ call nothing
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     used.add(node.id)
@@ -270,3 +328,14 @@ def test_readme_budget_table_matches_the_budgets():
             for name, cap, unit, error, reason in rows] == [
         ([name], b.cap, b.unit, [b.error.__name__], b.reason)
         for name, b in errors.BUDGETS.items()]
+
+
+def test_readme_module_table_matches_the_probes():
+    # a row's "+" adds its modules to the first row's
+    rows = _readme_table("| subcommand | package modules loaded | scipy modules loaded |")
+    table, base = {}, _names(rows[0][1])
+    for tasks, modules, scipy in rows:
+        names = (base if modules.startswith("+") else []) + _names(modules)
+        table.update({task: (names, re.findall(r"`([\w.]+)`", scipy))
+                      for task in _names(tasks)})
+    assert table == _LOADED

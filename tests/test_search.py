@@ -189,6 +189,30 @@ def test_coherent_fock_route_matches_closed_form():
         assert fockv == pytest.approx(closed, abs=1e-8)
 
 
+def test_coherent_family_equals_a_classical_poisson_gas():
+    # every coherent-family value, Schwarz violations included, is a classical
+    # gas's: orbitals of any shape (an empty top mode or not), number and trap
+    rng = np.random.default_rng(41)
+    trap = TrapConfig(atom_count=2, mass=1.3, trap_freq=0.8, hbar=0.9)
+    worst, negative = 0.0, 0
+    for k in range(24):
+        m = int(rng.integers(3, 9))
+        raw = rng.normal(size=m) + 1j * rng.normal(size=m)
+        if k % 2:
+            raw[-1] = 0.0
+        if k % 6 == 5:  # a displaced orbital, the family's deepest violations
+            raw = fock.displaced_orbital(fock.OrbitalBasis(mode_count=m, trap=trap),
+                                         rng.uniform(0.5, 1.5))
+        alpha = math.sqrt(rng.uniform(0.5, 5.0)) * raw / np.linalg.norm(raw)
+        basis = fock.OrbitalBasis(mode_count=m, trap=trap)
+        for t in (0.0, 0.4, math.pi / (4.0 * trap.trap_freq), 2.3, 7.9):
+            value = search.coherent_sigma_q(alpha, basis, t)
+            worst = max(worst, abs(value - helpers.classical_poisson_sigma_q(alpha, trap, t)))
+            negative += value < 0.0
+    assert worst <= 1e-12
+    assert negative > 0  # the draws reach the violations
+
+
 def test_coherent_search_goes_negative():
     trap = trap_for(2)
     spec = search.SearchSpec(n=2, m=5, family="indefinite_N_coherent",
